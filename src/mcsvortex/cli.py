@@ -3,15 +3,13 @@
 Run configurations are flat INI-style files with sections (see
 parse_config for the schema).  Exit codes: 0 success with all invariant
 checks passing, 1 configuration or snapshot errors, 2 invariant failures,
-3 solver non-convergence.  MCSVORTEX_THREADS (default 1) caps the thread
-fan-out of independent diagnostic checks.
+3 solver non-convergence.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -202,9 +200,11 @@ def parse_config(path) -> RunConfig:
         N=n_grid,
         q=q,
         q_list=q_list,
-        newton_tol=get_float("solver", "newton_tol", 1e-6),
-        krylov_tol=get_float("solver", "krylov_tol", 1e-10),
-        max_newton_iters=int(get_float("solver", "max_newton_iters", 60)),
+        newton_tol=get_float("solver", "newton_tol", ProblemSpec.newton_tol),
+        krylov_tol=get_float("solver", "krylov_tol", ProblemSpec.krylov_tol),
+        max_newton_iters=int(
+            get_float("solver", "max_newton_iters", ProblemSpec.max_newton_iters)
+        ),
         bound_tol=get_float("solver", "bound_tol"),
         out_dir=get("output", "dir", "out"),
     )
@@ -215,15 +215,7 @@ def parse_config(path) -> RunConfig:
     return cfg
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("MCSVORTEX_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _print_reports(reports, stream=sys.stdout) -> None:
+def _print_reports(reports) -> None:
     width = max(len(r.name) for r in reports)
     for r in reports:
         if r.status == "not_applicable":
@@ -234,7 +226,7 @@ def _print_reports(reports, stream=sys.stdout) -> None:
                 f"disc={r.abs_discrepancy:.17e}  rel={r.rel_discrepancy:.17e}  "
                 f"tol={r.tolerance:.3e} ({r.tol_kind})"
             )
-        print(line, file=stream)
+        print(line)
 
 
 def cmd_solve(args) -> int:
@@ -258,7 +250,7 @@ def cmd_solve(args) -> int:
         _write_failure(out_dir, spec, exc)
         print(f"invariant failure: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    reports = diagnostics.all_reports(bundle, threads=_thread_count())
+    reports = diagnostics.all_reports(bundle)
     write_solution(out_dir, bundle, reports, model_table=cfg.table)
     print(f"converged in {bundle.newton_iters} Newton steps")
     print(f"energy = {bundle.energy_value:.17e}")
@@ -349,9 +341,11 @@ def bundle_from_snapshot(path) -> tuple[SolutionBundle, dict]:
         vortices=vortices,
         q=float(meta["q"]),
         grid=grid,
-        newton_tol=float(tol.get("newton_tol", 1e-8)),
-        krylov_tol=float(tol.get("krylov_tol", 1e-10)),
-        max_newton_iters=int(tol.get("max_newton_iters", 60)),
+        newton_tol=float(tol.get("newton_tol", ProblemSpec.newton_tol)),
+        krylov_tol=float(tol.get("krylov_tol", ProblemSpec.krylov_tol)),
+        max_newton_iters=int(
+            tol.get("max_newton_iters", ProblemSpec.max_newton_iters)
+        ),
         bound_tol=tol.get("bound_tol"),
     )
     background = compute_u0(vortices, grid)
@@ -374,14 +368,13 @@ def bundle_from_snapshot(path) -> tuple[SolutionBundle, dict]:
 
 def cmd_verify(args) -> int:
     any_failed = False
-    threads = _thread_count()
     for target in args.snapshots:
         try:
             bundle, _ = bundle_from_snapshot(target)
         except (SnapshotError, MCSVortexError, ValueError, KeyError) as exc:
             print(f"snapshot error: {target}: {exc}", file=sys.stderr)
             return EXIT_CONFIG
-        reports = diagnostics.all_reports(bundle, threads=threads)
+        reports = diagnostics.all_reports(bundle)
         print(f"== {target}")
         _print_reports(reports)
         any_failed |= any(r.failed for r in reports)

@@ -14,8 +14,13 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import GridMismatch
-from .grid import ScalarField, grad_squared, integrate, laplacian, sobolev_norm
-from .solver import LimitSolution, SolutionBundle, _Workspace
+from .grid import ScalarField, grad_squared, integrate, sobolev_norm
+from .solver import (
+    LimitSolution,
+    SolutionBundle,
+    _bound_violation,
+    _equation_residuals,
+)
 
 FOUR_PI = 4.0 * np.pi
 
@@ -79,25 +84,19 @@ def _make_report(
     )
 
 
-def _state(bundle: SolutionBundle) -> tuple[_Workspace, dict]:
-    ws = _Workspace(bundle.grid, bundle.model, bundle.background, bundle.q)
-    return ws, ws.state(bundle.u.values)
-
-
 def check_bounds(bundle: SolutionBundle) -> InvariantReport:
     """Pointwise bounds f(0) <= f(e^{u*}) <= s and f(0) <= v <= s,
     with bound_tol slack for the mollified discretization."""
-    _, st = _state(bundle)
+    st = bundle._pointwise
     model = bundle.model
     f0, s = model.f0, model.s
-    fe_min, fe_max = float(st["f"].min()), float(st["f"].max())
-    v_min, v_max = bundle.v.min(), bundle.v.max()
-    worst = max(f0 - fe_min, fe_max - s, f0 - v_min, v_max - s, 0.0)
+    worst, extremes = _bound_violation(model, st["f"], bundle.v.values)
+    fe_min, fe_max, v_min, v_max = extremes
     return _make_report(
         "pointwise_bounds",
-        lhs=(fe_min, fe_max, v_min, v_max),
+        lhs=extremes,
         rhs=(f0, s),
-        abs_disc=worst,
+        abs_disc=max(worst, 0.0),
         scale=abs(s - f0),
         tolerance=bundle.spec.resolved_bound_tol(),
         tol_kind="absolute",
@@ -115,7 +114,7 @@ def check_bounds(bundle: SolutionBundle) -> InvariantReport:
 def check_flux(bundle: SolutionBundle) -> InvariantReport:
     """Flux quantization: integral(c*(s-v)) = q*integral(v - f) = 4*pi*n,
     both integrals obtained by integrating the two equations."""
-    _, st = _state(bundle)
+    st = bundle._pointwise
     grid, q, n = bundle.grid, bundle.q, bundle.background.n
     h2 = grid.h**2
     i1 = h2 * float(np.sum(st["c"] * (bundle.model.s - bundle.v.values)))
@@ -141,18 +140,18 @@ def check_identity(bundle: SolutionBundle) -> InvariantReport:
       = integral((s-v)(f'' e^{u*} + f') e^{u*}|grad u*|^2)
       + 4 pi integral((s-v) c source),
     the last term carrying the mollified cores."""
-    ws, st = _state(bundle)
+    st = bundle._pointwise
     grid, q = bundle.grid, bundle.q
     h2 = grid.h**2
     s = bundle.model.s
     v = bundle.v.values
+    source = bundle.background.source.values
     lhs = integrate(grad_squared(bundle.v)) + q * q * h2 * float(
         np.sum((v - st["f"]) ** 2)
     )
-    wg = ws.weighted_gradsq(st)
-    w2 = (st["fpp"] * st["t"] + st["fp"]) * wg
+    w2 = (st["fpp"] * st["t"] + st["fp"]) * st["wg"]
     rhs = h2 * float(
-        np.sum((s - v) * w2) + FOUR_PI * np.sum((s - v) * st["c"] * ws.source)
+        np.sum((s - v) * w2) + FOUR_PI * np.sum((s - v) * st["c"] * source)
     )
     n = bundle.background.n
     tol_kind = "relative" if n > 0 else "absolute"
@@ -172,12 +171,13 @@ def check_gradu(bundle: SolutionBundle) -> InvariantReport:
     integral(e^{u*}|grad u*|^2) = q integral(e^{u*}(v-f)) - 4 pi integral(e^{u*} source).
     Reports the common (q-uniformly bounded) value; the uncorrected
     right-hand side is kept in the details."""
-    ws, st = _state(bundle)
+    st = bundle._pointwise
     h2 = bundle.grid.h**2
     q = bundle.q
-    a = h2 * float(np.sum(ws.weighted_gradsq(st)))
+    source = bundle.background.source.values
+    a = h2 * float(np.sum(st["wg"]))
     b_dirac = q * h2 * float(np.sum(st["t"] * (bundle.v.values - st["f"])))
-    b = b_dirac - FOUR_PI * h2 * float(np.sum(st["t"] * ws.source))
+    b = b_dirac - FOUR_PI * h2 * float(np.sum(st["t"] * source))
     n = bundle.background.n
     tol_kind = "relative" if n > 0 else "absolute"
     return _make_report(
@@ -235,29 +235,24 @@ def check_max_location(bundle: SolutionBundle) -> InvariantReport:
 
 def residual_reports(bundle: SolutionBundle) -> list[InvariantReport]:
     """PDE residuals of the stored fields plus the w-definition identity."""
-    _, st = _state(bundle)
-    grid, q, n = bundle.grid, bundle.q, bundle.background.n
+    st = bundle._pointwise
+    q = bundle.q
     tol = bundle.spec.newton_tol
-    u, v, w = bundle.u, bundle.v, bundle.w
-
-    res_a = -laplacian(u).values - q * (v.values - st["f"]) + FOUR_PI * n
-    res_b = -laplacian(v).values - q * (
-        st["c"] * (bundle.model.s - v.values) - q * (v.values - st["f"])
+    v = bundle.v.values
+    res_a, res_b = _equation_residuals(
+        bundle.u, bundle.v, st, bundle.background.n, bundle.model.s, q
     )
-    w_gap = float(np.abs(w.values - q * (v.values - st["f"])).max()) / q
-
-    def l2(arr):
-        return float(grid.h * np.sqrt(np.sum(arr * arr)))
+    w_gap = float(np.abs(bundle.w.values - q * (v - st["f"])).max()) / q
 
     return [
         _make_report(
             "residual_first_equation",
-            lhs=l2(res_a), rhs=0.0, abs_disc=l2(res_a), scale=1.0,
+            lhs=res_a, rhs=0.0, abs_disc=res_a, scale=1.0,
             tolerance=tol, tol_kind="absolute",
         ),
         _make_report(
             "residual_second_equation",
-            lhs=l2(res_b), rhs=0.0, abs_disc=l2(res_b), scale=1.0,
+            lhs=res_b, rhs=0.0, abs_disc=res_b, scale=1.0,
             tolerance=tol, tol_kind="absolute",
         ),
         _make_report(
@@ -268,17 +263,10 @@ def residual_reports(bundle: SolutionBundle) -> list[InvariantReport]:
     ]
 
 
-def all_reports(bundle: SolutionBundle, threads: int = 1) -> list[InvariantReport]:
+def all_reports(bundle: SolutionBundle) -> list[InvariantReport]:
     """Every invariant report for one bundle, in a fixed order."""
     checks = (check_bounds, check_flux, check_identity, check_gradu, check_max_location)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(lambda fn: fn(bundle), checks))
-    else:
-        reports = [fn(bundle) for fn in checks]
-    return reports + residual_reports(bundle)
+    return [fn(bundle) for fn in checks] + residual_reports(bundle)
 
 
 @dataclass(frozen=True)

@@ -121,31 +121,12 @@ class ScalarField:
         return float(self.values.max())
 
 
-@dataclass(frozen=True)
-class SpectralCoeffs:
-    """Fourier coefficients of a real field, normalized so that
-    sum |c_k|^2 equals the squared L2 norm of the field (unit measure)."""
-
-    grid: GridSpec
-    coeffs: np.ndarray
-
-
 def same_grid(*fields: ScalarField) -> GridSpec:
     grid = fields[0].grid
     for f in fields[1:]:
         if f.grid != grid:
             raise GridMismatch("fields do not share a grid")
     return grid
-
-
-def to_coeffs(field: ScalarField) -> SpectralCoeffs:
-    n2 = field.grid.N**2
-    return SpectralCoeffs(field.grid, np.fft.fft2(field.values) / n2)
-
-
-def from_coeffs(coeffs: SpectralCoeffs) -> ScalarField:
-    n2 = coeffs.grid.N**2
-    return ScalarField(coeffs.grid, np.real(np.fft.ifft2(coeffs.coeffs * n2)))
 
 
 def integrate(field: ScalarField) -> float:
@@ -209,11 +190,6 @@ def sobolev_norm(field: ScalarField, k: int) -> float:
     grid = field.grid
     ch = np.abs(np.fft.fft2(field.values) / grid.N**2) ** 2
     return float(np.sqrt(np.sum((1.0 + grid.k2) ** k * ch)))
-
-
-def xk_norm(field: ScalarField, k: int) -> float:
-    """Banach-algebra norm H^k + sup, the one products are bounded in."""
-    return sobolev_norm(field, k) + sup_norm(field)
 
 
 def helmholtz_apply(c: ScalarField, u: ScalarField, q: float) -> ScalarField:

@@ -15,13 +15,14 @@ equivalent to the mollified two-field system.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, minres
 
 from .background import BackgroundData, VortexConfig, compute_u0
 from .errors import BoundsViolation, NoConvergence, QTooSmall
-from .grid import GridSpec, ScalarField, laplacian
+from .grid import GridSpec, ScalarField, _l2, laplacian
 from .nonlinearity import NonlinearityModel
 
 FOUR_PI = 4.0 * np.pi
@@ -35,9 +36,11 @@ class ProblemSpec:
     vortices: VortexConfig
     q: float
     grid: GridSpec
-    # Default newton_tol respects the float64 evaluation floor of the
-    # fourth-order residual (~eps * |k|_max^4 / q), which exceeds 1e-7 at
-    # N = 256; tighter values are attainable on coarser grids / larger q.
+    # The float64 evaluation floor of the fourth-order residual grows like
+    # eps * |k|_max^4 / q.  Measured with one vortex, s = 9 and q = 40, the
+    # residual stalls at 2.1e-6 .. 2.5e-6 at N = 256, so the default
+    # newton_tol is only reachable on coarser grids; N = 256 needs
+    # newton_tol >~ 8e-6.
     newton_tol: float = 1e-6
     krylov_tol: float = 1e-10
     max_newton_iters: int = 60
@@ -83,6 +86,16 @@ class SolutionBundle:
     @property
     def u_star(self) -> ScalarField:
         return self.background.u0 + self.u
+
+    @cached_property
+    def _pointwise(self) -> dict:
+        """Pointwise state at u plus the weighted gradient term "wg", for
+        the diagnostics.  Built the first time one asks for it, never by
+        the solver, and kept for the bundle's lifetime."""
+        ws = _Workspace(self.grid, self.model, self.background, self.q)
+        st = ws.state(self.u.values)
+        st["wg"] = ws.weighted_gradsq(st)
+        return st
 
 
 @dataclass(frozen=True)
@@ -130,9 +143,13 @@ class _Workspace:
 
     # -- pointwise state ---------------------------------------------------
 
-    def state(self, u: np.ndarray) -> dict:
-        eu = np.exp(u)
-        t = self.exp_u0 * eu
+    def state(self, u: np.ndarray) -> dict | None:
+        """Pointwise state at u; None where e^{u0+u} overflows."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            eu = np.exp(u)
+            t = self.exp_u0 * eu
+        if not np.all(np.isfinite(t)):
+            return None
         f, fp, fpp = self.model._eval_arrays(t)
         return {"u": u, "eu": eu, "t": t, "f": f, "fp": fp, "fpp": fpp, "c": fp * t}
 
@@ -142,10 +159,11 @@ class _Workspace:
         uy = np.real(np.fft.ifft2(self.grid._iky * uh))
         return ux, uy
 
-    def weighted_gradsq(self, st: dict) -> np.ndarray:
+    def weighted_gradsq(self, st: dict, grad=None) -> np.ndarray:
         """e^{u*} |grad u*|^2 assembled from the smooth background weight:
-        e^u * weight + 2 e^u grad(e^{u0}).grad(u) + t |grad u|^2."""
-        ux, uy = self.grad_u(st["u"])
+        e^u * weight + 2 e^u grad(e^{u0}).grad(u) + t |grad u|^2.
+        grad, if given, is the (ux, uy) pair already computed at u."""
+        ux, uy = grad if grad is not None else self.grad_u(st["u"])
         return (
             st["eu"] * self.weight
             + 2.0 * st["eu"] * (self.gx0 * ux + self.gy0 * uy)
@@ -154,24 +172,18 @@ class _Workspace:
 
     # -- energy and gradient -----------------------------------------------
 
-    def energy(self, u: np.ndarray) -> float:
+    def energy(self, u: np.ndarray, st: dict | None = None) -> float:
         q = self.q
+        st = st if st is not None else self.state(u)
+        if st is None:
+            return np.inf
+        f, fp = st["f"], st["fp"]
+        uh = np.fft.fft2(u)
+        lap_u = np.real(np.fft.ifft2(-self.k2 * uh))
+        ux = np.real(np.fft.ifft2(self.grid._ikx * uh))
+        uy = np.real(np.fft.ifft2(self.grid._iky * uh))
         with np.errstate(over="ignore", invalid="ignore"):
-            eu = np.exp(u)
-            t = self.exp_u0 * eu
-            if not np.all(np.isfinite(t)):
-                return np.inf
-            f, fp, _ = self.model._eval_arrays(t)
-            uh = np.fft.fft2(u)
-            lap_u = np.real(np.fft.ifft2(-self.k2 * uh))
-            ux = np.real(np.fft.ifft2(self.grid._ikx * uh))
-            uy = np.real(np.fft.ifft2(self.grid._iky * uh))
-            wg = (
-                eu * self.weight
-                + 2.0 * eu * (self.gx0 * ux + self.gy0 * uy)
-                + t * (ux * ux + uy * uy)
-            )
-            h2 = self.grid.h**2
+            wg = self.weighted_gradsq(st, (ux, uy))
             total = (
                 0.5 / q**2 * np.sum(lap_u**2)
                 + 0.5 * np.sum(ux * ux + uy * uy)
@@ -182,12 +194,14 @@ class _Workspace:
             )
             if self.forcing is not None:
                 total -= np.sum(self.forcing * u)
-            total *= h2
+            total *= self.grid.h**2
         return float(total) if np.isfinite(total) else np.inf
 
     def gradient(self, u: np.ndarray, st: dict | None = None) -> np.ndarray:
         q = self.q
         st = st or self.state(u)
+        if st is None:
+            raise ValueError("gradient undefined: e^{u0+u} overflows")
         uh = np.fft.fft2(u)
         lap_u = np.real(np.fft.ifft2(-self.k2 * uh))
         bilap_u = np.real(np.fft.ifft2(self.k2 * self.k2 * uh))
@@ -328,15 +342,82 @@ def initial_guess(bg: BackgroundData, model: NonlinearityModel) -> ScalarField:
     return ScalarField(bg.grid, vals)
 
 
-def _l2(grid: GridSpec, values: np.ndarray) -> float:
-    return float(grid.h * np.sqrt(np.sum(values * values)))
+def _newton_krylov(
+    u: np.ndarray, spec: ProblemSpec, state, residual, linearize, what: str,
+    scale: float = 1.0,
+) -> tuple[np.ndarray, dict, np.ndarray, int]:
+    """Damped Newton-Krylov solve of residual(u, state(u)) = 0 from u.
+
+    state(u) returns None where u leaves the domain; linearize(u, st)
+    returns the Jacobian and its preconditioner.  With r_k = scale times
+    the L2 norm of the residual, each step runs preconditioned MINRES to
+    the forcing tolerance clip(1e-4 r_k, krylov_tol, 1e-4) (cf. Eisenstat
+    & Walker, SIAM J. Sci. Comput. 17(1), 1996), then halves the step from
+    alpha = 1 until r_k drops by the factor 1 - 1e-4 alpha.  Stops once
+    r_k <= newton_tol and returns (u, state, residual, passes), the last
+    pass being the one that found convergence.  A failed line search
+    raises NoConvergence naming that step's MINRES exit status.
+    """
+    grid = spec.grid
+    st = state(u)
+    if st is None:
+        raise NoConvergence(0, np.inf, what=what)
+    r = residual(u, st)
+    r_norm = scale * _l2(grid, r)
+    iters = 0
+    for iters in range(1, spec.max_newton_iters + 1):
+        if r_norm <= spec.newton_tol:
+            break
+        H, M = linearize(u, st)
+        rtol = float(np.clip(1e-4 * r_norm, spec.krylov_tol, 1e-4))
+        delta, info = minres(H, -r.ravel(), rtol=rtol, maxiter=400, M=M)
+        delta = delta.reshape(u.shape)
+        alpha = 1.0
+        while True:
+            trial = u + alpha * delta
+            st_trial = state(trial)
+            if st_trial is not None:
+                r_trial = residual(trial, st_trial)
+                norm_trial = scale * _l2(grid, r_trial)
+                if norm_trial <= (1.0 - 1e-4 * alpha) * r_norm:
+                    break
+            alpha *= 0.5
+            if alpha < 1e-12:
+                what = f"{what} line search (MINRES exit status {info})"
+                raise NoConvergence(iters, r_norm, what=what)
+        u, st, r, r_norm = trial, st_trial, r_trial, norm_trial
+    if r_norm > spec.newton_tol:
+        raise NoConvergence(iters, r_norm, what=what)
+    return u, st, r, iters
 
 
-def _minres_direction(
-    H: LinearOperator, M: LinearOperator, rhs: np.ndarray, rtol: float, maxiter: int
-) -> np.ndarray:
-    sol, _ = minres(H, rhs, rtol=rtol, maxiter=maxiter, M=M)
-    return sol
+def _require_coupling(q: float, st: dict) -> None:
+    c_inf = float(np.abs(st["c"]).max())
+    if q <= c_inf:
+        raise QTooSmall(
+            f"q={q} <= sup|c|={c_inf:.6g}: zeroth-order coefficient not positive"
+        )
+
+
+def _equation_residuals(
+    u: ScalarField, v: ScalarField, st: dict, n: int, s: float, q: float
+) -> tuple[float, float]:
+    """L2 residuals of the two coupled equations at (u, v), with f and c
+    taken from the pointwise state st at u."""
+    res_a = -laplacian(u).values - q * (v.values - st["f"]) + FOUR_PI * n
+    res_b = -laplacian(v).values - q * (
+        st["c"] * (s - v.values) - q * (v.values - st["f"])
+    )
+    return _l2(u.grid, res_a), _l2(u.grid, res_b)
+
+
+def _bound_violation(model: NonlinearityModel, f: np.ndarray, v: np.ndarray):
+    """Largest excess of f(e^{u*}) and v over the bounds [f(0), s], and
+    the extremes (f_min, f_max, v_min, v_max) it was read from."""
+    extremes = (float(f.min()), float(f.max()), float(v.min()), float(v.max()))
+    fe_min, fe_max, v_min, v_max = extremes
+    f0, s = model.f0, model.s
+    return max(f0 - fe_min, fe_max - s, f0 - v_min, v_max - s), extremes
 
 
 def solve_coupled(
@@ -371,72 +452,31 @@ def solve_coupled(
             init = solve_limit(spec, background=bg).u_inf
         except NoConvergence:
             init = initial_guess(bg, model)
-    u = np.array(init.values, dtype=float)
 
-    def try_state(vals: np.ndarray) -> dict | None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            t = ws.exp_u0 * np.exp(vals)
-        if not np.all(np.isfinite(t)):
-            return None
-        return ws.state(vals)
+    def linearize(u: np.ndarray, st: dict):
+        _require_coupling(q, st)
+        return ws.hessian_operator(u, st), ws.coupled_preconditioner(st)
 
-    res0 = None
-    iters = 0
-    st = ws.state(u)
-    for iters in range(1, spec.max_newton_iters + 1):
-        c_inf = float(np.abs(st["c"]).max())
-        if q <= c_inf:
-            raise QTooSmall(
-                f"q={q} <= sup|c|={c_inf:.6g}: zeroth-order coefficient not positive"
-            )
-        r = ws.gradient(u, st)
-        res_b = q * _l2(grid, r)  # residual of the second equation
-        if res_b <= spec.newton_tol:
-            break
-        if res0 is None:
-            res0 = res_b
-        inner_rtol = float(np.clip(1e-3 * res_b / res0, spec.krylov_tol, 1e-4))
-        H = ws.hessian_operator(u, st)
-        M = ws.coupled_preconditioner(st)
-        delta = _minres_direction(H, M, -r.ravel(), inner_rtol, 400).reshape(
-            grid.N, grid.N
-        )
-        alpha = 1.0
-        accepted = False
-        while alpha >= 1e-12:
-            trial = u + alpha * delta
-            st_trial = try_state(trial)
-            if st_trial is not None:
-                res_trial = q * _l2(grid, ws.gradient(trial, st_trial))
-                if res_trial <= (1.0 - 1e-4 * alpha) * res_b:
-                    u, st, accepted = trial, st_trial, True
-                    break
-            alpha *= 0.5
-        if not accepted:
-            raise NoConvergence(iters, res_b, what="Newton line search")
-    else:
-        st = ws.state(u)
-        res_b = q * _l2(grid, ws.gradient(u, st))
-        if res_b > spec.newton_tol:
-            raise NoConvergence(spec.max_newton_iters, res_b, what="Newton")
+    u, st, r, iters = _newton_krylov(
+        np.array(init.values, dtype=float), spec, ws.state, ws.gradient, linearize,
+        "Newton", scale=q,
+    )
+    _require_coupling(q, st)
 
     u_field = ScalarField(grid, u)
     v = recover_v(u_field, bg, model, q)
-    st = ws.state(u)
     w = ScalarField(grid, q * (v.values - st["f"]))
     if forcing is None:
-        _check_pointwise_bounds(st, v, model, spec.resolved_bound_tol())
+        worst, _ = _bound_violation(model, st["f"], v.values)
+        bound_tol = spec.resolved_bound_tol()
+        if worst > bound_tol:
+            raise BoundsViolation(
+                f"pointwise bounds violated by {worst:.3e} > bound_tol={bound_tol:.3e} "
+                "(discretization failure: refine the grid or enlarge sigma)"
+            )
 
-    lap_v = laplacian(v)
-    res_a = -laplacian(u_field).values - q * (v.values - st["f"]) + FOUR_PI * bg.n
-    res_bv = -lap_v.values - q * (
-        st["c"] * (model.s - v.values) - q * (v.values - st["f"])
-    )
-    residuals = {
-        "genmcsa": _l2(grid, res_a),
-        "genmcsb": _l2(grid, res_bv),
-        "fourth_order": _l2(grid, ws.gradient(u, st)),
-    }
+    res_a, res_b = _equation_residuals(u_field, v, st, bg.n, model.s, q)
+    residuals = {"genmcsa": res_a, "genmcsb": res_b, "fourth_order": _l2(grid, r)}
     return SolutionBundle(
         spec=spec,
         background=bg,
@@ -445,25 +485,8 @@ def solve_coupled(
         w=w,
         residual_norms=residuals,
         newton_iters=iters,
-        energy_value=ws.energy(u),
+        energy_value=ws.energy(u, st),
     )
-
-
-def _check_pointwise_bounds(
-    st: dict, v: ScalarField, model: NonlinearityModel, bound_tol: float
-) -> None:
-    f0, s = model.f0, model.s
-    worst = max(
-        f0 - float(st["f"].min()),
-        float(st["f"].max()) - s,
-        f0 - v.min(),
-        v.max() - s,
-    )
-    if worst > bound_tol:
-        raise BoundsViolation(
-            f"pointwise bounds violated by {worst:.3e} > bound_tol={bound_tol:.3e} "
-            "(discretization failure: refine the grid or enlarge sigma)"
-        )
 
 
 def solve_limit(
@@ -472,44 +495,24 @@ def solve_limit(
     """Newton solve of the limit equation for the regular part:
     -Laplacian(u) = f'(e^{u0+u}) e^{u0+u} (s - f(e^{u0+u})) - 4 pi n.
 
-    The coupling q in spec is ignored.  Damped Newton with backtracking on
-    the residual norm (the variational merit is unbounded below along
-    constant shifts, so it cannot drive a line search).
+    The coupling q in spec is ignored.  Same damped Newton-Krylov driver
+    as solve_coupled, with the spectral inverse of -Lap + lambda as
+    preconditioner.
     """
     grid, model = spec.grid, spec.model
     bg = background or compute_u0(spec.vortices, spec.grid)
-    n = bg.n
-    exp_u0 = bg.exp_u0.values
-    k2 = grid.k2
-    s = model.s
-    N = grid.N
+    ws = _Workspace(grid, model, bg, spec.q)
+    k2, s, N = grid.k2, model.s, grid.N
     nn = N * N
-
-    def state(u: np.ndarray) -> dict:
-        with np.errstate(over="ignore", invalid="ignore"):
-            t = exp_u0 * np.exp(u)
-        if not np.all(np.isfinite(t)):
-            return {"t": None}
-        f, fp, fpp = model._eval_arrays(t)
-        return {"t": t, "f": f, "fp": fp, "fpp": fpp, "c": fp * t}
 
     def residual(u: np.ndarray, st: dict) -> np.ndarray:
         lap_u = np.real(np.fft.ifft2(-k2 * np.fft.fft2(u)))
-        return -lap_u - st["c"] * (s - st["f"]) + FOUR_PI * n
+        return -lap_u - st["c"] * (s - st["f"]) + FOUR_PI * bg.n
 
-    u = initial_guess(bg, model).values.copy()
-    iters = 0
-    res_norm = np.inf
-    for iters in range(1, spec.max_newton_iters + 1):
-        st = state(u)
-        r = residual(u, st)
-        res_norm = _l2(grid, r)
-        if res_norm <= spec.newton_tol:
-            break
+    def linearize(u: np.ndarray, st: dict):
         cp = (st["fpp"] * st["t"] + st["fp"]) * st["t"]
         V = -cp * (s - st["f"]) + st["c"] * st["fp"] * st["t"]
-        lam = max(1.0, float(V.min()))
-        symbol = k2 + lam
+        symbol = k2 + max(1.0, float(V.min()))
 
         def matvec(z: np.ndarray) -> np.ndarray:
             phi = z.reshape(N, N)
@@ -519,34 +522,20 @@ def solve_limit(
         def prec(z: np.ndarray) -> np.ndarray:
             return np.real(np.fft.ifft2(np.fft.fft2(z.reshape(N, N)) / symbol)).ravel()
 
-        H = LinearOperator((nn, nn), matvec=matvec, dtype=float)
-        M = LinearOperator((nn, nn), matvec=prec, dtype=float)
-        inner_rtol = float(np.clip(1e-4 * res_norm, spec.krylov_tol, 1e-4))
-        delta = _minres_direction(H, M, -r.ravel(), inner_rtol, 400).reshape(N, N)
-        alpha = 1.0
-        accepted = False
-        while alpha >= 1e-12:
-            trial = u + alpha * delta
-            st_trial = state(trial)
-            if st_trial["t"] is not None:
-                res_trial = _l2(grid, residual(trial, st_trial))
-                if res_trial <= (1.0 - 1e-4 * alpha) * res_norm:
-                    u, accepted = trial, True
-                    break
-            alpha *= 0.5
-        if not accepted:
-            raise NoConvergence(iters, res_norm, what="limit-equation line search")
-    else:
-        st = state(u)
-        res_norm = _l2(grid, residual(u, st))
-        if res_norm > spec.newton_tol:
-            raise NoConvergence(spec.max_newton_iters, res_norm, what="limit equation")
+        return (
+            LinearOperator((nn, nn), matvec=matvec, dtype=float),
+            LinearOperator((nn, nn), matvec=prec, dtype=float),
+        )
 
+    u, _, r, iters = _newton_krylov(
+        initial_guess(bg, model).values.copy(), spec, ws.state, residual, linearize,
+        "limit equation",
+    )
     return LimitSolution(
         model=model,
         background=bg,
         u_inf=ScalarField(grid, u),
-        residual_norm=res_norm,
+        residual_norm=_l2(grid, r),
         newton_iters=iters,
     )
 

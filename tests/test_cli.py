@@ -115,14 +115,20 @@ q_list = 10 20 40
     def test_tolerance_defaults_match_solver(self, tmp_path):
         from mcsvortex import ProblemSpec
 
-        cfg_path = write_config(
-            tmp_path / "run.cfg", VORTEX_CONFIG.format(out=tmp_path / "out")
-        )
-        spec = parse_config(cfg_path).build_spec(40.0)
+        out = tmp_path / "out"
+        cfg_path = write_config(tmp_path / "run.cfg", FLAT_CONFIG.format(out=out))
+        assert main(["solve", "--config", cfg_path]) == 0
+        record = json.loads((out / "solution.json").read_text())
+        del record["tolerances"]
+        (out / "solution.json").write_text(json.dumps(record))
         fields = ProblemSpec.__dataclass_fields__
-        assert spec.newton_tol == fields["newton_tol"].default
-        assert spec.krylov_tol == fields["krylov_tol"].default
-        assert spec.max_newton_iters == fields["max_newton_iters"].default
+        for spec in (
+            parse_config(cfg_path).build_spec(10.0),
+            bundle_from_snapshot(out)[0].spec,
+        ):
+            assert spec.newton_tol == fields["newton_tol"].default
+            assert spec.krylov_tol == fields["krylov_tol"].default
+            assert spec.max_newton_iters == fields["max_newton_iters"].default
 
     def test_custom_model_table(self, tmp_path):
         table = tmp_path / "f.dat"
@@ -260,6 +266,18 @@ class TestVerifyCommand:
             assert before["abs_discrepancy"] == after.abs_discrepancy
             assert before["rel_discrepancy"] == after.rel_discrepancy
             assert before["status"] == after.status
+
+    def test_reports_follow_redirected_stdout(self, solved_dir):
+        import contextlib
+        import io
+
+        stored = json.loads((solved_dir / "solution.json").read_text())["reports"]
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink):
+            assert main(["verify", str(solved_dir)]) == 0
+        printed = sink.getvalue()
+        for report in stored:
+            assert report["name"] in printed
 
     def test_corrupted_field_exit_two(self, solved_dir):
         v = read_field(solved_dir / "v.fld")

@@ -219,12 +219,22 @@ class TestReportPlumbing:
             assert a.rel_discrepancy == b.rel_discrepancy
             assert a.status == b.status
 
-    def test_threaded_matches_serial(self, vortex_bundle):
-        serial = all_reports(vortex_bundle, threads=1)
-        threaded = all_reports(vortex_bundle, threads=4)
-        for a, b in zip(serial, threaded):
-            assert a.name == b.name
-            assert a.abs_discrepancy == b.abs_discrepancy
+    def test_pointwise_state_evaluated_once(self, vortex_bundle, monkeypatch):
+        from dataclasses import replace
+
+        from mcsvortex import NonlinearityModel
+
+        fresh = replace(vortex_bundle)
+        calls = []
+        original = NonlinearityModel._eval_arrays
+
+        def counted(model, t):
+            calls.append(1)
+            return original(model, t)
+
+        monkeypatch.setattr(NonlinearityModel, "_eval_arrays", counted)
+        all_reports(fresh)
+        assert len(calls) <= 1
 
     def test_report_dict_round_trip(self, vortex_bundle):
         import json

@@ -9,7 +9,6 @@ from mcsvortex import (
     NoConvergence,
     PreconditionViolated,
     ScalarField,
-    from_coeffs,
     grad_squared,
     helmholtz_apply,
     helmholtz_solve,
@@ -18,7 +17,6 @@ from mcsvortex import (
     laplacian,
     sobolev_norm,
     sup_norm,
-    to_coeffs,
 )
 
 from conftest import smooth_field
@@ -124,21 +122,6 @@ class TestGradSquared:
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
-class TestSpectralCoeffs:
-    def test_round_trip(self, rng):
-        grid = GridSpec(32)
-        u = ScalarField(grid, rng.standard_normal((32, 32)))
-        back = from_coeffs(to_coeffs(u))
-        assert np.max(np.abs(back.values - u.values)) <= 1e-12 * sup_norm(u)
-
-    def test_conjugate_symmetry(self, rng):
-        grid = GridSpec(16)
-        u = ScalarField(grid, rng.standard_normal((16, 16)))
-        ch = to_coeffs(u).coeffs
-        flipped = np.conj(np.roll(np.flip(ch), (1, 1), axis=(0, 1)))
-        assert np.max(np.abs(ch - flipped)) <= 1e-12 * np.abs(ch).max()
-
-
 class TestSobolevNorm:
     def test_constant(self):
         grid = GridSpec(16)
@@ -186,13 +169,6 @@ class TestSobolevNorm:
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):
             sobolev_norm(GridSpec(8).constant(1.0), -1)
-
-    def test_xk_norm_combines_sobolev_and_sup(self, rng):
-        from mcsvortex import xk_norm
-
-        grid = GridSpec(32)
-        u = smooth_field(grid, rng, kmax=5)
-        assert xk_norm(u, 2) == pytest.approx(sobolev_norm(u, 2) + sup_norm(u))
 
 
 def _dense_oracle(c, rhs, q):

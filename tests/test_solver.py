@@ -355,6 +355,15 @@ class TestSolveLimit:
         lim = solve_limit(spec)
         assert lim.residual_norm <= 1e-10
 
+    def test_line_search_failure_names_minres_status(self):
+        # the rational model cannot carry a vortex on the unit torus
+        grid = GridSpec(32)
+        spec = ProblemSpec(
+            model=cp1_model(0.5), vortices=one_vortex(grid), q=80.0, grid=grid
+        )
+        with pytest.raises(NoConvergence, match=r"MINRES exit status -?\d+"):
+            solve_limit(spec)
+
     def test_pointwise_range(self):
         spec = make_spec(N=64)
         lim = solve_limit(spec)
