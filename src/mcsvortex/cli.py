@@ -182,14 +182,12 @@ def parse_config(path) -> RunConfig:
             q_list = [float(tok) for tok in raw_q_list.split()]
         except ValueError as exc:
             raise ConfigError(f"[solver] q_list: {exc}") from exc
-        if any(v <= 0.0 for v in q_list):
-            raise ConfigError("[solver] q_list entries must be positive")
+        if not all(np.isfinite(v) and v > 0.0 for v in q_list):
+            raise ConfigError("[solver] q_list entries must be positive and finite")
         if any(b <= a for a, b in zip(q_list, q_list[1:])):
             raise ConfigError("[solver] q_list must be ascending")
     if q is None and q_list is None:
         raise ConfigError("[solver] needs q or q_list")
-    if q is not None and q <= 0.0:
-        raise ConfigError(f"[solver] q must be positive, got {q}")
 
     cfg = RunConfig(
         model_name=model_name,

@@ -1,7 +1,8 @@
 """Uniform periodic grid on the unit torus with spectral operators.
 
 Everything in this package lives on [0,1)^2 with total measure 1, sampled on
-an N x N grid (N even).  Differential operators are Fourier multipliers:
+an N x N grid (N even).  Differential operators are Fourier multipliers on
+the half spectrum of the real transform, all built from GridSpec's tables:
 the Laplacian symbol is -4*pi^2*|k|^2 for integer wave vectors k, first
 derivatives drop the Nyquist mode so that derivatives of real fields stay
 real and skew-adjoint.  Trapezoidal quadrature (h^2 times the grid sum) is
@@ -19,31 +20,64 @@ from .errors import GridMismatch, NoConvergence, PreconditionViolated
 
 TWO_PI = 2.0 * np.pi
 
+MAX_GRID_N = 4096  # one N x N float64 field is 128 MiB at this size
+
 
 class GridSpec:
     """Uniform N x N periodic grid on the unit torus, h = 1/N.
 
-    Precomputes coordinate meshes and the wavenumber tables used by the
-    spectral operators.  Grids compare equal iff they have the same N.
+    Precomputes the coordinate meshes and the half-spectrum tables of the
+    real transform (forward/inverse): rows carry k_x = 0..N/2-1, -N/2..-1,
+    columns k_y = 0..N/2.  k2 is the symbol of -Laplacian, ikx and iky
+    those of d/dx and d/dy, parseval the quadrature weight of each column.
+    Grids compare equal iff they have the same N.
     """
 
     def __init__(self, N: int):
         N = int(N)
-        if N < 8 or N % 2 != 0:
-            raise ValueError(f"grid size must be an even integer >= 8, got {N}")
+        if N < 8 or N % 2 != 0 or N > MAX_GRID_N:
+            raise ValueError(
+                f"grid size must be an even integer in [8, {MAX_GRID_N}], got {N}"
+            )
         self.N = N
         self.h = 1.0 / N
         xs = np.arange(N) * self.h
         self.X, self.Y = np.meshgrid(xs, xs, indexing="ij")
-        k = np.fft.fftfreq(N, d=self.h)  # integer wave numbers 0..N/2-1, -N/2..-1
-        kx, ky = np.meshgrid(k, k, indexing="ij")
+        kx = np.fft.fftfreq(N, d=self.h)[:, None]  # integer wave numbers
+        ky = np.fft.rfftfreq(N, d=self.h)[None, :]
         # symbol of -Laplacian (Nyquist kept: even powers are unambiguous)
         self.k2 = (TWO_PI**2) * (kx * kx + ky * ky)
-        kd = k.copy()
-        kd[N // 2] = 0.0  # Nyquist has no well-defined first derivative phase
-        kdx, kdy = np.meshgrid(kd, kd, indexing="ij")
-        self._ikx = (1j * TWO_PI) * kdx
-        self._iky = (1j * TWO_PI) * kdy
+        # Nyquist (index N/2 on both axes) has no first-derivative phase
+        kdx, kdy = kx.copy(), ky.copy()
+        kdx[N // 2] = kdy[:, N // 2] = 0.0
+        self.ikx = (1j * TWO_PI) * kdx
+        self.iky = (1j * TWO_PI) * kdy
+        # columns 0 and N/2 are self-conjugate, every other column stands
+        # for itself and its mirror; 1/N^4 turns coefficients into integrals
+        weights = np.full(N // 2 + 1, 2.0)
+        weights[[0, -1]] = 1.0
+        self.parseval = weights / float(N) ** 4
+
+    def forward(self, values: np.ndarray) -> np.ndarray:
+        """Half spectrum of a real N x N array."""
+        return np.fft.rfft2(values)
+
+    def inverse(self, coeffs: np.ndarray) -> np.ndarray:
+        """Real N x N array with the given half spectrum."""
+        return np.fft.irfft2(coeffs, s=(self.N, self.N))
+
+    def apply(self, symbol, values: np.ndarray) -> np.ndarray:
+        """Fourier multiplier with the given half-spectrum symbol."""
+        return self.inverse(symbol * self.forward(values))
+
+    def gradient(self, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(d/dx, d/dy) of the real array with half spectrum coeffs."""
+        return self.inverse(self.ikx * coeffs), self.inverse(self.iky * coeffs)
+
+    def quadratic(self, symbol, coeffs: np.ndarray) -> float:
+        """Integral of u * (symbol applied to u) for the real field u with
+        half spectrum coeffs, by the discrete Parseval identity."""
+        return float(np.sum(self.parseval * symbol * np.abs(coeffs) ** 2))
 
     def field(self, values) -> "ScalarField":
         return ScalarField(self, np.asarray(values, dtype=float))
@@ -150,16 +184,13 @@ def _l2(grid: GridSpec, values: np.ndarray) -> float:
 def laplacian(field: ScalarField) -> ScalarField:
     """Spectral Laplacian; exactly mean-zero output."""
     grid = field.grid
-    out = np.real(np.fft.ifft2(-grid.k2 * np.fft.fft2(field.values)))
-    return ScalarField(grid, out)
+    return ScalarField(grid, grid.apply(-grid.k2, field.values))
 
 
 def gradient(field: ScalarField) -> tuple[ScalarField, ScalarField]:
     """Spectral first derivatives (d/dx, d/dy); Nyquist mode dropped."""
     grid = field.grid
-    fh = np.fft.fft2(field.values)
-    gx = np.real(np.fft.ifft2(grid._ikx * fh))
-    gy = np.real(np.fft.ifft2(grid._iky * fh))
+    gx, gy = grid.gradient(grid.forward(field.values))
     return ScalarField(grid, gx), ScalarField(grid, gy)
 
 
@@ -176,11 +207,9 @@ def poisson_solve(rhs: ScalarField) -> ScalarField:
     (numerically) mean-zero right-hand sides.
     """
     grid = rhs.grid
-    rh = np.fft.fft2(rhs.values)
-    uh = np.zeros_like(rh)
-    mask = grid.k2 > 0.0
-    uh[mask] = rh[mask] / grid.k2[mask]
-    return ScalarField(grid, np.real(np.fft.ifft2(uh)))
+    k2 = grid.k2
+    inv_k2 = np.divide(1.0, k2, out=np.zeros_like(k2), where=k2 > 0.0)
+    return ScalarField(grid, grid.apply(inv_k2, rhs.values))
 
 
 def sobolev_norm(field: ScalarField, k: int) -> float:
@@ -188,17 +217,18 @@ def sobolev_norm(field: ScalarField, k: int) -> float:
     if k < 0:
         raise ValueError(f"Sobolev index must be >= 0, got {k}")
     grid = field.grid
-    ch = np.abs(np.fft.fft2(field.values) / grid.N**2) ** 2
-    return float(np.sqrt(np.sum((1.0 + grid.k2) ** k * ch)))
+    return float(np.sqrt(grid.quadratic((1.0 + grid.k2) ** k, grid.forward(field.values))))
+
+
+def _helmholtz(grid: GridSpec, c: np.ndarray, q: float, u: np.ndarray) -> np.ndarray:
+    return grid.apply(grid.k2 + q * q, u) + q * c * u
 
 
 def helmholtz_apply(c: ScalarField, u: ScalarField, q: float) -> ScalarField:
     """Left-hand operator of the stiff Helmholtz equation:
     -Laplacian(u) + q^2*(1 + c/q)*u."""
     grid = same_grid(c, u)
-    out = np.real(np.fft.ifft2(grid.k2 * np.fft.fft2(u.values)))
-    out += (q * q) * u.values + q * c.values * u.values
-    return ScalarField(grid, out)
+    return ScalarField(grid, _helmholtz(grid, c.values, q, u.values))
 
 
 def helmholtz_solve(
@@ -227,43 +257,35 @@ def helmholtz_solve(
         maxiter = 10 * grid.N
 
     cv = c.values
-    q2 = q * q
-    symbol = grid.k2 + q2
+    prec = 1.0 / (grid.k2 + q * q)
 
-    def apply_op(x: np.ndarray) -> np.ndarray:
-        lap = np.real(np.fft.ifft2(grid.k2 * np.fft.fft2(x)))
-        return lap + q2 * x + q * cv * x
-
-    def apply_prec(r: np.ndarray) -> np.ndarray:
-        return np.real(np.fft.ifft2(np.fft.fft2(r) / symbol))
-
-    b = q2 * rhs.values
+    b = q * q * rhs.values
     target = tol * _l2(grid, b)
     if target == 0.0:
         return grid.constant(0.0)
 
-    x = apply_prec(b)
-    r = b - apply_op(x)
-    z = apply_prec(r)
+    x = grid.apply(prec, b)
+    r = b - _helmholtz(grid, cv, q, x)
+    z = grid.apply(prec, r)
     p = z.copy()
     rz = float(np.sum(r * z))
     res = _l2(grid, r)
     it = 0
     while res > target and it < maxiter:
-        Ap = apply_op(p)
+        Ap = _helmholtz(grid, cv, q, p)
         alpha = rz / float(np.sum(p * Ap))
         x += alpha * p
         if (it + 1) % 25 == 0:
-            r = b - apply_op(x)  # periodic true-residual refresh
+            r = b - _helmholtz(grid, cv, q, x)  # periodic true-residual refresh
         else:
             r -= alpha * Ap
-        z = apply_prec(r)
+        z = grid.apply(prec, r)
         rz_next = float(np.sum(r * z))
         p = z + (rz_next / rz) * p
         rz = rz_next
         res = _l2(grid, r)
         it += 1
-    res = _l2(grid, b - apply_op(x))
+    res = _l2(grid, b - _helmholtz(grid, cv, q, x))
     if res > target:
         raise NoConvergence(it, res, what="Helmholtz PCG")
     return ScalarField(grid, x)

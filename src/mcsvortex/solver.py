@@ -47,8 +47,14 @@ class ProblemSpec:
     bound_tol: float | None = None
 
     def __post_init__(self):
-        if self.q <= 0.0:
-            raise ValueError(f"coupling q must be positive, got {self.q}")
+        for name in ("q", "newton_tol", "krylov_tol"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if self.max_newton_iters < 1:
+            raise ValueError(
+                f"max_newton_iters must be at least 1, got {self.max_newton_iters}"
+            )
 
     def resolved_bound_tol(self) -> float:
         """Default slack 1e-6 + 10*sigma^2: mollification perturbs the
@@ -116,6 +122,15 @@ class LimitSolution:
     def u_star(self) -> ScalarField:
         return self.background.u0 + self.u_inf
 
+    @cached_property
+    def _pointwise(self) -> dict:
+        """Limit-profile state for the convergence metrics: t = e^{u*},
+        f(t) and w = f'(t) t (s - f(t)).  Built on first use and kept for
+        the solution's lifetime, so a sweep evaluates it once."""
+        t = np.exp(self.u_star.values)
+        f, fp, _ = self.model._eval_arrays(t)
+        return {"t": t, "f": f, "w": fp * t * (self.model.s - f)}
+
 
 class _Workspace:
     """Per-solve scratch: raw-array assemblies sharing one background."""
@@ -130,7 +145,6 @@ class _Workspace:
     ):
         self.grid = grid
         self.model = model
-        self.bg = bg
         self.q = q
         self.n = bg.n
         self.exp_u0 = bg.exp_u0.values
@@ -138,8 +152,10 @@ class _Workspace:
         self.source = bg.source.values
         self.gx0 = bg.grad_exp_u0[0].values
         self.gy0 = bg.grad_exp_u0[1].values
-        self.k2 = grid.k2
         self.forcing = None if forcing is None else forcing.values
+        # symbols of the coupled gradient: q^-2 Lap^2 - Lap, and -Lap / q
+        self.principal = grid.k2 * grid.k2 / q**2 + grid.k2
+        self.k2_q = grid.k2 / q
 
     # -- pointwise state ---------------------------------------------------
 
@@ -153,17 +169,13 @@ class _Workspace:
         f, fp, fpp = self.model._eval_arrays(t)
         return {"u": u, "eu": eu, "t": t, "f": f, "fp": fp, "fpp": fpp, "c": fp * t}
 
-    def grad_u(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        uh = np.fft.fft2(u)
-        ux = np.real(np.fft.ifft2(self.grid._ikx * uh))
-        uy = np.real(np.fft.ifft2(self.grid._iky * uh))
-        return ux, uy
-
     def weighted_gradsq(self, st: dict, grad=None) -> np.ndarray:
         """e^{u*} |grad u*|^2 assembled from the smooth background weight:
         e^u * weight + 2 e^u grad(e^{u0}).grad(u) + t |grad u|^2.
         grad, if given, is the (ux, uy) pair already computed at u."""
-        ux, uy = grad if grad is not None else self.grad_u(st["u"])
+        if grad is None:
+            grad = self.grid.gradient(self.grid.forward(st["u"]))
+        ux, uy = grad
         return (
             st["eu"] * self.weight
             + 2.0 * st["eu"] * (self.gx0 * ux + self.gy0 * uy)
@@ -173,28 +185,25 @@ class _Workspace:
     # -- energy and gradient -----------------------------------------------
 
     def energy(self, u: np.ndarray, st: dict | None = None) -> float:
-        q = self.q
+        """The functional; its quadratic part (1/2) integral(u (q^-2 Lap^2
+        - Lap) u) is summed over the spectrum."""
+        q, grid = self.q, self.grid
         st = st if st is not None else self.state(u)
         if st is None:
             return np.inf
         f, fp = st["f"], st["fp"]
-        uh = np.fft.fft2(u)
-        lap_u = np.real(np.fft.ifft2(-self.k2 * uh))
-        ux = np.real(np.fft.ifft2(self.grid._ikx * uh))
-        uy = np.real(np.fft.ifft2(self.grid._iky * uh))
+        uh = grid.forward(u)
         with np.errstate(over="ignore", invalid="ignore"):
-            wg = self.weighted_gradsq(st, (ux, uy))
+            wg = self.weighted_gradsq(st, grid.gradient(uh))
             total = (
-                0.5 / q**2 * np.sum(lap_u**2)
-                + 0.5 * np.sum(ux * ux + uy * uy)
-                + (1.0 / q) * np.sum(fp * wg)
+                (1.0 / q) * np.sum(fp * wg)
                 + 0.5 * np.sum((f - self.model.s) ** 2)
                 + FOUR_PI * self.n * np.sum(u)
                 + (FOUR_PI / q) * np.sum(self.source * f)
             )
             if self.forcing is not None:
                 total -= np.sum(self.forcing * u)
-            total *= self.grid.h**2
+            total = total * grid.h**2 + 0.5 * grid.quadratic(self.principal, uh)
         return float(total) if np.isfinite(total) else np.inf
 
     def gradient(self, u: np.ndarray, st: dict | None = None) -> np.ndarray:
@@ -202,14 +211,12 @@ class _Workspace:
         st = st or self.state(u)
         if st is None:
             raise ValueError("gradient undefined: e^{u0+u} overflows")
-        uh = np.fft.fft2(u)
-        lap_u = np.real(np.fft.ifft2(-self.k2 * uh))
-        bilap_u = np.real(np.fft.ifft2(self.k2 * self.k2 * uh))
-        lap_f = np.real(np.fft.ifft2(-self.k2 * np.fft.fft2(st["f"])))
+        grid = self.grid
+        uh = grid.forward(u)
+        lap_u = grid.inverse(-grid.k2 * uh)
         r = (
-            bilap_u / q**2
-            - lap_u
-            - (lap_f + st["c"] * (lap_u - FOUR_PI * self.n)) / q
+            grid.inverse(self.principal * uh + self.k2_q * grid.forward(st["f"]))
+            - st["c"] * (lap_u - FOUR_PI * self.n) / q
             + st["c"] * (st["f"] - self.model.s)
             + FOUR_PI * self.n
         )
@@ -219,49 +226,45 @@ class _Workspace:
 
     def hessian_operator(self, u: np.ndarray, st: dict) -> LinearOperator:
         """Frechet derivative of the gradient at the frozen state."""
-        q = self.q
-        k2 = self.k2
+        q, grid = self.q, self.grid
         c = st["c"]
         cp = (st["fpp"] * st["t"] + st["fp"]) * st["t"]  # d c / d u
-        lap_u = np.real(np.fft.ifft2(-k2 * np.fft.fft2(u)))
+        lap_u = grid.apply(-grid.k2, u)
         V = (
             -cp * (lap_u - FOUR_PI * self.n) / q
             + cp * (st["f"] - self.model.s)
             + c * st["fp"] * st["t"]
         )
-        N = self.grid.N
 
-        def matvec(z: np.ndarray) -> np.ndarray:
-            phi = z.reshape(N, N)
-            ph = np.fft.fft2(phi)
-            lap_phi = np.real(np.fft.ifft2(-k2 * ph))
-            bilap_phi = np.real(np.fft.ifft2(k2 * k2 * ph))
-            lap_cphi = np.real(np.fft.ifft2(-k2 * np.fft.fft2(c * phi)))
-            out = (
-                bilap_phi / q**2
-                - lap_phi
-                - (lap_cphi + c * lap_phi) / q
-                + V * phi
-            )
-            return out.ravel()
+        def matvec(phi: np.ndarray) -> np.ndarray:
+            ph = grid.forward(phi)
+            lap_phi = grid.inverse(-grid.k2 * ph)
+            linear = grid.inverse(self.principal * ph + self.k2_q * grid.forward(c * phi))
+            return linear - c * lap_phi / q + V * phi
 
-        nn = N * N
-        return LinearOperator((nn, nn), matvec=matvec, dtype=float)
+        return _operator(grid, matvec)
 
     def coupled_preconditioner(self, st: dict) -> LinearOperator:
         """Exact spectral inverse of q^{-2} Lap^2 - Lap + lambda, with
         lambda = max(1, inf f' * inf e^{u*}) frozen for this Newton step."""
         lam = max(1.0, float(st["fp"].min()) * float(st["t"].min()))
-        symbol = self.k2 * self.k2 / self.q**2 + self.k2 + lam
-        N = self.grid.N
+        return _spectral_inverse(self.grid, self.principal + lam)
 
-        def matvec(z: np.ndarray) -> np.ndarray:
-            return np.real(
-                np.fft.ifft2(np.fft.fft2(z.reshape(N, N)) / symbol)
-            ).ravel()
 
-        nn = N * N
-        return LinearOperator((nn, nn), matvec=matvec, dtype=float)
+def _operator(grid: GridSpec, apply) -> LinearOperator:
+    """LinearOperator on raveled N x N fields from an operator on arrays."""
+    N = grid.N
+
+    def matvec(z: np.ndarray) -> np.ndarray:
+        return apply(z.reshape(N, N)).ravel()
+
+    return LinearOperator((N * N, N * N), matvec=matvec, dtype=float)
+
+
+def _spectral_inverse(grid: GridSpec, symbol: np.ndarray) -> LinearOperator:
+    """Exact inverse of the Fourier multiplier with a positive symbol."""
+    inv_symbol = 1.0 / symbol
+    return _operator(grid, lambda x: grid.apply(inv_symbol, x))
 
 
 def coefficient_fields(
@@ -297,6 +300,11 @@ def coefficient_fields(
     return c, f_q, g_q
 
 
+def _recover_v(u: ScalarField, f: np.ndarray, n: int, q: float) -> ScalarField:
+    """v = (-Laplacian(u) + 4 pi n)/q + f, with f = f(e^{u0+u}) given."""
+    return ScalarField(u.grid, (-laplacian(u).values + FOUR_PI * n) / q + f)
+
+
 def recover_v(
     u: ScalarField, bg: BackgroundData, model: NonlinearityModel, q: float
 ) -> ScalarField:
@@ -304,10 +312,7 @@ def recover_v(
     equation an identity by construction."""
     t = ScalarField(u.grid, bg.exp_u0.values * np.exp(u.values))
     f, _, _ = model.eval_field(t)
-    lap_u = laplacian(u)
-    return ScalarField(
-        u.grid, (-lap_u.values + FOUR_PI * bg.n) / q + f.values
-    )
+    return _recover_v(u, f.values, bg.n, q)
 
 
 def energy(
@@ -464,7 +469,7 @@ def solve_coupled(
     _require_coupling(q, st)
 
     u_field = ScalarField(grid, u)
-    v = recover_v(u_field, bg, model, q)
+    v = _recover_v(u_field, st["f"], bg.n, q)
     w = ScalarField(grid, q * (v.values - st["f"]))
     if forcing is None:
         worst, _ = _bound_violation(model, st["f"], v.values)
@@ -502,30 +507,16 @@ def solve_limit(
     grid, model = spec.grid, spec.model
     bg = background or compute_u0(spec.vortices, spec.grid)
     ws = _Workspace(grid, model, bg, spec.q)
-    k2, s, N = grid.k2, model.s, grid.N
-    nn = N * N
+    k2, s = grid.k2, model.s
 
     def residual(u: np.ndarray, st: dict) -> np.ndarray:
-        lap_u = np.real(np.fft.ifft2(-k2 * np.fft.fft2(u)))
-        return -lap_u - st["c"] * (s - st["f"]) + FOUR_PI * bg.n
+        return grid.apply(k2, u) - st["c"] * (s - st["f"]) + FOUR_PI * bg.n
 
     def linearize(u: np.ndarray, st: dict):
         cp = (st["fpp"] * st["t"] + st["fp"]) * st["t"]
         V = -cp * (s - st["f"]) + st["c"] * st["fp"] * st["t"]
-        symbol = k2 + max(1.0, float(V.min()))
-
-        def matvec(z: np.ndarray) -> np.ndarray:
-            phi = z.reshape(N, N)
-            lap_phi = np.real(np.fft.ifft2(-k2 * np.fft.fft2(phi)))
-            return (-lap_phi + V * phi).ravel()
-
-        def prec(z: np.ndarray) -> np.ndarray:
-            return np.real(np.fft.ifft2(np.fft.fft2(z.reshape(N, N)) / symbol)).ravel()
-
-        return (
-            LinearOperator((nn, nn), matvec=matvec, dtype=float),
-            LinearOperator((nn, nn), matvec=prec, dtype=float),
-        )
+        H = _operator(grid, lambda phi: grid.apply(k2, phi) + V * phi)
+        return H, _spectral_inverse(grid, k2 + max(1.0, float(V.min())))
 
     u, _, r, iters = _newton_krylov(
         initial_guess(bg, model).values.copy(), spec, ws.state, residual, linearize,
@@ -556,8 +547,8 @@ def q_sweep(spec: ProblemSpec, q_list) -> "ConvergenceTable":
     q_list = [float(q) for q in q_list]
     if any(b <= a for a, b in zip(q_list, q_list[1:])):
         raise ValueError("q_list must be strictly ascending")
-    if any(q <= 0.0 for q in q_list):
-        raise ValueError("q_list entries must be positive")
+    if not all(np.isfinite(q) and q > 0.0 for q in q_list):
+        raise ValueError("q_list entries must be positive and finite")
 
     bg = compute_u0(spec.vortices, spec.grid)
     limit = solve_limit(spec, background=bg)

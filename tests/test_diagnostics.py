@@ -193,6 +193,41 @@ class TestConvergenceMetrics:
         with pytest.raises(GridMismatch):
             convergence_metrics(vortex_bundle, limit)
 
+    def test_sweep_evaluates_limit_state_once(self, monkeypatch):
+        from mcsvortex import NonlinearityModel, diagnostics
+
+        spec = one_vortex_spec(N=32, q=10.0)
+        inside, calls, seen = [False], [], []
+        eval_arrays = NonlinearityModel._eval_arrays
+        metrics = diagnostics.convergence_metrics
+
+        def counted_eval(model, t):
+            calls.append(inside[0])
+            return eval_arrays(model, t)
+
+        def counted_metrics(bundle, limit):
+            inside[0] = True
+            try:
+                row = metrics(bundle, limit)
+            finally:
+                inside[0] = False
+            seen.append((bundle, limit, row))
+            return row
+
+        monkeypatch.setattr(NonlinearityModel, "_eval_arrays", counted_eval)
+        monkeypatch.setattr(diagnostics, "convergence_metrics", counted_metrics)
+        q_sweep(spec, [10.0, 20.0, 40.0, 80.0])
+        assert len(seen) == 4
+        assert sum(calls) == 1
+        # the cached state gives the per-row formulas' values bit for bit
+        for bundle, limit, row in seen:
+            e_lim = np.exp(limit.u_star.values)
+            f_lim, fp_lim, _ = eval_arrays(spec.model, e_lim)
+            w_lim = fp_lim * e_lim * (spec.model.s - f_lim)
+            assert row.d_eu == float(np.abs(np.exp(bundle.u_star.values) - e_lim).max())
+            assert row.d_v == float(np.abs(bundle.v.values - f_lim).max())
+            assert row.d_w == float(np.abs(bundle.w.values - w_lim).max())
+
     def test_sweep_metrics_decrease(self):
         spec = one_vortex_spec(N=64, q=10.0)
         table = q_sweep(spec, [10.0, 20.0, 40.0, 80.0])

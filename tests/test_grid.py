@@ -19,6 +19,8 @@ from mcsvortex import (
     sup_norm,
 )
 
+from mcsvortex.grid import MAX_GRID_N
+
 from conftest import smooth_field
 
 TWO_PI = 2.0 * np.pi
@@ -29,6 +31,15 @@ class TestGridSpec:
         for bad in (7, 6, 15, 0, -8):
             with pytest.raises(ValueError):
                 GridSpec(bad)
+
+    @pytest.mark.parametrize("N", [MAX_GRID_N + 2, 2 * MAX_GRID_N, 2**40])
+    def test_rejects_oversized_before_allocating(self, N, monkeypatch):
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("allocated before checking N")
+
+        monkeypatch.setattr(np, "arange", no_allocation)
+        with pytest.raises(ValueError, match="grid size"):
+            GridSpec(N)
 
     def test_unit_measure(self):
         grid = GridSpec(16)

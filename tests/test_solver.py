@@ -51,6 +51,29 @@ def make_spec(N=64, s=S_ONE_VORTEX, q=20.0, vortices=None, **kw):
     )
 
 
+class TestProblemSpecValidation:
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("q", 0.0),
+            ("q", -1.0),
+            ("q", float("nan")),
+            ("q", float("inf")),
+            ("newton_tol", -1.0),
+            ("newton_tol", 0.0),
+            ("newton_tol", float("nan")),
+            ("newton_tol", float("inf")),
+            ("krylov_tol", -1.0),
+            ("krylov_tol", float("nan")),
+            ("krylov_tol", float("inf")),
+            ("max_newton_iters", 0),
+        ],
+    )
+    def test_rejected_at_construction(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            make_spec(N=32, **{field: value})
+
+
 class TestCoefficientFields:
     def test_linear_model_c_is_exponential(self, rng):
         spec = make_spec(N=32)
@@ -243,6 +266,30 @@ class TestSolveCoupled:
         f_lim, _, _ = spec.model._eval_arrays(t_lim)
         assert np.abs(bundle.v.values - f_lim).max() <= 0.5
 
+    def test_nonlinearity_evaluated_only_by_the_driver(self, monkeypatch):
+        # v is formed from the driver's final state: no evaluation beyond
+        # the one per state the Newton-Krylov driver asks for
+        from mcsvortex import NonlinearityModel, solver
+
+        spec = make_spec(N=32, q=40.0)
+        init = solve_limit(spec).u_inf
+        calls = {"evals": 0, "states": 0}
+        eval_arrays, state = NonlinearityModel._eval_arrays, solver._Workspace.state
+
+        def counted_eval(model, t):
+            calls["evals"] += 1
+            return eval_arrays(model, t)
+
+        def counted_state(ws, u):
+            calls["states"] += 1
+            return state(ws, u)
+
+        monkeypatch.setattr(NonlinearityModel, "_eval_arrays", counted_eval)
+        monkeypatch.setattr(solver._Workspace, "state", counted_state)
+        solve_coupled(spec, init=init)
+        assert calls["states"] > 0
+        assert calls["evals"] == calls["states"]
+
     def test_flux_quantization_exact(self):
         spec = make_spec(N=64, q=40.0)
         bundle = solve_coupled(spec)
@@ -391,6 +438,8 @@ class TestQSweep:
             q_sweep(spec, [80.0, 10.0])
         with pytest.raises(ValueError, match="positive"):
             q_sweep(spec, [-1.0, 10.0])
+        with pytest.raises(ValueError, match="finite"):
+            q_sweep(spec, [10.0, float("inf")])
 
     def test_single_vortex_sweep_monotone(self):
         spec = make_spec(N=64)

@@ -1,0 +1,153 @@
+"""The spectral-operator layer: transforms per operator application, and
+the spectral identities on random band-limited fields."""
+
+import collections
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from mcsvortex import (
+    GridSpec,
+    ScalarField,
+    gradient,
+    integrate,
+    l2_norm,
+    laplacian,
+    poisson_solve,
+    sobolev_norm,
+    solve_coupled,
+    solve_limit,
+)
+from mcsvortex import solver
+
+from conftest import smooth_field
+from test_solver import make_spec
+
+TWO_PI = 2.0 * np.pi
+
+
+class _Captured(Exception):
+    pass
+
+
+def _capture_driver(monkeypatch, solve, spec, **kwargs):
+    """Run solve up to the Newton-Krylov driver and return the initial
+    iterate u and the state, residual and linearize callables."""
+    captured = {}
+
+    def capture(u, spec, state, residual, linearize, what, scale=1.0):
+        captured.update(u=u, state=state, residual=residual, linearize=linearize)
+        raise _Captured
+
+    monkeypatch.setattr(solver, "_newton_krylov", capture)
+    with pytest.raises(_Captured):
+        solve(spec, **kwargs)
+    monkeypatch.undo()
+    return captured
+
+
+def _count_transforms(monkeypatch):
+    counts = collections.Counter()
+    for name in ("fft2", "ifft2", "rfft2", "irfft2"):
+        original = getattr(np.fft, name)
+
+        def counted(*args, _fn=original, **kwargs):
+            counts["transforms"] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return counts
+
+
+@pytest.fixture(scope="module")
+def drivers():
+    """Driver callables of both equations at one vortex, N = 32."""
+    spec = make_spec(N=32, q=40.0)
+    with pytest.MonkeyPatch.context() as mp:
+        limit = _capture_driver(mp, solve_limit, spec)
+        init = ScalarField(spec.grid, limit["u"])
+        coupled = _capture_driver(mp, solve_coupled, spec, init=init)
+    return {"coupled": coupled, "limit": limit}
+
+
+def _applications(driver):
+    u = driver["u"]
+    st_u = driver["state"](u)
+    phi = np.cos(TWO_PI * np.arange(u.size) / 7.0)
+    H, M = driver["linearize"](u, st_u)
+    return {
+        "residual": lambda: driver["residual"](u, st_u),
+        "matvec": lambda: H.matvec(phi),
+        "preconditioner": lambda: M.matvec(phi),
+    }
+
+
+@pytest.mark.parametrize(
+    "equation,operation,expected",
+    [
+        ("coupled", "residual", 4),
+        ("coupled", "matvec", 4),
+        ("coupled", "preconditioner", 2),
+        ("limit", "residual", 2),
+        ("limit", "matvec", 2),
+        ("limit", "preconditioner", 2),
+    ],
+)
+def test_transforms_per_application(drivers, monkeypatch, equation, operation, expected):
+    apply = _applications(drivers[equation])[operation]
+    counts = _count_transforms(monkeypatch)
+    apply()
+    assert counts["transforms"] == expected
+
+
+# -- spectral identities on random band-limited fields ------------------------
+
+fields = st.builds(
+    lambda N, seed, kmax, amp: smooth_field(
+        GridSpec(N), np.random.default_rng(seed), kmax=min(kmax, N // 2 - 1), amp=amp
+    ),
+    N=st.sampled_from((8, 16, 32, 48)),
+    seed=st.integers(0, 2**32 - 1),
+    kmax=st.integers(1, 12),
+    amp=st.floats(0.1, 100.0),
+)
+
+identities = settings(max_examples=40, deadline=None, database=None)
+
+
+def _reference_symbols(grid):
+    """Full-spectrum symbols of Lap, d/dx and d/dy for complex fft2."""
+    k = np.fft.fftfreq(grid.N, d=grid.h)
+    kx, ky = np.meshgrid(k, k, indexing="ij")
+    kd = k.copy()
+    kd[grid.N // 2] = 0.0
+    kdx, kdy = np.meshgrid(kd, kd, indexing="ij")
+    return -(TWO_PI**2) * (kx**2 + ky**2), 1j * TWO_PI * kdx, 1j * TWO_PI * kdy
+
+
+@identities
+@given(fields)
+def test_parseval(u):
+    assert sobolev_norm(u, 0) == pytest.approx(l2_norm(u), rel=1e-12)
+
+
+@identities
+@given(fields)
+def test_poisson_inverts_negative_laplacian(u):
+    back = poisson_solve(-laplacian(u)).values
+    mean_free = u.values - integrate(u)
+    assert np.abs(back - mean_free).max() <= 1e-12 * np.abs(u.values).max()
+
+
+@identities
+@given(fields)
+def test_laplacian_and_gradient_match_complex_reference(u):
+    lap_symbol, dx_symbol, dy_symbol = _reference_symbols(u.grid)
+    uh = np.fft.fft2(u.values)
+    references = [np.real(np.fft.ifft2(s * uh)) for s in (lap_symbol, dx_symbol, dy_symbol)]
+    gx, gy = gradient(u)
+    # roundoff relative to each operator's norm, (2 pi N)^2 and 2 pi N
+    k_max, u_max = TWO_PI * u.grid.N, np.abs(u.values).max()
+    for got, ref, norm in zip((laplacian(u), gx, gy), references, (k_max**2, k_max, k_max)):
+        assert np.abs(got.values - ref).max() <= 1e-14 * norm * u_max
