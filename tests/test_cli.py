@@ -95,11 +95,11 @@ q_list = 10 20 40
             (("name = u1", "name = bogus"), "u1 | cp1 | custom"),
             (("N = 48", "N = 47"), "even"),
             (("q = 40.0", "q = -3"), "positive"),
-            (("q = 40.0", "q = nan"), "finite"),
-            (("q = 40.0", "q_list = 10 inf"), "finite"),
             (("sigma = 4.0", "sigma = 1.0"), ">= 2 grid cells"),
             (("points = 0.5 0.5 1", "points = 1.5 0.5 1"), "outside"),
             (("points = 0.5 0.5 1", "points = 0.5 0.5 0"), "multiplicity"),
+            (("q = 40.0", "q = nan"), "finite"),
+            (("q = 40.0", "q_list = 10 inf"), "finite"),
         ],
     )
     def test_validation_errors(self, tmp_path, mangle, message):
