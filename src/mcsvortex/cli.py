@@ -2,14 +2,16 @@
 
 Run configurations are flat INI-style files with sections (see
 parse_config for the schema).  Exit codes: 0 success with all invariant
-checks passing, 1 configuration or snapshot errors, 2 invariant failures,
-3 solver non-convergence.
+checks passing, 1 configuration or snapshot errors, 2 invariant failures
+or, for verify, recomputed reports that drift from the stored ones, 3
+solver non-convergence.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -260,8 +262,6 @@ def cmd_solve(args) -> int:
 
 
 def _write_failure(out_dir: Path, spec: ProblemSpec, exc: Exception) -> None:
-    import json
-
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     record = {
@@ -317,36 +317,45 @@ def cmd_sweep(args) -> int:
 
 
 def bundle_from_snapshot(path) -> tuple[SolutionBundle, dict]:
-    """Rebuild a SolutionBundle from stored fields and metadata."""
+    """Rebuild a SolutionBundle from stored fields and metadata.
+
+    Raises SnapshotError for a record whose problem data is missing,
+    mistyped or out of range."""
     meta, fields = read_solution(path)
-    grid = GridSpec(int(meta["grid"]["N"]))
-    vx = meta["vortices"]
-    vortices = VortexConfig(
-        points=tuple((float(x), float(y)) for x, y in vx["points"]),
-        multiplicities=tuple(int(m) for m in vx["multiplicities"]),
-        sigma=float(vx["sigma"]),
-    )
-    table = None
-    if "table" in meta["model"]:
-        ts, fs = meta["model"]["table"]
-        table = (np.asarray(ts), np.asarray(fs))
-    model = model_from_name(
-        meta["model"]["name"], meta["model"].get("s"), table
-    )
-    tol = meta.get("tolerances", {})
-    spec = ProblemSpec(
-        model=model,
-        vortices=vortices,
-        q=float(meta["q"]),
-        grid=grid,
-        newton_tol=float(tol.get("newton_tol", ProblemSpec.newton_tol)),
-        krylov_tol=float(tol.get("krylov_tol", ProblemSpec.krylov_tol)),
-        max_newton_iters=int(
-            tol.get("max_newton_iters", ProblemSpec.max_newton_iters)
-        ),
-        bound_tol=tol.get("bound_tol"),
-    )
-    background = compute_u0(vortices, grid)
+    try:
+        vx = meta["vortices"]
+        vortices = VortexConfig(
+            points=tuple((float(x), float(y)) for x, y in vx["points"]),
+            multiplicities=tuple(int(m) for m in vx["multiplicities"]),
+            sigma=float(vx["sigma"]),
+        )
+        table = None
+        if "table" in meta["model"]:
+            ts, fs = meta["model"]["table"]
+            table = (np.asarray(ts), np.asarray(fs))
+        model = model_from_name(
+            meta["model"]["name"], meta["model"].get("s"), table
+        )
+        tol = meta.get("tolerances", {})
+        bound_tol = tol.get("bound_tol")
+        spec = ProblemSpec(
+            model=model,
+            vortices=vortices,
+            q=float(meta["q"]),
+            grid=fields["u"].grid,
+            newton_tol=float(tol.get("newton_tol", ProblemSpec.newton_tol)),
+            krylov_tol=float(tol.get("krylov_tol", ProblemSpec.krylov_tol)),
+            max_newton_iters=int(
+                tol.get("max_newton_iters", ProblemSpec.max_newton_iters)
+            ),
+            bound_tol=None if bound_tol is None else float(bound_tol),
+        )
+        residual_norms = dict(meta.get("residual_norms", {}))
+        newton_iters = int(meta.get("newton_iters", 0))
+        energy_value = float(meta.get("energy", np.nan))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise SnapshotError(f"{path}: malformed solution record: {exc!r}") from exc
+    background = compute_u0(vortices, spec.grid)
     if sup_norm(background.u0 - fields["u0"]) > 1e-10:
         raise SnapshotError(
             f"{path}: stored u0 does not match its vortex configuration"
@@ -357,25 +366,40 @@ def bundle_from_snapshot(path) -> tuple[SolutionBundle, dict]:
         u=fields["u"],
         v=fields["v"],
         w=fields["w"],
-        residual_norms=dict(meta.get("residual_norms", {})),
-        newton_iters=int(meta.get("newton_iters", 0)),
-        energy_value=float(meta.get("energy", np.nan)),
+        residual_norms=residual_norms,
+        newton_iters=newton_iters,
+        energy_value=energy_value,
     )
     return bundle, meta
+
+
+def _report_drift(reports, stored: list) -> list[str]:
+    """Names of the recomputed reports that differ from the stored ones as
+    canonical JSON, or a count mismatch; empty when they agree."""
+    if len(reports) != len(stored):
+        return [f"{len(reports)} reports recomputed, {len(stored)} stored"]
+    return [
+        f"report {report.name!r} differs from the stored record"
+        for report, old in zip(reports, stored)
+        if json.dumps(report.to_dict(), sort_keys=True) != json.dumps(old, sort_keys=True)
+    ]
 
 
 def cmd_verify(args) -> int:
     any_failed = False
     for target in args.snapshots:
         try:
-            bundle, _ = bundle_from_snapshot(target)
-        except (SnapshotError, MCSVortexError, ValueError, KeyError) as exc:
+            bundle, meta = bundle_from_snapshot(target)
+        except MCSVortexError as exc:
             print(f"snapshot error: {target}: {exc}", file=sys.stderr)
             return EXIT_CONFIG
         reports = diagnostics.all_reports(bundle)
         print(f"== {target}")
         _print_reports(reports)
-        any_failed |= any(r.failed for r in reports)
+        drift = _report_drift(reports, meta.get("reports", []))
+        for line in drift:
+            print(f"drift: {target}: {line}", file=sys.stderr)
+        any_failed |= bool(drift) or any(r.failed for r in reports)
     return EXIT_CHECK_FAILED if any_failed else EXIT_OK
 
 

@@ -14,11 +14,12 @@ from dataclasses import asdict, dataclass, field as dc_field
 import numpy as np
 
 from .errors import GridMismatch
-from .grid import ScalarField, grad_squared, integrate, sobolev_norm
+from .grid import ScalarField, _sobolev_norms, grad_squared, integrate
 from .solver import (
     LimitSolution,
     SolutionBundle,
     _bound_violation,
+    _dc_dt,
     _equation_residuals,
 )
 
@@ -139,7 +140,7 @@ def check_identity(bundle: SolutionBundle) -> InvariantReport:
     lhs = integrate(grad_squared(bundle.v)) + q * q * h2 * float(
         np.sum((v - st["f"]) ** 2)
     )
-    w2 = (st["fpp"] * st["t"] + st["fp"]) * st["wg"]
+    w2 = _dc_dt(st) * st["wg"]
     rhs = h2 * float(
         np.sum((s - v) * w2) + FOUR_PI * np.sum((s - v) * st["c"] * source)
     )
@@ -275,22 +276,14 @@ def convergence_metrics(bundle: SolutionBundle, limit: LimitSolution) -> Metrics
         raise GridMismatch("bundle and limit solution live on different grids")
     if bundle.background.config != limit.background.config:
         raise GridMismatch("bundle and limit solution use different vortex data")
-    grid = bundle.grid
     lim = limit._pointwise
     f_lim = lim["f"]
-
-    e_star = np.exp(bundle.u_star.values)
-    d_eu = float(np.abs(e_star - lim["t"]).max())
-    d_v = float(np.abs(bundle.v.values - f_lim).max())
-    d_w = float(np.abs(bundle.w.values - lim["w"]).max())
-    du = bundle.u - limit.u_inf
-    dv = ScalarField(grid, bundle.v.values - f_lim)
     return MetricsRow(
-        d_eu=d_eu,
-        d_v=d_v,
-        d_w=d_w,
-        h_u=tuple(sobolev_norm(du, k) for k in (0, 1, 2)),
-        h_v=tuple(sobolev_norm(dv, k) for k in (0, 1, 2)),
+        d_eu=float(np.abs(bundle._pointwise["t"] - lim["t"]).max()),
+        d_v=float(np.abs(bundle.v.values - f_lim).max()),
+        d_w=float(np.abs(bundle.w.values - lim["w"]).max()),
+        h_u=_sobolev_norms(bundle.u - limit.u_inf),
+        h_v=_sobolev_norms(ScalarField(bundle.grid, bundle.v.values - f_lim)),
     )
 
 

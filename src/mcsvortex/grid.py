@@ -220,6 +220,16 @@ def sobolev_norm(field: ScalarField, k: int) -> float:
     return float(np.sqrt(grid.quadratic((1.0 + grid.k2) ** k, grid.forward(field.values))))
 
 
+def _sobolev_norms(field: ScalarField) -> tuple[float, float, float]:
+    """(H^0, H^1, H^2) norms, equal to sobolev_norm(field, k) for k = 0, 1,
+    2, from one forward transform."""
+    grid = field.grid
+    coeffs = grid.forward(field.values)
+    return tuple(
+        float(np.sqrt(grid.quadratic((1.0 + grid.k2) ** k, coeffs))) for k in (0, 1, 2)
+    )
+
+
 def _helmholtz(grid: GridSpec, c: np.ndarray, q: float, u: np.ndarray) -> np.ndarray:
     return grid.apply(grid.k2 + q * q, u) + q * c * u
 

@@ -21,7 +21,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import NegativeArgument, OutOfRange
-from .grid import ScalarField
 
 INVERSE_TOL = 1e-12
 
@@ -93,21 +92,6 @@ class NonlinearityModel:
             raise NegativeArgument(f"nonlinearity evaluated at t={t} < 0")
         f, f1, f2 = self._eval_arrays(np.asarray(t))
         return float(f), float(f1), float(f2)
-
-    def eval_field(
-        self, t: ScalarField
-    ) -> tuple[ScalarField, ScalarField, ScalarField]:
-        """Pointwise (f, f', f'') over a nonnegative field."""
-        vals = t.values
-        if np.any(vals < 0.0):
-            idx = np.unravel_index(int(np.argmin(vals)), vals.shape)
-            raise NegativeArgument(
-                f"nonlinearity argument negative at grid index {tuple(int(i) for i in idx)}: "
-                f"{vals[idx]}"
-            )
-        f, f1, f2 = self._eval_arrays(vals)
-        g = t.grid
-        return ScalarField(g, f), ScalarField(g, f1), ScalarField(g, f2)
 
     @property
     def f0(self) -> float:

@@ -42,7 +42,7 @@ def read_field(path, grid: GridSpec | None = None) -> ScalarField:
     path = Path(path)
     try:
         blob = path.read_bytes()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise SnapshotError(f"cannot read snapshot {path}: {exc}") from exc
     header = struct.calcsize("<II")
     if len(blob) < len(MAGIC) + header or blob[: len(MAGIC)] != MAGIC:
@@ -54,12 +54,10 @@ def read_field(path, grid: GridSpec | None = None) -> ScalarField:
     if len(payload) != 8 * n * n:
         raise SnapshotError(f"{path}: truncated payload for N={n}")
     values = np.frombuffer(payload, dtype="<f8").reshape(n, n).astype(float)
-    if grid is None:
-        grid = GridSpec(n)
-    elif grid.N != n:
+    if grid is not None and grid.N != n:
         raise SnapshotError(f"{path}: grid N={n} does not match expected N={grid.N}")
     try:
-        return ScalarField(grid, values)
+        return ScalarField(grid or GridSpec(n), values)
     except ValueError as exc:
         raise SnapshotError(f"{path}: {exc}") from exc
 
@@ -127,17 +125,21 @@ def read_solution(path) -> tuple[dict, dict]:
     json_path = locate_solution(path)
     try:
         meta = json.loads(json_path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise SnapshotError(f"cannot parse {json_path}: {exc}") from exc
-    if meta.get("format") != "mcsvortex-solution":
+    if not isinstance(meta, dict) or meta.get("format") != "mcsvortex-solution":
         raise SnapshotError(f"{json_path} is not a solution record")
     try:
-        n = int(meta["grid"]["N"])
+        grid = GridSpec(int(meta["grid"]["N"]))
     except (KeyError, TypeError, ValueError) as exc:
-        raise SnapshotError(f"{json_path}: missing grid data") from exc
-    grid = GridSpec(n)
+        raise SnapshotError(f"{json_path}: missing or invalid grid data: {exc}") from exc
+    names = meta.get("fields", {})
+    if not (isinstance(names, dict) and all(isinstance(r, str) for r in names.values())):
+        raise SnapshotError(f"{json_path}: 'fields' must map names to file names")
+    if not isinstance(meta.get("reports", []), list):
+        raise SnapshotError(f"{json_path}: 'reports' must be a list")
     fields = {}
-    for name, rel in meta.get("fields", {}).items():
+    for name, rel in names.items():
         fields[name] = read_field(json_path.parent / rel, grid)
     missing = set(FIELD_FILES) - set(fields)
     if missing:

@@ -10,6 +10,10 @@ annihilates the sources); the energy carries the compensating term
 (4 pi / q) * integral(source * f(e^{u*})) and the gradient uses
 (Laplacian(u) - 4 pi n) in its bracket so that stationarity is exactly
 equivalent to the mollified two-field system.
+
+Both equations, both solution types, recover_v and the triangular form
+read one pointwise state at an iterate, t = e^{u0+u} with f(t), f'(t),
+f''(t) and c = f'(t) t, built by _pointwise_state and nowhere else.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from scipy.sparse.linalg import LinearOperator, minres
 
 from .background import BackgroundData, VortexConfig, compute_u0
 from .errors import BoundsViolation, NoConvergence, QTooSmall
-from .grid import GridSpec, ScalarField, _l2, laplacian
+from .grid import GridSpec, ScalarField, _l2, _sobolev_norms, laplacian
 from .nonlinearity import NonlinearityModel
 
 FOUR_PI = 4.0 * np.pi
@@ -95,12 +99,12 @@ class SolutionBundle:
 
     @cached_property
     def _pointwise(self) -> dict:
-        """Pointwise state at u plus the weighted gradient term "wg", for
-        the diagnostics.  Built the first time one asks for it, never by
-        the solver, and kept for the bundle's lifetime."""
-        ws = _Workspace(self.grid, self.model, self.background, self.q)
-        st = ws.state(self.u.values)
-        st["wg"] = ws.weighted_gradsq(st)
+        """_pointwise_state at u plus the weighted gradient term "wg", for
+        the diagnostics and the convergence metrics.  Built the first time
+        one asks for it, never by the solver, and kept for the bundle's
+        lifetime."""
+        st = _pointwise_state(self.model, self.background, self.u.values)
+        st["wg"] = _weighted_gradsq(self.background, st)
         return st
 
 
@@ -124,82 +128,82 @@ class LimitSolution:
 
     @cached_property
     def _pointwise(self) -> dict:
-        """Limit-profile state for the convergence metrics: t = e^{u*},
-        f(t) and w = f'(t) t (s - f(t)).  Built on first use and kept for
-        the solution's lifetime, so a sweep evaluates it once."""
-        t = np.exp(self.u_star.values)
-        f, fp, _ = self.model._eval_arrays(t)
-        return {"t": t, "f": f, "w": fp * t * (self.model.s - f)}
+        """Limit-profile part of _pointwise_state for the convergence
+        metrics: t = e^{u*}, f(t) and w = c (s - f(t)).  Built on first use
+        and kept for the solution's lifetime, so a sweep evaluates it once."""
+        st = _pointwise_state(self.model, self.background, self.u_inf.values)
+        return {"t": st["t"], "f": st["f"], "w": st["c"] * (self.model.s - st["f"])}
+
+
+def _pointwise_state(
+    model: NonlinearityModel, bg: BackgroundData, u: np.ndarray
+) -> dict | None:
+    """Pointwise state at the regular part u: e^u, t = e^{u0} e^u, f(t),
+    f'(t), f''(t) and c = f'(t) t.  None where t overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        eu = np.exp(u)
+        t = bg.exp_u0.values * eu
+    if not np.all(np.isfinite(t)):
+        return None
+    f, fp, fpp = model._eval_arrays(t)
+    return {"u": u, "eu": eu, "t": t, "f": f, "fp": fp, "fpp": fpp, "c": fp * t}
+
+
+def _dc_dt(st: dict) -> np.ndarray:
+    """f''(t) t + f'(t), the t-derivative of c = f'(t) t."""
+    return st["fpp"] * st["t"] + st["fp"]
+
+
+def _weighted_gradsq(bg: BackgroundData, st: dict, grad=None) -> np.ndarray:
+    """e^{u*} |grad u*|^2 assembled from the smooth background weight:
+    e^u * weight + 2 e^u grad(e^{u0}).grad(u) + t |grad u|^2.
+    grad, if given, is the (ux, uy) pair already computed at u."""
+    if grad is None:
+        grad = bg.grid.gradient(bg.grid.forward(st["u"]))
+    ux, uy = grad
+    gx0, gy0 = bg.grad_exp_u0
+    return (
+        st["eu"] * bg.weight.values
+        + 2.0 * st["eu"] * (gx0.values * ux + gy0.values * uy)
+        + st["t"] * (ux * ux + uy * uy)
+    )
 
 
 class _Workspace:
-    """Per-solve scratch: raw-array assemblies sharing one background."""
+    """The coupled equation's q- and forcing-dependent operators over one
+    background: energy, gradient, Hessian and preconditioner."""
 
     def __init__(
         self,
-        grid: GridSpec,
-        model: NonlinearityModel,
+        spec: ProblemSpec,
         bg: BackgroundData,
-        q: float,
         forcing: ScalarField | None = None,
     ):
-        self.grid = grid
-        self.model = model
-        self.q = q
-        self.n = bg.n
-        self.exp_u0 = bg.exp_u0.values
-        self.weight = bg.weight.values
-        self.source = bg.source.values
-        self.gx0 = bg.grad_exp_u0[0].values
-        self.gy0 = bg.grad_exp_u0[1].values
+        self.grid = grid = spec.grid
+        self.model = spec.model
+        self.q = q = spec.q
+        self.bg = bg
         self.forcing = None if forcing is None else forcing.values
         # symbols of the coupled gradient: q^-2 Lap^2 - Lap, and -Lap / q
         self.principal = grid.k2 * grid.k2 / q**2 + grid.k2
         self.k2_q = grid.k2 / q
 
-    # -- pointwise state ---------------------------------------------------
-
-    def state(self, u: np.ndarray) -> dict | None:
-        """Pointwise state at u; None where e^{u0+u} overflows."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            eu = np.exp(u)
-            t = self.exp_u0 * eu
-        if not np.all(np.isfinite(t)):
-            return None
-        f, fp, fpp = self.model._eval_arrays(t)
-        return {"u": u, "eu": eu, "t": t, "f": f, "fp": fp, "fpp": fpp, "c": fp * t}
-
-    def weighted_gradsq(self, st: dict, grad=None) -> np.ndarray:
-        """e^{u*} |grad u*|^2 assembled from the smooth background weight:
-        e^u * weight + 2 e^u grad(e^{u0}).grad(u) + t |grad u|^2.
-        grad, if given, is the (ux, uy) pair already computed at u."""
-        if grad is None:
-            grad = self.grid.gradient(self.grid.forward(st["u"]))
-        ux, uy = grad
-        return (
-            st["eu"] * self.weight
-            + 2.0 * st["eu"] * (self.gx0 * ux + self.gy0 * uy)
-            + st["t"] * (ux * ux + uy * uy)
-        )
-
-    # -- energy and gradient -----------------------------------------------
-
     def energy(self, u: np.ndarray, st: dict | None = None) -> float:
         """The functional; its quadratic part (1/2) integral(u (q^-2 Lap^2
         - Lap) u) is summed over the spectrum."""
-        q, grid = self.q, self.grid
-        st = st if st is not None else self.state(u)
+        q, grid, bg = self.q, self.grid, self.bg
+        st = st if st is not None else _pointwise_state(self.model, bg, u)
         if st is None:
             return np.inf
         f, fp = st["f"], st["fp"]
         uh = grid.forward(u)
         with np.errstate(over="ignore", invalid="ignore"):
-            wg = self.weighted_gradsq(st, grid.gradient(uh))
+            wg = _weighted_gradsq(bg, st, grid.gradient(uh))
             total = (
                 (1.0 / q) * np.sum(fp * wg)
                 + 0.5 * np.sum((f - self.model.s) ** 2)
-                + FOUR_PI * self.n * np.sum(u)
-                + (FOUR_PI / q) * np.sum(self.source * f)
+                + FOUR_PI * bg.n * np.sum(u)
+                + (FOUR_PI / q) * np.sum(bg.source.values * f)
             )
             if self.forcing is not None:
                 total -= np.sum(self.forcing * u)
@@ -207,18 +211,17 @@ class _Workspace:
         return float(total) if np.isfinite(total) else np.inf
 
     def gradient(self, u: np.ndarray, st: dict | None = None) -> np.ndarray:
-        q = self.q
-        st = st or self.state(u)
+        q, grid, n = self.q, self.grid, self.bg.n
+        st = st if st is not None else _pointwise_state(self.model, self.bg, u)
         if st is None:
             raise ValueError("gradient undefined: e^{u0+u} overflows")
-        grid = self.grid
         uh = grid.forward(u)
         lap_u = grid.inverse(-grid.k2 * uh)
         r = (
             grid.inverse(self.principal * uh + self.k2_q * grid.forward(st["f"]))
-            - st["c"] * (lap_u - FOUR_PI * self.n) / q
+            - st["c"] * (lap_u - FOUR_PI * n) / q
             + st["c"] * (st["f"] - self.model.s)
-            + FOUR_PI * self.n
+            + FOUR_PI * n
         )
         if self.forcing is not None:
             r = r - self.forcing
@@ -228,10 +231,10 @@ class _Workspace:
         """Frechet derivative of the gradient at the frozen state."""
         q, grid = self.q, self.grid
         c = st["c"]
-        cp = (st["fpp"] * st["t"] + st["fp"]) * st["t"]  # d c / d u
+        cp = _dc_dt(st) * st["t"]  # d c / d u
         lap_u = grid.apply(-grid.k2, u)
         V = (
-            -cp * (lap_u - FOUR_PI * self.n) / q
+            -cp * (lap_u - FOUR_PI * self.bg.n) / q
             + cp * (st["f"] - self.model.s)
             + c * st["fp"] * st["t"]
         )
@@ -281,20 +284,18 @@ def coefficient_fields(
     the last term being the mollified-source compensation that exact Dirac
     masses would annihilate.
     """
-    ws = _Workspace(u.grid, model, bg, q)
-    st = ws.state(u.values)
+    st = _pointwise_state(model, bg, u.values)
     grid = u.grid
     c = ScalarField(grid, st["c"])
     f_q = ScalarField(grid, st["f"] + (model.s / q) * st["c"])
-    wg = ws.weighted_gradsq(st)
-    w2 = (st["fpp"] * st["t"] + st["fp"]) * wg
+    w2 = _dc_dt(st) * _weighted_gradsq(bg, st)
 
     def g_q(v: ScalarField) -> ScalarField:
         return ScalarField(
             grid,
             st["c"] * (model.s - v.values)
             + w2 / q
-            + (FOUR_PI / q) * st["c"] * ws.source,
+            + (FOUR_PI / q) * st["c"] * bg.source.values,
         )
 
     return c, f_q, g_q
@@ -310,9 +311,10 @@ def recover_v(
 ) -> ScalarField:
     """v = (-Laplacian(u) + 4 pi n)/q + f(e^{u0+u}); makes the first
     equation an identity by construction."""
-    t = ScalarField(u.grid, bg.exp_u0.values * np.exp(u.values))
-    f, _, _ = model.eval_field(t)
-    return _recover_v(u, f.values, bg.n, q)
+    st = _pointwise_state(model, bg, u.values)
+    if st is None:
+        raise ValueError("v undefined: e^{u0+u} overflows")
+    return _recover_v(u, st["f"], bg.n, q)
 
 
 def energy(
@@ -323,8 +325,7 @@ def energy(
 ) -> float:
     """Value of the variational functional at u."""
     bg = background or compute_u0(spec.vortices, spec.grid)
-    ws = _Workspace(spec.grid, spec.model, bg, spec.q, forcing)
-    return ws.energy(u.values)
+    return _Workspace(spec, bg, forcing).energy(u.values)
 
 
 def energy_gradient(
@@ -335,8 +336,7 @@ def energy_gradient(
 ) -> ScalarField:
     """L2 gradient of the energy: the fourth-order equation's left side."""
     bg = background or compute_u0(spec.vortices, spec.grid)
-    ws = _Workspace(spec.grid, spec.model, bg, spec.q, forcing)
-    return ScalarField(spec.grid, ws.gradient(u.values))
+    return ScalarField(spec.grid, _Workspace(spec, bg, forcing).gradient(u.values))
 
 
 def initial_guess(bg: BackgroundData, model: NonlinearityModel) -> ScalarField:
@@ -450,7 +450,7 @@ def solve_coupled(
     """
     grid, model, q = spec.grid, spec.model, spec.q
     bg = background or compute_u0(spec.vortices, spec.grid)
-    ws = _Workspace(grid, model, bg, q, forcing)
+    ws = _Workspace(spec, bg, forcing)
 
     if init is None:
         try:
@@ -463,7 +463,8 @@ def solve_coupled(
         return ws.hessian_operator(u, st), ws.coupled_preconditioner(st)
 
     u, st, r, iters = _newton_krylov(
-        np.array(init.values, dtype=float), spec, ws.state, ws.gradient, linearize,
+        np.array(init.values, dtype=float), spec,
+        lambda u: _pointwise_state(model, bg, u), ws.gradient, linearize,
         "Newton", scale=q,
     )
     _require_coupling(q, st)
@@ -506,20 +507,20 @@ def solve_limit(
     """
     grid, model = spec.grid, spec.model
     bg = background or compute_u0(spec.vortices, spec.grid)
-    ws = _Workspace(grid, model, bg, spec.q)
     k2, s = grid.k2, model.s
 
     def residual(u: np.ndarray, st: dict) -> np.ndarray:
         return grid.apply(k2, u) - st["c"] * (s - st["f"]) + FOUR_PI * bg.n
 
     def linearize(u: np.ndarray, st: dict):
-        cp = (st["fpp"] * st["t"] + st["fp"]) * st["t"]
+        cp = _dc_dt(st) * st["t"]
         V = -cp * (s - st["f"]) + st["c"] * st["fp"] * st["t"]
         H = _operator(grid, lambda phi: grid.apply(k2, phi) + V * phi)
         return H, _spectral_inverse(grid, k2 + max(1.0, float(V.min())))
 
     u, _, r, iters = _newton_krylov(
-        initial_guess(bg, model).values.copy(), spec, ws.state, residual, linearize,
+        initial_guess(bg, model).values.copy(), spec,
+        lambda u: _pointwise_state(model, bg, u), residual, linearize,
         "limit equation",
     )
     return LimitSolution(
@@ -542,7 +543,6 @@ def q_sweep(spec: ProblemSpec, q_list) -> "ConvergenceTable":
     warm-starting each solve from its larger-q neighbor.
     """
     from . import diagnostics
-    from .grid import sobolev_norm
 
     q_list = [float(q) for q in q_list]
     if any(b <= a for a, b in zip(q_list, q_list[1:])):
@@ -575,8 +575,8 @@ def q_sweep(spec: ProblemSpec, q_list) -> "ConvergenceTable":
                 d_w=metrics.d_w,
                 h_u=metrics.h_u,
                 h_v=metrics.h_v,
-                sob_u=tuple(sobolev_norm(bundle.u, k) for k in (0, 1, 2)),
-                sob_v=tuple(sobolev_norm(bundle.v, k) for k in (0, 1, 2)),
+                sob_u=_sobolev_norms(bundle.u),
+                sob_v=_sobolev_norms(bundle.v),
                 gradu_value=float(gradu.lhs),
                 flux_rel_err=float(flux.rel_discrepancy),
                 energy=bundle.energy_value,

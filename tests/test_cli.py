@@ -3,6 +3,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mcsvortex import ConfigError, GridSpec, SnapshotError
 from mcsvortex.cli import bundle_from_snapshot, main, parse_config
@@ -296,6 +297,40 @@ class TestVerifyCommand:
     def test_unreadable_snapshot_exit_one(self, tmp_path):
         assert main(["verify", str(tmp_path / "missing")]) == 1
 
+    @pytest.mark.parametrize(
+        "tamper,named",
+        [
+            (lambda meta: meta["reports"][1].update(abs_discrepancy=0.5), "flux_quantization"),
+            (lambda meta: meta["reports"].pop(), "8 reports recomputed, 7 stored"),
+        ],
+        ids=["changed-value", "missing-report"],
+    )
+    def test_tampered_record_exit_two(self, solved_dir, capsys, tamper, named):
+        path = solved_dir / "solution.json"
+        meta = json.loads(path.read_text())
+        tamper(meta)
+        path.write_text(json.dumps(meta))
+        capsys.readouterr()
+        assert main(["verify", str(solved_dir)]) == 2
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "mangle",
+        [
+            lambda meta: [],
+            lambda meta: {**meta, "fields": ["u"]},
+            lambda meta: {**meta, "q": None},
+            lambda meta: {**meta, "vortices": {**meta["vortices"], "sigma": None}},
+        ],
+        ids=["list", "field-list", "null-q", "null-sigma"],
+    )
+    def test_malformed_record_exit_one(self, solved_dir, capsys, mangle):
+        path = solved_dir / "solution.json"
+        path.write_text(json.dumps(mangle(json.loads(path.read_text()))))
+        capsys.readouterr()
+        assert main(["verify", str(solved_dir)]) == 1
+        assert "snapshot error" in capsys.readouterr().err
+
 
 class TestSnapshotFormat:
     def test_field_round_trip(self, tmp_path, rng):
@@ -330,6 +365,38 @@ class TestSnapshotFormat:
         path.write_bytes(blob[:-16])
         with pytest.raises(SnapshotError, match="truncated"):
             read_field(path)
+
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_invalid_grid_size_rejected(self, tmp_path, n):
+        path = tmp_path / "field.fld"
+        path.write_bytes(MAGIC + struct.pack("<II", 1, n) + bytes(8 * n * n))
+        with pytest.raises(SnapshotError, match="grid size"):
+            read_field(path)
+
+    @settings(
+        max_examples=200,
+        deadline=None,
+        database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        st.one_of(
+            st.binary(max_size=64),
+            st.integers(0, 12).flatmap(
+                lambda n: st.tuples(
+                    st.integers(0, 2).map(lambda v: struct.pack("<II", v, n)),
+                    st.binary(min_size=max(0, 8 * n * n - 8), max_size=8 * n * n + 8),
+                ).map(lambda parts: MAGIC + parts[0] + parts[1])
+            ),
+        )
+    )
+    def test_arbitrary_bytes_raise_only_snapshot_error(self, tmp_path, blob):
+        path = tmp_path / "field.fld"
+        path.write_bytes(blob)
+        try:
+            read_field(path)
+        except SnapshotError:
+            pass
 
     def test_read_solution_requires_all_fields(self, tmp_path):
         (tmp_path / "solution.json").write_text(

@@ -169,16 +169,13 @@ class TestConvergenceMetrics:
     def test_zero_against_itself(self):
         spec = one_vortex_spec(N=64, q=40.0)
         limit = solve_limit(spec)
-        model = spec.model
-        e_lim = np.exp(limit.u_star.values)
-        f_lim, fp_lim, _ = model._eval_arrays(e_lim)
-        w_lim = fp_lim * e_lim * (model.s - f_lim)
+        lim = limit._pointwise
         synthetic = SolutionBundle(
             spec=spec,
             background=limit.background,
             u=limit.u_inf,
-            v=spec.grid.field(f_lim),
-            w=spec.grid.field(w_lim),
+            v=spec.grid.field(lim["f"]),
+            w=spec.grid.field(lim["w"]),
             residual_norms={},
             newton_iters=0,
             energy_value=0.0,
@@ -186,6 +183,15 @@ class TestConvergenceMetrics:
         row = convergence_metrics(synthetic, limit)
         assert row.d_eu == 0.0 and row.d_v == 0.0 and row.d_w == 0.0
         assert row.h_u == (0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("N,q", [(32, 40.0), (48, 20.0)])
+    def test_d_eu_reads_both_cached_states(self, N, q):
+        # on these problems, exp(u0 + u) in place of e^{u0} e^u moves d_eu by an ulp
+        bundle = solve_coupled(one_vortex_spec(N=N, q=q))
+        limit = solve_limit(bundle.spec, background=bundle.background)
+        row = convergence_metrics(bundle, limit)
+        t_row, t_lim = bundle._pointwise["t"], limit._pointwise["t"]
+        assert row.d_eu == float(np.abs(t_row - t_lim).max())
 
     def test_grid_mismatch_rejected(self, vortex_bundle):
         other = one_vortex_spec(N=32)
@@ -206,6 +212,7 @@ class TestConvergenceMetrics:
             return eval_arrays(model, t)
 
         def counted_metrics(bundle, limit):
+            bundle._pointwise  # the row's own state, built before counting
             inside[0] = True
             try:
                 row = metrics(bundle, limit)
@@ -221,10 +228,12 @@ class TestConvergenceMetrics:
         assert sum(calls) == 1
         # the cached state gives the per-row formulas' values bit for bit
         for bundle, limit, row in seen:
-            e_lim = np.exp(limit.u_star.values)
+            exp_u0 = limit.background.exp_u0.values
+            e_lim = exp_u0 * np.exp(limit.u_inf.values)
             f_lim, fp_lim, _ = eval_arrays(spec.model, e_lim)
             w_lim = fp_lim * e_lim * (spec.model.s - f_lim)
-            assert row.d_eu == float(np.abs(np.exp(bundle.u_star.values) - e_lim).max())
+            e_row = exp_u0 * np.exp(bundle.u.values)
+            assert row.d_eu == float(np.abs(e_row - e_lim).max())
             assert row.d_v == float(np.abs(bundle.v.values - f_lim).max())
             assert row.d_w == float(np.abs(bundle.w.values - w_lim).max())
 

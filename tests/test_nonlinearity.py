@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from mcsvortex import (
-    GridSpec,
     NegativeArgument,
     OutOfRange,
     cp1_model,
@@ -103,40 +102,33 @@ class TestTruncation:
 
 
 class TestEvalField:
+    """Field-wide evaluation: _eval_arrays over N x N arrays against the
+    scalar eval."""
+
     def test_constant_field(self):
-        grid = GridSpec(8)
         model = cp1_model(0.5)
-        f, f1, f2 = model.eval_field(grid.constant(1.0))
+        f, f1, f2 = model._eval_arrays(np.ones((8, 8)))
         expected = model.eval(1.0)
-        assert np.allclose(f.values, expected[0], atol=1e-15)
-        assert np.allclose(f1.values, expected[1], atol=1e-15)
-        assert np.allclose(f2.values, expected[2], atol=1e-15)
+        assert np.allclose(f, expected[0], atol=1e-15)
+        assert np.allclose(f1, expected[1], atol=1e-15)
+        assert np.allclose(f2, expected[2], atol=1e-15)
 
     def test_zeros_field_linear_model(self):
-        grid = GridSpec(8)
-        f, f1, f2 = u1_model(1.0).eval_field(grid.constant(0.0))
-        assert np.all(f.values == 0.0)
-        assert np.all(f1.values == 1.0)
-        assert np.all(f2.values == 0.0)
+        f, f1, f2 = u1_model(1.0)._eval_arrays(np.zeros((8, 8)))
+        assert np.all(f == 0.0)
+        assert np.all(f1 == 1.0)
+        assert np.all(f2 == 0.0)
 
     def test_matches_scalar_loop(self, rng):
-        grid = GridSpec(8)
         model = u1_model(1.0)
-        t = grid.field(rng.uniform(0.0, 5.0, size=(8, 8)))
-        f, f1, f2 = model.eval_field(t)
+        t = rng.uniform(0.0, 5.0, size=(8, 8))
+        f, f1, f2 = model._eval_arrays(t)
         for i in range(8):
             for j in range(8):
-                sf, sf1, sf2 = model.eval(t.values[i, j])
-                assert f.values[i, j] == pytest.approx(sf, abs=1e-15)
-                assert f1.values[i, j] == pytest.approx(sf1, abs=1e-15)
-                assert f2.values[i, j] == pytest.approx(sf2, abs=1e-15)
-
-    def test_negative_argument_reports_index(self):
-        grid = GridSpec(8)
-        vals = np.ones((8, 8))
-        vals[3, 5] = -0.25
-        with pytest.raises(NegativeArgument, match=r"\(3, 5\)"):
-            u1_model(1.0).eval_field(grid.field(vals))
+                sf, sf1, sf2 = model.eval(t[i, j])
+                assert f[i, j] == pytest.approx(sf, abs=1e-15)
+                assert f1[i, j] == pytest.approx(sf1, abs=1e-15)
+                assert f2[i, j] == pytest.approx(sf2, abs=1e-15)
 
     def test_scalar_negative_argument(self):
         with pytest.raises(NegativeArgument):

@@ -219,9 +219,9 @@ class TestEnergyGradient:
         bg = compute_u0(spec.vortices, spec.grid)
         u = smooth_field(spec.grid, rng, kmax=4, amp=0.5)
         t_field = spec.grid.field(bg.exp_u0.values * np.exp(u.values))
-        f, fp, _ = spec.model.eval_field(t_field)
+        f, fp, _ = spec.model._eval_arrays(t_field.values)
         lap_u = laplacian(u)
-        generic = laplacian(f).values + fp.values * t_field.values * (
+        generic = laplacian(spec.grid.field(f)).values + fp * t_field.values * (
             lap_u.values - FOUR_PI * bg.n
         )
         direct = laplacian(t_field).values + t_field.values * (
@@ -274,18 +274,18 @@ class TestSolveCoupled:
         spec = make_spec(N=32, q=40.0)
         init = solve_limit(spec).u_inf
         calls = {"evals": 0, "states": 0}
-        eval_arrays, state = NonlinearityModel._eval_arrays, solver._Workspace.state
+        eval_arrays, state = NonlinearityModel._eval_arrays, solver._pointwise_state
 
         def counted_eval(model, t):
             calls["evals"] += 1
             return eval_arrays(model, t)
 
-        def counted_state(ws, u):
+        def counted_state(model, bg, u):
             calls["states"] += 1
-            return state(ws, u)
+            return state(model, bg, u)
 
         monkeypatch.setattr(NonlinearityModel, "_eval_arrays", counted_eval)
-        monkeypatch.setattr(solver._Workspace, "state", counted_state)
+        monkeypatch.setattr(solver, "_pointwise_state", counted_state)
         solve_coupled(spec, init=init)
         assert calls["states"] > 0
         assert calls["evals"] == calls["states"]

@@ -101,6 +101,25 @@ def test_transforms_per_application(drivers, monkeypatch, equation, operation, e
     assert counts["transforms"] == expected
 
 
+def test_sweep_row_norms_one_transform_per_field(monkeypatch):
+    from mcsvortex import convergence_metrics
+    from mcsvortex.grid import _sobolev_norms
+
+    spec = make_spec(N=32, q=40.0)
+    bundle = solve_coupled(spec)
+    limit = solve_limit(spec, background=bundle.background)
+    bundle._pointwise, limit._pointwise  # both states cached, as in q_sweep
+    counts = _count_transforms(monkeypatch)
+    row = convergence_metrics(bundle, limit)
+    sob_u, sob_v = _sobolev_norms(bundle.u), _sobolev_norms(bundle.v)
+    assert counts["transforms"] == 4
+    monkeypatch.undo()
+    du = bundle.u - limit.u_inf
+    dv = ScalarField(spec.grid, bundle.v.values - limit._pointwise["f"])
+    for norms, field in ((row.h_u, du), (row.h_v, dv), (sob_u, bundle.u), (sob_v, bundle.v)):
+        assert norms == tuple(sobolev_norm(field, k) for k in (0, 1, 2))
+
+
 # -- spectral identities on random band-limited fields ------------------------
 
 fields = st.builds(
