@@ -36,8 +36,8 @@ class VortexConfig:
 
     points: (x, y) positions in [0,1)^2, pairwise distinct.
     multiplicities: positive integer winding numbers m_j.
-    sigma: Gaussian width in torus length units (checked against the grid
-        spacing when fields are built).
+    sigma: Gaussian width in torus length units, in (0, 1/4] (checked
+        against the grid spacing when fields are built).
     """
 
     points: tuple[tuple[float, float], ...]
@@ -59,8 +59,10 @@ class VortexConfig:
                 raise ValueError(f"vortex point ({x}, {y}) outside [0,1)^2")
         if len(set(pts)) != len(pts):
             raise ValueError("vortex points must be pairwise distinct")
-        if self.sigma <= 0.0:
-            raise ValueError("sigma must be positive")
+        # a bump wider than a quarter of the torus no longer localizes, and
+        # mollified_delta's loop over periodic images grows like sigma^2
+        if not (0.0 < self.sigma <= 0.25):
+            raise ValueError(f"sigma must be in (0, 1/4], got {self.sigma}")
 
     @property
     def n(self) -> int:

@@ -97,7 +97,7 @@ def parse_config(path) -> RunConfig:
 
         [model]    name (u1 | cp1 | custom), s (optional), table (custom)
         [vortices] points (one "x y multiplicity" triple per line), sigma
-                   (units of h, default 4, >= 2)
+                   (units of h, default 4, >= 2, <= N/4)
         [grid]     N (even, >= 8)
         [solver]   q or q_list, newton_tol, krylov_tol, max_newton_iters,
                    bound_tol (all tolerances optional)
@@ -370,6 +370,8 @@ def bundle_from_snapshot(path) -> tuple[SolutionBundle, dict]:
         newton_iters=newton_iters,
         energy_value=energy_value,
     )
+    if bundle._pointwise is None:  # cached: all_reports evaluates no more
+        raise SnapshotError(f"{path}: e^(u0+u) overflows for the stored u")
     return bundle, meta
 
 

@@ -5,9 +5,10 @@ an N x N grid (N even).  Differential operators are Fourier multipliers on
 the half spectrum of the real transform, all built from GridSpec's tables:
 the Laplacian symbol is -4*pi^2*|k|^2 for integer wave vectors k, first
 derivatives drop the Nyquist mode so that derivatives of real fields stay
-real and skew-adjoint.  Trapezoidal quadrature (h^2 times the grid sum) is
-exact for band-limited fields and pairs with the transforms through the
-discrete Parseval identity.
+real and skew-adjoint.  GridSpec.prolong resamples a field from a coarser
+grid by zero-padding its spectrum.  Trapezoidal quadrature (h^2 times the
+grid sum) is exact for band-limited fields and pairs with the transforms
+through the discrete Parseval identity.
 """
 
 from __future__ import annotations
@@ -78,6 +79,21 @@ class GridSpec:
         """Integral of u * (symbol applied to u) for the real field u with
         half spectrum coeffs, by the discrete Parseval identity."""
         return float(np.sum(self.parseval * symbol * np.abs(coeffs) ** 2))
+
+    def prolong(self, field: "ScalarField") -> "ScalarField":
+        """The field of a coarser grid M < N resampled on this one: its
+        half spectrum zero-padded, the coarse Nyquist row and column
+        dropped, and scaled by (N/M)^2.  Exact for trigonometric
+        polynomials with |k_x|, |k_y| < M/2."""
+        M = field.grid.N
+        if M >= self.N:
+            raise ValueError(f"cannot prolong from {field.grid!r} to {self!r}")
+        coarse = field.grid.forward(field.values) * (self.N / M) ** 2
+        half = M // 2
+        coeffs = np.zeros((self.N, self.N // 2 + 1), dtype=complex)
+        coeffs[:half, :half] = coarse[:half, :half]  # k_x = 0 .. M/2 - 1
+        coeffs[1 - half :, :half] = coarse[1 - half :, :half]  # k_x = 1 - M/2 .. -1
+        return ScalarField(self, self.inverse(coeffs))
 
     def field(self, values) -> "ScalarField":
         return ScalarField(self, np.asarray(values, dtype=float))

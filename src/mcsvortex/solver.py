@@ -98,13 +98,15 @@ class SolutionBundle:
         return self.background.u0 + self.u
 
     @cached_property
-    def _pointwise(self) -> dict:
+    def _pointwise(self) -> dict | None:
         """_pointwise_state at u plus the weighted gradient term "wg", for
-        the diagnostics and the convergence metrics.  Built the first time
-        one asks for it, never by the solver, and kept for the bundle's
-        lifetime."""
+        the diagnostics and the convergence metrics; None where e^{u0+u}
+        overflows, which only a stored record can bring.  Built the first
+        time one asks for it, never by the solver, and kept for the
+        bundle's lifetime."""
         st = _pointwise_state(self.model, self.background, self.u.values)
-        st["wg"] = _weighted_gradsq(self.background, st)
+        if st is not None:
+            st["wg"] = _weighted_gradsq(self.background, st)
         return st
 
 
@@ -187,6 +189,8 @@ class _Workspace:
         # symbols of the coupled gradient: q^-2 Lap^2 - Lap, and -Lap / q
         self.principal = grid.k2 * grid.k2 / q**2 + grid.k2
         self.k2_q = grid.k2 / q
+        # (u, Laplacian(u)) from the last gradient, for the Hessian at that u
+        self._last_lap = (None, None)
 
     def energy(self, u: np.ndarray, st: dict | None = None) -> float:
         """The functional; its quadratic part (1/2) integral(u (q^-2 Lap^2
@@ -217,6 +221,7 @@ class _Workspace:
             raise ValueError("gradient undefined: e^{u0+u} overflows")
         uh = grid.forward(u)
         lap_u = grid.inverse(-grid.k2 * uh)
+        self._last_lap = (u, lap_u)
         r = (
             grid.inverse(self.principal * uh + self.k2_q * grid.forward(st["f"]))
             - st["c"] * (lap_u - FOUR_PI * n) / q
@@ -232,7 +237,9 @@ class _Workspace:
         q, grid = self.q, self.grid
         c = st["c"]
         cp = _dc_dt(st) * st["t"]  # d c / d u
-        lap_u = grid.apply(-grid.k2, u)
+        last_u, lap_u = self._last_lap
+        if last_u is not u:
+            lap_u = grid.apply(-grid.k2, u)
         V = (
             -cp * (lap_u - FOUR_PI * self.bg.n) / q
             + cp * (st["f"] - self.model.s)
@@ -347,6 +354,26 @@ def initial_guess(bg: BackgroundData, model: NonlinearityModel) -> ScalarField:
     return ScalarField(bg.grid, vals)
 
 
+def _coarse_start(spec: ProblemSpec, solve) -> ScalarField | None:
+    """Grid sequencing: solve(spec moved to the half grid), a field there,
+    prolonged to spec.grid.  From it the smooth solution needs only a few
+    Newton steps on the fine grid (mesh independence: Allgower, Boehmer,
+    Potra & Rheinboldt, SIAM J. Numer. Anal. 23(1), 1986).  None when N/2
+    is not a valid grid size, when sigma is below 2h on the half grid (the
+    floor mollified_delta enforces), or when the coarse solve fails; the
+    recursion therefore stops by itself."""
+    try:
+        coarse = GridSpec(spec.grid.N // 2)
+    except ValueError:
+        return None
+    if spec.vortices.sigma < 2.0 * coarse.h:
+        return None
+    try:
+        return spec.grid.prolong(solve(replace(spec, grid=coarse)))
+    except (NoConvergence, QTooSmall, BoundsViolation):
+        return None
+
+
 def _newton_krylov(
     u: np.ndarray, spec: ProblemSpec, state, residual, linearize, what: str,
     scale: float = 1.0,
@@ -444,6 +471,11 @@ def solve_coupled(
     below newton_tol.  On convergence v is recovered from the first
     equation and w = q(v - f(e^{u0+u})) is formed by definition.
 
+    Without init or forcing the solve starts from the same problem's
+    solution on the half grid (_coarse_start); where that does not apply
+    or fails, from the limit profile, and from the ansatz if the limit
+    solve fails too.  newton_iters counts the steps on spec.grid only.
+
     Raises QTooSmall if q <= sup|c| at some iterate, NoConvergence if the
     iteration or its line search stalls, and BoundsViolation if the
     converged state breaks the pointwise bounds by more than bound_tol.
@@ -452,6 +484,8 @@ def solve_coupled(
     bg = background or compute_u0(spec.vortices, spec.grid)
     ws = _Workspace(spec, bg, forcing)
 
+    if init is None and forcing is None:
+        init = _coarse_start(spec, lambda sub: solve_coupled(sub).u)
     if init is None:
         try:
             init = solve_limit(spec, background=bg).u_inf
@@ -503,7 +537,9 @@ def solve_limit(
 
     The coupling q in spec is ignored.  Same damped Newton-Krylov driver
     as solve_coupled, with the spectral inverse of -Lap + lambda as
-    preconditioner.
+    preconditioner.  Starts from the limit solution on the half grid
+    (_coarse_start), or from the ansatz where that does not apply or
+    fails; newton_iters counts the steps on spec.grid only.
     """
     grid, model = spec.grid, spec.model
     bg = background or compute_u0(spec.vortices, spec.grid)
@@ -518,8 +554,11 @@ def solve_limit(
         H = _operator(grid, lambda phi: grid.apply(k2, phi) + V * phi)
         return H, _spectral_inverse(grid, k2 + max(1.0, float(V.min())))
 
+    init = _coarse_start(spec, lambda sub: solve_limit(sub).u_inf)
+    if init is None:
+        init = initial_guess(bg, model)
     u, _, r, iters = _newton_krylov(
-        initial_guess(bg, model).values.copy(), spec,
+        np.array(init.values, dtype=float), spec,
         lambda u: _pointwise_state(model, bg, u), residual, linearize,
         "limit equation",
     )

@@ -42,6 +42,14 @@ class TestVortexConfig:
         with pytest.raises(ValueError):
             VortexConfig(points=((0.5, 0.5),), multiplicities=(1,), sigma=-1.0)
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), 1e3, 0.2500001])
+    def test_rejects_sigma_outside_quarter_torus(self, sigma):
+        with pytest.raises(ValueError, match="sigma"):
+            VortexConfig(points=((0.5, 0.5),), multiplicities=(1,), sigma=sigma)
+
+    def test_accepts_quarter_torus_sigma(self):
+        assert VortexConfig(points=(), multiplicities=(), sigma=0.25).sigma == 0.25
+
 
 class TestMollifiedDelta:
     def test_unit_integral(self):

@@ -108,6 +108,13 @@ q_list = 10 20 40
         with pytest.raises(ConfigError, match=message):
             parse_config(write_config(tmp_path / "run.cfg", body))
 
+    @pytest.mark.parametrize("sigma", ["nan", "inf", "13.0"])  # N = 48: 12 cells is 1/4
+    def test_sigma_beyond_quarter_torus_rejected(self, tmp_path, sigma):
+        body = VORTEX_CONFIG.format(out=tmp_path / "out")
+        body = body.replace("sigma = 4.0", f"sigma = {sigma}")
+        with pytest.raises(ConfigError, match=r"sigma must be in \(0, 1/4\]"):
+            parse_config(write_config(tmp_path / "run.cfg", body))
+
     def test_descending_q_list_rejected(self, tmp_path):
         body = VORTEX_CONFIG.format(out=tmp_path / "out").replace(
             "q = 40.0", "q_list = 80 10"
@@ -247,6 +254,13 @@ class TestSweepCommand:
         assert (first / "sweep.tsv").read_bytes() == (second / "sweep.tsv").read_bytes()
 
 
+def _overflowing_u(meta, out):
+    """Store u = 800 everywhere, where e^(u0+u) overflows float64."""
+    u = read_field(out / "u.fld")
+    write_field(out / "u.fld", u.grid.constant(800.0))
+    return meta
+
+
 class TestVerifyCommand:
     @pytest.fixture
     def solved_dir(self, tmp_path):
@@ -315,21 +329,44 @@ class TestVerifyCommand:
         assert named in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "mangle",
+        "mangle,named",
         [
-            lambda meta: [],
-            lambda meta: {**meta, "fields": ["u"]},
-            lambda meta: {**meta, "q": None},
-            lambda meta: {**meta, "vortices": {**meta["vortices"], "sigma": None}},
+            (lambda meta, out: [], "snapshot error"),
+            (lambda meta, out: {**meta, "fields": ["u"]}, "snapshot error"),
+            (lambda meta, out: {**meta, "q": None}, "snapshot error"),
+            (
+                lambda meta, out: {**meta, "vortices": {**meta["vortices"], "sigma": None}},
+                "snapshot error",
+            ),
+            (_overflowing_u, "overflows"),
+            (
+                lambda meta, out: {**meta, "vortices": {**meta["vortices"], "sigma": 1e3}},
+                "sigma must be in (0, 1/4]",
+            ),
         ],
-        ids=["list", "field-list", "null-q", "null-sigma"],
+        ids=["list", "field-list", "null-q", "null-sigma", "overflow", "huge-sigma"],
     )
-    def test_malformed_record_exit_one(self, solved_dir, capsys, mangle):
+    def test_malformed_record_exit_one(self, solved_dir, capsys, mangle, named):
         path = solved_dir / "solution.json"
-        path.write_text(json.dumps(mangle(json.loads(path.read_text()))))
+        path.write_text(json.dumps(mangle(json.loads(path.read_text()), solved_dir)))
         capsys.readouterr()
         assert main(["verify", str(solved_dir)]) == 1
-        assert "snapshot error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "snapshot error" in err and named in err
+
+    def test_verify_evaluates_nonlinearity_once(self, solved_dir, monkeypatch):
+        from mcsvortex import NonlinearityModel
+
+        calls = []
+        original = NonlinearityModel._eval_arrays
+
+        def counted(model, t):
+            calls.append(1)
+            return original(model, t)
+
+        monkeypatch.setattr(NonlinearityModel, "_eval_arrays", counted)
+        assert main(["verify", str(solved_dir)]) == 0
+        assert len(calls) == 1
 
 
 class TestSnapshotFormat:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mcsvortex import (
     GridSpec,
@@ -63,6 +64,47 @@ class TestGridSpec:
         b = GridSpec(16).constant(1.0)
         with pytest.raises(GridMismatch):
             a + b
+
+
+def _trig_polynomial(rng, kmax):
+    """Real trigonometric polynomial with |k_x|, |k_y| <= kmax, as fn(x, y)."""
+    ks = [(kx, ky) for kx in range(-kmax, kmax + 1) for ky in range(-kmax, kmax + 1)]
+    a, b = rng.standard_normal((2, len(ks)))
+
+    def fn(x, y):
+        phase = [TWO_PI * (kx * x + ky * y) for kx, ky in ks]
+        return sum(ai * np.cos(p) + bi * np.sin(p) for ai, bi, p in zip(a, b, phase))
+
+    return fn
+
+
+class TestProlong:
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(
+        M=st.sampled_from((8, 16, 32)),
+        factor=st.sampled_from((2, 4)),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_exact_on_band_limited_polynomials(self, M, factor, seed, data):
+        kmax = data.draw(st.integers(0, M // 2 - 1), label="kmax")
+        fn = _trig_polynomial(np.random.default_rng(seed), kmax)
+        fine = GridSpec(factor * M)
+        got = fine.prolong(GridSpec(M).from_function(fn)).values
+        want = fine.from_function(fn).values
+        assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
+
+    def test_coarse_nyquist_mode_dropped(self):
+        # cos(pi M x) aliases to an alternating sign on the coarse grid and
+        # has no unambiguous continuation: prolong drops it
+        coarse = GridSpec(16)
+        nyquist = coarse.from_function(lambda x, y: np.cos(TWO_PI * 8 * x))
+        assert np.abs(GridSpec(32).prolong(nyquist).values).max() <= 1e-15
+
+    @pytest.mark.parametrize("M", [32, 64])
+    def test_only_from_a_coarser_grid(self, M):
+        with pytest.raises(ValueError, match="prolong"):
+            GridSpec(32).prolong(GridSpec(M).constant(1.0))
 
 
 class TestIntegrate:

@@ -379,6 +379,75 @@ class TestSolveCoupled:
         assert l2_norm(grid.field(res_w)) <= 10 * spec.newton_tol * q
 
 
+def _record_levels(monkeypatch, fail_on=None):
+    """Record (grid size, equation) of every Newton-Krylov driver call, and
+    the Newton steps of each call that returns; calls on the grid of size
+    fail_on raise NoConvergence instead."""
+    from mcsvortex import solver
+
+    levels, steps = [], []
+    real = solver._newton_krylov
+
+    def recorded(u, spec, state, residual, linearize, what, scale=1.0):
+        levels.append((spec.grid.N, what))
+        if spec.grid.N == fail_on:
+            raise NoConvergence(0, np.inf, what=what)
+        result = real(u, spec, state, residual, linearize, what, scale)
+        steps.append(result[-1])
+        return result
+
+    monkeypatch.setattr(solver, "_newton_krylov", recorded)
+    return levels, steps
+
+
+class TestGridSequencing:
+    @pytest.mark.parametrize(
+        "N,sigma_cells,grids",
+        [
+            (64, 4.0, [32, 32, 64]),
+            (64, 2.0, [64, 64]),  # sigma is below 2h on the half grid
+            (36, 4.0, [18, 18, 36]),  # sigma is exactly 2h on the half grid
+            (18, 4.0, [18, 18]),  # half grid 9 is odd
+            (12, 3.0, [12, 12]),  # half grid 6 is below 8 (sigma <= 1/4 caps it at 3h)
+        ],
+    )
+    def test_levels_of_a_cold_solve(self, monkeypatch, N, sigma_cells, grids):
+        spec = make_spec(N=N, q=40.0, vortices=one_vortex(GridSpec(N), sigma_cells))
+        levels, steps = _record_levels(monkeypatch)
+        bundle = solve_coupled(spec)
+        assert [n for n, _ in levels] == grids
+        # newton_iters counts the steps on the requested grid only
+        assert bundle.newton_iters == steps[-1] < sum(steps)
+
+    def test_cold_limit_solve_starts_on_half_grid(self, monkeypatch):
+        levels, steps = _record_levels(monkeypatch)
+        limit = solve_limit(make_spec(N=64))
+        assert levels == [(32, "limit equation"), (64, "limit equation")]
+        assert limit.newton_iters == steps[-1]
+
+    def test_forced_coupled_equation_stays_on_one_level(self, monkeypatch, rng):
+        spec = make_spec(N=64, q=20.0)
+        bg = compute_u0(spec.vortices, spec.grid)
+        forcing = energy_gradient(
+            smooth_field(spec.grid, rng, kmax=3, amp=0.3), spec, background=bg
+        )
+        levels, _ = _record_levels(monkeypatch)
+        solve_coupled(spec, background=bg, forcing=forcing)
+        # the limit warm start is sequenced on its own; the coupled
+        # equation with a forcing runs on the requested grid only
+        assert [lv for lv in levels if lv[1] == "Newton"] == [(64, "Newton")]
+
+    def test_failed_coarse_solve_falls_back_to_limit_start(self, monkeypatch):
+        spec = make_spec(N=64, q=40.0)
+        sequenced = solve_coupled(spec)
+        levels, _ = _record_levels(monkeypatch, fail_on=32)
+        fallback = solve_coupled(spec)
+        assert levels[-2:] == [(64, "limit equation"), (64, "Newton")]
+        assert fallback.newton_iters > sequenced.newton_iters
+        assert sup_norm(fallback.u - sequenced.u) <= spec.newton_tol
+        assert sup_norm(fallback.v - sequenced.v) <= spec.newton_tol
+
+
 class TestSolveLimit:
     def test_no_vortices_constant(self):
         grid = GridSpec(32)

@@ -32,11 +32,15 @@ class _Captured(Exception):
 
 
 def _capture_driver(monkeypatch, solve, spec, **kwargs):
-    """Run solve up to the Newton-Krylov driver and return the initial
-    iterate u and the state, residual and linearize callables."""
+    """Run solve up to the Newton-Krylov driver on spec.grid and return the
+    initial iterate u and the state, residual and linearize callables.
+    Coarse-grid solves of the grid sequencing run through the real driver."""
     captured = {}
+    real = solver._newton_krylov
 
-    def capture(u, spec, state, residual, linearize, what, scale=1.0):
+    def capture(u, sub, state, residual, linearize, what, scale=1.0):
+        if sub.grid != spec.grid:
+            return real(u, sub, state, residual, linearize, what, scale)
         captured.update(u=u, state=state, residual=residual, linearize=linearize)
         raise _Captured
 
@@ -99,6 +103,17 @@ def test_transforms_per_application(drivers, monkeypatch, equation, operation, e
     counts = _count_transforms(monkeypatch)
     apply()
     assert counts["transforms"] == expected
+
+
+@pytest.mark.parametrize("equation", ["coupled", "limit"])
+def test_linearize_after_residual_costs_no_transform(drivers, monkeypatch, equation):
+    driver = drivers[equation]
+    u = driver["u"]
+    st_u = driver["state"](u)
+    driver["residual"](u, st_u)  # the driver's order: residual, then linearize
+    counts = _count_transforms(monkeypatch)
+    driver["linearize"](u, st_u)
+    assert counts["transforms"] == 0
 
 
 def test_sweep_row_norms_one_transform_per_field(monkeypatch):
