@@ -18,7 +18,6 @@ from .errors import SigmaTooSmall
 from .grid import (
     GridSpec,
     ScalarField,
-    grad_squared,
     gradient,
     integrate,
     laplacian,
@@ -159,9 +158,3 @@ def compute_u0(config: VortexConfig, grid: GridSpec) -> BackgroundData:
         source=source,
         grad_exp_u0=(gx, gy),
     )
-
-
-def raw_weight(u0: ScalarField) -> ScalarField:
-    """Direct-product route e^{u0} * grad_squared(u0), kept as the
-    cross-check counterpart of background_weight."""
-    return ScalarField(u0.grid, np.exp(u0.values) * grad_squared(u0).values)

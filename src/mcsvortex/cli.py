@@ -108,14 +108,17 @@ def parse_config(path) -> RunConfig:
         raise ConfigError(f"config file {path} does not exist")
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
-        parser.read(path)
-    except configparser.Error as exc:
+        parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
     def get(section, key, default=None):
-        if parser.has_option(section, key):
+        if not parser.has_option(section, key):
+            return default
+        try:
             return parser.get(section, key).strip()
-        return default
+        except configparser.Error as exc:  # a bad %-interpolation
+            raise ConfigError(f"[{section}] {key}: {exc}") from exc
 
     def get_float(section, key, default=None):
         raw = get(section, key)
@@ -184,12 +187,17 @@ def parse_config(path) -> RunConfig:
             q_list = [float(tok) for tok in raw_q_list.split()]
         except ValueError as exc:
             raise ConfigError(f"[solver] q_list: {exc}") from exc
+        if not q_list:
+            raise ConfigError("[solver] q_list is empty")
         if not all(np.isfinite(v) and v > 0.0 for v in q_list):
             raise ConfigError("[solver] q_list entries must be positive and finite")
         if any(b <= a for a, b in zip(q_list, q_list[1:])):
             raise ConfigError("[solver] q_list must be ascending")
     if q is None and q_list is None:
         raise ConfigError("[solver] needs q or q_list")
+    max_iters = get_float("solver", "max_newton_iters", ProblemSpec.max_newton_iters)
+    if not float(max_iters).is_integer():
+        raise ConfigError(f"[solver] max_newton_iters must be a whole number, got {max_iters}")
 
     cfg = RunConfig(
         model_name=model_name,
@@ -202,9 +210,7 @@ def parse_config(path) -> RunConfig:
         q_list=q_list,
         newton_tol=get_float("solver", "newton_tol", ProblemSpec.newton_tol),
         krylov_tol=get_float("solver", "krylov_tol", ProblemSpec.krylov_tol),
-        max_newton_iters=int(
-            get_float("solver", "max_newton_iters", ProblemSpec.max_newton_iters)
-        ),
+        max_newton_iters=int(max_iters),
         bound_tol=get_float("solver", "bound_tol"),
         out_dir=get("output", "dir", "out"),
     )

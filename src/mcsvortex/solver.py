@@ -20,9 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from math import sqrt
+from typing import Callable
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, minres
 
 from .background import BackgroundData, VortexConfig, compute_u0
 from .errors import BoundsViolation, NoConvergence, QTooSmall
@@ -30,6 +31,9 @@ from .grid import GridSpec, ScalarField, _l2, _sobolev_norms, laplacian
 from .nonlinearity import NonlinearityModel
 
 FOUR_PI = 4.0 * np.pi
+
+# a linear operator on N x N grid arrays
+Operator = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -232,7 +236,7 @@ class _Workspace:
             r = r - self.forcing
         return r
 
-    def hessian_operator(self, u: np.ndarray, st: dict) -> LinearOperator:
+    def hessian_operator(self, u: np.ndarray, st: dict) -> Operator:
         """Frechet derivative of the gradient at the frozen state."""
         q, grid = self.q, self.grid
         c = st["c"]
@@ -252,29 +256,19 @@ class _Workspace:
             linear = grid.inverse(self.principal * ph + self.k2_q * grid.forward(c * phi))
             return linear - c * lap_phi / q + V * phi
 
-        return _operator(grid, matvec)
+        return matvec
 
-    def coupled_preconditioner(self, st: dict) -> LinearOperator:
+    def coupled_preconditioner(self, st: dict) -> Operator:
         """Exact spectral inverse of q^{-2} Lap^2 - Lap + lambda, with
         lambda = max(1, inf f' * inf e^{u*}) frozen for this Newton step."""
         lam = max(1.0, float(st["fp"].min()) * float(st["t"].min()))
         return _spectral_inverse(self.grid, self.principal + lam)
 
 
-def _operator(grid: GridSpec, apply) -> LinearOperator:
-    """LinearOperator on raveled N x N fields from an operator on arrays."""
-    N = grid.N
-
-    def matvec(z: np.ndarray) -> np.ndarray:
-        return apply(z.reshape(N, N)).ravel()
-
-    return LinearOperator((N * N, N * N), matvec=matvec, dtype=float)
-
-
-def _spectral_inverse(grid: GridSpec, symbol: np.ndarray) -> LinearOperator:
+def _spectral_inverse(grid: GridSpec, symbol: np.ndarray) -> Operator:
     """Exact inverse of the Fourier multiplier with a positive symbol."""
     inv_symbol = 1.0 / symbol
-    return _operator(grid, lambda x: grid.apply(inv_symbol, x))
+    return lambda x: grid.apply(inv_symbol, x)
 
 
 def coefficient_fields(
@@ -354,24 +348,172 @@ def initial_guess(bg: BackgroundData, model: NonlinearityModel) -> ScalarField:
     return ScalarField(bg.grid, vals)
 
 
-def _coarse_start(spec: ProblemSpec, solve) -> ScalarField | None:
-    """Grid sequencing: solve(spec moved to the half grid), a field there,
-    prolonged to spec.grid.  From it the smooth solution needs only a few
-    Newton steps on the fine grid (mesh independence: Allgower, Boehmer,
-    Potra & Rheinboldt, SIAM J. Numer. Anal. 23(1), 1986).  None when N/2
-    is not a valid grid size, when sigma is below 2h on the half grid (the
-    floor mollified_delta enforces), or when the coarse solve fails; the
-    recursion therefore stops by itself."""
+def _half_grid(spec: ProblemSpec) -> ProblemSpec | None:
+    """spec moved to the half grid, for grid sequencing: from the solution
+    there, prolonged, the smooth solution needs only a few Newton steps on
+    the fine grid (mesh independence: Allgower, Boehmer, Potra &
+    Rheinboldt, SIAM J. Numer. Anal. 23(1), 1986).  None when N/2 is not a
+    valid grid size or when sigma is below 2h on the half grid (the floor
+    mollified_delta enforces); the recursion therefore stops by itself."""
     try:
         coarse = GridSpec(spec.grid.N // 2)
     except ValueError:
         return None
     if spec.vortices.sigma < 2.0 * coarse.h:
         return None
-    try:
-        return spec.grid.prolong(solve(replace(spec, grid=coarse)))
-    except (NoConvergence, QTooSmall, BoundsViolation):
-        return None
+    return replace(spec, grid=coarse)
+
+
+def _cold_start(spec: ProblemSpec, bg: BackgroundData, limits: dict) -> ScalarField:
+    """Start of a cold solve_coupled: the same problem solved on the half
+    grid (_half_grid), prolonged; where that does not apply or fails, the
+    limit solution (_sequenced_limit), and the ansatz where that fails too.
+    limits is shared by every level of one cold solve."""
+    coarse = _half_grid(spec)
+    if coarse is not None:
+        coarse_bg = compute_u0(coarse.vortices, coarse.grid)
+        coarse_init = _cold_start(coarse, coarse_bg, limits)
+        try:
+            bundle = solve_coupled(coarse, init=coarse_init, background=coarse_bg)
+            return spec.grid.prolong(bundle.u)
+        except (NoConvergence, QTooSmall, BoundsViolation):
+            pass
+    limit = _sequenced_limit(spec, limits, bg)
+    return initial_guess(bg, spec.model) if limit is None else limit.u_inf
+
+
+def _sequenced_limit(
+    spec: ProblemSpec, limits: dict, bg: BackgroundData | None = None
+) -> LimitSolution | None:
+    """The limit solution on spec.grid, None where its solve fails, kept in
+    limits by grid size so that no level solves it twice.  Made as
+    solve_limit makes it: from the half grid's entry, prolonged (the ansatz
+    where that is None), or by solve_limit where there is no half grid.
+    The coarsest level of a cold solve makes its entry first, so a failed
+    coupled solve above it only adds the levels in between."""
+    N = spec.grid.N
+    if N not in limits:
+        bg = bg or compute_u0(spec.vortices, spec.grid)
+        coarse = _half_grid(spec)
+        try:
+            if coarse is None:
+                limits[N] = solve_limit(spec, background=bg)
+            else:
+                below = _sequenced_limit(coarse, limits)
+                init = None if below is None else spec.grid.prolong(below.u_inf)
+                limits[N] = _limit_newton(spec, bg, init)
+        except NoConvergence:
+            limits[N] = None
+    return limits[N]
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Euclidean inner product of two grid arrays, reduced as one vector."""
+    return np.inner(a.ravel(), b.ravel())
+
+
+def _minres(
+    A: Operator, M: Operator, b: np.ndarray, rtol: float, maxiter: int
+) -> tuple[np.ndarray, int]:
+    """Preconditioned MINRES for A x = b from x = 0, with A symmetric and M
+    a symmetric positive definite approximation of A^-1 (Paige & Saunders,
+    SIAM J. Numer. Anal. 12(4), 1975).
+
+    The recurrences, reductions and stopping tests are those of
+    scipy.sparse.linalg.minres (without shift, x0, callback, show and
+    check), applied to N x N arrays, so the iterates are the same floats.
+    Stops when ||r|| <= rtol ||A|| ||x|| (test1) or ||A r|| <= rtol ||A||
+    ||r|| (test2), when either test reaches machine precision, when the
+    estimate of cond(A) reaches 0.1/eps, when eps ||A|| ||x|| reaches
+    ||b||_M, or after maxiter iterations.  Returns (x, info), info =
+    maxiter when the iteration limit stopped it and 0 otherwise.
+    """
+    eps = np.finfo(float).eps
+    x = np.zeros_like(b)
+    r1 = b.copy()
+    y = M(r1)
+    beta1 = _dot(r1, y)
+    if beta1 < 0:
+        raise ValueError("indefinite preconditioner")
+    if beta1 == 0:
+        return x, 0
+    beta1 = sqrt(beta1)
+
+    istop, itn = 0, 0
+    oldb, beta, dbar, epsln, phibar = 0, beta1, 0, 0, beta1
+    tnorm2, gmax, gmin = 0, 0, np.finfo(float).max
+    cs, sn = -1, 0
+    w = np.zeros_like(b)
+    w2 = np.zeros_like(b)
+    r2 = r1
+    while itn < maxiter:
+        itn += 1
+        # Lanczos step: v = y / beta, then y = M (A v - ...), beta = ||.||_M
+        v = (1.0 / beta) * y
+        y = A(v)
+        if itn >= 2:
+            y = y - (beta / oldb) * r1
+        alfa = _dot(v, y)
+        y = y - (alfa / beta) * r2
+        r1 = r2
+        r2 = y
+        y = M(r2)
+        oldb = beta
+        beta = _dot(r2, y)
+        if beta < 0:
+            raise ValueError("non-symmetric matrix")
+        beta = sqrt(beta)
+        tnorm2 += alfa**2 + oldb**2 + beta**2
+        if itn == 1 and beta / beta1 <= 10 * eps:
+            istop = -1  # b is an eigenvector of M A: stop after this update
+
+        # apply the previous plane rotation, then compute the next one
+        oldeps = epsln
+        delta = cs * dbar + sn * alfa
+        gbar = sn * dbar - cs * alfa
+        epsln = sn * beta
+        dbar = -cs * beta
+        root = np.linalg.norm([gbar, dbar])
+        gamma = max(np.linalg.norm([gbar, beta]), eps)
+        cs = gbar / gamma
+        sn = beta / gamma
+        phi = cs * phibar
+        phibar = sn * phibar
+
+        # update x along the new search direction
+        denom = 1.0 / gamma
+        w1 = w2
+        w2 = w
+        w = (v - oldeps * w1 - delta * w2) * denom
+        x = x + phi * w
+
+        # norm estimates and stopping tests
+        gmax = max(gmax, gamma)
+        gmin = min(gmin, gamma)
+        Anorm = sqrt(tnorm2)
+        ynorm = np.linalg.norm(x)
+        epsx = Anorm * ynorm * eps
+        test1 = np.inf if ynorm == 0 or Anorm == 0 else phibar / (Anorm * ynorm)
+        test2 = np.inf if Anorm == 0 else root / Anorm
+        Acond = gmax / gmin
+        if istop == 0:
+            if 1 + test2 <= 1:
+                istop = 2
+            if 1 + test1 <= 1:
+                istop = 1
+            if itn >= maxiter:
+                istop = 6
+            if Acond >= 0.1 / eps:
+                istop = 4
+            if epsx >= beta1:
+                istop = 3
+            if test2 <= rtol:
+                istop = 2
+            if test1 <= rtol:
+                istop = 1
+        if istop != 0:
+            break
+    return x, maxiter if istop == 6 else 0
 
 
 def _newton_krylov(
@@ -402,8 +544,7 @@ def _newton_krylov(
             break
         H, M = linearize(u, st)
         rtol = float(np.clip(1e-4 * r_norm, spec.krylov_tol, 1e-4))
-        delta, info = minres(H, -r.ravel(), rtol=rtol, maxiter=400, M=M)
-        delta = delta.reshape(u.shape)
+        delta, info = _minres(H, M, -r, rtol, maxiter=400)
         alpha = 1.0
         while True:
             trial = u + alpha * delta
@@ -472,9 +613,9 @@ def solve_coupled(
     equation and w = q(v - f(e^{u0+u})) is formed by definition.
 
     Without init or forcing the solve starts from the same problem's
-    solution on the half grid (_coarse_start); where that does not apply
-    or fails, from the limit profile, and from the ansatz if the limit
-    solve fails too.  newton_iters counts the steps on spec.grid only.
+    solution on the half grid (_cold_start); where that does not apply or
+    fails, from the limit profile, and from the ansatz if the limit solve
+    fails too.  newton_iters counts the steps on spec.grid only.
 
     Raises QTooSmall if q <= sup|c| at some iterate, NoConvergence if the
     iteration or its line search stalls, and BoundsViolation if the
@@ -485,8 +626,8 @@ def solve_coupled(
     ws = _Workspace(spec, bg, forcing)
 
     if init is None and forcing is None:
-        init = _coarse_start(spec, lambda sub: solve_coupled(sub).u)
-    if init is None:
+        init = _cold_start(spec, bg, {})
+    elif init is None:
         try:
             init = solve_limit(spec, background=bg).u_inf
         except NoConvergence:
@@ -538,11 +679,28 @@ def solve_limit(
     The coupling q in spec is ignored.  Same damped Newton-Krylov driver
     as solve_coupled, with the spectral inverse of -Lap + lambda as
     preconditioner.  Starts from the limit solution on the half grid
-    (_coarse_start), or from the ansatz where that does not apply or
-    fails; newton_iters counts the steps on spec.grid only.
+    (_half_grid), prolonged, or from the ansatz where that does not apply
+    or fails; newton_iters counts the steps on spec.grid only.
     """
-    grid, model = spec.grid, spec.model
     bg = background or compute_u0(spec.vortices, spec.grid)
+    coarse = _half_grid(spec)
+    init = None
+    if coarse is not None:
+        try:
+            init = spec.grid.prolong(solve_limit(coarse).u_inf)
+        except NoConvergence:
+            pass
+    return _limit_newton(spec, bg, init)
+
+
+def _limit_newton(
+    spec: ProblemSpec, bg: BackgroundData, init: ScalarField | None
+) -> LimitSolution:
+    """The Newton-Krylov solve of the limit equation from init, or from the
+    ansatz where init is None."""
+    grid, model = spec.grid, spec.model
+    if init is None:
+        init = initial_guess(bg, model)
     k2, s = grid.k2, model.s
 
     def residual(u: np.ndarray, st: dict) -> np.ndarray:
@@ -551,12 +709,12 @@ def solve_limit(
     def linearize(u: np.ndarray, st: dict):
         cp = _dc_dt(st) * st["t"]
         V = -cp * (s - st["f"]) + st["c"] * st["fp"] * st["t"]
-        H = _operator(grid, lambda phi: grid.apply(k2, phi) + V * phi)
-        return H, _spectral_inverse(grid, k2 + max(1.0, float(V.min())))
 
-    init = _coarse_start(spec, lambda sub: solve_limit(sub).u_inf)
-    if init is None:
-        init = initial_guess(bg, model)
+        def hessian(phi: np.ndarray) -> np.ndarray:
+            return grid.apply(k2, phi) + V * phi
+
+        return hessian, _spectral_inverse(grid, k2 + max(1.0, float(V.min())))
+
     u, _, r, iters = _newton_krylov(
         np.array(init.values, dtype=float), spec,
         lambda u: _pointwise_state(model, bg, u), residual, linearize,

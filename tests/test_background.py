@@ -3,6 +3,7 @@ import pytest
 
 from mcsvortex import (
     GridSpec,
+    ScalarField,
     SigmaTooSmall,
     VortexConfig,
     compute_u0,
@@ -13,9 +14,15 @@ from mcsvortex import (
     no_vortices,
     sup_norm,
 )
-from mcsvortex.background import raw_weight, vortex_source
+from mcsvortex.background import vortex_source
 
 FOUR_PI = 4.0 * np.pi
+
+
+def raw_weight(u0: ScalarField) -> ScalarField:
+    """Direct-product route e^{u0} * grad_squared(u0), the oracle for the
+    Laplacian route of background_weight."""
+    return ScalarField(u0.grid, np.exp(u0.values) * grad_squared(u0).values)
 
 
 def single_vortex(grid: GridSpec, p=(0.5, 0.5), m=1, sigma_cells=4.0) -> VortexConfig:

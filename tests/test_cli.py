@@ -1,5 +1,9 @@
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,6 +56,51 @@ q = 40.0
 dir = {out}
 """
 
+# a valid configuration, as (section, key) -> value
+BASE_CONFIG = {
+    ("model", "name"): "u1",
+    ("model", "s"): "9.0",
+    ("vortices", "points"): "0.5 0.5 1",
+    ("vortices", "sigma"): "4.0",
+    ("grid", "N"): "32",
+    ("solver", "q"): "40.0",
+}
+CONFIG_OPTIONS = sorted(BASE_CONFIG) + [
+    ("model", "table"), ("solver", "q_list"), ("solver", "newton_tol"),
+    ("solver", "krylov_tol"), ("solver", "max_newton_iters"),
+    ("solver", "bound_tol"), ("output", "dir"),
+]
+
+# values near the schema: valid ones, non-finite and out-of-range numbers,
+# interpolation syntax and multi-line point lists, or any text
+config_values = st.one_of(
+    st.sampled_from(
+        ("u1", "cp1", "custom", "f.dat", "9.0", "1.0", "32", "4.0", "40", "20 40",
+         "0", "-1", "0.5", "1e400", "nan", "inf", "-inf", "%", "%(x)s", "1e-12",
+         "0.5 0.5 1", "0.25 0.25 1\n    0.75 0.75 2", "0.5 0.5", "1.5 0.5 1",
+         "0.5 0.5 0", "0.5 0.5 1.5", "")
+    ),
+    st.text(max_size=12),
+)
+
+
+def _render_config(options: dict) -> str:
+    sections: dict = {}
+    for (section, key), value in options.items():
+        sections.setdefault(section, []).append(f"{key} = {value}\n")
+    return "".join(f"[{name}]\n" + "".join(lines) for name, lines in sections.items())
+
+
+# the valid configuration with a few options dropped or replaced
+config_texts = st.tuples(
+    st.sets(st.sampled_from(sorted(BASE_CONFIG)), max_size=2),
+    st.dictionaries(st.sampled_from(CONFIG_OPTIONS), config_values, max_size=3),
+).map(
+    lambda change: _render_config(
+        {k: v for k, v in BASE_CONFIG.items() if k not in change[0]} | change[1]
+    )
+)
+
 
 class TestParseConfig:
     def test_full_round_trip(self, tmp_path):
@@ -101,6 +150,10 @@ q_list = 10 20 40
             (("points = 0.5 0.5 1", "points = 0.5 0.5 0"), "multiplicity"),
             (("q = 40.0", "q = nan"), "finite"),
             (("q = 40.0", "q_list = 10 inf"), "finite"),
+            (("q = 40.0", "q = 40.0\nmax_newton_iters = 2.5"), "whole number"),
+            (("q = 40.0", "q = 40.0\nmax_newton_iters = inf"), "whole number"),
+            (("q = 40.0", "q_list ="), "empty"),
+            (("name = u1", "name = u%1"), r"\[model\] name: '%'"),
         ],
     )
     def test_validation_errors(self, tmp_path, mangle, message):
@@ -160,6 +213,31 @@ q = 10.0
         spec = cfg.build_spec(cfg.q)
         assert spec.model.name == "custom"
 
+    def test_undecodable_bytes_rejected(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"[model]\nname = u1\xff\n")
+        with pytest.raises(ConfigError, match="utf-8"):
+            parse_config(path)
+
+    @settings(
+        max_examples=300,
+        deadline=None,
+        database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(st.one_of(st.text(max_size=200), config_texts))
+    def test_arbitrary_text_raises_only_config_error(self, tmp_path, text):
+        table = tmp_path / "f.dat"
+        if not table.exists():
+            ts = np.linspace(0, 3, 24)
+            np.savetxt(table, np.column_stack([ts, np.sqrt(ts + 0.01)]))
+        path = tmp_path / "run.cfg"
+        path.write_text(text, encoding="utf-8")
+        try:
+            parse_config(path)
+        except ConfigError:
+            pass
+
 
 class TestSolveCommand:
     def test_flat_run_exit_zero(self, tmp_path, capsys):
@@ -176,6 +254,27 @@ class TestSolveCommand:
         # constants: v == s everywhere
         v = read_field(out / "v.fld")
         assert np.max(np.abs(v.values - 1.0)) <= 1e-9
+
+    def test_solve_process_loads_no_scipy(self, tmp_path):
+        # scipy's import costs more than a small solve; only tabulated_model
+        # may load it
+        cfg = write_config(tmp_path / "run.cfg", FLAT_CONFIG.format(out=tmp_path / "out"))
+        script = (
+            "import sys\n"
+            "import mcsvortex, mcsvortex.cli\n"
+            "assert mcsvortex.cli.main(['solve', '--config', sys.argv[1]]) == 0\n"
+            "print([name for name in sys.modules if name.startswith('scipy')])\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+        env = dict(os.environ, PYTHONPATH=path)
+        run = subprocess.run(
+            [sys.executable, "-c", script, cfg],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        assert (tmp_path / "out" / "solution.json").is_file()
+        assert run.stdout.splitlines()[-1] == "[]"
 
     def test_tiny_q_exit_three(self, tmp_path, capsys):
         out = tmp_path / "out"

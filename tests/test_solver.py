@@ -25,6 +25,8 @@ from mcsvortex import (
     u1_model,
 )
 
+from mcsvortex import solver
+
 from conftest import smooth_field
 
 FOUR_PI = 4.0 * np.pi
@@ -379,12 +381,71 @@ class TestSolveCoupled:
         assert l2_norm(grid.field(res_w)) <= 10 * spec.newton_tol * q
 
 
+def reference_minres(A, M, b, rtol, maxiter):
+    """scipy's MINRES on the raveled system: the reference for
+    solver._minres, which must return the same floats and status."""
+    from scipy.sparse.linalg import LinearOperator, minres
+
+    shape, n = b.shape, b.size
+
+    def operator(apply):
+        return LinearOperator(
+            (n, n), matvec=lambda z: apply(z.reshape(shape)).ravel(), dtype=float
+        )
+
+    x, info = minres(operator(A), b.ravel(), rtol=rtol, maxiter=maxiter, M=operator(M))
+    return x.reshape(shape), info
+
+
+def _random_system(seed, N, kind):
+    """A random symmetric operator on N x N arrays (positive definite,
+    indefinite, or singular, where b has no exact solution and MINRES stops
+    at a least-squares solution), a positive diagonal preconditioner and a
+    right side."""
+    rng = np.random.default_rng(seed)
+    n = N * N
+    basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    eigs = rng.uniform(0.5, 50.0, n)
+    if kind != "definite":
+        eigs[: n // 3] *= -1.0
+    if kind == "singular":
+        eigs[:3] = 0.0
+    matrix = (basis * eigs) @ basis.T
+    matrix = 0.5 * (matrix + matrix.T)
+    diag = rng.uniform(0.2, 2.0, (N, N))
+    b = rng.standard_normal((N, N))
+    return (lambda x: (matrix @ x.ravel()).reshape(N, N)), (lambda x: diag * x), b
+
+
+class TestMinres:
+    @pytest.mark.parametrize("kind", ["definite", "indefinite", "singular"])
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("rtol", [1e-4, 1e-10])
+    def test_matches_scipy(self, kind, seed, rtol):
+        A, M, b = _random_system(seed, 6, kind)
+        x, info = solver._minres(A, M, b, rtol, maxiter=400)
+        x_ref, info_ref = reference_minres(A, M, b, rtol, maxiter=400)
+        assert info == info_ref == 0
+        assert x.shape == b.shape and np.array_equal(x, x_ref)
+
+    @pytest.mark.parametrize("kind", ["definite", "indefinite"])
+    def test_iteration_limit_matches_scipy(self, kind):
+        A, M, b = _random_system(7, 6, kind)
+        x, info = solver._minres(A, M, b, 1e-12, maxiter=5)
+        x_ref, info_ref = reference_minres(A, M, b, 1e-12, maxiter=5)
+        assert info == info_ref == 5
+        assert np.array_equal(x, x_ref)
+
+    def test_zero_right_side(self):
+        A, M, b = _random_system(0, 4, "definite")
+        x, info = solver._minres(A, M, np.zeros_like(b), 1e-8, maxiter=400)
+        assert info == 0 and not x.any()
+
+
 def _record_levels(monkeypatch, fail_on=None):
     """Record (grid size, equation) of every Newton-Krylov driver call, and
     the Newton steps of each call that returns; calls on the grid of size
     fail_on raise NoConvergence instead."""
-    from mcsvortex import solver
-
     levels, steps = [], []
     real = solver._newton_krylov
 
@@ -442,7 +503,10 @@ class TestGridSequencing:
         sequenced = solve_coupled(spec)
         levels, _ = _record_levels(monkeypatch, fail_on=32)
         fallback = solve_coupled(spec)
-        assert levels[-2:] == [(64, "limit equation"), (64, "Newton")]
+        # the fine limit fallback reuses the failed half-grid limit solve
+        assert levels == [
+            (32, "limit equation"), (32, "Newton"), (64, "limit equation"), (64, "Newton")
+        ]
         assert fallback.newton_iters > sequenced.newton_iters
         assert sup_norm(fallback.u - sequenced.u) <= spec.newton_tol
         assert sup_norm(fallback.v - sequenced.v) <= spec.newton_tol

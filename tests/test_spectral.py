@@ -22,7 +22,7 @@ from mcsvortex import (
 from mcsvortex import solver
 
 from conftest import smooth_field
-from test_solver import make_spec
+from test_solver import make_spec, reference_minres
 
 TWO_PI = 2.0 * np.pi
 
@@ -78,12 +78,12 @@ def drivers():
 def _applications(driver):
     u = driver["u"]
     st_u = driver["state"](u)
-    phi = np.cos(TWO_PI * np.arange(u.size) / 7.0)
+    phi = np.cos(TWO_PI * np.arange(u.size) / 7.0).reshape(u.shape)
     H, M = driver["linearize"](u, st_u)
     return {
         "residual": lambda: driver["residual"](u, st_u),
-        "matvec": lambda: H.matvec(phi),
-        "preconditioner": lambda: M.matvec(phi),
+        "matvec": lambda: H(phi),
+        "preconditioner": lambda: M(phi),
     }
 
 
@@ -103,6 +103,19 @@ def test_transforms_per_application(drivers, monkeypatch, equation, operation, e
     counts = _count_transforms(monkeypatch)
     apply()
     assert counts["transforms"] == expected
+
+
+@pytest.mark.parametrize("equation", ["coupled", "limit"])
+def test_minres_matches_scipy_on_the_newton_system(drivers, equation):
+    driver = drivers[equation]
+    u = driver["u"]
+    st_u = driver["state"](u)
+    b = -driver["residual"](u, st_u)
+    H, M = driver["linearize"](u, st_u)
+    x, info = solver._minres(H, M, b, 1e-8, maxiter=400)
+    x_ref, info_ref = reference_minres(H, M, b, 1e-8, maxiter=400)
+    assert info == info_ref == 0
+    assert np.array_equal(x, x_ref)
 
 
 @pytest.mark.parametrize("equation", ["coupled", "limit"])
