@@ -13,13 +13,13 @@ import argparse
 import configparser
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import diagnostics
-from .background import VortexConfig, compute_u0
+from .background import DEFAULT_SIGMA_CELLS, VortexConfig, compute_u0
 from .errors import (
     BoundsViolation,
     ConfigError,
@@ -38,43 +38,59 @@ EXIT_CONFIG = 1
 EXIT_CHECK_FAILED = 2
 EXIT_NO_CONVERGENCE = 3
 
+_SOLVER_FAILURES = (NoConvergence, QTooSmall, BoundsViolation)
+
 
 @dataclass
 class RunConfig:
-    """Validated contents of one configuration file."""
+    """Validated contents of one configuration file: the problem at q, or
+    at q_list[0] when only q_list is given, and what the spec does not
+    hold."""
 
-    model_name: str
-    s: float | None
-    table: tuple | None
-    points: list  # [(x, y, multiplicity), ...]
-    sigma_cells: float
-    N: int
+    spec: ProblemSpec
     q: float | None
     q_list: list | None
-    newton_tol: float
-    krylov_tol: float
-    max_newton_iters: int
-    bound_tol: float | None
+    table: tuple | None  # a custom model's (t, f) samples, for the record
     out_dir: str
 
-    def build_spec(self, q: float) -> ProblemSpec:
-        grid = GridSpec(self.N)
-        vortices = VortexConfig(
-            points=tuple((x, y) for x, y, _ in self.points),
-            multiplicities=tuple(m for _, _, m in self.points),
-            sigma=self.sigma_cells * grid.h,
-        )
-        model = model_from_name(self.model_name, self.s, self.table)
-        return ProblemSpec(
-            model=model,
-            vortices=vortices,
-            q=q,
-            grid=grid,
-            newton_tol=self.newton_tol,
-            krylov_tol=self.krylov_tol,
-            max_newton_iters=self.max_newton_iters,
-            bound_tol=self.bound_tol,
-        )
+
+# the configuration schema, keys lower-cased as configparser stores them
+_SCHEMA = {
+    "model": {"name", "s", "table"},
+    "vortices": {"points", "sigma"},
+    "grid": {"n"},
+    "solver": {
+        "q", "q_list", "newton_tol", "krylov_tol", "max_newton_iters", "bound_tol"
+    },
+    "output": {"dir"},
+}
+
+
+def _problem_spec(model, vortices, q, grid: GridSpec, tolerances) -> ProblemSpec:
+    """The one ProblemSpec builder, for a run configuration and a stored
+    record alike.
+
+    model is {name, s, table}, s and table optional; vortices is {points,
+    multiplicities, sigma}, sigma in torus units; tolerances holds the ones
+    given, the absent ones take ProblemSpec's defaults.  Raises ValueError
+    for invalid data, KeyError, TypeError, ... for mistyped data."""
+    bound_tol = tolerances.get("bound_tol")
+    return ProblemSpec(
+        vortices=VortexConfig(
+            points=tuple((float(x), float(y)) for x, y in vortices["points"]),
+            multiplicities=tuple(int(m) for m in vortices["multiplicities"]),
+            sigma=float(vortices["sigma"]),
+        ),
+        model=model_from_name(model["name"], model.get("s"), model.get("table")),
+        q=float(q),
+        grid=grid,
+        newton_tol=float(tolerances.get("newton_tol", ProblemSpec.newton_tol)),
+        krylov_tol=float(tolerances.get("krylov_tol", ProblemSpec.krylov_tol)),
+        max_newton_iters=int(
+            tolerances.get("max_newton_iters", ProblemSpec.max_newton_iters)
+        ),
+        bound_tol=None if bound_tol is None else float(bound_tol),
+    )
 
 
 def _load_table(path: Path) -> tuple:
@@ -93,14 +109,14 @@ def parse_config(path) -> RunConfig:
     """Parse and validate a run configuration.
 
     Schema (key = value, '#' comments, values may continue onto indented
-    lines):
+    lines; any other section or key is an error):
 
         [model]    name (u1 | cp1 | custom), s (optional), table (custom)
         [vortices] points (one "x y multiplicity" triple per line), sigma
                    (units of h, default 4, >= 2, <= N/4)
         [grid]     N (even, >= 8)
         [solver]   q or q_list, newton_tol, krylov_tol, max_newton_iters,
-                   bound_tol (all tolerances optional)
+                   bound_tol (all tolerances optional, bound_tol >= 0)
         [output]   dir (default "out")
     """
     path = Path(path)
@@ -111,6 +127,18 @@ def parse_config(path) -> RunConfig:
         parser.read(path, encoding="utf-8")
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    unknown = []
+    for section in parser.sections():
+        if section not in _SCHEMA:
+            unknown.append(f"section [{section}]")
+            continue
+        unknown += [
+            f"key [{section}] {key}"
+            for key in parser.options(section)
+            if key not in _SCHEMA[section]
+        ]
+    if unknown:
+        raise ConfigError(f"unknown {', '.join(unknown)}")
 
     def get(section, key, default=None):
         if not parser.has_option(section, key):
@@ -129,20 +157,18 @@ def parse_config(path) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(f"[{section}] {key}: not a number: {raw!r}") from exc
 
-    model_name = get("model", "name")
-    if model_name not in ("u1", "cp1", "custom"):
+    model = {"name": get("model", "name"), "s": get_float("model", "s")}
+    if model["name"] not in ("u1", "cp1", "custom"):
         raise ConfigError(
-            f"[model] name must be one of u1 | cp1 | custom, got {model_name!r}"
+            f"[model] name must be one of u1 | cp1 | custom, got {model['name']!r}"
         )
-    s = get_float("model", "s")
-    table = None
-    if model_name == "custom":
+    if model["name"] == "custom":
         table_path = get("model", "table")
-        if table_path is None or s is None:
+        if table_path is None or model["s"] is None:
             raise ConfigError("[model] custom model needs both 'table' and 's'")
-        table = _load_table(path.parent / table_path)
+        model["table"] = _load_table(path.parent / table_path)
 
-    points = []
+    vortices = {"points": [], "multiplicities": []}
     raw_points = get("vortices", "points", "")
     for lineno, line in enumerate(raw_points.splitlines(), start=1):
         line = line.strip()
@@ -165,8 +191,9 @@ def parse_config(path) -> RunConfig:
             raise ConfigError(
                 f"[vortices] points line {lineno}: multiplicity must be >= 1"
             )
-        points.append((x, y, m))
-    sigma_cells = get_float("vortices", "sigma", 4.0)
+        vortices["points"].append((x, y))
+        vortices["multiplicities"].append(m)
+    sigma_cells = get_float("vortices", "sigma", DEFAULT_SIGMA_CELLS)
     if sigma_cells < 2.0:
         raise ConfigError(f"[vortices] sigma must be >= 2 grid cells, got {sigma_cells}")
 
@@ -174,10 +201,10 @@ def parse_config(path) -> RunConfig:
     if raw_n is None:
         raise ConfigError("[grid] N is required")
     try:
-        n_grid = int(raw_n)
-        GridSpec(n_grid)
+        grid = GridSpec(int(raw_n))
     except ValueError as exc:
         raise ConfigError(f"[grid] N: {exc}") from exc
+    vortices["sigma"] = sigma_cells * grid.h
 
     q = get_float("solver", "q")
     q_list = None
@@ -195,30 +222,24 @@ def parse_config(path) -> RunConfig:
             raise ConfigError("[solver] q_list must be ascending")
     if q is None and q_list is None:
         raise ConfigError("[solver] needs q or q_list")
-    max_iters = get_float("solver", "max_newton_iters", ProblemSpec.max_newton_iters)
-    if not float(max_iters).is_integer():
+    tolerances = {
+        key: value
+        for key in ("max_newton_iters", "newton_tol", "krylov_tol", "bound_tol")
+        if (value := get_float("solver", key)) is not None
+    }
+    max_iters = tolerances.get("max_newton_iters", 1.0)
+    if not max_iters.is_integer():
         raise ConfigError(f"[solver] max_newton_iters must be a whole number, got {max_iters}")
-
-    cfg = RunConfig(
-        model_name=model_name,
-        s=s,
-        table=table,
-        points=points,
-        sigma_cells=sigma_cells,
-        N=n_grid,
-        q=q,
-        q_list=q_list,
-        newton_tol=get_float("solver", "newton_tol", ProblemSpec.newton_tol),
-        krylov_tol=get_float("solver", "krylov_tol", ProblemSpec.krylov_tol),
-        max_newton_iters=int(max_iters),
-        bound_tol=get_float("solver", "bound_tol"),
-        out_dir=get("output", "dir", "out"),
-    )
+    out_dir = get("output", "dir", "out")
     try:  # surface model/vortex validation errors as config errors
-        cfg.build_spec(q if q is not None else q_list[0])
+        spec = _problem_spec(
+            model, vortices, q if q is not None else q_list[0], grid, tolerances
+        )
     except (ValueError, MCSVortexError) as exc:
         raise ConfigError(str(exc)) from exc
-    return cfg
+    return RunConfig(
+        spec=spec, q=q, q_list=q_list, table=model.get("table"), out_dir=out_dir
+    )
 
 
 def _print_reports(reports) -> None:
@@ -236,26 +257,14 @@ def _print_reports(reports) -> None:
 
 
 def cmd_solve(args) -> int:
-    try:
-        cfg = parse_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = parse_config(args.config)
     if cfg.q is None:
-        print("config error: [solver] solve needs a single q", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("[solver] solve needs a single q")
     out_dir = Path(args.out or cfg.out_dir)
-    spec = cfg.build_spec(cfg.q)
     try:
-        bundle = solve_coupled(spec)
-    except (NoConvergence, QTooSmall) as exc:
-        _write_failure(out_dir, spec, exc)
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    except BoundsViolation as exc:
-        _write_failure(out_dir, spec, exc)
-        print(f"invariant failure: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+        bundle = solve_coupled(cfg.spec)
+    except _SOLVER_FAILURES as exc:
+        return _write_failure(out_dir, cfg.spec, exc)
     reports = diagnostics.all_reports(bundle)
     write_solution(out_dir, bundle, reports, model_table=cfg.table)
     print(f"converged in {bundle.newton_iters} Newton steps")
@@ -267,7 +276,9 @@ def cmd_solve(args) -> int:
     return EXIT_OK if all(not r.failed for r in reports) else EXIT_CHECK_FAILED
 
 
-def _write_failure(out_dir: Path, spec: ProblemSpec, exc: Exception) -> None:
+def _write_failure(out_dir: Path, spec: ProblemSpec, exc: Exception) -> int:
+    """Record a failed solve in failure.json, name it on stderr and return
+    its exit code."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     record = {
@@ -281,30 +292,25 @@ def _write_failure(out_dir: Path, spec: ProblemSpec, exc: Exception) -> None:
     with (out_dir / "failure.json").open("w") as handle:
         json.dump(record, handle, indent=2)
         handle.write("\n")
+    if isinstance(exc, BoundsViolation):
+        print(f"invariant failure: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
+    print(f"solver failure: {exc}", file=sys.stderr)
+    return EXIT_NO_CONVERGENCE
 
 
 def cmd_sweep(args) -> int:
-    try:
-        cfg = parse_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = parse_config(args.config)
     if cfg.q_list is None or len(cfg.q_list) < 2:
-        print(
-            "config error: [solver] sweep needs q_list with >= 2 ascending entries",
-            file=sys.stderr,
-        )
-        return EXIT_CONFIG
+        raise ConfigError("[solver] sweep needs q_list with >= 2 ascending entries")
     out_dir = Path(args.out or cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    spec = cfg.build_spec(cfg.q_list[0])
+    spec = replace(cfg.spec, q=cfg.q_list[0])
     try:
         table = q_sweep(spec, cfg.q_list)
-    except (NoConvergence, QTooSmall) as exc:
+    except _SOLVER_FAILURES as exc:
         # the shared limit solve failed: no row can be produced
-        _write_failure(out_dir, spec, exc)
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+        return _write_failure(out_dir, spec, exc)
     table_path = out_dir / "sweep.tsv"
     table.write(table_path)
     print(f"sweep table written to {table_path}")
@@ -329,39 +335,20 @@ def bundle_from_snapshot(path) -> tuple[SolutionBundle, dict]:
     mistyped or out of range."""
     meta, fields = read_solution(path)
     try:
-        vx = meta["vortices"]
-        vortices = VortexConfig(
-            points=tuple((float(x), float(y)) for x, y in vx["points"]),
-            multiplicities=tuple(int(m) for m in vx["multiplicities"]),
-            sigma=float(vx["sigma"]),
-        )
-        table = None
-        if "table" in meta["model"]:
-            ts, fs = meta["model"]["table"]
-            table = (np.asarray(ts), np.asarray(fs))
-        model = model_from_name(
-            meta["model"]["name"], meta["model"].get("s"), table
-        )
-        tol = meta.get("tolerances", {})
-        bound_tol = tol.get("bound_tol")
-        spec = ProblemSpec(
-            model=model,
-            vortices=vortices,
-            q=float(meta["q"]),
-            grid=fields["u"].grid,
-            newton_tol=float(tol.get("newton_tol", ProblemSpec.newton_tol)),
-            krylov_tol=float(tol.get("krylov_tol", ProblemSpec.krylov_tol)),
-            max_newton_iters=int(
-                tol.get("max_newton_iters", ProblemSpec.max_newton_iters)
-            ),
-            bound_tol=None if bound_tol is None else float(bound_tol),
+        spec = _problem_spec(
+            meta["model"], meta["vortices"], meta["q"], fields["u"].grid,
+            meta.get("tolerances", {}),
         )
         residual_norms = dict(meta.get("residual_norms", {}))
         newton_iters = int(meta.get("newton_iters", 0))
         energy_value = float(meta.get("energy", np.nan))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SnapshotError(f"{path}: malformed solution record: {exc!r}") from exc
-    background = compute_u0(vortices, spec.grid)
+    try:
+        background = compute_u0(spec.vortices, spec.grid)
+    except (MCSVortexError, OverflowError, ValueError) as exc:
+        # sigma below 2h, or multiplicities so large that e^u0 overflows
+        raise SnapshotError(str(exc)) from exc
     if sup_norm(background.u0 - fields["u0"]) > 1e-10:
         raise SnapshotError(
             f"{path}: stored u0 does not match its vortex configuration"
@@ -434,7 +421,11 @@ def main(argv=None) -> int:
     p_verify.set_defaults(fn=cmd_verify)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 def entrypoint() -> None:  # console-script shim

@@ -140,6 +140,8 @@ def u1_model(s: float = 1.0) -> NonlinearityModel:
     s = float(s)
     if s <= 0.0:
         raise ValueError(f"linear model needs f(0)=0 < s, got s={s}")
+    if not np.isfinite(s):
+        raise ValueError(f"linear model needs a finite s, got s={s}")
     T = 2.0 * s
     return NonlinearityModel(
         name="u1",

@@ -131,7 +131,7 @@ def read_solution(path) -> tuple[dict, dict]:
         raise SnapshotError(f"{json_path} is not a solution record")
     try:
         grid = GridSpec(int(meta["grid"]["N"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SnapshotError(f"{json_path}: missing or invalid grid data: {exc}") from exc
     names = meta.get("fields", {})
     if not (isinstance(names, dict) and all(isinstance(r, str) for r in names.values())):

@@ -63,6 +63,10 @@ class ProblemSpec:
             raise ValueError(
                 f"max_newton_iters must be at least 1, got {self.max_newton_iters}"
             )
+        if self.bound_tol is not None and not (
+            np.isfinite(self.bound_tol) and self.bound_tol >= 0.0
+        ):
+            raise ValueError(f"bound_tol must be finite and >= 0, got {self.bound_tol}")
 
     def resolved_bound_tol(self) -> float:
         """Default slack 1e-6 + 10*sigma^2: mollification perturbs the

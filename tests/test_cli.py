@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import struct
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from mcsvortex import ConfigError, GridSpec, SnapshotError
+from mcsvortex import BoundsViolation, ConfigError, GridSpec, SnapshotError, cli
 from mcsvortex.cli import bundle_from_snapshot, main, parse_config
 from mcsvortex.snapshots import MAGIC, read_field, read_solution, write_field
 
@@ -108,11 +109,12 @@ class TestParseConfig:
             tmp_path / "run.cfg", VORTEX_CONFIG.format(out=tmp_path / "out")
         )
         cfg = parse_config(cfg_path)
-        assert cfg.model_name == "u1"
-        assert cfg.s == 9.0
-        assert cfg.points == [(0.5, 0.5, 1)]
-        assert cfg.N == 48
-        assert cfg.q == 40.0
+        assert cfg.spec.model.name == "u1"
+        assert cfg.spec.model.s == 9.0
+        assert cfg.spec.vortices.points == ((0.5, 0.5),)
+        assert cfg.spec.vortices.multiplicities == (1,)
+        assert cfg.spec.grid.N == 48
+        assert cfg.q == cfg.spec.q == 40.0
 
     def test_multiline_points(self, tmp_path):
         body = """
@@ -132,8 +134,10 @@ N = 32
 q_list = 10 20 40
 """
         cfg = parse_config(write_config(tmp_path / "run.cfg", body))
-        assert cfg.points == [(0.25, 0.25, 1), (0.75, 0.75, 2)]
+        assert cfg.spec.vortices.points == ((0.25, 0.25), (0.75, 0.75))
+        assert cfg.spec.vortices.multiplicities == (1, 2)
         assert cfg.q_list == [10.0, 20.0, 40.0]
+        assert cfg.q is None and cfg.spec.q == 10.0
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="does not exist"):
@@ -154,6 +158,11 @@ q_list = 10 20 40
             (("q = 40.0", "q = 40.0\nmax_newton_iters = inf"), "whole number"),
             (("q = 40.0", "q_list ="), "empty"),
             (("name = u1", "name = u%1"), r"\[model\] name: '%'"),
+            (("q = 40.0", "q = 40.0\nbound_tol = nan"), "bound_tol"),
+            (("q = 40.0", "q = 40.0\nbound_tol = inf"), "bound_tol"),
+            (("q = 40.0", "q = 40.0\nbound_tol = -1"), "bound_tol"),
+            (("[output]", "[solvr]\nq = 40.0\n\n[output]"), r"unknown section \[solvr\]"),
+            (("s = 9.0", "s = inf"), "finite s"),
         ],
     )
     def test_validation_errors(self, tmp_path, mangle, message):
@@ -185,10 +194,7 @@ q_list = 10 20 40
         del record["tolerances"]
         (out / "solution.json").write_text(json.dumps(record))
         fields = ProblemSpec.__dataclass_fields__
-        for spec in (
-            parse_config(cfg_path).build_spec(10.0),
-            bundle_from_snapshot(out)[0].spec,
-        ):
+        for spec in (parse_config(cfg_path).spec, bundle_from_snapshot(out)[0].spec):
             assert spec.newton_tol == fields["newton_tol"].default
             assert spec.krylov_tol == fields["krylov_tol"].default
             assert spec.max_newton_iters == fields["max_newton_iters"].default
@@ -210,8 +216,19 @@ N = 32
 q = 10.0
 """
         cfg = parse_config(write_config(tmp_path / "run.cfg", body))
-        spec = cfg.build_spec(cfg.q)
-        assert spec.model.name == "custom"
+        assert cfg.spec.model.name == "custom"
+
+    def test_mistyped_key_rejected(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        body = VORTEX_CONFIG.format(out=out).replace(
+            "q = 40.0", "q = 40.0\nnewton_tl = 1e-12"
+        )
+        cfg = write_config(tmp_path / "run.cfg", body)
+        with pytest.raises(ConfigError, match=r"unknown key \[solver\] newton_tl"):
+            parse_config(cfg)
+        assert main(["solve", "--config", cfg]) == 1
+        assert "newton_tl" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_undecodable_bytes_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -299,6 +316,39 @@ class TestSolveCommand:
         cfg = write_config(tmp_path / "run.cfg", "[model]\nname = bogus\n")
         assert main(["solve", "--config", cfg]) == 1
 
+    def test_custom_model_round_trip(self, tmp_path):
+        ts = np.linspace(0, 3, 24)
+        fs = np.sqrt(ts + 0.01)
+        np.savetxt(tmp_path / "f.dat", np.column_stack([ts, fs]))
+        out = tmp_path / "out"
+        body = FLAT_CONFIG.format(out=out).replace(
+            "name = u1", "name = custom\ntable = f.dat"
+        )
+        assert main(["solve", "--config", write_config(tmp_path / "run.cfg", body)]) == 0
+        model = json.loads((out / "solution.json").read_text())["model"]
+        assert model["name"] == "custom"
+        assert model["table"] == [ts.tolist(), fs.tolist()]
+        assert main(["verify", str(out)]) == 0
+
+    def test_q_list_only_exit_one(self, tmp_path, capsys):
+        body = VORTEX_CONFIG.format(out=tmp_path / "out").replace(
+            "q = 40.0", "q_list = 20 40"
+        )
+        assert main(["solve", "--config", write_config(tmp_path / "run.cfg", body)]) == 1
+        assert "config error: [solver] solve needs a single q" in capsys.readouterr().err
+
+    def test_bounds_violation_exit_two(self, tmp_path, capsys, monkeypatch):
+        def violated(spec):
+            raise BoundsViolation("pointwise bounds violated")
+
+        monkeypatch.setattr(cli, "solve_coupled", violated)
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "run.cfg", FLAT_CONFIG.format(out=out))
+        assert main(["solve", "--config", cfg]) == 2
+        record = json.loads((out / "failure.json").read_text())
+        assert record["error"] == "BoundsViolation"
+        assert "invariant failure: pointwise bounds violated" in capsys.readouterr().err
+
 
 class TestSweepCommand:
     def test_two_point_sweep(self, tmp_path):
@@ -342,6 +392,16 @@ class TestSweepCommand:
         assert main(["sweep", "--config", cfg]) == 3
         assert "solver failure" in capsys.readouterr().err
 
+    def test_all_rows_failing_exit_three(self, tmp_path):
+        out = tmp_path / "out"
+        body = VORTEX_CONFIG.format(out=out).replace("N = 48", "N = 32")
+        body = body.replace("q = 40.0", "q_list = 3 4")
+        assert main(["sweep", "--config", write_config(tmp_path / "run.cfg", body)]) == 3
+        lines = (out / "sweep.tsv").read_text().splitlines()
+        rows = [l.split("\t") for l in lines if not l.startswith("#")][1:]
+        assert len(rows) == 2
+        assert all(row[1] != "converged" for row in rows)
+
     def test_identical_configs_identical_tables(self, tmp_path):
         body = VORTEX_CONFIG.format(out="{out}").replace("q = 40.0", "q_list = 20 40")
         first = tmp_path / "a"
@@ -353,11 +413,43 @@ class TestSweepCommand:
         assert (first / "sweep.tsv").read_bytes() == (second / "sweep.tsv").read_bytes()
 
 
+# what json reads from the literal 1e400
+BIG = float("1e400")
+
+
 def _overflowing_u(meta, out):
     """Store u = 800 everywhere, where e^(u0+u) overflows float64."""
     u = read_field(out / "u.fld")
     write_field(out / "u.fld", u.grid.constant(800.0))
     return meta
+
+
+# the problem fields of a solution record, as key paths
+RECORD_FIELDS = [
+    ("model",), ("model", "name"), ("model", "s"), ("model", "table"),
+    ("vortices",), ("vortices", "points"), ("vortices", "multiplicities"),
+    ("vortices", "sigma"), ("q",), ("grid", "N"), ("tolerances",),
+    ("tolerances", "newton_tol"), ("tolerances", "krylov_tol"),
+    ("tolerances", "max_newton_iters"), ("tolerances", "bound_tol"),
+    ("residual_norms",), ("newton_iters",), ("energy",),
+]
+
+# values near the record's schema: valid and out-of-range numbers, integers
+# beyond float64, non-finite floats and nearly valid lists; or any JSON
+record_values = st.one_of(
+    st.sampled_from(
+        (0, 1, 2, -1, 0.5, 1e-3, 0.25, 40.0, 5000, 2**53, 10**400, BIG, -BIG,
+         float("nan"), "u1", "cp1", "custom", [0.5, 0.5], [[0.5, 0.5]],
+         [[0.5, 0.5], [0.5, 0.5]], [[0.25, 0.75]], [1], [3000], [10**400], [[0.0, 1.0]],
+         [[0, 1, 2], [1, 2, 3]], {"genmcsb": 1.0}, None)
+    ),
+    st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+        max_leaves=6,
+    ),
+)
 
 
 class TestVerifyCommand:
@@ -367,6 +459,13 @@ class TestVerifyCommand:
         cfg = write_config(tmp_path / "run.cfg", VORTEX_CONFIG.format(out=out))
         assert main(["solve", "--config", cfg]) == 0
         return out
+
+    @pytest.fixture
+    def small_record(self, tmp_path):
+        out = tmp_path / "out"
+        body = VORTEX_CONFIG.format(out=out).replace("N = 48", "N = 32")
+        assert main(["solve", "--config", write_config(tmp_path / "run.cfg", body)]) == 0
+        return out, json.loads((out / "solution.json").read_text())
 
     def test_round_trip_passes(self, solved_dir):
         assert main(["verify", str(solved_dir)]) == 0
@@ -442,8 +541,35 @@ class TestVerifyCommand:
                 lambda meta, out: {**meta, "vortices": {**meta["vortices"], "sigma": 1e3}},
                 "sigma must be in (0, 1/4]",
             ),
+            (
+                lambda meta, out: {
+                    **meta, "vortices": {**meta["vortices"], "multiplicities": [BIG]}
+                },
+                "malformed solution record",
+            ),
+            (
+                lambda meta, out: {**meta, "newton_iters": BIG},
+                "malformed solution record",
+            ),
+            (
+                lambda meta, out: {
+                    **meta, "tolerances": {**meta["tolerances"], "max_newton_iters": BIG}
+                },
+                "malformed solution record",
+            ),
+            (lambda meta, out: {**meta, "grid": {"N": BIG}}, "invalid grid data"),
+            (
+                lambda meta, out: {
+                    **meta, "tolerances": {**meta["tolerances"], "bound_tol": -1.0}
+                },
+                "bound_tol must be finite and >= 0",
+            ),
         ],
-        ids=["list", "field-list", "null-q", "null-sigma", "overflow", "huge-sigma"],
+        ids=[
+            "list", "field-list", "null-q", "null-sigma", "overflow", "huge-sigma",
+            "overflowing-multiplicity", "overflowing-newton-iters",
+            "overflowing-max-newton-iters", "overflowing-grid-N", "negative-bound-tol",
+        ],
     )
     def test_malformed_record_exit_one(self, solved_dir, capsys, mangle, named):
         path = solved_dir / "solution.json"
@@ -452,6 +578,29 @@ class TestVerifyCommand:
         assert main(["verify", str(solved_dir)]) == 1
         err = capsys.readouterr().err
         assert "snapshot error" in err and named in err
+
+    @settings(
+        max_examples=300,
+        deadline=None,
+        database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(st.sampled_from(RECORD_FIELDS), record_values)
+    def test_arbitrary_problem_field_raises_only_snapshot_error(
+        self, small_record, field, value
+    ):
+        out, original = small_record
+        meta = copy.deepcopy(original)
+        *parents, key = field
+        target = meta
+        for name in parents:
+            target = target[name]
+        target[key] = value
+        (out / "solution.json").write_text(json.dumps(meta))
+        try:
+            bundle_from_snapshot(out)
+        except SnapshotError:
+            pass
 
     def test_verify_evaluates_nonlinearity_once(self, solved_dir, monkeypatch):
         from mcsvortex import NonlinearityModel

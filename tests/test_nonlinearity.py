@@ -25,6 +25,11 @@ class TestLinearModel:
         with pytest.raises(ValueError):
             u1_model(0.0)
 
+    @pytest.mark.parametrize("s", [float("nan"), float("inf")])
+    def test_needs_finite_s(self, s):
+        with pytest.raises(ValueError, match="finite"):
+            u1_model(s)
+
 
 class TestRationalModel:
     def test_zero_at_one(self):

@@ -69,6 +69,9 @@ class TestProblemSpecValidation:
             ("krylov_tol", float("nan")),
             ("krylov_tol", float("inf")),
             ("max_newton_iters", 0),
+            ("bound_tol", float("nan")),
+            ("bound_tol", float("inf")),
+            ("bound_tol", -1.0),
         ],
     )
     def test_rejected_at_construction(self, field, value):
