@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SigmaTooSmall
+from .errors import PreconditionViolated, SigmaTooSmall
 from .grid import (
     GridSpec,
     ScalarField,
@@ -141,14 +141,29 @@ def compute_u0(config: VortexConfig, grid: GridSpec) -> BackgroundData:
     The right-hand side is exactly mean-zero at the quadrature level because
     each bump is normalized, so the spectral solve is consistent; the zero
     Fourier mode of u0 is pinned to 0.
+
+    Raises PreconditionViolated, naming the vortex number n, when n is so
+    large that a background field leaves float64: u0 grows like n, so
+    e^{u0} overflows first (already near n = 1000 for one vortex).
     """
-    source = vortex_source(config, grid)
     n = config.n
-    rhs = ScalarField(grid, FOUR_PI * (float(n) - source.values))
-    u0 = poisson_solve(rhs)
-    exp_u0 = ScalarField(grid, np.exp(u0.values))
-    weight = background_weight(u0, n, source)
-    gx, gy = gradient(exp_u0)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            source = vortex_source(config, grid)
+            rhs = ScalarField(grid, FOUR_PI * (float(n) - source.values))
+            u0 = poisson_solve(rhs)
+            exp_u0 = ScalarField(grid, np.exp(u0.values))
+            weight = background_weight(u0, n, source)
+            gx, gy = gradient(exp_u0)
+    except (OverflowError, ValueError) as exc:
+        # OverflowError: n or a multiplicity does not convert to a float;
+        # ValueError: ScalarField found a non-finite value.  Past Python's
+        # int-to-str digit limit, n is named by its magnitude.
+        name = n if n.bit_length() < 10_000 else f"2^{n.bit_length() - 1} or more"
+        raise PreconditionViolated(
+            f"vortex number n={name} is too large: the background fields "
+            f"overflow float64 on the N={grid.N} grid"
+        ) from exc
     return BackgroundData(
         grid=grid,
         config=config,

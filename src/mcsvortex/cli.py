@@ -25,6 +25,7 @@ from .errors import (
     ConfigError,
     MCSVortexError,
     NoConvergence,
+    PreconditionViolated,
     QTooSmall,
     SnapshotError,
 )
@@ -346,7 +347,7 @@ def bundle_from_snapshot(path) -> tuple[SolutionBundle, dict]:
         raise SnapshotError(f"{path}: malformed solution record: {exc!r}") from exc
     try:
         background = compute_u0(spec.vortices, spec.grid)
-    except (MCSVortexError, OverflowError, ValueError) as exc:
+    except MCSVortexError as exc:
         # sigma below 2h, or multiplicities so large that e^u0 overflows
         raise SnapshotError(str(exc)) from exc
     if sup_norm(background.u0 - fields["u0"]) > 1e-10:
@@ -423,7 +424,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
+    except (ConfigError, PreconditionViolated) as exc:
+        # PreconditionViolated: compute_u0 cannot represent the configured
+        # vortices' background (a multiplicity so large that e^u0 overflows)
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

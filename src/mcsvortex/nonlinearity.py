@@ -26,18 +26,24 @@ INVERSE_TOL = 1e-12
 
 
 def _blend(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """W, W' and W'' of the quintic-smoothstep time change on [0, 1].
+    """W, W' and W'' of the quintic-smoothstep time change on [0, 1], in
+    powers of u = 1 - x:
 
-    Horner form with plain products only, so scalar and vectorized
-    evaluations agree bitwise.
+        W = 1/2 - u^4 (u^2 - 3u + 5/2),  W' = u^3 (6x^2 + 3x + 1),
+        W'' = -30 x^2 u^2.
+
+    W' is a product of nonnegative factors and W nears its frozen value
+    1/2 through a vanishing correction, so in floating point W' >= 0 and W
+    does not decrease (the expansion in x, W' = 1 - x^3 (6x^2 - 15x + 10),
+    rounds to -7e-16 just below x = 1).  Horner form with plain products
+    only, so scalar and vectorized evaluations agree bitwise.
     """
+    u = 1.0 - x
+    u2 = u * u
     x2 = x * x
-    x3 = x2 * x
-    x4 = x2 * x2
-    w = x - x4 * (x2 - 3.0 * x + 2.5)
-    wp = 1.0 - x3 * ((6.0 * x - 15.0) * x + 10.0)
-    xm1 = x - 1.0
-    wpp = -30.0 * x2 * (xm1 * xm1)
+    w = 0.5 - u2 * u2 * ((u - 3.0) * u + 2.5)
+    wp = u2 * u * ((6.0 * x + 3.0) * x + 1.0)
+    wpp = -30.0 * x2 * u2
     return w, wp, wpp
 
 

@@ -368,12 +368,14 @@ def _half_grid(spec: ProblemSpec) -> ProblemSpec | None:
     return replace(spec, grid=coarse)
 
 
-def _cold_start(spec: ProblemSpec, bg: BackgroundData, limits: dict) -> ScalarField:
-    """Start of a cold solve_coupled: the same problem solved on the half
-    grid (_half_grid), prolonged; where that does not apply or fails, the
-    limit solution (_sequenced_limit), and the ansatz where that fails too.
-    limits is shared by every level of one cold solve."""
-    coarse = _half_grid(spec)
+def _cold_start(
+    spec: ProblemSpec, bg: BackgroundData, limits: dict, coupled: bool = True
+) -> ScalarField:
+    """Start of a solve_coupled without init: the same problem solved on
+    the half grid, prolonged; else (coupled False, as for a forced solve,
+    no half grid, or a failed solve there) the limit solution (_limit), or
+    the ansatz where that fails too.  limits is shared by all levels."""
+    coarse = _half_grid(spec) if coupled else None
     if coarse is not None:
         coarse_bg = compute_u0(coarse.vortices, coarse.grid)
         coarse_init = _cold_start(coarse, coarse_bg, limits)
@@ -382,33 +384,54 @@ def _cold_start(spec: ProblemSpec, bg: BackgroundData, limits: dict) -> ScalarFi
             return spec.grid.prolong(bundle.u)
         except (NoConvergence, QTooSmall, BoundsViolation):
             pass
-    limit = _sequenced_limit(spec, limits, bg)
-    return initial_guess(bg, spec.model) if limit is None else limit.u_inf
+    limit = _limit(spec, bg, limits)
+    solved = isinstance(limit, LimitSolution)
+    return limit.u_inf if solved else initial_guess(bg, spec.model)
 
 
-def _sequenced_limit(
-    spec: ProblemSpec, limits: dict, bg: BackgroundData | None = None
-) -> LimitSolution | None:
-    """The limit solution on spec.grid, None where its solve fails, kept in
-    limits by grid size so that no level solves it twice.  Made as
-    solve_limit makes it: from the half grid's entry, prolonged (the ansatz
-    where that is None), or by solve_limit where there is no half grid.
-    The coarsest level of a cold solve makes its entry first, so a failed
-    coupled solve above it only adds the levels in between."""
-    N = spec.grid.N
-    if N not in limits:
-        bg = bg or compute_u0(spec.vortices, spec.grid)
-        coarse = _half_grid(spec)
-        try:
-            if coarse is None:
-                limits[N] = solve_limit(spec, background=bg)
-            else:
-                below = _sequenced_limit(coarse, limits)
-                init = None if below is None else spec.grid.prolong(below.u_inf)
-                limits[N] = _limit_newton(spec, bg, init)
-        except NoConvergence:
-            limits[N] = None
-    return limits[N]
+def _limit(
+    spec: ProblemSpec, bg: BackgroundData | None, limits: dict
+) -> LimitSolution | NoConvergence:
+    """The limit equation on spec.grid, one rung of the half-grid ladder:
+    Newton-Krylov from the half grid's entry, prolonged, or from the ansatz
+    where there is none or it failed.  The LimitSolution, or the
+    NoConvergence raised, is kept in limits by grid size, so no level of
+    one solve is made twice; bg, if None, is built only for a new entry."""
+    grid, model = spec.grid, spec.model
+    if grid.N in limits:
+        return limits[grid.N]
+    bg = bg or compute_u0(spec.vortices, grid)
+    coarse = _half_grid(spec)
+    below = None if coarse is None else _limit(coarse, None, limits)
+    solved = isinstance(below, LimitSolution)
+    init = grid.prolong(below.u_inf) if solved else initial_guess(bg, model)
+    k2, s = grid.k2, model.s
+
+    def residual(u: np.ndarray, st: dict) -> np.ndarray:
+        return grid.apply(k2, u) - st["c"] * (s - st["f"]) + FOUR_PI * bg.n
+
+    def linearize(u: np.ndarray, st: dict):
+        cp = _dc_dt(st) * st["t"]
+        V = -cp * (s - st["f"]) + st["c"] * st["fp"] * st["t"]
+
+        def hessian(phi: np.ndarray) -> np.ndarray:
+            return grid.apply(k2, phi) + V * phi
+
+        return hessian, _spectral_inverse(grid, k2 + max(1.0, float(V.min())))
+
+    try:
+        u, _, r, iters = _newton_krylov(
+            np.array(init.values, dtype=float), spec,
+            lambda u: _pointwise_state(model, bg, u), residual, linearize,
+            "limit equation",
+        )
+        limits[grid.N] = LimitSolution(
+            model=model, background=bg, u_inf=ScalarField(grid, u),
+            residual_norm=_l2(grid, r), newton_iters=iters,
+        )
+    except NoConvergence as exc:
+        limits[grid.N] = exc
+    return limits[grid.N]
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -616,10 +639,11 @@ def solve_coupled(
     below newton_tol.  On convergence v is recovered from the first
     equation and w = q(v - f(e^{u0+u})) is formed by definition.
 
-    Without init or forcing the solve starts from the same problem's
-    solution on the half grid (_cold_start); where that does not apply or
-    fails, from the limit profile, and from the ansatz if the limit solve
-    fails too.  newton_iters counts the steps on spec.grid only.
+    Without init the solve climbs the half-grid ladder (_cold_start): it
+    starts from the same problem solved on N/2, prolonged; where that is
+    skipped (with a forcing), does not apply or fails, from the limit
+    profile, and from the ansatz if that fails too.  newton_iters counts
+    the steps on spec.grid only.
 
     Raises QTooSmall if q <= sup|c| at some iterate, NoConvergence if the
     iteration or its line search stalls, and BoundsViolation if the
@@ -629,13 +653,8 @@ def solve_coupled(
     bg = background or compute_u0(spec.vortices, spec.grid)
     ws = _Workspace(spec, bg, forcing)
 
-    if init is None and forcing is None:
-        init = _cold_start(spec, bg, {})
-    elif init is None:
-        try:
-            init = solve_limit(spec, background=bg).u_inf
-        except NoConvergence:
-            init = initial_guess(bg, model)
+    if init is None:
+        init = _cold_start(spec, bg, {}, coupled=forcing is None)
 
     def linearize(u: np.ndarray, st: dict):
         _require_coupling(q, st)
@@ -682,55 +701,15 @@ def solve_limit(
 
     The coupling q in spec is ignored.  Same damped Newton-Krylov driver
     as solve_coupled, with the spectral inverse of -Lap + lambda as
-    preconditioner.  Starts from the limit solution on the half grid
-    (_half_grid), prolonged, or from the ansatz where that does not apply
-    or fails; newton_iters counts the steps on spec.grid only.
+    preconditioner.  Climbs the half-grid ladder (_limit): each level
+    starts from the one below, prolonged, or from the ansatz where there is
+    none or it failed; newton_iters counts the steps on spec.grid only, and
+    a failure there raises that grid's NoConvergence.
     """
-    bg = background or compute_u0(spec.vortices, spec.grid)
-    coarse = _half_grid(spec)
-    init = None
-    if coarse is not None:
-        try:
-            init = spec.grid.prolong(solve_limit(coarse).u_inf)
-        except NoConvergence:
-            pass
-    return _limit_newton(spec, bg, init)
-
-
-def _limit_newton(
-    spec: ProblemSpec, bg: BackgroundData, init: ScalarField | None
-) -> LimitSolution:
-    """The Newton-Krylov solve of the limit equation from init, or from the
-    ansatz where init is None."""
-    grid, model = spec.grid, spec.model
-    if init is None:
-        init = initial_guess(bg, model)
-    k2, s = grid.k2, model.s
-
-    def residual(u: np.ndarray, st: dict) -> np.ndarray:
-        return grid.apply(k2, u) - st["c"] * (s - st["f"]) + FOUR_PI * bg.n
-
-    def linearize(u: np.ndarray, st: dict):
-        cp = _dc_dt(st) * st["t"]
-        V = -cp * (s - st["f"]) + st["c"] * st["fp"] * st["t"]
-
-        def hessian(phi: np.ndarray) -> np.ndarray:
-            return grid.apply(k2, phi) + V * phi
-
-        return hessian, _spectral_inverse(grid, k2 + max(1.0, float(V.min())))
-
-    u, _, r, iters = _newton_krylov(
-        np.array(init.values, dtype=float), spec,
-        lambda u: _pointwise_state(model, bg, u), residual, linearize,
-        "limit equation",
-    )
-    return LimitSolution(
-        model=model,
-        background=bg,
-        u_inf=ScalarField(grid, u),
-        residual_norm=_l2(grid, r),
-        newton_iters=iters,
-    )
+    limit = _limit(spec, background, {})
+    if isinstance(limit, NoConvergence):
+        raise limit
+    return limit
 
 
 def q_sweep(spec: ProblemSpec, q_list) -> "ConvergenceTable":

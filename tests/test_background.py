@@ -3,6 +3,7 @@ import pytest
 
 from mcsvortex import (
     GridSpec,
+    PreconditionViolated,
     ScalarField,
     SigmaTooSmall,
     VortexConfig,
@@ -118,6 +119,26 @@ class TestComputeU0:
             - FOUR_PI * (cfg.n - bg.source.values)
         )
         assert grid.h * np.sqrt(np.sum(residual**2)) <= 1e-8
+
+    # u0 grows like n: e^u0 overflows near n = 1000 for one vortex at
+    # N = 48, 10**400 does not convert to a float at all, and a sum past
+    # 4300 digits no longer converts to a string
+    @pytest.mark.parametrize(
+        "mults,name",
+        [
+            ((2000,), "2000"),
+            ((10**300,), str(10**300)),
+            ((10**400,), str(10**400)),
+            ((10**4300 - 1, 10**4300 - 1), r"2\^14285 or more"),
+        ],
+        ids=["2000", "1e300", "1e400", "beyond-str-limit"],
+    )
+    def test_overflowing_vortex_number_raises_typed_error(self, mults, name):
+        grid = GridSpec(48)
+        points = ((0.25, 0.25), (0.75, 0.75))[: len(mults)]
+        cfg = VortexConfig(points=points, multiplicities=mults, sigma=4 * grid.h)
+        with pytest.raises(PreconditionViolated, match=f"vortex number n={name} "):
+            compute_u0(cfg, grid)
 
     def test_u0_mean_zero(self):
         grid = GridSpec(64)

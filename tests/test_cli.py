@@ -413,6 +413,31 @@ class TestSweepCommand:
         assert (first / "sweep.tsv").read_bytes() == (second / "sweep.tsv").read_bytes()
 
 
+class TestOverflowingBackground:
+    # e^u0 overflows float64 near n = 1000 for one vortex at N = 48; a
+    # multiplicity beyond float range cannot even enter the source term
+    @pytest.mark.parametrize(
+        "multiplicity", ["2000", pytest.param("1" * 400, id="400-digit")]
+    )
+    @pytest.mark.parametrize(
+        "command,solver_line",
+        [("solve", "q = 40.0"), ("sweep", "q_list = 20 40")],
+        ids=["solve", "sweep"],
+    )
+    def test_exit_one_naming_the_vortex_number(
+        self, tmp_path, capsys, command, solver_line, multiplicity
+    ):
+        body = (
+            VORTEX_CONFIG.format(out=tmp_path / "out")
+            .replace("points = 0.5 0.5 1", f"points = 0.5 0.5 {multiplicity}")
+            .replace("q = 40.0", solver_line)
+        )
+        assert main([command, "--config", write_config(tmp_path / "run.cfg", body)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"config error: vortex number n={multiplicity} ")
+
+
 # what json reads from the literal 1e400
 BIG = float("1e400")
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from mcsvortex import (
     NegativeArgument,
@@ -9,6 +10,7 @@ from mcsvortex import (
     tabulated_model,
     u1_model,
 )
+from mcsvortex.nonlinearity import _blend
 
 
 class TestLinearModel:
@@ -104,6 +106,67 @@ class TestTruncation:
             strictly_below_t = ts < (model.T if np.isfinite(model.T) else np.inf)
             pairs = zip(f[strictly_below_t][:-1], f[strictly_below_t][1:])
             assert all(b > a for a, b in pairs)
+
+
+def _time_change(T: float, t: np.ndarray) -> np.ndarray:
+    """g(t), the truncation's time change: the identity up to T, frozen at
+    1.5 T from 2T on."""
+    w, _, _ = _blend(np.clip((t - T) / T, 0.0, 1.0))
+    return np.where(t <= T, t, T * (1.0 + w))
+
+
+def _check_truncation(model, edge, offset, knots=np.array([]), ulps=0):
+    """f' >= 0 and f non-decreasing on [0, 3T], up to ulps units in the
+    last place of the slope and value scales; f' = f'' = 0 beyond 2T; and
+    f', f'' match central differences of f, f' at t = edge * T * (1 +
+    offset), unless an interior table knot (where a tabulated model's f''
+    jumps) lies under the stencil mapped by the time change."""
+    T = model.T
+    slope = (model.eval(2.0 * T)[0] - model.f0) / T  # mean slope up to 2T
+    ts = np.linspace(0.0, 3.0 * T, 3001)
+    f, f1, f2 = model._eval_arrays(ts)
+    assert f1.min() >= -ulps * np.spacing(slope)
+    assert np.diff(f).min() >= -ulps * np.spacing(np.abs(f).max())
+    beyond = ts > 2.0 * T
+    assert np.all(f1[beyond] == 0.0) and np.all(f2[beyond] == 0.0)
+
+    h = 1e-6 * T
+    t = edge * T * (1.0 + offset)
+    lo, hi = _time_change(T, np.array([t - h, t + h]))
+    assume(not np.any((knots >= lo) & (knots <= hi)))
+    f, f1, f2 = model._eval_arrays(np.array([t - h, t, t + h]))
+    scale1 = max(np.abs(f1).max(), slope)
+    scale2 = max(np.abs(f2).max(), scale1 / T)
+    assert abs((f[2] - f[0]) / (2 * h) - f1[1]) <= 1e-6 * scale1
+    assert abs((f1[2] - f1[0]) / (2 * h) - f2[1]) <= 1e-6 * scale2
+
+
+# t = edge * T * (1 + offset): both sides of the threshold T and of the
+# freeze point 2T
+edges = st.sampled_from([1.0, 2.0])
+offsets = st.floats(-0.05, 0.05)
+# a strictly increasing table from t = 0: positive steps in both columns
+steps = st.lists(st.floats(0.1, 1.0), min_size=3, max_size=12)
+
+
+class TestTruncationProperties:
+    # exact: f' is a product of nonnegative factors, and f = T (1 + W)
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(0.1, 100.0), edges, offsets)
+    def test_linear_model(self, s, edge, offset):
+        _check_truncation(u1_model(s), edge, offset)
+
+    @settings(max_examples=60, deadline=None)
+    @given(steps, st.floats(-1.0, 1.0), edges, offsets, st.data())
+    def test_tabulated_model(self, t_steps, f0, edge, offset, data):
+        ts = np.concatenate([[0.0], np.cumsum(t_steps)])
+        f_steps = data.draw(st.lists(st.floats(0.1, 1.0), min_size=len(t_steps),
+                                     max_size=len(t_steps)))
+        fs = f0 + np.concatenate([[0.0], np.cumsum(f_steps)])
+        model = tabulated_model(ts, fs, s=0.5 * (fs[0] + fs[-1]))
+        # the interpolant's cubics cancel to roundoff where the time change
+        # flattens them near 2T, so they may dip by an ulp or so there
+        _check_truncation(model, edge, offset, knots=ts[1:-1], ulps=4)
 
 
 class TestEvalField:

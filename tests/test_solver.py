@@ -514,6 +514,46 @@ class TestGridSequencing:
         assert sup_norm(fallback.u - sequenced.u) <= spec.newton_tol
         assert sup_norm(fallback.v - sequenced.v) <= spec.newton_tol
 
+    def test_failed_middle_level_falls_back_to_fine_limit(self, monkeypatch):
+        # sigma = 8h leaves two coarser levels under N = 128; the N = 64
+        # limit solve starts from the kept N = 32 one, and the fine limit
+        # solve from the ansatz once the N = 64 one has failed
+        spec = make_spec(N=128, q=40.0, vortices=one_vortex(GridSpec(128), 8.0))
+        levels, steps = _record_levels(monkeypatch, fail_on=64)
+        bundle = solve_coupled(spec)
+        assert levels == [
+            (32, "limit equation"), (32, "Newton"), (64, "Newton"),
+            (64, "limit equation"), (128, "limit equation"), (128, "Newton"),
+        ]
+        assert bundle.newton_iters == steps[-1]
+
+    def test_forced_solve_sequences_only_the_limit_equation(self, monkeypatch, rng):
+        spec = make_spec(N=64, q=20.0)
+        bg = compute_u0(spec.vortices, spec.grid)
+        forcing = energy_gradient(
+            smooth_field(spec.grid, rng, kmax=3, amp=0.3), spec, background=bg
+        )
+        levels, _ = _record_levels(monkeypatch)
+        solve_coupled(spec, background=bg, forcing=forcing)
+        assert levels == [(32, "limit equation"), (64, "limit equation"), (64, "Newton")]
+
+    def test_failed_half_grid_limit_starts_from_ansatz(self, monkeypatch):
+        spec = make_spec(N=64)
+        bg = compute_u0(spec.vortices, spec.grid)
+        starts = []
+
+        def failing(u, sub, *args, **kwargs):
+            starts.append((sub.grid.N, u.copy()))
+            raise NoConvergence(sub.grid.N, np.inf, what="limit equation")
+
+        monkeypatch.setattr(solver, "_newton_krylov", failing)
+        with pytest.raises(NoConvergence) as raised:
+            solve_limit(spec, background=bg)
+        # the fine grid's failure is the one raised, after a start from the ansatz
+        assert raised.value.iterations == 64
+        assert [n for n, _ in starts] == [32, 64]
+        assert np.array_equal(starts[1][1], solver.initial_guess(bg, spec.model).values)
+
 
 class TestSolveLimit:
     def test_no_vortices_constant(self):
