@@ -18,9 +18,7 @@ from .errors import PreconditionViolated, SigmaTooSmall
 from .grid import (
     GridSpec,
     ScalarField,
-    gradient,
     integrate,
-    laplacian,
     poisson_solve,
 )
 
@@ -59,7 +57,7 @@ class VortexConfig:
         if len(set(pts)) != len(pts):
             raise ValueError("vortex points must be pairwise distinct")
         # a bump wider than a quarter of the torus no longer localizes, and
-        # mollified_delta's loop over periodic images grows like sigma^2
+        # mollified_delta's sums over periodic images grow like sigma
         if not (0.0 < self.sigma <= 0.25):
             raise ValueError(f"sigma must be in (0, 1/4], got {self.sigma}")
 
@@ -93,21 +91,24 @@ class BackgroundData:
 def mollified_delta(p: tuple[float, float], sigma: float, grid: GridSpec) -> ScalarField:
     """Periodic Gaussian bump at p, normalized to unit integral.
 
-    Built from wrapped images of exp(-r^2 / (2 sigma^2)) and rescaled so the
-    trapezoidal integral is exactly 1.
+    The wrapped images of exp(-r^2 / (2 sigma^2)) factorize, so the bump is
+    the outer product of two 1-D periodic image sums,
+    g_x[i] = sum_m exp(-(x_i - p_x + m)^2 / (2 sigma^2)) over the images
+    m = -width..width and g_y alike, rescaled so that the trapezoidal
+    integral is exactly 1.
     """
     if sigma < 2.0 * grid.h:
         raise SigmaTooSmall(
             f"sigma={sigma} is below the 2h={2 * grid.h} resolvability floor"
         )
-    px, py = float(p[0]), float(p[1])
     width = max(2, int(np.ceil(6.0 * sigma)))
-    vals = np.zeros((grid.N, grid.N))
+    images = np.arange(-width, width + 1)[:, None]
+    nodes = grid.X[:, 0]
     inv = 1.0 / (2.0 * sigma * sigma)
-    for mx in range(-width, width + 1):
-        dx2 = (grid.X - px + mx) ** 2
-        for my in range(-width, width + 1):
-            vals += np.exp(-(dx2 + (grid.Y - py + my) ** 2) * inv)
+    gx, gy = (
+        np.exp(-((nodes - float(c) + images) ** 2) * inv).sum(axis=0) for c in p
+    )
+    vals = np.multiply.outer(gx, gy)
     f = ScalarField(grid, vals)
     return ScalarField(grid, vals / integrate(f))
 
@@ -120,18 +121,21 @@ def vortex_source(config: VortexConfig, grid: GridSpec) -> ScalarField:
     return ScalarField(grid, vals)
 
 
-def background_weight(u0: ScalarField, n: int, source: ScalarField) -> ScalarField:
+def background_weight(
+    exp_u0: ScalarField, exp_u0_hat: np.ndarray, n: int, source: ScalarField
+) -> ScalarField:
     """The smooth weight e^{u0}|grad u0|^2, via the identity
     e^{u0}|grad u0|^2 = Laplacian(e^{u0}) - e^{u0} * Laplacian(u0)
     with Laplacian(u0) = -4*pi*(n - source) known exactly from the u0 problem.
+    exp_u0_hat is the half spectrum of e^{u0}, grid.forward(exp_u0.values).
 
     The Laplacian route avoids squaring the large near-core gradients; it
     matches the raw product e^{u0} * grad_squared(u0) to spectral accuracy.
     """
-    exp_u0 = np.exp(u0.values)
-    lap_e = laplacian(ScalarField(u0.grid, exp_u0))
-    vals = lap_e.values + FOUR_PI * exp_u0 * (float(n) - source.values)
-    return ScalarField(u0.grid, vals)
+    grid = exp_u0.grid
+    lap_e = grid.inverse(-grid.k2 * exp_u0_hat)
+    vals = lap_e + FOUR_PI * exp_u0.values * (float(n) - source.values)
+    return ScalarField(grid, vals)
 
 
 def compute_u0(config: VortexConfig, grid: GridSpec) -> BackgroundData:
@@ -153,8 +157,9 @@ def compute_u0(config: VortexConfig, grid: GridSpec) -> BackgroundData:
             rhs = ScalarField(grid, FOUR_PI * (float(n) - source.values))
             u0 = poisson_solve(rhs)
             exp_u0 = ScalarField(grid, np.exp(u0.values))
-            weight = background_weight(u0, n, source)
-            gx, gy = gradient(exp_u0)
+            exp_u0_hat = grid.forward(exp_u0.values)
+            weight = background_weight(exp_u0, exp_u0_hat, n, source)
+            gx, gy = (ScalarField(grid, g) for g in grid.gradient(exp_u0_hat))
     except (OverflowError, ValueError) as exc:
         # OverflowError: n or a multiplicity does not convert to a float;
         # ValueError: ScalarField found a non-finite value.  Past Python's

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mcsvortex import (
     GridSpec,
@@ -9,12 +10,14 @@ from mcsvortex import (
     VortexConfig,
     compute_u0,
     grad_squared,
+    gradient,
     integrate,
     laplacian,
     mollified_delta,
     no_vortices,
     sup_norm,
 )
+from mcsvortex import background
 from mcsvortex.background import vortex_source
 
 FOUR_PI = 4.0 * np.pi
@@ -24,6 +27,33 @@ def raw_weight(u0: ScalarField) -> ScalarField:
     """Direct-product route e^{u0} * grad_squared(u0), the oracle for the
     Laplacian route of background_weight."""
     return ScalarField(u0.grid, np.exp(u0.values) * grad_squared(u0).values)
+
+
+def raw_bump(p, sigma: float, grid: GridSpec) -> ScalarField:
+    """Double sum over the (2*width+1)^2 periodic images of the 2-D
+    Gaussian, normalized to unit trapezoidal integral: the oracle for the
+    separable image sums of mollified_delta."""
+    px, py = float(p[0]), float(p[1])
+    width = max(2, int(np.ceil(6.0 * sigma)))
+    vals = np.zeros((grid.N, grid.N))
+    inv = 1.0 / (2.0 * sigma * sigma)
+    for mx in range(-width, width + 1):
+        dx2 = (grid.X - px + mx) ** 2
+        for my in range(-width, width + 1):
+            vals += np.exp(-(dx2 + (grid.Y - py + my) ** 2) * inv)
+    return ScalarField(grid, vals / (grid.h**2 * vals.sum()))
+
+
+GRIDS = {N: GridSpec(N) for N in (16, 32, 64)}
+
+
+@st.composite
+def bumps(draw):
+    """(p, sigma, grid) with p in [0,1)^2 and sigma in [2h, 1/4]."""
+    grid = GRIDS[draw(st.sampled_from(sorted(GRIDS)))]
+    unit = st.floats(0.0, 1.0, exclude_max=True)
+    p = (draw(unit), draw(unit))
+    return p, draw(st.floats(2.0 * grid.h, 0.25)), grid
 
 
 def single_vortex(grid: GridSpec, p=(0.5, 0.5), m=1, sigma_cells=4.0) -> VortexConfig:
@@ -95,6 +125,32 @@ class TestMollifiedDelta:
             (0.7, 0.8), 3 * grid.h, grid
         )
         assert integrate(total) == pytest.approx(2.0, abs=1e-10)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(bumps())
+    def test_matches_image_double_sum(self, case):
+        p, sigma, grid = case
+        bump, oracle = mollified_delta(p, sigma, grid), raw_bump(p, sigma, grid)
+        assert sup_norm(bump - oracle) <= 2e-15 * sup_norm(oracle)
+        assert integrate(bump) == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("N", [16, 64, 256])
+    @pytest.mark.parametrize("sigma_cells", [2.0, 4.0])
+    def test_exponentiates_one_dimensional_sums_only(self, monkeypatch, N, sigma_cells):
+        # O(N * width) exponentials per bump, not the N^2 image double sum
+        grid = GridSpec(N)
+        sigma = sigma_cells * grid.h
+        width = max(2, int(np.ceil(6.0 * sigma)))
+        sizes = []
+        exp = np.exp
+
+        def counted(x, *args, **kwargs):
+            sizes.append(np.size(x))
+            return exp(x, *args, **kwargs)
+
+        monkeypatch.setattr(background.np, "exp", counted)
+        mollified_delta((0.3, 0.7), sigma, grid)
+        assert 0 < sum(sizes) <= 2 * (2 * width + 1) * grid.N
 
     def test_sigma_floor(self):
         grid = GridSpec(32)
@@ -213,6 +269,23 @@ class TestBackgroundWeight:
         via_identity = integrate(bg.weight)
         via_product = integrate(grid.field(np.exp(bg.u0.values) * grad_squared(bg.u0).values))
         assert via_identity == pytest.approx(via_product, rel=1e-6)
+
+    def test_shared_spectrum_matches_standalone_operators(self):
+        # one forward transform of e^{u0} feeds both the weight's Laplacian
+        # and the gradient, with the same numbers as laplacian and gradient
+        grid = GridSpec(64)
+        cfg = VortexConfig(
+            points=((0.3, 0.4), (0.8, 0.1)), multiplicities=(1, 2), sigma=4 * grid.h
+        )
+        bg = compute_u0(cfg, grid)
+        exp_u0 = ScalarField(grid, np.exp(bg.u0.values))
+        weight = laplacian(exp_u0).values + FOUR_PI * exp_u0.values * (
+            float(cfg.n) - bg.source.values
+        )
+        assert np.array_equal(bg.exp_u0.values, exp_u0.values)
+        assert np.array_equal(bg.weight.values, weight)
+        for got, expected in zip(bg.grad_exp_u0, gradient(exp_u0)):
+            assert np.array_equal(got.values, expected.values)
 
     def test_weight_nonnegative(self):
         grid = GridSpec(64)

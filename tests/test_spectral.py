@@ -10,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 from mcsvortex import (
     GridSpec,
     ScalarField,
+    VortexConfig,
+    compute_u0,
     gradient,
     integrate,
     l2_norm,
@@ -103,6 +105,16 @@ def test_transforms_per_application(drivers, monkeypatch, equation, operation, e
     counts = _count_transforms(monkeypatch)
     apply()
     assert counts["transforms"] == expected
+
+
+def test_compute_u0_costs_six_transforms(monkeypatch):
+    # Poisson solve 2; one forward transform of e^{u0} shared by its
+    # Laplacian (1 inverse) and its gradient (2 inverses)
+    grid = GridSpec(32)
+    config = VortexConfig(points=((0.3, 0.4),), multiplicities=(1,), sigma=4 * grid.h)
+    counts = _count_transforms(monkeypatch)
+    compute_u0(config, grid)
+    assert counts["transforms"] == 6
 
 
 @pytest.mark.parametrize("equation", ["coupled", "limit"])
