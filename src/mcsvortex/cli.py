@@ -31,7 +31,7 @@ from .errors import (
 )
 from .grid import GridSpec, sup_norm
 from .nonlinearity import model_from_name
-from .snapshots import read_solution, write_solution
+from .snapshots import read_solution, write_solution, write_text_atomic
 from .solver import ProblemSpec, SolutionBundle, q_sweep, solve_coupled
 
 EXIT_OK = 0
@@ -40,6 +40,10 @@ EXIT_CHECK_FAILED = 2
 EXIT_NO_CONVERGENCE = 3
 
 _SOLVER_FAILURES = (NoConvergence, QTooSmall, BoundsViolation)
+
+# the record of a failed solve or sweep; it replaces, and is replaced by, the
+# record of that command's successful run (solution.json, sweep.tsv)
+FAILURE_RECORD = "failure.json"
 
 
 @dataclass
@@ -265,9 +269,10 @@ def cmd_solve(args) -> int:
     try:
         bundle = solve_coupled(cfg.spec)
     except _SOLVER_FAILURES as exc:
-        return _write_failure(out_dir, cfg.spec, exc)
+        return _write_failure(out_dir, cfg.spec, exc, replaces="solution.json")
     reports = diagnostics.all_reports(bundle)
     write_solution(out_dir, bundle, reports, model_table=cfg.table)
+    (out_dir / FAILURE_RECORD).unlink(missing_ok=True)
     print(f"converged in {bundle.newton_iters} Newton steps")
     print(f"energy = {bundle.energy_value:.17e}")
     for name, value in bundle.residual_norms.items():
@@ -277,11 +282,15 @@ def cmd_solve(args) -> int:
     return EXIT_OK if all(not r.failed for r in reports) else EXIT_CHECK_FAILED
 
 
-def _write_failure(out_dir: Path, spec: ProblemSpec, exc: Exception) -> int:
-    """Record a failed solve in failure.json, name it on stderr and return
-    its exit code."""
+def _write_failure(
+    out_dir: Path, spec: ProblemSpec, exc: Exception, replaces: str
+) -> int:
+    """Record a failed solve in failure.json, in place of the record a
+    successful run writes (replaces: solution.json or sweep.tsv) that an
+    earlier run may have left; name it on stderr and return its exit code."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / replaces).unlink(missing_ok=True)
     record = {
         "format": "mcsvortex-failure",
         "error": type(exc).__name__,
@@ -290,9 +299,7 @@ def _write_failure(out_dir: Path, spec: ProblemSpec, exc: Exception) -> int:
         "q": spec.q,
         "N": spec.grid.N,
     }
-    with (out_dir / "failure.json").open("w") as handle:
-        json.dump(record, handle, indent=2)
-        handle.write("\n")
+    write_text_atomic(out_dir / FAILURE_RECORD, json.dumps(record, indent=2) + "\n")
     if isinstance(exc, BoundsViolation):
         print(f"invariant failure: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
@@ -311,9 +318,10 @@ def cmd_sweep(args) -> int:
         table = q_sweep(spec, cfg.q_list)
     except _SOLVER_FAILURES as exc:
         # the shared limit solve failed: no row can be produced
-        return _write_failure(out_dir, spec, exc)
+        return _write_failure(out_dir, spec, exc, replaces="sweep.tsv")
     table_path = out_dir / "sweep.tsv"
     table.write(table_path)
+    (out_dir / FAILURE_RECORD).unlink(missing_ok=True)
     print(f"sweep table written to {table_path}")
     for row in table.rows:
         print(

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import GridMismatch
 from .grid import ScalarField, _sobolev_norms, grad_squared, integrate
+from .snapshots import write_text_atomic
 from .solver import (
     LimitSolution,
     SolutionBundle,
@@ -352,5 +353,4 @@ class ConvergenceTable:
         return "\n".join(lines) + "\n"
 
     def write(self, path) -> None:
-        with open(path, "w") as handle:
-            handle.write(self.to_tsv())
+        write_text_atomic(path, self.to_tsv())

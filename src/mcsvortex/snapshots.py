@@ -16,6 +16,7 @@ without the original config file.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -36,6 +37,18 @@ def write_field(path, field: ScalarField) -> None:
         handle.write(MAGIC)
         handle.write(struct.pack("<II", VERSION, field.grid.N))
         handle.write(field.values.astype("<f8").tobytes(order="C"))
+
+
+def write_text_atomic(path, text: str) -> None:
+    """Write text to path through a temporary sibling renamed into place,
+    so that no reader ever sees a half-written record."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def read_field(path, grid: GridSpec | None = None) -> ScalarField:
@@ -63,9 +76,15 @@ def read_field(path, grid: GridSpec | None = None) -> ScalarField:
 
 
 def write_solution(out_dir, bundle, reports, model_table=None) -> Path:
-    """Write field snapshots plus solution.json; returns the json path."""
+    """Write field snapshots plus solution.json; returns the json path.
+
+    A solution.json already in out_dir is removed before the snapshots are
+    overwritten, and the new one is written last, so the record never
+    describes fields it was not written with."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    path = out_dir / "solution.json"
+    path.unlink(missing_ok=True)
     spec = bundle.spec
     cfg = spec.vortices
     fields = {
@@ -102,10 +121,7 @@ def write_solution(out_dir, bundle, reports, model_table=None) -> Path:
     if model_table is not None:
         ts, fs = model_table
         meta["model"]["table"] = [list(map(float, ts)), list(map(float, fs))]
-    path = out_dir / "solution.json"
-    with path.open("w") as handle:
-        json.dump(meta, handle, indent=2)
-        handle.write("\n")
+    write_text_atomic(path, json.dumps(meta, indent=2) + "\n")
     return path
 
 

@@ -552,12 +552,19 @@ def _newton_krylov(
     state(u) returns None where u leaves the domain; linearize(u, st)
     returns the Jacobian and its preconditioner.  With r_k = scale times
     the L2 norm of the residual, each step runs preconditioned MINRES to
-    the forcing tolerance clip(1e-4 r_k, krylov_tol, 1e-4) (cf. Eisenstat
-    & Walker, SIAM J. Sci. Comput. 17(1), 1996), then halves the step from
-    alpha = 1 until r_k drops by the factor 1 - 1e-4 alpha.  Stops once
-    r_k <= newton_tol and returns (u, state, residual, passes), the last
-    pass being the one that found convergence.  A failed line search
-    raises NoConvergence naming that step's MINRES exit status.
+    the forcing tolerance max(clip(1e-4 r_k, krylov_tol, 1e-4),
+    0.01 newton_tol / r_k).  The first term follows Eisenstat & Walker
+    (SIAM J. Sci. Comput. 17(1), 1996); the second is the lower bound of
+    Kelley (Iterative Methods for Linear and Nonlinear Equations, SIAM
+    1995, section 6.3): a step leaves a residual of about rtol r_k, so it
+    need not be solved far below newton_tol.  Its factor is 0.01, not 0.1,
+    because MINRES stops on the backward error ||r|| <= rtol ||A|| ||x||,
+    which reduces ||r|| by less than rtol; the loop runs only while
+    r_k > newton_tol, so the term stays below 0.01.  Each step then halves
+    the step from alpha = 1 until r_k drops by the factor 1 - 1e-4 alpha.
+    Stops once r_k <= newton_tol and returns (u, state, residual, passes),
+    the last pass being the one that found convergence.  A failed line
+    search raises NoConvergence naming that step's MINRES exit status.
     """
     grid = spec.grid
     st = state(u)
@@ -570,7 +577,10 @@ def _newton_krylov(
         if r_norm <= spec.newton_tol:
             break
         H, M = linearize(u, st)
-        rtol = float(np.clip(1e-4 * r_norm, spec.krylov_tol, 1e-4))
+        rtol = max(
+            float(np.clip(1e-4 * r_norm, spec.krylov_tol, 1e-4)),
+            0.01 * spec.newton_tol / r_norm,
+        )
         delta, info = _minres(H, M, -r, rtol, maxiter=400)
         alpha = 1.0
         while True:

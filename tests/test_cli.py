@@ -12,7 +12,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mcsvortex import BoundsViolation, ConfigError, GridSpec, SnapshotError, cli
 from mcsvortex.cli import bundle_from_snapshot, main, parse_config
-from mcsvortex.snapshots import MAGIC, read_field, read_solution, write_field
+from mcsvortex.snapshots import (
+    MAGIC, read_field, read_solution, write_field, write_text_atomic
+)
 
 
 def write_config(path, body):
@@ -348,6 +350,51 @@ class TestSolveCommand:
         record = json.loads((out / "failure.json").read_text())
         assert record["error"] == "BoundsViolation"
         assert "invariant failure: pointwise bounds violated" in capsys.readouterr().err
+
+
+def unsolvable(body):
+    """The configuration with the rational model, which cannot carry a
+    vortex on the unit torus, on a small grid."""
+    return (
+        body.replace("name = u1", "name = cp1")
+        .replace("s = 9.0", "s = 0.5")
+        .replace("N = 48", "N = 32")
+    )
+
+
+class TestStaleRecords:
+    """A run replaces the record an earlier run into the same directory
+    left: verify never passes a result the last run did not produce."""
+
+    def test_failed_solve_removes_earlier_solution(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        good = write_config(tmp_path / "good.cfg", VORTEX_CONFIG.format(out=out))
+        bad = write_config(
+            tmp_path / "bad.cfg", unsolvable(VORTEX_CONFIG.format(out=out))
+        )
+        assert main(["solve", "--config", good]) == 0
+        assert main(["solve", "--config", bad]) == 3
+        assert (out / "failure.json").is_file()
+        assert not (out / "solution.json").exists()
+        assert main(["verify", str(out)]) == 1
+        assert main(["solve", "--config", good]) == 0
+        assert not (out / "failure.json").exists()
+        assert main(["verify", str(out)]) == 0
+        # no temporary file is left behind
+        assert sorted(p.name for p in out.iterdir()) == [
+            "solution.json", "u.fld", "u0.fld", "v.fld", "w.fld"
+        ]
+
+    def test_failed_sweep_removes_earlier_table(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        body = VORTEX_CONFIG.format(out=out).replace("q = 40.0", "q_list = 20 40")
+        good = write_config(tmp_path / "good.cfg", body)
+        bad = write_config(tmp_path / "bad.cfg", unsolvable(body))
+        assert main(["sweep", "--config", good]) == 0
+        assert main(["sweep", "--config", bad]) == 3
+        assert sorted(p.name for p in out.iterdir()) == ["failure.json"]
+        assert main(["sweep", "--config", good]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["sweep.tsv"]
 
 
 class TestSweepCommand:
@@ -707,6 +754,19 @@ class TestSnapshotFormat:
             read_field(path)
         except SnapshotError:
             pass
+
+    def test_interrupted_record_write_keeps_the_old_record(self, tmp_path, monkeypatch):
+        path = tmp_path / "record.json"
+        path.write_text("old")
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            write_text_atomic(path, "new")
+        assert path.read_text() == "old"
+        assert [p.name for p in tmp_path.iterdir()] == ["record.json"]
 
     def test_read_solution_requires_all_fields(self, tmp_path):
         (tmp_path / "solution.json").write_text(

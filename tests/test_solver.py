@@ -555,6 +555,79 @@ class TestGridSequencing:
         assert np.array_equal(starts[1][1], solver.initial_guess(bg, spec.model).values)
 
 
+class TestForcingTerm:
+    def _record_minres(self, monkeypatch):
+        """Record (rtol, r_k, newton_tol) of every MINRES call, with r_k
+        the Newton residual norm at that step: scale times the L2 norm
+        of the right side."""
+        calls, rung = [], {}
+        real_newton, real_minres = solver._newton_krylov, solver._minres
+
+        def newton(u, spec, state, residual, linearize, what, scale=1.0):
+            rung.update(scale=scale, newton_tol=spec.newton_tol, grid=spec.grid)
+            return real_newton(u, spec, state, residual, linearize, what, scale)
+
+        def minres(A, M, b, rtol, maxiter):
+            r_k = rung["scale"] * solver._l2(rung["grid"], b)
+            calls.append((rtol, r_k, rung["newton_tol"]))
+            return real_minres(A, M, b, rtol, maxiter)
+
+        monkeypatch.setattr(solver, "_newton_krylov", newton)
+        monkeypatch.setattr(solver, "_minres", minres)
+        return calls
+
+    @pytest.mark.parametrize("equation", ["coupled", "limit"])
+    def test_inner_tolerance_knows_newton_tol(self, monkeypatch, equation):
+        # an inexact Newton step leaves a residual of about rtol * r_k, so
+        # no step is solved much beyond what newton_tol asks (Kelley 1995,
+        # section 6.3)
+        calls = self._record_minres(monkeypatch)
+        spec = make_spec(N=64, q=40.0)
+        solve_coupled(spec) if equation == "coupled" else solve_limit(spec)
+        assert calls
+        for rtol, r_k, newton_tol in calls:
+            assert r_k > newton_tol
+            assert rtol >= 0.01 * newton_tol / r_k
+
+
+class TestNewtonPasses:
+    """Newton passes per rung of the half-grid ladder, as (grid size,
+    equation, passes) in call order; a looser inner tolerance must not
+    cost a pass anywhere."""
+
+    def _rungs(self, levels, steps):
+        return [(N, what, n) for (N, what), n in zip(levels, steps)]
+
+    def test_cold_coupled_solve(self, monkeypatch):
+        levels, steps = _record_levels(monkeypatch)
+        solve_coupled(make_spec(N=64, q=40.0))
+        assert self._rungs(levels, steps) == [
+            (32, "limit equation", 6), (32, "Newton", 5), (64, "Newton", 2)
+        ]
+
+    def test_limit_solve(self, monkeypatch):
+        levels, steps = _record_levels(monkeypatch)
+        solve_limit(make_spec(N=64))
+        assert self._rungs(levels, steps) == [
+            (32, "limit equation", 6), (64, "limit equation", 2)
+        ]
+
+    def test_three_vortex_sweep(self, monkeypatch):
+        vortices = VortexConfig(
+            points=((0.25, 0.25), (0.75, 0.25), (0.5, 0.75)),
+            multiplicities=(1, 1, 1),
+            sigma=4.0 * GridSpec(64).h,
+        )
+        spec = make_spec(N=64, s=16.0, vortices=vortices)
+        levels, steps = _record_levels(monkeypatch)
+        table = q_sweep(spec, [20.0, 40.0, 80.0, 160.0])
+        assert all(row.status == "converged" for row in table.rows)
+        assert self._rungs(levels, steps) == [
+            (32, "limit equation", 6), (64, "limit equation", 2),
+            (64, "Newton", 5), (64, "Newton", 5), (64, "Newton", 5), (64, "Newton", 6),
+        ]
+
+
 class TestSolveLimit:
     def test_no_vortices_constant(self):
         grid = GridSpec(32)
