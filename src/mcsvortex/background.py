@@ -67,8 +67,9 @@ class VortexConfig:
         return sum(self.multiplicities)
 
 
-def no_vortices(sigma: float = 0.05) -> VortexConfig:
-    return VortexConfig(points=(), multiplicities=(), sigma=sigma)
+def no_vortices() -> VortexConfig:
+    """The empty configuration; its sigma, with no source to mollify, is 0.05."""
+    return VortexConfig(points=(), multiplicities=(), sigma=0.05)
 
 
 @dataclass(frozen=True)

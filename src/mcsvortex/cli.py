@@ -31,7 +31,7 @@ from .errors import (
 )
 from .grid import GridSpec, sup_norm
 from .nonlinearity import model_from_name
-from .snapshots import read_solution, write_solution, write_text_atomic
+from .snapshots import FIELD_FILES, read_solution, write_solution, write_text_atomic
 from .solver import ProblemSpec, SolutionBundle, q_sweep, solve_coupled
 
 EXIT_OK = 0
@@ -44,6 +44,9 @@ _SOLVER_FAILURES = (NoConvergence, QTooSmall, BoundsViolation)
 # the record of a failed solve or sweep; it replaces, and is replaced by, the
 # record of that command's successful run (solution.json, sweep.tsv)
 FAILURE_RECORD = "failure.json"
+
+# what a successful solve writes, the record first: a failed solve removes it all
+_SOLVE_OUTPUTS = ("solution.json",) + tuple(f"{name}.fld" for name in FIELD_FILES)
 
 
 @dataclass
@@ -64,9 +67,7 @@ _SCHEMA = {
     "model": {"name", "s", "table"},
     "vortices": {"points", "sigma"},
     "grid": {"n"},
-    "solver": {
-        "q", "q_list", "newton_tol", "krylov_tol", "max_newton_iters", "bound_tol"
-    },
+    "solver": {"q", "q_list", "newton_tol", "max_newton_iters", "bound_tol"},
     "output": {"dir"},
 }
 
@@ -90,7 +91,6 @@ def _problem_spec(model, vortices, q, grid: GridSpec, tolerances) -> ProblemSpec
         q=float(q),
         grid=grid,
         newton_tol=float(tolerances.get("newton_tol", ProblemSpec.newton_tol)),
-        krylov_tol=float(tolerances.get("krylov_tol", ProblemSpec.krylov_tol)),
         max_newton_iters=int(
             tolerances.get("max_newton_iters", ProblemSpec.max_newton_iters)
         ),
@@ -120,8 +120,8 @@ def parse_config(path) -> RunConfig:
         [vortices] points (one "x y multiplicity" triple per line), sigma
                    (units of h, default 4, >= 2, <= N/4)
         [grid]     N (even, >= 8)
-        [solver]   q or q_list, newton_tol, krylov_tol, max_newton_iters,
-                   bound_tol (all tolerances optional, bound_tol >= 0)
+        [solver]   q or q_list, newton_tol, max_newton_iters, bound_tol
+                   (all tolerances optional, bound_tol >= 0)
         [output]   dir (default "out")
     """
     path = Path(path)
@@ -229,7 +229,7 @@ def parse_config(path) -> RunConfig:
         raise ConfigError("[solver] needs q or q_list")
     tolerances = {
         key: value
-        for key in ("max_newton_iters", "newton_tol", "krylov_tol", "bound_tol")
+        for key in ("max_newton_iters", "newton_tol", "bound_tol")
         if (value := get_float("solver", key)) is not None
     }
     max_iters = tolerances.get("max_newton_iters", 1.0)
@@ -269,7 +269,7 @@ def cmd_solve(args) -> int:
     try:
         bundle = solve_coupled(cfg.spec)
     except _SOLVER_FAILURES as exc:
-        return _write_failure(out_dir, cfg.spec, exc, replaces="solution.json")
+        return _write_failure(out_dir, cfg.spec, exc, replaces=_SOLVE_OUTPUTS)
     reports = diagnostics.all_reports(bundle)
     write_solution(out_dir, bundle, reports, model_table=cfg.table)
     (out_dir / FAILURE_RECORD).unlink(missing_ok=True)
@@ -283,14 +283,15 @@ def cmd_solve(args) -> int:
 
 
 def _write_failure(
-    out_dir: Path, spec: ProblemSpec, exc: Exception, replaces: str
+    out_dir: Path, spec: ProblemSpec, exc: Exception, replaces: tuple
 ) -> int:
-    """Record a failed solve in failure.json, in place of the record a
-    successful run writes (replaces: solution.json or sweep.tsv) that an
+    """Record a failed solve in failure.json, in place of the files a
+    successful run writes (replaces: _SOLVE_OUTPUTS or sweep.tsv) that an
     earlier run may have left; name it on stderr and return its exit code."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / replaces).unlink(missing_ok=True)
+    for name in replaces:
+        (out_dir / name).unlink(missing_ok=True)
     record = {
         "format": "mcsvortex-failure",
         "error": type(exc).__name__,
@@ -318,7 +319,7 @@ def cmd_sweep(args) -> int:
         table = q_sweep(spec, cfg.q_list)
     except _SOLVER_FAILURES as exc:
         # the shared limit solve failed: no row can be produced
-        return _write_failure(out_dir, spec, exc, replaces="sweep.tsv")
+        return _write_failure(out_dir, spec, exc, replaces=("sweep.tsv",))
     table_path = out_dir / "sweep.tsv"
     table.write(table_path)
     (out_dir / FAILURE_RECORD).unlink(missing_ok=True)

@@ -258,17 +258,14 @@ def helmholtz_apply(c: ScalarField, u: ScalarField, q: float) -> ScalarField:
 
 
 def helmholtz_solve(
-    c: ScalarField,
-    rhs: ScalarField,
-    q: float,
-    tol: float = 1e-10,
-    maxiter: int | None = None,
+    c: ScalarField, rhs: ScalarField, q: float, tol: float = 1e-10
 ) -> ScalarField:
     """Solve -Laplacian(u) + q^2*(1 + c/q)*u = q^2*rhs.
 
     Preconditioned conjugate gradients on the symmetric positive operator,
     with the exact spectral inverse of (-Laplacian + q^2) as preconditioner.
-    Stops when the L2 residual falls below tol * q^2 * ||rhs||_2.
+    Stops when the L2 residual falls below tol * q^2 * ||rhs||_2, after at
+    most 10 N iterations.
 
     Raises PreconditionViolated unless q > sup|c| (positivity of the
     zeroth-order coefficient) and NoConvergence if the iteration stalls.
@@ -279,9 +276,6 @@ def helmholtz_solve(
         raise PreconditionViolated(
             f"need q > sup|c| for a positive operator, got q={q}, sup|c|={c_inf}"
         )
-    if maxiter is None:
-        maxiter = 10 * grid.N
-
     cv = c.values
     prec = 1.0 / (grid.k2 + q * q)
 
@@ -297,7 +291,7 @@ def helmholtz_solve(
     rz = float(np.sum(r * z))
     res = _l2(grid, r)
     it = 0
-    while res > target and it < maxiter:
+    while res > target and it < 10 * grid.N:
         Ap = _helmholtz(grid, cv, q, p)
         alpha = rz / float(np.sum(p * Ap))
         x += alpha * p

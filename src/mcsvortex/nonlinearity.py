@@ -177,10 +177,9 @@ def cp1_model(s: float = 0.5) -> NonlinearityModel:
     )
 
 
-def tabulated_model(
-    ts, fs, s: float, name: str = "custom"
-) -> NonlinearityModel:
-    """Monotone-cubic interpolant of tabulated (t, f) samples.
+def tabulated_model(ts, fs, s: float) -> NonlinearityModel:
+    """Monotone-cubic interpolant of tabulated (t, f) samples, named
+    "custom".
 
     The table must start at t = 0, be strictly increasing in both columns,
     and cover the range of interest; the truncation threshold is set to
@@ -204,7 +203,7 @@ def tabulated_model(
     d2 = interp.derivative(2)
     T = (2.0 / 3.0) * float(ts[-1])
     return NonlinearityModel(
-        name=name,
+        name="custom",
         s=s,
         T=T,
         raw_f=lambda t: interp(t),

@@ -108,7 +108,6 @@ def write_solution(out_dir, bundle, reports, model_table=None) -> Path:
         "q": spec.q,
         "tolerances": {
             "newton_tol": spec.newton_tol,
-            "krylov_tol": spec.krylov_tol,
             "max_newton_iters": spec.max_newton_iters,
             "bound_tol": spec.resolved_bound_tol(),
         },
@@ -137,7 +136,10 @@ def locate_solution(path) -> Path:
 
 
 def read_solution(path) -> tuple[dict, dict]:
-    """Load (metadata, fields) from a solve directory or solution.json path."""
+    """Load (metadata, fields) from a solve directory or solution.json path.
+
+    The fields are the snapshots FIELD_FILES names, read from beside
+    solution.json; the record's "fields" map is not consulted."""
     json_path = locate_solution(path)
     try:
         meta = json.loads(json_path.read_text())
@@ -149,15 +151,9 @@ def read_solution(path) -> tuple[dict, dict]:
         grid = GridSpec(int(meta["grid"]["N"]))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SnapshotError(f"{json_path}: missing or invalid grid data: {exc}") from exc
-    names = meta.get("fields", {})
-    if not (isinstance(names, dict) and all(isinstance(r, str) for r in names.values())):
-        raise SnapshotError(f"{json_path}: 'fields' must map names to file names")
     if not isinstance(meta.get("reports", []), list):
         raise SnapshotError(f"{json_path}: 'reports' must be a list")
-    fields = {}
-    for name, rel in names.items():
-        fields[name] = read_field(json_path.parent / rel, grid)
-    missing = set(FIELD_FILES) - set(fields)
-    if missing:
-        raise SnapshotError(f"{json_path}: missing field snapshots {sorted(missing)}")
+    fields = {
+        name: read_field(json_path.parent / f"{name}.fld", grid) for name in FIELD_FILES
+    }
     return meta, fields

@@ -50,12 +50,11 @@ class ProblemSpec:
     # newton_tol is only reachable on coarser grids; N = 256 needs
     # newton_tol >~ 8e-6.
     newton_tol: float = 1e-6
-    krylov_tol: float = 1e-10
     max_newton_iters: int = 60
     bound_tol: float | None = None
 
     def __post_init__(self):
-        for name in ("q", "newton_tol", "krylov_tol"):
+        for name in ("q", "newton_tol"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
@@ -180,20 +179,14 @@ def _weighted_gradsq(bg: BackgroundData, st: dict, grad=None) -> np.ndarray:
 
 
 class _Workspace:
-    """The coupled equation's q- and forcing-dependent operators over one
-    background: energy, gradient, Hessian and preconditioner."""
+    """The coupled equation's q-dependent operators over one background:
+    energy, gradient, Hessian and preconditioner."""
 
-    def __init__(
-        self,
-        spec: ProblemSpec,
-        bg: BackgroundData,
-        forcing: ScalarField | None = None,
-    ):
+    def __init__(self, spec: ProblemSpec, bg: BackgroundData):
         self.grid = grid = spec.grid
         self.model = spec.model
         self.q = q = spec.q
         self.bg = bg
-        self.forcing = None if forcing is None else forcing.values
         # symbols of the coupled gradient: q^-2 Lap^2 - Lap, and -Lap / q
         self.principal = grid.k2 * grid.k2 / q**2 + grid.k2
         self.k2_q = grid.k2 / q
@@ -217,8 +210,6 @@ class _Workspace:
                 + FOUR_PI * bg.n * np.sum(u)
                 + (FOUR_PI / q) * np.sum(bg.source.values * f)
             )
-            if self.forcing is not None:
-                total -= np.sum(self.forcing * u)
             total = total * grid.h**2 + 0.5 * grid.quadratic(self.principal, uh)
         return float(total) if np.isfinite(total) else np.inf
 
@@ -230,15 +221,12 @@ class _Workspace:
         uh = grid.forward(u)
         lap_u = grid.inverse(-grid.k2 * uh)
         self._last_lap = (u, lap_u)
-        r = (
+        return (
             grid.inverse(self.principal * uh + self.k2_q * grid.forward(st["f"]))
             - st["c"] * (lap_u - FOUR_PI * n) / q
             + st["c"] * (st["f"] - self.model.s)
             + FOUR_PI * n
         )
-        if self.forcing is not None:
-            r = r - self.forcing
-        return r
 
     def hessian_operator(self, u: np.ndarray, st: dict) -> Operator:
         """Frechet derivative of the gradient at the frozen state."""
@@ -323,25 +311,19 @@ def recover_v(
 
 
 def energy(
-    u: ScalarField,
-    spec: ProblemSpec,
-    background: BackgroundData | None = None,
-    forcing: ScalarField | None = None,
+    u: ScalarField, spec: ProblemSpec, background: BackgroundData | None = None
 ) -> float:
     """Value of the variational functional at u."""
     bg = background or compute_u0(spec.vortices, spec.grid)
-    return _Workspace(spec, bg, forcing).energy(u.values)
+    return _Workspace(spec, bg).energy(u.values)
 
 
 def energy_gradient(
-    u: ScalarField,
-    spec: ProblemSpec,
-    background: BackgroundData | None = None,
-    forcing: ScalarField | None = None,
+    u: ScalarField, spec: ProblemSpec, background: BackgroundData | None = None
 ) -> ScalarField:
     """L2 gradient of the energy: the fourth-order equation's left side."""
     bg = background or compute_u0(spec.vortices, spec.grid)
-    return ScalarField(spec.grid, _Workspace(spec, bg, forcing).gradient(u.values))
+    return ScalarField(spec.grid, _Workspace(spec, bg).gradient(u.values))
 
 
 def initial_guess(bg: BackgroundData, model: NonlinearityModel) -> ScalarField:
@@ -368,14 +350,12 @@ def _half_grid(spec: ProblemSpec) -> ProblemSpec | None:
     return replace(spec, grid=coarse)
 
 
-def _cold_start(
-    spec: ProblemSpec, bg: BackgroundData, limits: dict, coupled: bool = True
-) -> ScalarField:
+def _cold_start(spec: ProblemSpec, bg: BackgroundData, limits: dict) -> ScalarField:
     """Start of a solve_coupled without init: the same problem solved on
-    the half grid, prolonged; else (coupled False, as for a forced solve,
-    no half grid, or a failed solve there) the limit solution (_limit), or
-    the ansatz where that fails too.  limits is shared by all levels."""
-    coarse = _half_grid(spec) if coupled else None
+    the half grid, prolonged; else (no half grid, or a failed solve there)
+    the limit solution (_limit), or the ansatz where that fails too.
+    limits is shared by all levels."""
+    coarse = _half_grid(spec)
     if coarse is not None:
         coarse_bg = compute_u0(coarse.vortices, coarse.grid)
         coarse_init = _cold_start(coarse, coarse_bg, limits)
@@ -552,11 +532,10 @@ def _newton_krylov(
     state(u) returns None where u leaves the domain; linearize(u, st)
     returns the Jacobian and its preconditioner.  With r_k = scale times
     the L2 norm of the residual, each step runs preconditioned MINRES to
-    the forcing tolerance max(clip(1e-4 r_k, krylov_tol, 1e-4),
-    0.01 newton_tol / r_k).  The first term follows Eisenstat & Walker
-    (SIAM J. Sci. Comput. 17(1), 1996); the second is the lower bound of
-    Kelley (Iterative Methods for Linear and Nonlinear Equations, SIAM
-    1995, section 6.3): a step leaves a residual of about rtol r_k, so it
+    the forcing tolerance max(min(1e-4 r_k, 1e-4), 0.01 newton_tol / r_k).
+    The first term follows Eisenstat & Walker (SIAM J. Sci. Comput. 17(1),
+    1996); the second is the lower bound of Kelley (Iterative Methods for
+    Linear and Nonlinear Equations, SIAM 1995, section 6.3): a step leaves a residual of about rtol r_k, so it
     need not be solved far below newton_tol.  Its factor is 0.01, not 0.1,
     because MINRES stops on the backward error ||r|| <= rtol ||A|| ||x||,
     which reduces ||r|| by less than rtol; the loop runs only while
@@ -577,10 +556,7 @@ def _newton_krylov(
         if r_norm <= spec.newton_tol:
             break
         H, M = linearize(u, st)
-        rtol = max(
-            float(np.clip(1e-4 * r_norm, spec.krylov_tol, 1e-4)),
-            0.01 * spec.newton_tol / r_norm,
-        )
+        rtol = max(min(1e-4 * r_norm, 1e-4), 0.01 * spec.newton_tol / r_norm)
         delta, info = _minres(H, M, -r, rtol, maxiter=400)
         alpha = 1.0
         while True:
@@ -634,7 +610,6 @@ def solve_coupled(
     spec: ProblemSpec,
     init: ScalarField | None = None,
     background: BackgroundData | None = None,
-    forcing: ScalarField | None = None,
 ) -> SolutionBundle:
     """Newton-Krylov solve of the coupled system for the given coupling.
 
@@ -647,13 +622,14 @@ def solve_coupled(
     residual norm when the inner solve is accurate.  Converges when the L2
     residual of the second equation (q times the fourth-order residual) is
     below newton_tol.  On convergence v is recovered from the first
-    equation and w = q(v - f(e^{u0+u})) is formed by definition.
+    equation and w = q(v - f(e^{u0+u})) is formed by definition.  The
+    problem is spec alone: model, vortices, q and grid, with the tolerances
+    that decide convergence.
 
     Without init the solve climbs the half-grid ladder (_cold_start): it
-    starts from the same problem solved on N/2, prolonged; where that is
-    skipped (with a forcing), does not apply or fails, from the limit
-    profile, and from the ansatz if that fails too.  newton_iters counts
-    the steps on spec.grid only.
+    starts from the same problem solved on N/2, prolonged; where that does
+    not apply or fails, from the limit profile, and from the ansatz if that
+    fails too.  newton_iters counts the steps on spec.grid only.
 
     Raises QTooSmall if q <= sup|c| at some iterate, NoConvergence if the
     iteration or its line search stalls, and BoundsViolation if the
@@ -661,10 +637,10 @@ def solve_coupled(
     """
     grid, model, q = spec.grid, spec.model, spec.q
     bg = background or compute_u0(spec.vortices, spec.grid)
-    ws = _Workspace(spec, bg, forcing)
+    ws = _Workspace(spec, bg)
 
     if init is None:
-        init = _cold_start(spec, bg, {}, coupled=forcing is None)
+        init = _cold_start(spec, bg, {})
 
     def linearize(u: np.ndarray, st: dict):
         _require_coupling(q, st)
@@ -680,14 +656,13 @@ def solve_coupled(
     u_field = ScalarField(grid, u)
     v = _recover_v(u_field, st["f"], bg.n, q)
     w = ScalarField(grid, q * (v.values - st["f"]))
-    if forcing is None:
-        worst, _ = _bound_violation(model, st["f"], v.values)
-        bound_tol = spec.resolved_bound_tol()
-        if worst > bound_tol:
-            raise BoundsViolation(
-                f"pointwise bounds violated by {worst:.3e} > bound_tol={bound_tol:.3e} "
-                "(discretization failure: refine the grid or enlarge sigma)"
-            )
+    worst, _ = _bound_violation(model, st["f"], v.values)
+    bound_tol = spec.resolved_bound_tol()
+    if worst > bound_tol:
+        raise BoundsViolation(
+            f"pointwise bounds violated by {worst:.3e} > bound_tol={bound_tol:.3e} "
+            "(discretization failure: refine the grid or enlarge sigma)"
+        )
 
     res_a, res_b = _equation_residuals(u_field, v, st, bg.n, model.s, q)
     residuals = {"genmcsa": res_a, "genmcsb": res_b, "fourth_order": _l2(grid, r)}
@@ -782,7 +757,6 @@ def q_sweep(spec: ProblemSpec, q_list) -> "ConvergenceTable":
         "sigma": spec.vortices.sigma,
         "N": spec.grid.N,
         "newton_tol": spec.newton_tol,
-        "krylov_tol": spec.krylov_tol,
         "bound_tol": spec.resolved_bound_tol(),
     }
     return diagnostics.ConvergenceTable(meta=meta, rows=rows)

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from mcsvortex import BoundsViolation, ConfigError, GridSpec, SnapshotError, cli
 from mcsvortex.cli import bundle_from_snapshot, main, parse_config
 from mcsvortex.snapshots import (
-    MAGIC, read_field, read_solution, write_field, write_text_atomic
+    FIELD_FILES, MAGIC, read_field, read_solution, write_field, write_text_atomic
 )
 
 
@@ -70,8 +70,7 @@ BASE_CONFIG = {
 }
 CONFIG_OPTIONS = sorted(BASE_CONFIG) + [
     ("model", "table"), ("solver", "q_list"), ("solver", "newton_tol"),
-    ("solver", "krylov_tol"), ("solver", "max_newton_iters"),
-    ("solver", "bound_tol"), ("output", "dir"),
+    ("solver", "max_newton_iters"), ("solver", "bound_tol"), ("output", "dir"),
 ]
 
 # values near the schema: valid ones, non-finite and out-of-range numbers,
@@ -165,6 +164,7 @@ q_list = 10 20 40
             (("q = 40.0", "q = 40.0\nbound_tol = -1"), "bound_tol"),
             (("[output]", "[solvr]\nq = 40.0\n\n[output]"), r"unknown section \[solvr\]"),
             (("s = 9.0", "s = inf"), "finite s"),
+            (("q = 40.0", "q = 40.0\nkrylov_tol = 1e-10"), r"unknown key \[solver\] krylov_tol"),
         ],
     )
     def test_validation_errors(self, tmp_path, mangle, message):
@@ -198,7 +198,6 @@ q_list = 10 20 40
         fields = ProblemSpec.__dataclass_fields__
         for spec in (parse_config(cfg_path).spec, bundle_from_snapshot(out)[0].spec):
             assert spec.newton_tol == fields["newton_tol"].default
-            assert spec.krylov_tol == fields["krylov_tol"].default
             assert spec.max_newton_iters == fields["max_newton_iters"].default
 
     def test_custom_model_table(self, tmp_path):
@@ -374,8 +373,8 @@ class TestStaleRecords:
         )
         assert main(["solve", "--config", good]) == 0
         assert main(["solve", "--config", bad]) == 3
-        assert (out / "failure.json").is_file()
-        assert not (out / "solution.json").exists()
+        # the earlier run's snapshots go with its record
+        assert sorted(p.name for p in out.iterdir()) == ["failure.json"]
         assert main(["verify", str(out)]) == 1
         assert main(["solve", "--config", good]) == 0
         assert not (out / "failure.json").exists()
@@ -501,7 +500,8 @@ RECORD_FIELDS = [
     ("model",), ("model", "name"), ("model", "s"), ("model", "table"),
     ("vortices",), ("vortices", "points"), ("vortices", "multiplicities"),
     ("vortices", "sigma"), ("q",), ("grid", "N"), ("tolerances",),
-    ("tolerances", "newton_tol"), ("tolerances", "krylov_tol"),
+    ("tolerances", "newton_tol"),
+    ("tolerances", "krylov_tol"),  # written by earlier releases, now ignored
     ("tolerances", "max_newton_iters"), ("tolerances", "bound_tol"),
     ("residual_norms",), ("newton_iters",), ("energy",),
 ]
@@ -602,7 +602,6 @@ class TestVerifyCommand:
         "mangle,named",
         [
             (lambda meta, out: [], "snapshot error"),
-            (lambda meta, out: {**meta, "fields": ["u"]}, "snapshot error"),
             (lambda meta, out: {**meta, "q": None}, "snapshot error"),
             (
                 lambda meta, out: {**meta, "vortices": {**meta["vortices"], "sigma": None}},
@@ -638,7 +637,7 @@ class TestVerifyCommand:
             ),
         ],
         ids=[
-            "list", "field-list", "null-q", "null-sigma", "overflow", "huge-sigma",
+            "list", "null-q", "null-sigma", "overflow", "huge-sigma",
             "overflowing-multiplicity", "overflowing-newton-iters",
             "overflowing-max-newton-iters", "overflowing-grid-N", "negative-bound-tol",
         ],
@@ -650,6 +649,20 @@ class TestVerifyCommand:
         assert main(["verify", str(solved_dir)]) == 1
         err = capsys.readouterr().err
         assert "snapshot error" in err and named in err
+
+    def test_record_field_paths_are_not_followed(self, tmp_path):
+        dirs = {}
+        for name, q in (("A", "40.0"), ("B", "80.0")):
+            dirs[name] = tmp_path / name
+            body = VORTEX_CONFIG.format(out=dirs[name]).replace("q = 40.0", f"q = {q}")
+            cfg = write_config(tmp_path / f"{name}.cfg", body)
+            assert main(["solve", "--config", cfg]) == 0
+        path = dirs["A"] / "solution.json"
+        meta = json.loads(path.read_text())
+        meta["fields"]["u"] = str((dirs["B"] / "u.fld").resolve())
+        path.write_text(json.dumps(meta))
+        # verify reads A/u.fld, not the q = 80 solution the record names
+        assert main(["verify", str(dirs["A"])]) == 0
 
     @settings(
         max_examples=300,
@@ -769,14 +782,15 @@ class TestSnapshotFormat:
         assert [p.name for p in tmp_path.iterdir()] == ["record.json"]
 
     def test_read_solution_requires_all_fields(self, tmp_path):
-        (tmp_path / "solution.json").write_text(
-            json.dumps(
-                {
-                    "format": "mcsvortex-solution",
-                    "grid": {"N": 8},
-                    "fields": {},
-                }
-            )
-        )
-        with pytest.raises(SnapshotError, match="missing field snapshots"):
-            read_solution(tmp_path)
+        record = {"format": "mcsvortex-solution", "grid": {"N": 8}}
+        (tmp_path / "solution.json").write_text(json.dumps(record))
+        for missing in FIELD_FILES:
+            for name in FIELD_FILES:
+                path = tmp_path / f"{name}.fld"
+                path.unlink(missing_ok=True)
+                if name != missing:
+                    write_field(path, GridSpec(8).constant(0.0))
+            with pytest.raises(SnapshotError, match=rf"cannot read snapshot .*{missing}\.fld"):
+                read_solution(tmp_path)
+        write_field(tmp_path / f"{missing}.fld", GridSpec(8).constant(0.0))
+        assert sorted(read_solution(tmp_path)[1]) == sorted(FIELD_FILES)

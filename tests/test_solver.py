@@ -65,9 +65,6 @@ class TestProblemSpecValidation:
             ("newton_tol", 0.0),
             ("newton_tol", float("nan")),
             ("newton_tol", float("inf")),
-            ("krylov_tol", -1.0),
-            ("krylov_tol", float("nan")),
-            ("krylov_tol", float("inf")),
             ("max_newton_iters", 0),
             ("bound_tol", float("nan")),
             ("bound_tol", float("inf")),
@@ -253,9 +250,18 @@ class TestSolveCoupled:
         bg = compute_u0(spec.vortices, spec.grid)
         lim = solve_limit(spec, background=bg)
         u_m = lim.u_inf + smooth_field(spec.grid, rng, kmax=3, amp=0.3)
-        forcing = energy_gradient(u_m, spec, background=bg)
-        bundle = solve_coupled(spec, background=bg, forcing=forcing)
-        assert sup_norm(bundle.u - u_m) <= 1e-7
+        # the coupled gradient less its value at u_m has the root u_m; the
+        # driver finds it from the limit profile, as a cold solve would
+        forcing = energy_gradient(u_m, spec, background=bg).values
+        ws = solver._Workspace(spec, bg)
+        u, _, _, _ = solver._newton_krylov(
+            np.array(lim.u_inf.values, dtype=float), spec,
+            lambda u: solver._pointwise_state(spec.model, bg, u),
+            lambda u, st: ws.gradient(u, st) - forcing,
+            lambda u, st: (ws.hessian_operator(u, st), ws.coupled_preconditioner(st)),
+            "manufactured solution", scale=spec.q,
+        )
+        assert sup_norm(spec.grid.field(u) - u_m) <= 1e-7
 
     def test_single_vortex_large_coupling(self):
         spec = make_spec(N=128, q=80.0)
@@ -489,18 +495,6 @@ class TestGridSequencing:
         assert levels == [(32, "limit equation"), (64, "limit equation")]
         assert limit.newton_iters == steps[-1]
 
-    def test_forced_coupled_equation_stays_on_one_level(self, monkeypatch, rng):
-        spec = make_spec(N=64, q=20.0)
-        bg = compute_u0(spec.vortices, spec.grid)
-        forcing = energy_gradient(
-            smooth_field(spec.grid, rng, kmax=3, amp=0.3), spec, background=bg
-        )
-        levels, _ = _record_levels(monkeypatch)
-        solve_coupled(spec, background=bg, forcing=forcing)
-        # the limit warm start is sequenced on its own; the coupled
-        # equation with a forcing runs on the requested grid only
-        assert [lv for lv in levels if lv[1] == "Newton"] == [(64, "Newton")]
-
     def test_failed_coarse_solve_falls_back_to_limit_start(self, monkeypatch):
         spec = make_spec(N=64, q=40.0)
         sequenced = solve_coupled(spec)
@@ -526,16 +520,6 @@ class TestGridSequencing:
             (64, "limit equation"), (128, "limit equation"), (128, "Newton"),
         ]
         assert bundle.newton_iters == steps[-1]
-
-    def test_forced_solve_sequences_only_the_limit_equation(self, monkeypatch, rng):
-        spec = make_spec(N=64, q=20.0)
-        bg = compute_u0(spec.vortices, spec.grid)
-        forcing = energy_gradient(
-            smooth_field(spec.grid, rng, kmax=3, amp=0.3), spec, background=bg
-        )
-        levels, _ = _record_levels(monkeypatch)
-        solve_coupled(spec, background=bg, forcing=forcing)
-        assert levels == [(32, "limit equation"), (64, "limit equation"), (64, "Newton")]
 
     def test_failed_half_grid_limit_starts_from_ansatz(self, monkeypatch):
         spec = make_spec(N=64)
