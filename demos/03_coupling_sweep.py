@@ -1,12 +1,14 @@
 """Sweep the coupling upward and watch the solutions collapse onto the
 limit profile of the reduced single equation.
 
-The sweep solves at each q (warm-started along the branch from the limit
-profile) and measures sup-norm distances: d_eu for the field magnitude,
-d_v for the matter potential against f(e^{u_limit}), d_w for the stiff
-combination q(v - f) against its limiting value.  All three shrink roughly
-like 1/q, while Sobolev norms of the iterates stay bounded: no blow-up in
-the coupling.
+The sweep solves at each q, from the largest down, each Newton solve
+started from the expansion u_q = u_inf + u1/q + O(1/q^2) of the branch:
+u_inf + u1/q at the largest q, then the quadratic in 1/q through u_inf,
+with slope u1, that meets the last solved coupling.  It measures sup-norm
+distances: d_eu for the field magnitude, d_v for the matter potential
+against f(e^{u_limit}), d_w for the stiff combination q(v - f) against its
+limiting value.  All three shrink roughly like 1/q, while Sobolev norms
+of the iterates stay bounded: no blow-up in the coupling.
 """
 
 from mcsvortex import GridSpec, ProblemSpec, VortexConfig, q_sweep, u1_model

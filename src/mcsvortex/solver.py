@@ -35,6 +35,12 @@ FOUR_PI = 4.0 * np.pi
 # a linear operator on N x N grid arrays
 Operator = Callable[[np.ndarray], np.ndarray]
 
+# MINRES tolerance of the LimitSolution.u1 solve.  u1 only shapes a Newton
+# start whose error is O(1/q^2) anyway.  On the three-vortex sweep at
+# N = 128 (q = 160 .. 20), 1e-6 costs 28 transforms and the sweep 952;
+# 1e-4 costs 12 but the sweep 1080, and 1e-10 costs 52 and the sweep 1024.
+_U1_RTOL = 1e-6
+
 
 @dataclass(frozen=True)
 class ProblemSpec:
@@ -142,6 +148,26 @@ class LimitSolution:
         and kept for the solution's lifetime, so a sweep evaluates it once."""
         st = _pointwise_state(self.model, self.background, self.u_inf.values)
         return {"t": st["t"], "f": st["f"], "w": st["c"] * (self.model.s - st["f"])}
+
+    @cached_property
+    def u1(self) -> ScalarField | None:
+        """First-order term of the large-coupling expansion
+        u_q = u_inf + u1/q + O(1/q^2).  With eps = 1/q the coupled gradient
+        is L(u) + eps B(u) + eps^2 Lap^2 u, L the limit residual and
+        B(u) = -Lap f - c (Lap u - 4 pi n), so u1 solves
+        L'(u_inf) u1 = -B(u_inf) = Lap f + c^2 (f - s), where
+        L(u_inf) = 0 gives Lap u_inf - 4 pi n = c (f - s).  One MINRES solve
+        with the limit equation's Jacobian and preconditioner, made on first
+        use and kept.  None when MINRES stops at its iteration limit or gives
+        a non-finite field; every start then falls back to u_inf."""
+        grid = self.grid
+        st = _pointwise_state(self.model, self.background, self.u_inf.values)
+        rhs = grid.apply(-grid.k2, st["f"]) + st["c"] ** 2 * (st["f"] - self.model.s)
+        H, M = _limit_jacobian(grid, self.model.s, st)
+        u1, info = _minres(H, M, rhs, _U1_RTOL, maxiter=400)
+        if info != 0 or not np.all(np.isfinite(u1)):
+            return None
+        return ScalarField(grid, u1)
 
 
 def _pointwise_state(
@@ -263,6 +289,38 @@ def _spectral_inverse(grid: GridSpec, symbol: np.ndarray) -> Operator:
     return lambda x: grid.apply(inv_symbol, x)
 
 
+def _limit_jacobian(grid: GridSpec, s: float, st: dict) -> tuple[Operator, Operator]:
+    """Frechet derivative -Lap + V of the limit residual at the state st,
+    and its preconditioner, the spectral inverse of -Lap + max(1, inf V)."""
+    cp = _dc_dt(st) * st["t"]
+    V = -cp * (s - st["f"]) + st["c"] * st["fp"] * st["t"]
+
+    def hessian(phi: np.ndarray) -> np.ndarray:
+        return grid.apply(grid.k2, phi) + V * phi
+
+    return hessian, _spectral_inverse(grid, grid.k2 + max(1.0, float(V.min())))
+
+
+def _predict(
+    limit: LimitSolution, q: float, last: SolutionBundle | None = None
+) -> ScalarField:
+    """Newton start at coupling q from the expansion in eps = 1/q
+    (predictor of Allgower & Georg, Introduction to Numerical Continuation
+    Methods, SIAM 2003, ch. 2): u_inf + eps u1; given the last converged
+    solve, at eps_p, the quadratic in eps through u_inf with slope u1 that
+    meets it, u_inf + eps u1 + (eps/eps_p)^2 (u_last - u_inf - eps_p u1).
+    Without u1, last.u or else u_inf."""
+    u1 = limit.u1
+    if u1 is None:
+        return limit.u_inf if last is None else last.u
+    eps = 1.0 / q
+    start = limit.u_inf + eps * u1
+    if last is not None:
+        eps_p = 1.0 / last.q
+        start = start + (eps / eps_p) ** 2 * (last.u - limit.u_inf - eps_p * u1)
+    return start
+
+
 def coefficient_fields(
     u: ScalarField, bg: BackgroundData, model: NonlinearityModel, q: float
 ):
@@ -353,8 +411,9 @@ def _half_grid(spec: ProblemSpec) -> ProblemSpec | None:
 def _cold_start(spec: ProblemSpec, bg: BackgroundData, limits: dict) -> ScalarField:
     """Start of a solve_coupled without init: the same problem solved on
     the half grid, prolonged; else (no half grid, or a failed solve there)
-    the limit solution (_limit), or the ansatz where that fails too.
-    limits is shared by all levels."""
+    the limit solution (_limit) with its first-order term, u_inf + u1/q
+    (_predict), or the ansatz where the limit solve fails too.  limits is
+    shared by all levels."""
     coarse = _half_grid(spec)
     if coarse is not None:
         coarse_bg = compute_u0(coarse.vortices, coarse.grid)
@@ -365,8 +424,9 @@ def _cold_start(spec: ProblemSpec, bg: BackgroundData, limits: dict) -> ScalarFi
         except (NoConvergence, QTooSmall, BoundsViolation):
             pass
     limit = _limit(spec, bg, limits)
-    solved = isinstance(limit, LimitSolution)
-    return limit.u_inf if solved else initial_guess(bg, spec.model)
+    if isinstance(limit, LimitSolution):
+        return _predict(limit, spec.q)
+    return initial_guess(bg, spec.model)
 
 
 def _limit(
@@ -390,20 +450,11 @@ def _limit(
     def residual(u: np.ndarray, st: dict) -> np.ndarray:
         return grid.apply(k2, u) - st["c"] * (s - st["f"]) + FOUR_PI * bg.n
 
-    def linearize(u: np.ndarray, st: dict):
-        cp = _dc_dt(st) * st["t"]
-        V = -cp * (s - st["f"]) + st["c"] * st["fp"] * st["t"]
-
-        def hessian(phi: np.ndarray) -> np.ndarray:
-            return grid.apply(k2, phi) + V * phi
-
-        return hessian, _spectral_inverse(grid, k2 + max(1.0, float(V.min())))
-
     try:
         u, _, r, iters = _newton_krylov(
             np.array(init.values, dtype=float), spec,
-            lambda u: _pointwise_state(model, bg, u), residual, linearize,
-            "limit equation",
+            lambda u: _pointwise_state(model, bg, u), residual,
+            lambda u, st: _limit_jacobian(grid, s, st), "limit equation",
         )
         limits[grid.N] = LimitSolution(
             model=model, background=bg, u_inf=ScalarField(grid, u),
@@ -628,7 +679,8 @@ def solve_coupled(
 
     Without init the solve climbs the half-grid ladder (_cold_start): it
     starts from the same problem solved on N/2, prolonged; where that does
-    not apply or fails, from the limit profile, and from the ansatz if that
+    not apply or fails, from the limit profile with its first-order term,
+    u_inf + u1/q (LimitSolution.u1), and from the ansatz if the limit solve
     fails too.  newton_iters counts the steps on spec.grid only.
 
     Raises QTooSmall if q <= sup|c| at some iterate, NoConvergence if the
@@ -698,14 +750,17 @@ def solve_limit(
 
 
 def q_sweep(spec: ProblemSpec, q_list) -> "ConvergenceTable":
-    """Warm-started solves over ascending couplings, measured against the
-    limit profile.  Per-entry solver failures become marked rows rather
-    than exceptions.
+    """Solves over ascending couplings, measured against the limit
+    profile.  Per-entry solver failures become marked rows rather than
+    exceptions.
 
     Rows are reported in ascending q but solved in descending order: the
     limit profile is the infinite-coupling endpoint of the branch, so the
-    homotopy walks from the largest q (closest to the limit) downward,
-    warm-starting each solve from its larger-q neighbor.
+    homotopy walks from the largest q (closest to the limit) downward.  The
+    largest q starts from u_inf + u1/q, each later one from the quadratic
+    in 1/q through u_inf, with slope u1, that meets the last converged
+    solve (_predict); without u1, from u_inf and then from the last
+    converged neighbor.
     """
     from . import diagnostics
 
@@ -718,15 +773,15 @@ def q_sweep(spec: ProblemSpec, q_list) -> "ConvergenceTable":
     bg = compute_u0(spec.vortices, spec.grid)
     limit = solve_limit(spec, background=bg)
     rows = []
-    u_prev = limit.u_inf
+    last = None
     for q in reversed(q_list):
         sub = replace(spec, q=q)
         try:
-            bundle = solve_coupled(sub, init=u_prev, background=bg)
+            bundle = solve_coupled(sub, init=_predict(limit, q, last), background=bg)
         except (NoConvergence, QTooSmall, BoundsViolation) as exc:
             rows.append(diagnostics.SweepRow.failed(q, exc))
             continue
-        u_prev = bundle.u
+        last = bundle
         metrics = diagnostics.convergence_metrics(bundle, limit)
         gradu = diagnostics.check_gradu(bundle)
         flux = diagnostics.check_flux(bundle)

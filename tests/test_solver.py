@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -348,14 +350,12 @@ class TestSolveCoupled:
     def test_insensitive_to_doubling_truncation_threshold(self):
         # solutions never visit the flattened range, so moving the
         # threshold out by 2x must not change them
-        from dataclasses import replace as dc_replace
-
         spec = make_spec(N=48, q=40.0, newton_tol=2e-8)
         base = solve_coupled(spec)
-        wide_model = dc_replace(
+        wide_model = replace(
             spec.model, T=2 * spec.model.T, f_upper=2 * spec.model.T
         )
-        wide = solve_coupled(dc_replace(spec, model=wide_model))
+        wide = solve_coupled(replace(spec, model=wide_model))
         assert sup_norm(base.u - wide.u) <= 1e-7
         assert sup_norm(base.v - wide.v) <= 1e-7
 
@@ -576,17 +576,33 @@ class TestForcingTerm:
 
 class TestNewtonPasses:
     """Newton passes per rung of the half-grid ladder, as (grid size,
-    equation, passes) in call order; a looser inner tolerance must not
-    cost a pass anywhere."""
+    equation, passes) in call order; a looser inner tolerance or a better
+    start must not cost a pass anywhere."""
 
     def _rungs(self, levels, steps):
         return [(N, what, n) for (N, what), n in zip(levels, steps)]
 
-    def test_cold_coupled_solve(self, monkeypatch):
+    def _cold_rungs(self, monkeypatch):
         levels, steps = _record_levels(monkeypatch)
         solve_coupled(make_spec(N=64, q=40.0))
-        assert self._rungs(levels, steps) == [
-            (32, "limit equation", 6), (32, "Newton", 5), (64, "Newton", 2)
+        return self._rungs(levels, steps)
+
+    def _sweep_rungs(self, monkeypatch):
+        vortices = VortexConfig(
+            points=((0.25, 0.25), (0.75, 0.25), (0.5, 0.75)),
+            multiplicities=(1, 1, 1),
+            sigma=4.0 * GridSpec(64).h,
+        )
+        spec = make_spec(N=64, s=16.0, vortices=vortices)
+        levels, steps = _record_levels(monkeypatch)
+        table = q_sweep(spec, [20.0, 40.0, 80.0, 160.0])
+        assert all(row.status == "converged" for row in table.rows)
+        return self._rungs(levels, steps)
+
+    def test_cold_coupled_solve(self, monkeypatch):
+        # the N = 32 rung starts from u_inf + u1/q (5 passes from u_inf)
+        assert self._cold_rungs(monkeypatch) == [
+            (32, "limit equation", 6), (32, "Newton", 4), (64, "Newton", 2)
         ]
 
     def test_limit_solve(self, monkeypatch):
@@ -597,19 +613,77 @@ class TestNewtonPasses:
         ]
 
     def test_three_vortex_sweep(self, monkeypatch):
-        vortices = VortexConfig(
-            points=((0.25, 0.25), (0.75, 0.25), (0.5, 0.75)),
-            multiplicities=(1, 1, 1),
-            sigma=4.0 * GridSpec(64).h,
-        )
-        spec = make_spec(N=64, s=16.0, vortices=vortices)
-        levels, steps = _record_levels(monkeypatch)
-        table = q_sweep(spec, [20.0, 40.0, 80.0, 160.0])
-        assert all(row.status == "converged" for row in table.rows)
-        assert self._rungs(levels, steps) == [
+        # q = 160 starts from u_inf + u1/q, each later coupling from the
+        # Hermite quadratic in 1/q (5, 5, 5, 6 passes from the neighbour)
+        assert self._sweep_rungs(monkeypatch) == [
+            (32, "limit equation", 6), (64, "limit equation", 2),
+            (64, "Newton", 4), (64, "Newton", 3), (64, "Newton", 4), (64, "Newton", 5),
+        ]
+
+    @pytest.mark.parametrize("failure", ["iteration limit", "not finite"])
+    def test_failed_corrector_keeps_the_old_starts(self, monkeypatch, failure):
+        # without u1 the starts are u_inf and the larger-q neighbour, and
+        # the passes those starts took before u1 existed
+        real_u1, results = solver.LimitSolution.u1.func, []
+
+        def failing_minres(A, M, b, rtol, maxiter):
+            if failure == "iteration limit":
+                return np.zeros_like(b), maxiter
+            return np.full_like(b, np.nan), 0
+
+        def u1(limit):
+            with monkeypatch.context() as m:
+                m.setattr(solver, "_minres", failing_minres)
+                results.append(real_u1(limit))
+            return results[-1]
+
+        monkeypatch.setattr(solver.LimitSolution, "u1", property(u1))
+        assert self._cold_rungs(monkeypatch) == [
+            (32, "limit equation", 6), (32, "Newton", 5), (64, "Newton", 2)
+        ]
+        assert self._sweep_rungs(monkeypatch) == [
             (32, "limit equation", 6), (64, "limit equation", 2),
             (64, "Newton", 5), (64, "Newton", 5), (64, "Newton", 5), (64, "Newton", 6),
         ]
+        assert results and all(u1 is None for u1 in results)
+
+
+class TestFirstOrderCorrector:
+    """u_q = u_inf + u1/q + O(1/q^2), one order beyond the sweep's d_*
+    columns, with one vortex at N = 64 and q = 80, 160, 320."""
+
+    QS = (80.0, 160.0, 320.0)
+
+    @pytest.fixture(scope="class")
+    def expansion(self):
+        spec = make_spec(N=64)
+        bg = compute_u0(spec.vortices, spec.grid)
+        limit = solve_limit(spec, background=bg)
+        return spec, bg, limit
+
+    def test_corrector_cancels_the_first_order_residual(self, expansion):
+        # the Newton residual q ||gradient|| is O(1) at u_inf, O(1/q) at
+        # u_inf + u1/q
+        spec, bg, limit = expansion
+        zeroth, first = [], []
+        for q in self.QS:
+            sub = replace(spec, q=q)
+            zeroth.append(q * l2_norm(energy_gradient(limit.u_inf, sub, bg)))
+            first.append(q * l2_norm(energy_gradient(limit.u_inf + limit.u1 / q, sub, bg)))
+        assert max(zeroth) <= 1.05 * min(zeroth)
+        assert all(b <= a / 2.0 for a, b in zip(first, first[1:]))
+        assert first[0] <= zeroth[0] / 5.0
+
+    def test_converged_solutions_follow_the_expansion(self, expansion):
+        spec, bg, limit = expansion
+        zeroth, first = [], []
+        for q in self.QS:
+            u = solve_coupled(replace(spec, q=q), background=bg).u
+            zeroth.append(sup_norm(u - limit.u_inf))
+            first.append(sup_norm(u - limit.u_inf - limit.u1 / q))
+        # O(1/q^2) with u1, only O(1/q) without
+        assert all(b <= a / 3.5 for a, b in zip(first, first[1:]))
+        assert all(b >= a / 2.5 for a, b in zip(zeroth, zeroth[1:]))
 
 
 class TestSolveLimit:
