@@ -1,14 +1,16 @@
 """Sweep the coupling upward and watch the solutions collapse onto the
 limit profile of the reduced single equation.
 
-The sweep solves at each q, from the largest down, each Newton solve
-started from the expansion u_q = u_inf + u1/q + O(1/q^2) of the branch:
-u_inf + u1/q at the largest q, then the quadratic in 1/q through u_inf,
-with slope u1, that meets the last solved coupling.  It measures sup-norm
-distances: d_eu for the field magnitude, d_v for the matter potential
-against f(e^{u_limit}), d_w for the stiff combination q(v - f) against its
-limiting value.  All three shrink roughly like 1/q, while Sobolev norms
-of the iterates stay bounded: no blow-up in the coupling.
+The sweep solves every q, from the largest down, first on the half grid
+(N = 48), each Newton solve there started from the expansion
+u_q = u_inf + u1/q + O(1/q^2) of the branch: u_inf + u1/q at the largest
+q, then the quadratic in 1/q through u_inf, with slope u1, that meets the
+last solved coupling.  On N = 96 each q then starts from its half-grid
+solution, prolonged, and needs only a few Newton steps.  It measures
+sup-norm distances: d_eu for the field magnitude, d_v for the matter
+potential against f(e^{u_limit}), d_w for the stiff combination q(v - f)
+against its limiting value.  All three shrink roughly like 1/q, while
+Sobolev norms of the iterates stay bounded: no blow-up in the coupling.
 """
 
 from mcsvortex import GridSpec, ProblemSpec, VortexConfig, q_sweep, u1_model

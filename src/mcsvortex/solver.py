@@ -143,11 +143,13 @@ class LimitSolution:
 
     @cached_property
     def _pointwise(self) -> dict:
-        """Limit-profile part of _pointwise_state for the convergence
-        metrics: t = e^{u*}, f(t) and w = c (s - f(t)).  Built on first use
-        and kept for the solution's lifetime, so a sweep evaluates it once."""
+        """_pointwise_state at u_inf plus the limit value of w,
+        "w" = c (s - f(t)), for u1 and the convergence metrics.  Built on
+        first use and kept for the solution's lifetime, so a sweep evaluates
+        the limit state once."""
         st = _pointwise_state(self.model, self.background, self.u_inf.values)
-        return {"t": st["t"], "f": st["f"], "w": st["c"] * (self.model.s - st["f"])}
+        st["w"] = st["c"] * (self.model.s - st["f"])
+        return st
 
     @cached_property
     def u1(self) -> ScalarField | None:
@@ -160,8 +162,7 @@ class LimitSolution:
         with the limit equation's Jacobian and preconditioner, made on first
         use and kept.  None when MINRES stops at its iteration limit or gives
         a non-finite field; every start then falls back to u_inf."""
-        grid = self.grid
-        st = _pointwise_state(self.model, self.background, self.u_inf.values)
+        grid, st = self.grid, self._pointwise
         rhs = grid.apply(-grid.k2, st["f"]) + st["c"] ** 2 * (st["f"] - self.model.s)
         H, M = _limit_jacobian(grid, self.model.s, st)
         u1, info = _minres(H, M, rhs, _U1_RTOL, maxiter=400)
@@ -408,25 +409,52 @@ def _half_grid(spec: ProblemSpec) -> ProblemSpec | None:
     return replace(spec, grid=coarse)
 
 
-def _cold_start(spec: ProblemSpec, bg: BackgroundData, limits: dict) -> ScalarField:
-    """Start of a solve_coupled without init: the same problem solved on
-    the half grid, prolonged; else (no half grid, or a failed solve there)
-    the limit solution (_limit) with its first-order term, u_inf + u1/q
-    (_predict), or the ansatz where the limit solve fails too.  limits is
-    shared by all levels."""
+def _ladder(
+    spec: ProblemSpec, bg: BackgroundData | None, qs, limits: dict
+) -> list:
+    """The coupled equation on spec.grid at each coupling of the descending
+    qs, one rung of the half-grid ladder: the SolutionBundle, or the
+    NoConvergence, QTooSmall or BoundsViolation raised, per coupling.
+
+    The rung first runs itself on the half grid with the same couplings.
+    Each coupling then starts from the half grid's solution at that q,
+    prolonged; where there is none or it failed, from the limit solution
+    (_limit) predicted to q from the last coupling that converged on this
+    grid (_predict), or from the ansatz where the limit solve fails too.
+    Each coarse solution is dropped once it is prolonged.  limits is shared
+    by all levels; bg, if None, is the background of the kept limit
+    solution on spec.grid, or a new one."""
+    if bg is None:
+        kept = limits.get(spec.grid.N)
+        bg = (
+            kept.background if isinstance(kept, LimitSolution)
+            else compute_u0(spec.vortices, spec.grid)
+        )
     coarse = _half_grid(spec)
-    if coarse is not None:
-        coarse_bg = compute_u0(coarse.vortices, coarse.grid)
-        coarse_init = _cold_start(coarse, coarse_bg, limits)
+    below = [None] * len(qs) if coarse is None else _ladder(coarse, None, qs, limits)
+    limit = None
+    if not all(isinstance(under, SolutionBundle) for under in below):
+        limit = _limit(spec, bg, limits)
+    # the starts need nothing more from the coarse levels; at the top of
+    # the ladder this frees them before the solves on spec.grid
+    del coarse, limits
+    outcomes, last = [], None
+    for q in qs:
+        under = below.pop(0)
+        if isinstance(under, SolutionBundle):
+            init = spec.grid.prolong(under.u)
+        elif isinstance(limit, LimitSolution):
+            init = _predict(limit, q, last)
+        else:
+            init = initial_guess(bg, spec.model)
+        del under
         try:
-            bundle = solve_coupled(coarse, init=coarse_init, background=coarse_bg)
-            return spec.grid.prolong(bundle.u)
-        except (NoConvergence, QTooSmall, BoundsViolation):
-            pass
-    limit = _limit(spec, bg, limits)
-    if isinstance(limit, LimitSolution):
-        return _predict(limit, spec.q)
-    return initial_guess(bg, spec.model)
+            last = solve_coupled(replace(spec, q=q), init=init, background=bg)
+            outcomes.append(last)
+        except (NoConvergence, QTooSmall, BoundsViolation) as exc:
+            # without its traceback, which would keep this frame's fields
+            outcomes.append(exc.with_traceback(None))
+    return outcomes
 
 
 def _limit(
@@ -677,11 +705,12 @@ def solve_coupled(
     problem is spec alone: model, vortices, q and grid, with the tolerances
     that decide convergence.
 
-    Without init the solve climbs the half-grid ladder (_cold_start): it
-    starts from the same problem solved on N/2, prolonged; where that does
-    not apply or fails, from the limit profile with its first-order term,
-    u_inf + u1/q (LimitSolution.u1), and from the ansatz if the limit solve
-    fails too.  newton_iters counts the steps on spec.grid only.
+    Without init the solve is the one-coupling case of the half-grid
+    ladder (_ladder): it starts from the same problem solved on N/2,
+    prolonged; where that does not apply or fails, from the limit profile
+    with its first-order term, u_inf + u1/q (LimitSolution.u1), and from
+    the ansatz if the limit solve fails too.  newton_iters counts the steps
+    on spec.grid only.
 
     Raises QTooSmall if q <= sup|c| at some iterate, NoConvergence if the
     iteration or its line search stalls, and BoundsViolation if the
@@ -689,10 +718,15 @@ def solve_coupled(
     """
     grid, model, q = spec.grid, spec.model, spec.q
     bg = background or compute_u0(spec.vortices, spec.grid)
-    ws = _Workspace(spec, bg)
-
     if init is None:
-        init = _cold_start(spec, bg, {})
+        (outcome,) = _ladder(spec, bg, (q,), {})
+        if isinstance(outcome, SolutionBundle):
+            return outcome
+        try:
+            raise outcome
+        finally:
+            del outcome  # else the raised traceback keeps this frame
+    ws = _Workspace(spec, bg)
 
     def linearize(u: np.ndarray, st: dict):
         _require_coupling(q, st)
@@ -756,11 +790,17 @@ def q_sweep(spec: ProblemSpec, q_list) -> "ConvergenceTable":
 
     Rows are reported in ascending q but solved in descending order: the
     limit profile is the infinite-coupling endpoint of the branch, so the
-    homotopy walks from the largest q (closest to the limit) downward.  The
-    largest q starts from u_inf + u1/q, each later one from the quadratic
-    in 1/q through u_inf, with slope u1, that meets the last converged
-    solve (_predict); without u1, from u_inf and then from the last
-    converged neighbor.
+    homotopy walks from the largest q (closest to the limit) downward.
+    Every coupling climbs the half-grid ladder (_ladder) that a cold
+    solve_coupled climbs: all couplings are solved on N/2 first, and each
+    starts on spec.grid from its half-grid solution, prolonged.  Where
+    there is no half grid or its solve failed, the largest q starts from
+    u_inf + u1/q, each later one from the quadratic in 1/q through u_inf,
+    with slope u1, that meets the last converged solve on that grid
+    (_predict); without u1, from u_inf and then from the last converged
+    neighbor.  The limit solve on spec.grid, which the rows are measured
+    against, raises its NoConvergence; newton_iters counts the steps on
+    spec.grid only.
     """
     from . import diagnostics
 
@@ -771,17 +811,18 @@ def q_sweep(spec: ProblemSpec, q_list) -> "ConvergenceTable":
         raise ValueError("q_list entries must be positive and finite")
 
     bg = compute_u0(spec.vortices, spec.grid)
-    limit = solve_limit(spec, background=bg)
+    limits = {}
+    limit = _limit(spec, bg, limits)
+    if isinstance(limit, NoConvergence):
+        raise limit
+    outcomes = _ladder(spec, bg, q_list[::-1], limits)
     rows = []
-    last = None
-    for q in reversed(q_list):
-        sub = replace(spec, q=q)
-        try:
-            bundle = solve_coupled(sub, init=_predict(limit, q, last), background=bg)
-        except (NoConvergence, QTooSmall, BoundsViolation) as exc:
-            rows.append(diagnostics.SweepRow.failed(q, exc))
+    for q in q_list:
+        # outcomes run in descending q; popping frees each bundle after its row
+        bundle = outcomes.pop()
+        if not isinstance(bundle, SolutionBundle):
+            rows.append(diagnostics.SweepRow.failed(q, bundle))
             continue
-        last = bundle
         metrics = diagnostics.convergence_metrics(bundle, limit)
         gradu = diagnostics.check_gradu(bundle)
         flux = diagnostics.check_flux(bundle)
@@ -804,7 +845,6 @@ def q_sweep(spec: ProblemSpec, q_list) -> "ConvergenceTable":
                 newton_iters=bundle.newton_iters,
             )
         )
-    rows.reverse()
     meta = {
         "model": spec.model.name,
         "s": spec.model.s,

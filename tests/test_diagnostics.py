@@ -237,6 +237,46 @@ class TestConvergenceMetrics:
             assert row.d_v == float(np.abs(bundle.v.values - f_lim).max())
             assert row.d_w == float(np.abs(bundle.w.values - w_lim).max())
 
+    def test_corrector_and_metrics_share_the_limit_state(self, monkeypatch):
+        from mcsvortex import NonlinearityModel, diagnostics, solver
+
+        # sigma = 2h leaves no half-grid rung, so the sweep predicts its
+        # starts from the fine limit solution's u1
+        grid = GridSpec(32)
+        cfg = VortexConfig(points=((0.5, 0.5),), multiplicities=(1,), sigma=2 * grid.h)
+        spec = ProblemSpec(model=u1_model(S_ONE_VORTEX), vortices=cfg, q=20.0, grid=grid)
+        inside, evaluated, limits = [False], [], []
+        eval_arrays = NonlinearityModel._eval_arrays
+        newton_krylov = solver._newton_krylov
+        metrics = diagnostics.convergence_metrics
+
+        def counted_eval(model, t):
+            if not inside[0]:  # the driver's own passes are not counted
+                evaluated.append(t.copy())
+            return eval_arrays(model, t)
+
+        def driver(*args, **kwargs):
+            inside[0] = True
+            try:
+                return newton_krylov(*args, **kwargs)
+            finally:
+                inside[0] = False
+
+        def recorded_metrics(bundle, limit):
+            limits.append(limit)
+            return metrics(bundle, limit)
+
+        monkeypatch.setattr(NonlinearityModel, "_eval_arrays", counted_eval)
+        monkeypatch.setattr(solver, "_newton_krylov", driver)
+        monkeypatch.setattr(diagnostics, "convergence_metrics", recorded_metrics)
+        table = q_sweep(spec, [20.0, 40.0, 80.0])
+        assert all(row.status == "converged" for row in table.rows)
+        limit = limits[0]
+        assert all(seen is limit for seen in limits)
+        assert limit.grid == grid and limit.u1 is not None
+        t_lim = limit.background.exp_u0.values * np.exp(limit.u_inf.values)
+        assert sum(np.array_equal(t, t_lim) for t in evaluated) == 1
+
     def test_sweep_metrics_decrease(self):
         spec = one_vortex_spec(N=64, q=10.0)
         table = q_sweep(spec, [10.0, 20.0, 40.0, 80.0])

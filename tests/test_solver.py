@@ -521,6 +521,50 @@ class TestGridSequencing:
         ]
         assert bundle.newton_iters == steps[-1]
 
+    def test_sweep_and_cold_solve_climb_one_ladder(self, monkeypatch):
+        # a one-coupling sweep is a cold solve plus the fine limit solve
+        # that its d_* columns are measured against
+        spec = make_spec(N=64, q=40.0)
+        levels, steps = _record_levels(monkeypatch)
+        bundle = solve_coupled(spec)
+        cold = list(zip(levels, steps))
+        del levels[:], steps[:]
+        (row,) = q_sweep(spec, [spec.q]).rows
+        swept = list(zip(levels, steps))
+        assert swept.pop(1) == ((64, "limit equation"), 2)
+        assert swept == cold == [
+            ((32, "limit equation"), 6), ((32, "Newton"), 4), ((64, "Newton"), 2)
+        ]
+        assert row.status == "converged"
+        assert row.energy == bundle.energy_value
+        assert row.newton_iters == bundle.newton_iters == 2
+
+    def test_failed_half_grid_coupling_falls_back_alone(self, monkeypatch):
+        # the N = 32 solve at q = 40 fails: only that coupling starts N = 64
+        # from the predictor, through the last coupling converged there
+        spec = make_spec(N=64)
+        real_newton, real_predict = solver._newton_krylov, solver._predict
+        predicted = []
+
+        def newton(u, sub, state, residual, linearize, what, scale=1.0):
+            if (sub.grid.N, sub.q, what) == (32, 40.0, "Newton"):
+                raise NoConvergence(0, np.inf, what=what)
+            return real_newton(u, sub, state, residual, linearize, what, scale)
+
+        def predict(limit, q, last=None):
+            predicted.append((limit.grid.N, q, None if last is None else last.q))
+            return real_predict(limit, q, last)
+
+        monkeypatch.setattr(solver, "_newton_krylov", newton)
+        monkeypatch.setattr(solver, "_predict", predict)
+        table = q_sweep(spec, [20.0, 40.0, 80.0])
+        assert predicted == [
+            (32, 80.0, None), (32, 40.0, 80.0), (32, 20.0, 80.0), (64, 40.0, 80.0)
+        ]
+        assert all(row.status == "converged" for row in table.rows)
+        d_v = [row.d_v for row in table.rows]
+        assert all(b < a for a, b in zip(d_v, d_v[1:]))
+
     def test_failed_half_grid_limit_starts_from_ansatz(self, monkeypatch):
         spec = make_spec(N=64)
         bg = compute_u0(spec.vortices, spec.grid)
@@ -613,11 +657,15 @@ class TestNewtonPasses:
         ]
 
     def test_three_vortex_sweep(self, monkeypatch):
-        # q = 160 starts from u_inf + u1/q, each later coupling from the
-        # Hermite quadratic in 1/q (5, 5, 5, 6 passes from the neighbour)
+        # every coupling is solved on the half grid first: there q = 160
+        # starts from u_inf + u1/q, each later coupling from the Hermite
+        # quadratic in 1/q (5, 5, 5, 6 passes from the neighbour), and each
+        # N = 64 coupling from its N = 32 solution (4, 3, 4, 5 passes from
+        # the predictor on N = 64 itself)
         assert self._sweep_rungs(monkeypatch) == [
             (32, "limit equation", 6), (64, "limit equation", 2),
-            (64, "Newton", 4), (64, "Newton", 3), (64, "Newton", 4), (64, "Newton", 5),
+            (32, "Newton", 3), (32, "Newton", 3), (32, "Newton", 4), (32, "Newton", 5),
+            (64, "Newton", 2), (64, "Newton", 2), (64, "Newton", 2), (64, "Newton", 2),
         ]
 
     @pytest.mark.parametrize("failure", ["iteration limit", "not finite"])
@@ -643,7 +691,8 @@ class TestNewtonPasses:
         ]
         assert self._sweep_rungs(monkeypatch) == [
             (32, "limit equation", 6), (64, "limit equation", 2),
-            (64, "Newton", 5), (64, "Newton", 5), (64, "Newton", 5), (64, "Newton", 6),
+            (32, "Newton", 5), (32, "Newton", 5), (32, "Newton", 5), (32, "Newton", 6),
+            (64, "Newton", 2), (64, "Newton", 2), (64, "Newton", 2), (64, "Newton", 2),
         ]
         assert results and all(u1 is None for u1 in results)
 
