@@ -24,10 +24,9 @@ from .errors import (
     BoundsViolation,
     ConfigError,
     MCSVortexError,
-    NoConvergence,
     PreconditionViolated,
-    QTooSmall,
     SnapshotError,
+    SolveFailure,
 )
 from .grid import GridSpec, sup_norm
 from .nonlinearity import model_from_name
@@ -38,8 +37,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_CHECK_FAILED = 2
 EXIT_NO_CONVERGENCE = 3
-
-_SOLVER_FAILURES = (NoConvergence, QTooSmall, BoundsViolation)
 
 # the record of a failed solve or sweep; it replaces, and is replaced by, the
 # record of that command's successful run (solution.json, sweep.tsv)
@@ -58,7 +55,6 @@ class RunConfig:
     spec: ProblemSpec
     q: float | None
     q_list: list | None
-    table: tuple | None  # a custom model's (t, f) samples, for the record
     out_dir: str
 
 
@@ -67,7 +63,7 @@ _SCHEMA = {
     "model": {"name", "s", "table"},
     "vortices": {"points", "sigma"},
     "grid": {"n"},
-    "solver": {"q", "q_list", "newton_tol", "max_newton_iters", "bound_tol"},
+    "solver": {"q", "q_list", "newton_tol", "max_newton_iters"},
     "output": {"dir"},
 }
 
@@ -78,9 +74,10 @@ def _problem_spec(model, vortices, q, grid: GridSpec, tolerances) -> ProblemSpec
 
     model is {name, s, table}, s and table optional; vortices is {points,
     multiplicities, sigma}, sigma in torus units; tolerances holds the ones
-    given, the absent ones take ProblemSpec's defaults.  Raises ValueError
-    for invalid data, KeyError, TypeError, ... for mistyped data."""
-    bound_tol = tolerances.get("bound_tol")
+    given, the absent ones take ProblemSpec's defaults; any other entry,
+    such as the bound_tol that records still carry, is ignored.  Raises
+    ValueError for invalid data, KeyError, TypeError, ... for mistyped
+    data."""
     return ProblemSpec(
         vortices=VortexConfig(
             points=tuple((float(x), float(y)) for x, y in vortices["points"]),
@@ -94,7 +91,6 @@ def _problem_spec(model, vortices, q, grid: GridSpec, tolerances) -> ProblemSpec
         max_newton_iters=int(
             tolerances.get("max_newton_iters", ProblemSpec.max_newton_iters)
         ),
-        bound_tol=None if bound_tol is None else float(bound_tol),
     )
 
 
@@ -120,9 +116,12 @@ def parse_config(path) -> RunConfig:
         [vortices] points (one "x y multiplicity" triple per line), sigma
                    (units of h, default 4, >= 2, <= N/4)
         [grid]     N (even, >= 8)
-        [solver]   q or q_list, newton_tol, max_newton_iters, bound_tol
-                   (all tolerances optional, bound_tol >= 0)
+        [solver]   q or q_list, newton_tol, max_newton_iters (tolerances
+                   optional)
         [output]   dir (default "out")
+
+    The slack of the pointwise bounds is not configurable: it is
+    ProblemSpec.bound_tol, 1e-6 + 10*sigma^2.
     """
     path = Path(path)
     if not path.is_file():
@@ -229,7 +228,7 @@ def parse_config(path) -> RunConfig:
         raise ConfigError("[solver] needs q or q_list")
     tolerances = {
         key: value
-        for key in ("max_newton_iters", "newton_tol", "bound_tol")
+        for key in ("max_newton_iters", "newton_tol")
         if (value := get_float("solver", key)) is not None
     }
     max_iters = tolerances.get("max_newton_iters", 1.0)
@@ -242,9 +241,7 @@ def parse_config(path) -> RunConfig:
         )
     except (ValueError, MCSVortexError) as exc:
         raise ConfigError(str(exc)) from exc
-    return RunConfig(
-        spec=spec, q=q, q_list=q_list, table=model.get("table"), out_dir=out_dir
-    )
+    return RunConfig(spec=spec, q=q, q_list=q_list, out_dir=out_dir)
 
 
 def _print_reports(reports) -> None:
@@ -268,10 +265,10 @@ def cmd_solve(args) -> int:
     out_dir = Path(args.out or cfg.out_dir)
     try:
         bundle = solve_coupled(cfg.spec)
-    except _SOLVER_FAILURES as exc:
+    except SolveFailure as exc:
         return _write_failure(out_dir, cfg.spec, exc, replaces=_SOLVE_OUTPUTS)
     reports = diagnostics.all_reports(bundle)
-    write_solution(out_dir, bundle, reports, model_table=cfg.table)
+    write_solution(out_dir, bundle, reports)
     (out_dir / FAILURE_RECORD).unlink(missing_ok=True)
     print(f"converged in {bundle.newton_iters} Newton steps")
     print(f"energy = {bundle.energy_value:.17e}")
@@ -283,7 +280,7 @@ def cmd_solve(args) -> int:
 
 
 def _write_failure(
-    out_dir: Path, spec: ProblemSpec, exc: Exception, replaces: tuple
+    out_dir: Path, spec: ProblemSpec, exc: SolveFailure, replaces: tuple
 ) -> int:
     """Record a failed solve in failure.json, in place of the files a
     successful run writes (replaces: _SOLVE_OUTPUTS or sweep.tsv) that an
@@ -317,7 +314,7 @@ def cmd_sweep(args) -> int:
     spec = replace(cfg.spec, q=cfg.q_list[0])
     try:
         table = q_sweep(spec, cfg.q_list)
-    except _SOLVER_FAILURES as exc:
+    except SolveFailure as exc:
         # the shared limit solve failed: no row can be produced
         return _write_failure(out_dir, spec, exc, replaces=("sweep.tsv",))
     table_path = out_dir / "sweep.tsv"
@@ -331,7 +328,7 @@ def cmd_sweep(args) -> int:
             else f"q={row.q:g}  status={row.status}  ({row.message})"
         )
     statuses = {row.status for row in table.rows}
-    if statuses & {"no_convergence", "q_too_small", "error"}:
+    if statuses & {"no_convergence", "q_too_small"}:
         return EXIT_NO_CONVERGENCE
     if "bounds_violation" in statuses:
         return EXIT_CHECK_FAILED

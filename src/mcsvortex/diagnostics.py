@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import GridMismatch
+from .errors import GridMismatch, SolveFailure
 from .grid import ScalarField, _sobolev_norms, grad_squared, integrate
 from .snapshots import write_text_atomic
 from .solver import (
@@ -77,8 +77,9 @@ def _make_report(
 
 
 def check_bounds(bundle: SolutionBundle) -> InvariantReport:
-    """Pointwise bounds f(0) <= f(e^{u*}) <= s and f(0) <= v <= s,
-    with bound_tol slack for the mollified discretization."""
+    """Pointwise bounds f(0) <= f(e^{u*}) <= s and f(0) <= v <= s, with
+    the slack spec.bound_tol = 1e-6 + 10*sigma^2 for the mollified
+    discretization, the same one solve_coupled enforces."""
     st = bundle._pointwise
     model = bundle.model
     f0, s = model.f0, model.s
@@ -90,7 +91,7 @@ def check_bounds(bundle: SolutionBundle) -> InvariantReport:
         rhs=(f0, s),
         abs_disc=max(worst, 0.0),
         scale=abs(s - f0),
-        tolerance=bundle.spec.resolved_bound_tol(),
+        tolerance=bundle.spec.bound_tol,
         tol_kind="absolute",
         details={
             "f_e_min": fe_min,
@@ -307,15 +308,23 @@ class SweepRow:
     newton_iters: int = 0
 
     @classmethod
-    def failed(cls, q: float, exc: Exception) -> "SweepRow":
-        from .errors import BoundsViolation, NoConvergence, QTooSmall
-
-        status = {
-            NoConvergence: "no_convergence",
-            QTooSmall: "q_too_small",
-            BoundsViolation: "bounds_violation",
-        }.get(type(exc), "error")
-        return cls(q=q, status=status, message=str(exc))
+    def of(cls, q: float, outcome, limit: LimitSolution) -> "SweepRow":
+        """The row of one sweep coupling from its outcome: the SolutionBundle,
+        measured against the limit solution, or the SolveFailure raised."""
+        if isinstance(outcome, SolveFailure):
+            return cls(q=q, status=outcome.status, message=str(outcome))
+        return cls(
+            q=q,
+            status="converged",
+            **asdict(convergence_metrics(outcome, limit)),
+            sob_u=_sobolev_norms(outcome.u),
+            sob_v=_sobolev_norms(outcome.v),
+            gradu_value=float(check_gradu(outcome).lhs),
+            flux_rel_err=float(check_flux(outcome).rel_discrepancy),
+            energy=outcome.energy_value,
+            genmcsb_residual=outcome.residual_norms["genmcsb"],
+            newton_iters=outcome.newton_iters,
+        )
 
 
 _TSV_COLUMNS = (

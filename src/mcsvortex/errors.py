@@ -13,8 +13,17 @@ class PreconditionViolated(MCSVortexError):
     """An operation was called outside its admissible parameter range."""
 
 
-class NoConvergence(MCSVortexError):
+class SolveFailure(MCSVortexError):
+    """A solve that ran but gave no admissible solution.  status names the
+    outcome in a sweep table's row."""
+
+    status: str
+
+
+class NoConvergence(SolveFailure):
     """An iterative solve stalled before reaching its tolerance."""
+
+    status = "no_convergence"
 
     def __init__(self, iterations: int, residual: float, what: str = "iteration"):
         self.iterations = iterations
@@ -38,16 +47,21 @@ class OutOfRange(MCSVortexError):
     """Inverse nonlinearity queried outside [f(0), f(T))."""
 
 
-class QTooSmall(MCSVortexError):
+class QTooSmall(SolveFailure):
     """Coupling q fell at or below the sup norm of the zeroth-order coefficient."""
 
+    status = "q_too_small"
 
-class BoundsViolation(MCSVortexError):
-    """A converged state broke the pointwise bounds by more than bound_tol.
+
+class BoundsViolation(SolveFailure):
+    """A converged state broke the pointwise bounds by more than the fixed
+    slack ProblemSpec.bound_tol, 1e-6 + 10*sigma^2.
 
     Signals a discretization failure (e.g. under-resolved mollification),
     not a solver bug.
     """
+
+    status = "bounds_violation"
 
 
 class ConfigError(MCSVortexError):

@@ -53,7 +53,9 @@ class NonlinearityModel:
 
     raw_f, raw_fp, raw_fpp are vectorized callables valid on t >= 0 and are
     only ever evaluated at arguments <= 1.5*T.  f_upper is the supremum of
-    the truncated f over the inversion domain [0, T).
+    the truncated f over the inversion domain [0, T).  table holds a
+    tabulated model's (t, f) samples as tuples of floats, for its record;
+    None for every other model.
     """
 
     name: str
@@ -63,6 +65,7 @@ class NonlinearityModel:
     raw_fp: Callable[[np.ndarray], np.ndarray]
     raw_fpp: Callable[[np.ndarray], np.ndarray]
     f_upper: float
+    table: tuple[tuple[float, ...], tuple[float, ...]] | None = None
 
     def _eval_arrays(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         t = np.asarray(t, dtype=float)
@@ -210,6 +213,7 @@ def tabulated_model(ts, fs, s: float) -> NonlinearityModel:
         raw_fp=lambda t: d1(t),
         raw_fpp=lambda t: d2(t),
         f_upper=float(interp(T)),
+        table=(tuple(map(float, ts)), tuple(map(float, fs))),
     )
 
 

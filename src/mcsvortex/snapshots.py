@@ -75,7 +75,7 @@ def read_field(path, grid: GridSpec | None = None) -> ScalarField:
         raise SnapshotError(f"{path}: {exc}") from exc
 
 
-def write_solution(out_dir, bundle, reports, model_table=None) -> Path:
+def write_solution(out_dir, bundle, reports) -> Path:
     """Write field snapshots plus solution.json; returns the json path.
 
     A solution.json already in out_dir is removed before the snapshots are
@@ -109,7 +109,7 @@ def write_solution(out_dir, bundle, reports, model_table=None) -> Path:
         "tolerances": {
             "newton_tol": spec.newton_tol,
             "max_newton_iters": spec.max_newton_iters,
-            "bound_tol": spec.resolved_bound_tol(),
+            "bound_tol": spec.bound_tol,  # for older readers; not read back
         },
         "residual_norms": bundle.residual_norms,
         "newton_iters": bundle.newton_iters,
@@ -117,9 +117,8 @@ def write_solution(out_dir, bundle, reports, model_table=None) -> Path:
         "reports": [r.to_dict() for r in reports],
         "fields": {name: f"{name}.fld" for name in fields},
     }
-    if model_table is not None:
-        ts, fs = model_table
-        meta["model"]["table"] = [list(map(float, ts)), list(map(float, fs))]
+    if spec.model.table is not None:
+        meta["model"]["table"] = [list(column) for column in spec.model.table]
     write_text_atomic(path, json.dumps(meta, indent=2) + "\n")
     return path
 

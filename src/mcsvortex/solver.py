@@ -26,8 +26,8 @@ from typing import Callable
 import numpy as np
 
 from .background import BackgroundData, VortexConfig, compute_u0
-from .errors import BoundsViolation, NoConvergence, QTooSmall
-from .grid import GridSpec, ScalarField, _l2, _sobolev_norms, laplacian
+from .errors import BoundsViolation, NoConvergence, QTooSmall, SolveFailure
+from .grid import GridSpec, ScalarField, _l2, laplacian
 from .nonlinearity import NonlinearityModel
 
 FOUR_PI = 4.0 * np.pi
@@ -57,7 +57,6 @@ class ProblemSpec:
     # newton_tol >~ 8e-6.
     newton_tol: float = 1e-6
     max_newton_iters: int = 60
-    bound_tol: float | None = None
 
     def __post_init__(self):
         for name in ("q", "newton_tol"):
@@ -68,16 +67,11 @@ class ProblemSpec:
             raise ValueError(
                 f"max_newton_iters must be at least 1, got {self.max_newton_iters}"
             )
-        if self.bound_tol is not None and not (
-            np.isfinite(self.bound_tol) and self.bound_tol >= 0.0
-        ):
-            raise ValueError(f"bound_tol must be finite and >= 0, got {self.bound_tol}")
 
-    def resolved_bound_tol(self) -> float:
-        """Default slack 1e-6 + 10*sigma^2: mollification perturbs the
-        maximum-principle bounds at O(sigma^2)."""
-        if self.bound_tol is not None:
-            return self.bound_tol
+    @property
+    def bound_tol(self) -> float:
+        """Slack of the pointwise bounds, 1e-6 + 10*sigma^2: mollification
+        perturbs the maximum-principle bounds at O(sigma^2)."""
         return 1e-6 + 10.0 * self.vortices.sigma**2
 
 
@@ -414,7 +408,7 @@ def _ladder(
 ) -> list:
     """The coupled equation on spec.grid at each coupling of the descending
     qs, one rung of the half-grid ladder: the SolutionBundle, or the
-    NoConvergence, QTooSmall or BoundsViolation raised, per coupling.
+    SolveFailure raised, per coupling.
 
     The rung first runs itself on the half grid with the same couplings.
     Each coupling then starts from the half grid's solution at that q,
@@ -451,7 +445,7 @@ def _ladder(
         try:
             last = solve_coupled(replace(spec, q=q), init=init, background=bg)
             outcomes.append(last)
-        except (NoConvergence, QTooSmall, BoundsViolation) as exc:
+        except SolveFailure as exc:
             # without its traceback, which would keep this frame's fields
             outcomes.append(exc.with_traceback(None))
     return outcomes
@@ -489,7 +483,8 @@ def _limit(
             residual_norm=_l2(grid, r), newton_iters=iters,
         )
     except NoConvergence as exc:
-        limits[grid.N] = exc
+        # without its traceback, whose frames hold limits: a reference cycle
+        limits[grid.N] = exc.with_traceback(None)
     return limits[grid.N]
 
 
@@ -712,9 +707,10 @@ def solve_coupled(
     the ansatz if the limit solve fails too.  newton_iters counts the steps
     on spec.grid only.
 
-    Raises QTooSmall if q <= sup|c| at some iterate, NoConvergence if the
-    iteration or its line search stalls, and BoundsViolation if the
-    converged state breaks the pointwise bounds by more than bound_tol.
+    Raises a SolveFailure: QTooSmall if q <= sup|c| at some iterate,
+    NoConvergence if the iteration or its line search stalls, and
+    BoundsViolation if the converged state breaks the pointwise bounds by
+    more than spec.bound_tol, the fixed slack 1e-6 + 10*sigma^2.
     """
     grid, model, q = spec.grid, spec.model, spec.q
     bg = background or compute_u0(spec.vortices, spec.grid)
@@ -743,7 +739,7 @@ def solve_coupled(
     v = _recover_v(u_field, st["f"], bg.n, q)
     w = ScalarField(grid, q * (v.values - st["f"]))
     worst, _ = _bound_violation(model, st["f"], v.values)
-    bound_tol = spec.resolved_bound_tol()
+    bound_tol = spec.bound_tol
     if worst > bound_tol:
         raise BoundsViolation(
             f"pointwise bounds violated by {worst:.3e} > bound_tol={bound_tol:.3e} "
@@ -779,7 +775,10 @@ def solve_limit(
     """
     limit = _limit(spec, background, {})
     if isinstance(limit, NoConvergence):
-        raise limit
+        try:
+            raise limit
+        finally:
+            del limit  # else the raised traceback keeps this frame
     return limit
 
 
@@ -814,37 +813,13 @@ def q_sweep(spec: ProblemSpec, q_list) -> "ConvergenceTable":
     limits = {}
     limit = _limit(spec, bg, limits)
     if isinstance(limit, NoConvergence):
-        raise limit
+        try:
+            raise limit
+        finally:
+            del limit, limits  # else the raised traceback keeps this frame
     outcomes = _ladder(spec, bg, q_list[::-1], limits)
-    rows = []
-    for q in q_list:
-        # outcomes run in descending q; popping frees each bundle after its row
-        bundle = outcomes.pop()
-        if not isinstance(bundle, SolutionBundle):
-            rows.append(diagnostics.SweepRow.failed(q, bundle))
-            continue
-        metrics = diagnostics.convergence_metrics(bundle, limit)
-        gradu = diagnostics.check_gradu(bundle)
-        flux = diagnostics.check_flux(bundle)
-        rows.append(
-            diagnostics.SweepRow(
-                q=q,
-                status="converged",
-                message="",
-                d_eu=metrics.d_eu,
-                d_v=metrics.d_v,
-                d_w=metrics.d_w,
-                h_u=metrics.h_u,
-                h_v=metrics.h_v,
-                sob_u=_sobolev_norms(bundle.u),
-                sob_v=_sobolev_norms(bundle.v),
-                gradu_value=float(gradu.lhs),
-                flux_rel_err=float(flux.rel_discrepancy),
-                energy=bundle.energy_value,
-                genmcsb_residual=bundle.residual_norms["genmcsb"],
-                newton_iters=bundle.newton_iters,
-            )
-        )
+    # outcomes run in descending q; popping frees each bundle after its row
+    rows = [diagnostics.SweepRow.of(q, outcomes.pop(), limit) for q in q_list]
     meta = {
         "model": spec.model.name,
         "s": spec.model.s,
@@ -852,6 +827,6 @@ def q_sweep(spec: ProblemSpec, q_list) -> "ConvergenceTable":
         "sigma": spec.vortices.sigma,
         "N": spec.grid.N,
         "newton_tol": spec.newton_tol,
-        "bound_tol": spec.resolved_bound_tol(),
+        "bound_tol": spec.bound_tol,
     }
     return diagnostics.ConvergenceTable(meta=meta, rows=rows)

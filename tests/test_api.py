@@ -1,9 +1,10 @@
-"""The README's Library API section documents every exported name."""
+"""The README documents every exported name and every configuration key."""
 
 import re
 from pathlib import Path
 
 import mcsvortex
+from mcsvortex import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -19,3 +20,11 @@ def test_every_export_is_documented():
     section = _api_section()
     missing = [name for name in mcsvortex.__all__ if f"`{name}`" not in section]
     assert not missing, f"not in README's Library API section: {missing}"
+
+
+def test_config_block_names_every_key():
+    text = README.read_text(encoding="utf-8")
+    match = re.search(r"^```ini\n(.*?)^```", text, re.M | re.S)
+    assert match, "README.md has no ini block"
+    documented = {key.lower() for key in re.findall(r"\b(\w+) = ", match.group(1))}
+    assert documented == set().union(*cli._SCHEMA.values())

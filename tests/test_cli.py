@@ -159,9 +159,9 @@ q_list = 10 20 40
             (("q = 40.0", "q = 40.0\nmax_newton_iters = inf"), "whole number"),
             (("q = 40.0", "q_list ="), "empty"),
             (("name = u1", "name = u%1"), r"\[model\] name: '%'"),
-            (("q = 40.0", "q = 40.0\nbound_tol = nan"), "bound_tol"),
-            (("q = 40.0", "q = 40.0\nbound_tol = inf"), "bound_tol"),
-            (("q = 40.0", "q = 40.0\nbound_tol = -1"), "bound_tol"),
+            (("q = 40.0", "q = 40.0\nbound_tol = 1e-3"), r"unknown key \[solver\] bound_tol"),
+            (("N = 48", ""), r"\[grid\] N is required"),
+            (("q = 40.0", ""), r"\[solver\] needs q or q_list"),
             (("[output]", "[solvr]\nq = 40.0\n\n[output]"), r"unknown section \[solvr\]"),
             (("s = 9.0", "s = inf"), "finite s"),
             (("q = 40.0", "q = 40.0\nkrylov_tol = 1e-10"), r"unknown key \[solver\] krylov_tol"),
@@ -169,8 +169,10 @@ q_list = 10 20 40
     )
     def test_validation_errors(self, tmp_path, mangle, message):
         body = VORTEX_CONFIG.format(out=tmp_path / "out").replace(*mangle)
+        cfg = write_config(tmp_path / "run.cfg", body)
         with pytest.raises(ConfigError, match=message):
-            parse_config(write_config(tmp_path / "run.cfg", body))
+            parse_config(cfg)
+        assert main(["solve", "--config", cfg]) == 1
 
     @pytest.mark.parametrize("sigma", ["nan", "inf", "13.0"])  # N = 48: 12 cells is 1/4
     def test_sigma_beyond_quarter_torus_rejected(self, tmp_path, sigma):
@@ -629,17 +631,11 @@ class TestVerifyCommand:
                 "malformed solution record",
             ),
             (lambda meta, out: {**meta, "grid": {"N": BIG}}, "invalid grid data"),
-            (
-                lambda meta, out: {
-                    **meta, "tolerances": {**meta["tolerances"], "bound_tol": -1.0}
-                },
-                "bound_tol must be finite and >= 0",
-            ),
         ],
         ids=[
             "list", "null-q", "null-sigma", "overflow", "huge-sigma",
             "overflowing-multiplicity", "overflowing-newton-iters",
-            "overflowing-max-newton-iters", "overflowing-grid-N", "negative-bound-tol",
+            "overflowing-max-newton-iters", "overflowing-grid-N",
         ],
     )
     def test_malformed_record_exit_one(self, solved_dir, capsys, mangle, named):
@@ -649,6 +645,14 @@ class TestVerifyCommand:
         assert main(["verify", str(solved_dir)]) == 1
         err = capsys.readouterr().err
         assert "snapshot error" in err and named in err
+
+    def test_stored_bound_tol_is_ignored(self, solved_dir):
+        # the slack is fixed: the reports are recomputed with 1e-6 + 10*sigma^2
+        path = solved_dir / "solution.json"
+        meta = json.loads(path.read_text())
+        meta["tolerances"]["bound_tol"] = -1.0
+        path.write_text(json.dumps(meta))
+        assert main(["verify", str(solved_dir)]) == 0
 
     def test_record_field_paths_are_not_followed(self, tmp_path):
         dirs = {}

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from mcsvortex import (
+    BoundsViolation,
     GridMismatch,
     GridSpec,
+    NoConvergence,
     ProblemSpec,
+    QTooSmall,
     VortexConfig,
     all_reports,
     check_bounds,
@@ -327,9 +330,17 @@ class TestReportPlumbing:
         blob = json.dumps(report.to_dict())
         assert json.loads(blob)["name"] == "flux_quantization"
 
-    def test_failed_row_from_exception(self):
-        from mcsvortex import QTooSmall
-
-        row = SweepRow.failed(5.0, QTooSmall("q too small"))
-        assert row.status == "q_too_small"
-        assert np.isnan(row.d_v)
+    @pytest.mark.parametrize(
+        "failure,status",
+        [
+            (NoConvergence(7, 1e-3), "no_convergence"),
+            (QTooSmall("q too small"), "q_too_small"),
+            (BoundsViolation("pointwise bounds violated"), "bounds_violation"),
+        ],
+        ids=["NoConvergence", "QTooSmall", "BoundsViolation"],
+    )
+    def test_failed_row_from_exception(self, failure, status):
+        row = SweepRow.of(5.0, failure, None)
+        assert row.status == status
+        assert row.message == str(failure)
+        assert np.isnan(row.d_v) and row.newton_iters == 0
