@@ -21,7 +21,6 @@ import numpy as np
 from . import diagnostics
 from .background import DEFAULT_SIGMA_CELLS, VortexConfig, compute_u0
 from .errors import (
-    BoundsViolation,
     ConfigError,
     MCSVortexError,
     PreconditionViolated,
@@ -36,7 +35,6 @@ from .solver import ProblemSpec, SolutionBundle, q_sweep, solve_coupled
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_CHECK_FAILED = 2
-EXIT_NO_CONVERGENCE = 3
 
 # the record of a failed solve or sweep; it replaces, and is replaced by, the
 # record of that command's successful run (solution.json, sweep.tsv)
@@ -298,11 +296,9 @@ def _write_failure(
         "N": spec.grid.N,
     }
     write_text_atomic(out_dir / FAILURE_RECORD, json.dumps(record, indent=2) + "\n")
-    if isinstance(exc, BoundsViolation):
-        print(f"invariant failure: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    print(f"solver failure: {exc}", file=sys.stderr)
-    return EXIT_NO_CONVERGENCE
+    kind = "invariant" if exc.exit_code == EXIT_CHECK_FAILED else "solver"
+    print(f"{kind} failure: {exc}", file=sys.stderr)
+    return exc.exit_code
 
 
 def cmd_sweep(args) -> int:
@@ -327,12 +323,9 @@ def cmd_sweep(args) -> int:
             if row.status == "converged"
             else f"q={row.q:g}  status={row.status}  ({row.message})"
         )
-    statuses = {row.status for row in table.rows}
-    if statuses & {"no_convergence", "q_too_small"}:
-        return EXIT_NO_CONVERGENCE
-    if "bounds_violation" in statuses:
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
+    # the worst row decides: a solver failure (3) over an invariant one (2)
+    codes = {cls.status: cls.exit_code for cls in SolveFailure.__subclasses__()}
+    return max(codes.get(row.status, EXIT_OK) for row in table.rows)
 
 
 def bundle_from_snapshot(path) -> tuple[SolutionBundle, dict]:

@@ -310,9 +310,13 @@ class SweepRow:
     @classmethod
     def of(cls, q: float, outcome, limit: LimitSolution) -> "SweepRow":
         """The row of one sweep coupling from its outcome: the SolutionBundle,
-        measured against the limit solution, or the SolveFailure raised."""
+        measured against the limit solution, or the SolveFailure raised,
+        with the Newton steps a NoConvergence ran."""
         if isinstance(outcome, SolveFailure):
-            return cls(q=q, status=outcome.status, message=str(outcome))
+            return cls(
+                q=q, status=outcome.status, message=str(outcome),
+                newton_iters=getattr(outcome, "iterations", 0),
+            )
         return cls(
             q=q,
             status="converged",

@@ -15,15 +15,18 @@ class PreconditionViolated(MCSVortexError):
 
 class SolveFailure(MCSVortexError):
     """A solve that ran but gave no admissible solution.  status names the
-    outcome in a sweep table's row."""
+    outcome in a sweep table's row, exit_code the command line's exit code:
+    2 for an invariant failure, 3 for a solver failure."""
 
     status: str
+    exit_code: int
 
 
 class NoConvergence(SolveFailure):
     """An iterative solve stalled before reaching its tolerance."""
 
     status = "no_convergence"
+    exit_code = 3
 
     def __init__(self, iterations: int, residual: float, what: str = "iteration"):
         self.iterations = iterations
@@ -51,6 +54,7 @@ class QTooSmall(SolveFailure):
     """Coupling q fell at or below the sup norm of the zeroth-order coefficient."""
 
     status = "q_too_small"
+    exit_code = 3
 
 
 class BoundsViolation(SolveFailure):
@@ -62,6 +66,7 @@ class BoundsViolation(SolveFailure):
     """
 
     status = "bounds_violation"
+    exit_code = 2
 
 
 class ConfigError(MCSVortexError):

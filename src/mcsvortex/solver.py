@@ -403,89 +403,103 @@ def _half_grid(spec: ProblemSpec) -> ProblemSpec | None:
     return replace(spec, grid=coarse)
 
 
-def _ladder(
-    spec: ProblemSpec, bg: BackgroundData | None, qs, limits: dict
-) -> list:
-    """The coupled equation on spec.grid at each coupling of the descending
-    qs, one rung of the half-grid ladder: the SolutionBundle, or the
-    SolveFailure raised, per coupling.
+class _Ladder:
+    """The half-grid ladder of one solve, whose top rung is spec.grid.  It
+    keeps each rung's background and limit outcome (LimitSolution or
+    NoConvergence) by grid size, so no level is built or solved twice;
+    coupled outcomes pass up the rungs instead."""
 
-    The rung first runs itself on the half grid with the same couplings.
-    Each coupling then starts from the half grid's solution at that q,
-    prolonged; where there is none or it failed, from the limit solution
-    (_limit) predicted to q from the last coupling that converged on this
-    grid (_predict), or from the ansatz where the limit solve fails too.
-    Each coarse solution is dropped once it is prolonged.  limits is shared
-    by all levels; bg, if None, is the background of the kept limit
-    solution on spec.grid, or a new one."""
-    if bg is None:
-        kept = limits.get(spec.grid.N)
-        bg = (
-            kept.background if isinstance(kept, LimitSolution)
-            else compute_u0(spec.vortices, spec.grid)
-        )
-    coarse = _half_grid(spec)
-    below = [None] * len(qs) if coarse is None else _ladder(coarse, None, qs, limits)
-    limit = None
-    if not all(isinstance(under, SolutionBundle) for under in below):
-        limit = _limit(spec, bg, limits)
-    # the starts need nothing more from the coarse levels; at the top of
-    # the ladder this frees them before the solves on spec.grid
-    del coarse, limits
-    outcomes, last = [], None
-    for q in qs:
-        under = below.pop(0)
-        if isinstance(under, SolutionBundle):
-            init = spec.grid.prolong(under.u)
-        elif isinstance(limit, LimitSolution):
-            init = _predict(limit, q, last)
-        else:
-            init = initial_guess(bg, spec.model)
-        del under
+    def __init__(self, spec: ProblemSpec, background: BackgroundData | None = None):
+        self.top = spec.grid.N
+        self.backgrounds = {} if background is None else {self.top: background}
+        self.limits = {}
+
+    def background(self, spec: ProblemSpec) -> BackgroundData:
+        if spec.grid.N not in self.backgrounds:
+            self.backgrounds[spec.grid.N] = compute_u0(spec.vortices, spec.grid)
+        return self.backgrounds[spec.grid.N]
+
+    def limit(self, spec: ProblemSpec) -> LimitSolution | NoConvergence:
+        """The limit equation on spec.grid: Newton-Krylov from the half
+        grid's limit solution, prolonged, or from the ansatz where there is
+        none or it failed."""
+        grid, model = spec.grid, spec.model
+        if grid.N in self.limits:
+            return self.limits[grid.N]
+        bg = self.background(spec)
+        coarse = _half_grid(spec)
+        below = None if coarse is None else self.limit(coarse)
+        solved = isinstance(below, LimitSolution)
+        init = grid.prolong(below.u_inf) if solved else initial_guess(bg, model)
+        k2, s = grid.k2, model.s
+
+        def residual(u: np.ndarray, st: dict) -> np.ndarray:
+            return grid.apply(k2, u) - st["c"] * (s - st["f"]) + FOUR_PI * bg.n
+
         try:
-            last = solve_coupled(replace(spec, q=q), init=init, background=bg)
-            outcomes.append(last)
-        except SolveFailure as exc:
-            # without its traceback, which would keep this frame's fields
-            outcomes.append(exc.with_traceback(None))
-    return outcomes
+            u, _, r, iters = _newton_krylov(
+                np.array(init.values, dtype=float), spec,
+                lambda u: _pointwise_state(model, bg, u), residual,
+                lambda u, st: _limit_jacobian(grid, s, st), "limit equation",
+            )
+            self.limits[grid.N] = LimitSolution(
+                model=model, background=bg, u_inf=ScalarField(grid, u),
+                residual_norm=_l2(grid, r), newton_iters=iters,
+            )
+        except NoConvergence as exc:
+            # without its traceback, whose frames hold this ladder: a cycle
+            self.limits[grid.N] = exc.with_traceback(None)
+        return self.limits[grid.N]
 
+    def coupled(self, spec: ProblemSpec, qs) -> list:
+        """The coupled equation on spec.grid at each coupling of the
+        descending qs: the SolutionBundle, or the SolveFailure raised, per
+        coupling.  The rung first runs itself on the half grid with the same
+        couplings.  Each coupling then starts from the half grid's solution
+        at that q, prolonged; where there is none or it failed, from the
+        limit solution predicted to q from the last coupling that converged
+        on this grid (_predict), or from the ansatz where the limit solve
+        fails too.  Each coarse solution is dropped once it is prolonged,
+        and the top rung empties the ladder before its solves."""
+        bg = self.background(spec)
+        coarse = _half_grid(spec)
+        below = [None] * len(qs) if coarse is None else self.coupled(coarse, qs)
+        del coarse  # its grid goes with the last coarse solution
+        limit = None
+        if not all(isinstance(under, SolutionBundle) for under in below):
+            limit = self.limit(spec)
+        if spec.grid.N == self.top:  # its solves need no coarse level
+            self.backgrounds.clear()
+            self.limits.clear()
+        outcomes, last = [], None
+        for q in qs:
+            under = below.pop(0)
+            if isinstance(under, SolutionBundle):
+                init = spec.grid.prolong(under.u)
+            elif isinstance(limit, LimitSolution):
+                init = _predict(limit, q, last)
+            else:
+                init = initial_guess(bg, spec.model)
+            del under
+            try:
+                last = solve_coupled(replace(spec, q=q), init=init, background=bg)
+                outcomes.append(last)
+            except SolveFailure as exc:
+                # without its traceback, which would keep this frame's fields
+                outcomes.append(exc.with_traceback(None))
+        return outcomes
 
-def _limit(
-    spec: ProblemSpec, bg: BackgroundData | None, limits: dict
-) -> LimitSolution | NoConvergence:
-    """The limit equation on spec.grid, one rung of the half-grid ladder:
-    Newton-Krylov from the half grid's entry, prolonged, or from the ansatz
-    where there is none or it failed.  The LimitSolution, or the
-    NoConvergence raised, is kept in limits by grid size, so no level of
-    one solve is made twice; bg, if None, is built only for a new entry."""
-    grid, model = spec.grid, spec.model
-    if grid.N in limits:
-        return limits[grid.N]
-    bg = bg or compute_u0(spec.vortices, grid)
-    coarse = _half_grid(spec)
-    below = None if coarse is None else _limit(coarse, None, limits)
-    solved = isinstance(below, LimitSolution)
-    init = grid.prolong(below.u_inf) if solved else initial_guess(bg, model)
-    k2, s = grid.k2, model.s
-
-    def residual(u: np.ndarray, st: dict) -> np.ndarray:
-        return grid.apply(k2, u) - st["c"] * (s - st["f"]) + FOUR_PI * bg.n
-
-    try:
-        u, _, r, iters = _newton_krylov(
-            np.array(init.values, dtype=float), spec,
-            lambda u: _pointwise_state(model, bg, u), residual,
-            lambda u, st: _limit_jacobian(grid, s, st), "limit equation",
-        )
-        limits[grid.N] = LimitSolution(
-            model=model, background=bg, u_inf=ScalarField(grid, u),
-            residual_norm=_l2(grid, r), newton_iters=iters,
-        )
-    except NoConvergence as exc:
-        # without its traceback, whose frames hold limits: a reference cycle
-        limits[grid.N] = exc.with_traceback(None)
-    return limits[grid.N]
+    def result(self, outcome):
+        """outcome, or the SolveFailure raised once the ladder is emptied:
+        the traceback keeps the caller's frame, and so the ladder."""
+        if isinstance(outcome, SolveFailure):
+            self.backgrounds.clear()
+            self.limits.clear()
+            try:
+                raise outcome
+            finally:
+                del outcome  # else the raised traceback keeps this frame
+        return outcome
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -701,7 +715,7 @@ def solve_coupled(
     that decide convergence.
 
     Without init the solve is the one-coupling case of the half-grid
-    ladder (_ladder): it starts from the same problem solved on N/2,
+    ladder (_Ladder): it starts from the same problem solved on N/2,
     prolonged; where that does not apply or fails, from the limit profile
     with its first-order term, u_inf + u1/q (LimitSolution.u1), and from
     the ansatz if the limit solve fails too.  newton_iters counts the steps
@@ -713,15 +727,10 @@ def solve_coupled(
     more than spec.bound_tol, the fixed slack 1e-6 + 10*sigma^2.
     """
     grid, model, q = spec.grid, spec.model, spec.q
-    bg = background or compute_u0(spec.vortices, spec.grid)
     if init is None:
-        (outcome,) = _ladder(spec, bg, (q,), {})
-        if isinstance(outcome, SolutionBundle):
-            return outcome
-        try:
-            raise outcome
-        finally:
-            del outcome  # else the raised traceback keeps this frame
+        ladder = _Ladder(spec, background)
+        return ladder.result(ladder.coupled(spec, (q,))[0])
+    bg = background or compute_u0(spec.vortices, spec.grid)
     ws = _Workspace(spec, bg)
 
     def linearize(u: np.ndarray, st: dict):
@@ -768,18 +777,13 @@ def solve_limit(
 
     The coupling q in spec is ignored.  Same damped Newton-Krylov driver
     as solve_coupled, with the spectral inverse of -Lap + lambda as
-    preconditioner.  Climbs the half-grid ladder (_limit): each level
+    preconditioner.  Climbs the half-grid ladder (_Ladder): each level
     starts from the one below, prolonged, or from the ansatz where there is
     none or it failed; newton_iters counts the steps on spec.grid only, and
     a failure there raises that grid's NoConvergence.
     """
-    limit = _limit(spec, background, {})
-    if isinstance(limit, NoConvergence):
-        try:
-            raise limit
-        finally:
-            del limit  # else the raised traceback keeps this frame
-    return limit
+    ladder = _Ladder(spec, background)
+    return ladder.result(ladder.limit(spec))
 
 
 def q_sweep(spec: ProblemSpec, q_list) -> "ConvergenceTable":
@@ -790,7 +794,7 @@ def q_sweep(spec: ProblemSpec, q_list) -> "ConvergenceTable":
     Rows are reported in ascending q but solved in descending order: the
     limit profile is the infinite-coupling endpoint of the branch, so the
     homotopy walks from the largest q (closest to the limit) downward.
-    Every coupling climbs the half-grid ladder (_ladder) that a cold
+    Every coupling climbs the half-grid ladder (_Ladder) that a cold
     solve_coupled climbs: all couplings are solved on N/2 first, and each
     starts on spec.grid from its half-grid solution, prolonged.  Where
     there is no half grid or its solve failed, the largest q starts from
@@ -809,15 +813,9 @@ def q_sweep(spec: ProblemSpec, q_list) -> "ConvergenceTable":
     if not all(np.isfinite(q) and q > 0.0 for q in q_list):
         raise ValueError("q_list entries must be positive and finite")
 
-    bg = compute_u0(spec.vortices, spec.grid)
-    limits = {}
-    limit = _limit(spec, bg, limits)
-    if isinstance(limit, NoConvergence):
-        try:
-            raise limit
-        finally:
-            del limit, limits  # else the raised traceback keeps this frame
-    outcomes = _ladder(spec, bg, q_list[::-1], limits)
+    ladder = _Ladder(spec)
+    limit = ladder.result(ladder.limit(spec))
+    outcomes = ladder.coupled(spec, q_list[::-1])
     # outcomes run in descending q; popping frees each bundle after its row
     rows = [diagnostics.SweepRow.of(q, outcomes.pop(), limit) for q in q_list]
     meta = {

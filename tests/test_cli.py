@@ -10,7 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from mcsvortex import BoundsViolation, ConfigError, GridSpec, SnapshotError, cli
+from mcsvortex import (
+    BoundsViolation, ConfigError, GridSpec, NoConvergence, SnapshotError, cli
+)
+from mcsvortex.diagnostics import ConvergenceTable, SweepRow
 from mcsvortex.cli import bundle_from_snapshot, main, parse_config
 from mcsvortex.snapshots import (
     FIELD_FILES, MAGIC, read_field, read_solution, write_field, write_text_atomic
@@ -449,6 +452,22 @@ class TestSweepCommand:
         rows = [l.split("\t") for l in lines if not l.startswith("#")][1:]
         assert len(rows) == 2
         assert all(row[1] != "converged" for row in rows)
+
+    @pytest.mark.parametrize(
+        "failures,code",
+        [((BoundsViolation("pointwise bounds violated"),), 2),
+         ((BoundsViolation("pointwise bounds violated"), NoConvergence(4, 1e-3)), 3)],
+        ids=["bounds_violation", "bounds_violation+no_convergence"],
+    )
+    def test_worst_failed_row_sets_exit_code(self, tmp_path, monkeypatch, failures, code):
+        # a solver failure's exit code 3 outranks an invariant failure's 2
+        def failed_rows(spec, q_list):
+            rows = [SweepRow.of(q, exc, None) for q, exc in zip(q_list, failures)]
+            return ConvergenceTable(meta={}, rows=rows)
+
+        monkeypatch.setattr(cli, "q_sweep", failed_rows)
+        body = VORTEX_CONFIG.format(out=tmp_path / "out").replace("q = 40.0", "q_list = 20 40")
+        assert main(["sweep", "--config", write_config(tmp_path / "run.cfg", body)]) == code
 
     def test_identical_configs_identical_tables(self, tmp_path):
         body = VORTEX_CONFIG.format(out="{out}").replace("q = 40.0", "q_list = 20 40")

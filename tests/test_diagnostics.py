@@ -331,16 +331,17 @@ class TestReportPlumbing:
         assert json.loads(blob)["name"] == "flux_quantization"
 
     @pytest.mark.parametrize(
-        "failure,status",
+        "failure,status,newton_iters",
         [
-            (NoConvergence(7, 1e-3), "no_convergence"),
-            (QTooSmall("q too small"), "q_too_small"),
-            (BoundsViolation("pointwise bounds violated"), "bounds_violation"),
+            (NoConvergence(7, 1e-3), "no_convergence", 7),
+            (QTooSmall("q too small"), "q_too_small", 0),
+            (BoundsViolation("pointwise bounds violated"), "bounds_violation", 0),
         ],
         ids=["NoConvergence", "QTooSmall", "BoundsViolation"],
     )
-    def test_failed_row_from_exception(self, failure, status):
+    def test_failed_row_from_exception(self, failure, status, newton_iters):
+        # a NoConvergence carries the steps it ran; the other failures none
         row = SweepRow.of(5.0, failure, None)
         assert row.status == status
         assert row.message == str(failure)
-        assert np.isnan(row.d_v) and row.newton_iters == 0
+        assert np.isnan(row.d_v) and row.newton_iters == newton_iters

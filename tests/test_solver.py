@@ -30,6 +30,7 @@ from mcsvortex import (
 )
 
 from mcsvortex import solver
+from mcsvortex.errors import SolveFailure
 
 from conftest import smooth_field
 
@@ -520,6 +521,36 @@ class TestGridSequencing:
         ]
         assert bundle.newton_iters == steps[-1]
 
+    @pytest.mark.parametrize("case", ["cold solve", "limit solve", "sweep", "fallback"])
+    def test_each_background_is_built_once(self, monkeypatch, case):
+        # sigma = 8h: N = 128 over two coarser levels.  In the fallback the
+        # N = 64 coupled solve fails, and the N = 128 limit solve climbs
+        # through N = 64 again, on the background that rung built
+        spec = make_spec(N=128, q=40.0, vortices=one_vortex(GridSpec(128), 8.0))
+        real_u0, real_newton = solver.compute_u0, solver._newton_krylov
+        built = []
+
+        def counted(vortices, grid):
+            built.append(grid.N)
+            return real_u0(vortices, grid)
+
+        def newton(u, sub, state, residual, linearize, what, scale=1.0):
+            if (sub.grid.N, what) == (64, "Newton"):
+                raise NoConvergence(0, np.inf, what=what)
+            return real_newton(u, sub, state, residual, linearize, what, scale)
+
+        monkeypatch.setattr(solver, "compute_u0", counted)
+        if case == "fallback":
+            monkeypatch.setattr(solver, "_newton_krylov", newton)
+        run = {
+            "cold solve": lambda: solve_coupled(spec),
+            "limit solve": lambda: solve_limit(spec),
+            "sweep": lambda: q_sweep(spec, [20.0, 40.0]),
+            "fallback": lambda: solve_coupled(spec),
+        }[case]
+        run()
+        assert built == [128, 64, 32]
+
     def test_sweep_and_cold_solve_climb_one_ladder(self, monkeypatch):
         # a one-coupling sweep is a cold solve plus the fine limit solve
         # that its d_* columns are measured against
@@ -782,9 +813,13 @@ class TestSolveLimit:
         gc.disable()
         tracemalloc.start()
         try:
-            for run in (lambda: solve_limit(spec), lambda: q_sweep(spec, [40.0, 80.0])):
+            for run in (
+                lambda: solve_limit(spec),
+                lambda: q_sweep(spec, [40.0, 80.0]),
+                lambda: solve_coupled(spec),
+            ):
                 gc.collect()
-                with pytest.raises(NoConvergence):
+                with pytest.raises(SolveFailure):
                     run()
                 held = array_bytes()
                 gc.collect()
