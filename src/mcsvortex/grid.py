@@ -59,12 +59,14 @@ class GridSpec:
         weights[[0, -1]] = 1.0
         self.parseval = weights / float(N) ** 4
 
-    def forward(self, values: np.ndarray) -> np.ndarray:
-        """Half spectrum of a real N x N array."""
-        return np.fft.rfft2(values)
+    def forward(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Half spectrum of a real N x N array, written into out if given
+        (a complex N x (N/2 + 1) array)."""
+        return np.fft.rfft2(values, out=out)
 
     def inverse(self, coeffs: np.ndarray) -> np.ndarray:
-        """Real N x N array with the given half spectrum."""
+        """Real N x N array with the given half spectrum.  Always a new
+        array: numpy's irfft2 does not pass its out= on to irfftn."""
         return np.fft.irfft2(coeffs, s=(self.N, self.N))
 
     def apply(self, symbol, values: np.ndarray) -> np.ndarray:

@@ -79,6 +79,14 @@ class NonlinearityModel:
                     np.asarray(self.raw_fpp(t), dtype=float),
                 )
         T = self.T
+        if t.max() <= T:
+            # no point reaches the flattening: g(t) = t, g' = 1, g'' = 0,
+            # so the blend below would return these same floats
+            return (
+                np.asarray(self.raw_f(t), dtype=float),
+                np.asarray(self.raw_fp(t), dtype=float),
+                np.asarray(self.raw_fpp(t), dtype=float),
+            )
         x = np.clip((t - T) / T, 0.0, 1.0)
         w, wp, wpp = _blend(x)
         g = np.where(t <= T, t, T * (1.0 + w))

@@ -32,7 +32,8 @@ from .nonlinearity import NonlinearityModel
 
 FOUR_PI = 4.0 * np.pi
 
-# a linear operator on N x N grid arrays
+# a linear operator on N x N grid arrays; it returns a new array, which
+# the caller may overwrite
 Operator = Callable[[np.ndarray], np.ndarray]
 
 # MINRES tolerance of the LimitSolution.u1 solve.  u1 only shapes a Newton
@@ -250,8 +251,11 @@ class _Workspace:
         )
 
     def hessian_operator(self, u: np.ndarray, st: dict) -> Operator:
-        """Frechet derivative of the gradient at the frozen state."""
-        q, grid = self.q, self.grid
+        """Frechet derivative of the gradient at the frozen state.  Its
+        products go into buffers of its own, and its optional second
+        argument, the half spectrum of phi, saves the forward transform of
+        phi (see _minres)."""
+        q, grid, principal, k2_q = self.q, self.grid, self.principal, self.k2_q
         c = st["c"]
         cp = _dc_dt(st) * st["t"]  # d c / d u
         last_u, lap_u = self._last_lap
@@ -262,38 +266,74 @@ class _Workspace:
             + cp * (st["f"] - self.model.s)
             + c * st["fp"] * st["t"]
         )
+        neg_k2 = -grid.k2
+        spec, c_spec = _half_spectrum(grid), _half_spectrum(grid)
+        prod = np.empty_like(u)
 
-        def matvec(phi: np.ndarray) -> np.ndarray:
-            ph = grid.forward(phi)
-            lap_phi = grid.inverse(-grid.k2 * ph)
-            linear = grid.inverse(self.principal * ph + self.k2_q * grid.forward(c * phi))
-            return linear - c * lap_phi / q + V * phi
+        def matvec(phi: np.ndarray, ph: np.ndarray | None = None) -> np.ndarray:
+            if ph is None:
+                ph = grid.forward(phi, out=c_spec)  # last read before F(c phi)
+            lap_phi = grid.inverse(np.multiply(neg_k2, ph, out=spec))
+            np.multiply(principal, ph, out=spec)
+            grid.forward(np.multiply(c, phi, out=prod), out=c_spec)
+            linear = grid.inverse(
+                np.add(spec, np.multiply(k2_q, c_spec, out=c_spec), out=spec)
+            )
+            np.multiply(c, lap_phi, out=lap_phi)
+            lap_phi /= q
+            linear -= lap_phi
+            linear += np.multiply(V, phi, out=prod)
+            return linear
 
         return matvec
 
-    def coupled_preconditioner(self, st: dict) -> Operator:
+    def coupled_preconditioner(self, st: dict) -> _SpectralInverse:
         """Exact spectral inverse of q^{-2} Lap^2 - Lap + lambda, with
         lambda = max(1, inf f' * inf e^{u*}) frozen for this Newton step."""
         lam = max(1.0, float(st["fp"].min()) * float(st["t"].min()))
-        return _spectral_inverse(self.grid, self.principal + lam)
+        return _SpectralInverse(self.grid, self.principal + lam)
 
 
-def _spectral_inverse(grid: GridSpec, symbol: np.ndarray) -> Operator:
-    """Exact inverse of the Fourier multiplier with a positive symbol."""
-    inv_symbol = 1.0 / symbol
-    return lambda x: grid.apply(inv_symbol, x)
+def _half_spectrum(grid: GridSpec) -> np.ndarray:
+    """An uninitialized complex buffer the shape of grid's half spectrum."""
+    return np.empty(grid.k2.shape, dtype=complex)
 
 
-def _limit_jacobian(grid: GridSpec, s: float, st: dict) -> tuple[Operator, Operator]:
+class _SpectralInverse:
+    """Exact inverse of the Fourier multiplier with a positive symbol.
+    spectrum is a buffer of its own that holds the half spectrum of its
+    last result, which _minres hands on to the operator."""
+
+    def __init__(self, grid: GridSpec, symbol: np.ndarray):
+        self.grid = grid
+        self.inv_symbol = 1.0 / symbol
+        self.spectrum = _half_spectrum(grid)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        spectrum = self.grid.forward(x, out=self.spectrum)
+        return self.grid.inverse(np.multiply(self.inv_symbol, spectrum, out=spectrum))
+
+
+def _limit_jacobian(
+    grid: GridSpec, s: float, st: dict
+) -> tuple[Operator, _SpectralInverse]:
     """Frechet derivative -Lap + V of the limit residual at the state st,
-    and its preconditioner, the spectral inverse of -Lap + max(1, inf V)."""
+    and its preconditioner, the spectral inverse of -Lap + max(1, inf V).
+    Like the coupled Hessian, the derivative fills buffers of its own and
+    takes the half spectrum of phi as an optional second argument."""
     cp = _dc_dt(st) * st["t"]
     V = -cp * (s - st["f"]) + st["c"] * st["fp"] * st["t"]
+    k2 = grid.k2
+    spec, prod = _half_spectrum(grid), np.empty_like(V)
 
-    def hessian(phi: np.ndarray) -> np.ndarray:
-        return grid.apply(grid.k2, phi) + V * phi
+    def hessian(phi: np.ndarray, ph: np.ndarray | None = None) -> np.ndarray:
+        if ph is None:
+            ph = grid.forward(phi, out=spec)
+        out = grid.inverse(np.multiply(k2, ph, out=spec))
+        out += np.multiply(V, phi, out=prod)
+        return out
 
-    return hessian, _spectral_inverse(grid, grid.k2 + max(1.0, float(V.min())))
+    return hessian, _SpectralInverse(grid, k2 + max(1.0, float(V.min())))
 
 
 def _predict(
@@ -347,9 +387,13 @@ def coefficient_fields(
     return c, f_q, g_q
 
 
-def _recover_v(u: ScalarField, f: np.ndarray, n: int, q: float) -> ScalarField:
-    """v = (-Laplacian(u) + 4 pi n)/q + f, with f = f(e^{u0+u}) given."""
-    return ScalarField(u.grid, (-laplacian(u).values + FOUR_PI * n) / q + f)
+def _recover_v(
+    u: ScalarField, f: np.ndarray, n: int, q: float, lap_u: np.ndarray | None = None
+) -> ScalarField:
+    """v = (-Laplacian(u) + 4 pi n)/q + f, with f = f(e^{u0+u}) given, and
+    Laplacian(u) too if lap_u is."""
+    lap_u = laplacian(u).values if lap_u is None else lap_u
+    return ScalarField(u.grid, (-lap_u + FOUR_PI * n) / q + f)
 
 
 def recover_v(
@@ -387,32 +431,41 @@ def initial_guess(bg: BackgroundData, model: NonlinearityModel) -> ScalarField:
     return ScalarField(bg.grid, vals)
 
 
-def _half_grid(spec: ProblemSpec) -> ProblemSpec | None:
-    """spec moved to the half grid, for grid sequencing: from the solution
-    there, prolonged, the smooth solution needs only a few Newton steps on
-    the fine grid (mesh independence: Allgower, Boehmer, Potra &
-    Rheinboldt, SIAM J. Numer. Anal. 23(1), 1986).  None when N/2 is not a
-    valid grid size or when sigma is below 2h on the half grid (the floor
-    mollified_delta enforces); the recursion therefore stops by itself."""
-    try:
-        coarse = GridSpec(spec.grid.N // 2)
-    except ValueError:
-        return None
-    if spec.vortices.sigma < 2.0 * coarse.h:
-        return None
-    return replace(spec, grid=coarse)
-
-
 class _Ladder:
     """The half-grid ladder of one solve, whose top rung is spec.grid.  It
-    keeps each rung's background and limit outcome (LimitSolution or
+    keeps each rung's grid, background and limit outcome (LimitSolution or
     NoConvergence) by grid size, so no level is built or solved twice;
     coupled outcomes pass up the rungs instead."""
 
     def __init__(self, spec: ProblemSpec, background: BackgroundData | None = None):
         self.top = spec.grid.N
+        self.grids = {}
         self.backgrounds = {} if background is None else {self.top: background}
         self.limits = {}
+
+    def clear(self) -> None:
+        """Drop every coarse level."""
+        self.grids.clear()
+        self.backgrounds.clear()
+        self.limits.clear()
+
+    def half(self, spec: ProblemSpec) -> ProblemSpec | None:
+        """spec moved to the half grid, for grid sequencing: from the
+        solution there, prolonged, the smooth solution needs only a few
+        Newton steps on the fine grid (mesh independence: Allgower, Boehmer,
+        Potra & Rheinboldt, SIAM J. Numer. Anal. 23(1), 1986).  None when
+        sigma is below 2h on the half grid (the floor mollified_delta
+        enforces) or when N/2 is not a valid grid size; the recursion
+        therefore stops by itself.  Each half grid is built once."""
+        M = spec.grid.N // 2
+        if spec.vortices.sigma < 2.0 * (1.0 / M):
+            return None
+        if M not in self.grids:
+            try:
+                self.grids[M] = GridSpec(M)
+            except ValueError:
+                return None
+        return replace(spec, grid=self.grids[M])
 
     def background(self, spec: ProblemSpec) -> BackgroundData:
         if spec.grid.N not in self.backgrounds:
@@ -427,7 +480,7 @@ class _Ladder:
         if grid.N in self.limits:
             return self.limits[grid.N]
         bg = self.background(spec)
-        coarse = _half_grid(spec)
+        coarse = self.half(spec)
         below = None if coarse is None else self.limit(coarse)
         solved = isinstance(below, LimitSolution)
         init = grid.prolong(below.u_inf) if solved else initial_guess(bg, model)
@@ -462,15 +515,14 @@ class _Ladder:
         fails too.  Each coarse solution is dropped once it is prolonged,
         and the top rung empties the ladder before its solves."""
         bg = self.background(spec)
-        coarse = _half_grid(spec)
+        coarse = self.half(spec)
         below = [None] * len(qs) if coarse is None else self.coupled(coarse, qs)
         del coarse  # its grid goes with the last coarse solution
         limit = None
         if not all(isinstance(under, SolutionBundle) for under in below):
             limit = self.limit(spec)
         if spec.grid.N == self.top:  # its solves need no coarse level
-            self.backgrounds.clear()
-            self.limits.clear()
+            self.clear()
         outcomes, last = [], None
         for q in qs:
             under = below.pop(0)
@@ -493,8 +545,7 @@ class _Ladder:
         """outcome, or the SolveFailure raised once the ladder is emptied:
         the traceback keeps the caller's frame, and so the ladder."""
         if isinstance(outcome, SolveFailure):
-            self.backgrounds.clear()
-            self.limits.clear()
+            self.clear()
             try:
                 raise outcome
             finally:
@@ -516,12 +567,18 @@ def _minres(
 
     The recurrences, reductions and stopping tests are those of
     scipy.sparse.linalg.minres (without shift, x0, callback, show and
-    check), applied to N x N arrays, so the iterates are the same floats.
-    Stops when ||r|| <= rtol ||A|| ||x|| (test1) or ||A r|| <= rtol ||A||
-    ||r|| (test2), when either test reaches machine precision, when the
-    estimate of cond(A) reaches 0.1/eps, when eps ||A|| ||x|| reaches
-    ||b||_M, or after maxiter iterations.  Returns (x, info), info =
-    maxiter when the iteration limit stopped it and 0 otherwise.
+    check), applied to N x N arrays in place, in scipy's order of
+    operations, so the iterates are the same floats.  Stops when ||r|| <=
+    rtol ||A|| ||x|| (test1) or ||A r|| <= rtol ||A|| ||r|| (test2), when
+    either test reaches machine precision, when the estimate of cond(A)
+    reaches 0.1/eps, when eps ||A|| ||x|| reaches ||b||_M, or after maxiter
+    iterations.  Returns (x, info), info = maxiter when the iteration limit
+    stopped it and 0 otherwise.
+
+    When M has a spectrum attribute (_SpectralInverse), the half spectrum
+    of its last result, each Lanczos vector v = y / beta goes to A together
+    with spectrum / beta, which spares A the forward transform of v; the
+    iterates then differ from scipy's at roundoff level.
     """
     eps = np.finfo(float).eps
     x = np.zeros_like(b)
@@ -533,23 +590,27 @@ def _minres(
     if beta1 == 0:
         return x, 0
     beta1 = sqrt(beta1)
+    spectrum = getattr(M, "spectrum", None)
+    vh = None if spectrum is None else np.empty_like(spectrum)
 
     istop, itn = 0, 0
     oldb, beta, dbar, epsln, phibar = 0, beta1, 0, 0, beta1
     tnorm2, gmax, gmin = 0, 0, np.finfo(float).max
     cs, sn = -1, 0
-    w = np.zeros_like(b)
-    w2 = np.zeros_like(b)
+    v, tmp = np.empty_like(b), np.empty_like(b)
+    w, w1, w2 = np.zeros_like(b), np.empty_like(b), np.zeros_like(b)
     r2 = r1
     while itn < maxiter:
         itn += 1
-        # Lanczos step: v = y / beta, then y = M (A v - ...), beta = ||.||_M
-        v = (1.0 / beta) * y
-        y = A(v)
+        # Lanczos step: v = y / beta, then y = M (A v - ...), beta = ||.||_M;
+        # y is A's new array, which only this loop writes
+        s = 1.0 / beta
+        np.multiply(s, y, out=v)
+        y = A(v) if vh is None else A(v, np.multiply(s, spectrum, out=vh))
         if itn >= 2:
-            y = y - (beta / oldb) * r1
+            y -= np.multiply(beta / oldb, r1, out=tmp)
         alfa = _dot(v, y)
-        y = y - (alfa / beta) * r2
+        y -= np.multiply(alfa / beta, r2, out=tmp)
         r1 = r2
         r2 = y
         y = M(r2)
@@ -575,12 +636,14 @@ def _minres(
         phi = cs * phibar
         phibar = sn * phibar
 
-        # update x along the new search direction
+        # update x along the new search direction; w takes the buffer of
+        # the w1 that drops out
         denom = 1.0 / gamma
-        w1 = w2
-        w2 = w
-        w = (v - oldeps * w1 - delta * w2) * denom
-        x = x + phi * w
+        w1, w2, w = w2, w, w1
+        np.subtract(v, np.multiply(oldeps, w1, out=tmp), out=w)
+        w -= np.multiply(delta, w2, out=tmp)
+        w *= denom
+        x += np.multiply(phi, w, out=tmp)
 
         # norm estimates and stopping tests
         gmax = max(gmax, gamma)
@@ -674,11 +737,14 @@ def _require_coupling(q: float, st: dict) -> None:
 
 
 def _equation_residuals(
-    u: ScalarField, v: ScalarField, st: dict, n: int, s: float, q: float
+    u: ScalarField, v: ScalarField, st: dict, n: int, s: float, q: float,
+    lap_u: np.ndarray | None = None,
 ) -> tuple[float, float]:
     """L2 residuals of the two coupled equations at (u, v), with f and c
-    taken from the pointwise state st at u."""
-    res_a = -laplacian(u).values - q * (v.values - st["f"]) + FOUR_PI * n
+    taken from the pointwise state st at u, and Laplacian(u) from lap_u
+    if given."""
+    lap_u = laplacian(u).values if lap_u is None else lap_u
+    res_a = -lap_u - q * (v.values - st["f"]) + FOUR_PI * n
     res_b = -laplacian(v).values - q * (
         st["c"] * (s - v.values) - q * (v.values - st["f"])
     )
@@ -745,7 +811,10 @@ def solve_coupled(
     _require_coupling(q, st)
 
     u_field = ScalarField(grid, u)
-    v = _recover_v(u_field, st["f"], bg.n, q)
+    last_u, lap_u = ws._last_lap  # the last residual's, at u itself
+    if last_u is not u:
+        lap_u = None
+    v = _recover_v(u_field, st["f"], bg.n, q, lap_u)
     w = ScalarField(grid, q * (v.values - st["f"]))
     worst, _ = _bound_violation(model, st["f"], v.values)
     bound_tol = spec.bound_tol
@@ -755,7 +824,7 @@ def solve_coupled(
             "(discretization failure: refine the grid or enlarge sigma)"
         )
 
-    res_a, res_b = _equation_residuals(u_field, v, st, bg.n, model.s, q)
+    res_a, res_b = _equation_residuals(u_field, v, st, bg.n, model.s, q, lap_u)
     residuals = {"genmcsa": res_a, "genmcsb": res_b, "fourth_order": _l2(grid, r)}
     return SolutionBundle(
         spec=spec,

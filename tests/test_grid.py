@@ -50,6 +50,13 @@ class TestGridSpec:
         assert GridSpec(16) == GridSpec(16)
         assert GridSpec(16) != GridSpec(32)
 
+    def test_forward_into_a_buffer(self, rng):
+        grid = GridSpec(16)
+        values = rng.standard_normal((16, 16))
+        buf = np.empty((16, 9), dtype=complex)
+        assert grid.forward(values, out=buf) is buf
+        assert buf.tobytes() == grid.forward(values).tobytes()
+
     def test_field_shape_and_finiteness_checks(self):
         grid = GridSpec(8)
         with pytest.raises(ValueError):

@@ -169,6 +169,51 @@ class TestTruncationProperties:
         _check_truncation(model, edge, offset, knots=ts[1:-1], ulps=4)
 
 
+def _blend_path(model, t):
+    """(f, f', f'') through the time change at every point, as
+    _eval_arrays computes them when some t exceeds T."""
+    T = model.T
+    w, wp, wpp = _blend(np.clip((t - T) / T, 0.0, 1.0))
+    g = np.where(t <= T, t, T * (1.0 + w))
+    gp = np.where(t <= T, 1.0, wp)
+    gpp = np.where(t <= T, 0.0, wpp / T)
+    fp = model.raw_fp(g)
+    return model.raw_f(g), fp * gp, model.raw_fpp(g) * gp * gp + fp * gpp
+
+
+def _check_fast_path(model, fractions, beyond):
+    """With every t = fraction * T <= T, _eval_arrays returns the blend
+    path's floats bit for bit; adding t = beyond * T > T, it still blends."""
+    t = model.T * np.array(fractions)
+    for got, ref in zip(model._eval_arrays(t), _blend_path(model, t)):
+        assert got.tobytes() == ref.tobytes()
+    t = np.append(t, beyond * model.T)
+    got = model._eval_arrays(t)
+    for g, ref in zip(got, _blend_path(model, t)):
+        assert g.tobytes() == ref.tobytes()
+    assert got[0][-1] < model.raw_f(t[-1])  # flattened: f(g(t)) < f(t)
+
+
+fractions = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20)
+beyonds = st.floats(1.1, 1.5)
+
+
+class TestFastPathBelowThreshold:
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(0.1, 100.0), fractions, beyonds)
+    def test_linear_model(self, s, fracs, beyond):
+        _check_fast_path(u1_model(s), fracs, beyond)
+
+    @settings(max_examples=60, deadline=None)
+    @given(steps, st.floats(-1.0, 1.0), fractions, beyonds, st.data())
+    def test_tabulated_model(self, t_steps, f0, fracs, beyond, data):
+        ts = np.concatenate([[0.0], np.cumsum(t_steps)])
+        f_steps = data.draw(st.lists(st.floats(0.1, 1.0), min_size=len(t_steps),
+                                     max_size=len(t_steps)))
+        fs = f0 + np.concatenate([[0.0], np.cumsum(f_steps)])
+        _check_fast_path(tabulated_model(ts, fs, s=0.5 * (fs[0] + fs[-1])), fracs, beyond)
+
+
 class TestEvalField:
     """Field-wide evaluation: _eval_arrays over N x N arrays against the
     scalar eval."""
