@@ -69,24 +69,18 @@ class NonlinearityModel:
 
     def _eval_arrays(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         t = np.asarray(t, dtype=float)
-        if not np.isfinite(self.T):
-            # untruncated models stay bounded as t -> inf; intermediate
-            # overflow in their closed forms is harmless
+        T = self.T
+        if not np.isfinite(T) or t.max() <= T:
+            # untruncated models stay bounded as t -> inf, so intermediate
+            # overflow in their closed forms is harmless; below the
+            # flattening g(t) = t, g' = 1, g'' = 0, and the blend below
+            # would return these same floats
             with np.errstate(over="ignore", invalid="ignore"):
                 return (
                     np.asarray(self.raw_f(t), dtype=float),
                     np.asarray(self.raw_fp(t), dtype=float),
                     np.asarray(self.raw_fpp(t), dtype=float),
                 )
-        T = self.T
-        if t.max() <= T:
-            # no point reaches the flattening: g(t) = t, g' = 1, g'' = 0,
-            # so the blend below would return these same floats
-            return (
-                np.asarray(self.raw_f(t), dtype=float),
-                np.asarray(self.raw_fp(t), dtype=float),
-                np.asarray(self.raw_fpp(t), dtype=float),
-            )
         x = np.clip((t - T) / T, 0.0, 1.0)
         w, wp, wpp = _blend(x)
         g = np.where(t <= T, t, T * (1.0 + w))

@@ -31,24 +31,32 @@ VERSION = 1
 FIELD_FILES = ("u", "v", "w", "u0")
 
 
-def write_field(path, field: ScalarField) -> None:
-    path = Path(path)
-    with path.open("wb") as handle:
-        handle.write(MAGIC)
-        handle.write(struct.pack("<II", VERSION, field.grid.N))
-        handle.write(field.values.astype("<f8").tobytes(order="C"))
-
-
-def write_text_atomic(path, text: str) -> None:
-    """Write text to path through a temporary sibling renamed into place,
-    so that no reader ever sees a half-written record."""
+def _write_atomic(path, *chunks: bytes) -> None:
+    """Write the chunks to path through a temporary sibling renamed into
+    place, so that no reader ever sees a half-written file."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp")
     try:
-        tmp.write_text(text)
+        with tmp.open("wb") as handle:
+            for chunk in chunks:
+                handle.write(chunk)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def write_field(path, field: ScalarField) -> None:
+    _write_atomic(
+        path,
+        MAGIC,
+        struct.pack("<II", VERSION, field.grid.N),
+        field.values.astype("<f8").tobytes(order="C"),
+    )
+
+
+def write_text_atomic(path, text: str) -> None:
+    """Write text to path atomically (see _write_atomic)."""
+    _write_atomic(path, text.encode())
 
 
 def read_field(path, grid: GridSpec | None = None) -> ScalarField:

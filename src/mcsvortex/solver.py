@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 from math import sqrt
+from numbers import Real
 from typing import Callable
 
 import numpy as np
@@ -32,9 +33,10 @@ from .nonlinearity import NonlinearityModel
 
 FOUR_PI = 4.0 * np.pi
 
-# a linear operator on N x N grid arrays; it returns a new array, which
-# the caller may overwrite
-Operator = Callable[[np.ndarray], np.ndarray]
+# a linear operator on N x N grid arrays, returning a new array the caller
+# may overwrite; a Jacobian also takes the half spectrum of its argument as
+# an optional second argument, which spares its forward transform (_minres)
+Operator = Callable[..., np.ndarray]
 
 # MINRES tolerance of the LimitSolution.u1 solve.  u1 only shapes a Newton
 # start whose error is O(1/q^2) anyway.  On the three-vortex sweep at
@@ -64,10 +66,10 @@ class ProblemSpec:
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-        if self.max_newton_iters < 1:
-            raise ValueError(
-                f"max_newton_iters must be at least 1, got {self.max_newton_iters}"
-            )
+        iters = self.max_newton_iters
+        if not (isinstance(iters, Real) and 1 <= iters < np.inf and iters % 1 == 0):
+            raise ValueError(f"max_newton_iters must be an integer >= 1, got {iters}")
+        object.__setattr__(self, "max_newton_iters", int(iters))
 
     @property
     def bound_tol(self) -> float:
@@ -159,7 +161,7 @@ class LimitSolution:
         a non-finite field; every start then falls back to u_inf."""
         grid, st = self.grid, self._pointwise
         rhs = grid.apply(-grid.k2, st["f"]) + st["c"] ** 2 * (st["f"] - self.model.s)
-        H, M = _limit_jacobian(grid, self.model.s, st)
+        H, M = _Limit(self.model, self.background).linearize(self.u_inf.values, st)
         u1, info = _minres(H, M, rhs, _U1_RTOL, maxiter=400)
         if info != 0 or not np.all(np.isfinite(u1)):
             return None
@@ -200,20 +202,22 @@ def _weighted_gradsq(bg: BackgroundData, st: dict, grad=None) -> np.ndarray:
     )
 
 
-class _Workspace:
-    """The coupled equation's q-dependent operators over one background:
-    energy, gradient, Hessian and preconditioner."""
+class _Coupled:
+    """The coupled equation at spec.q over one background, as the
+    Newton-Krylov driver reads it: the energy, its gradient as the residual,
+    the residual's linearization, and the scale q that turns the residual
+    norm into that of the second equation."""
+
+    what = "Newton"
 
     def __init__(self, spec: ProblemSpec, bg: BackgroundData):
         self.grid = grid = spec.grid
         self.model = spec.model
-        self.q = q = spec.q
+        self.q = self.scale = q = spec.q
         self.bg = bg
         # symbols of the coupled gradient: q^-2 Lap^2 - Lap, and -Lap / q
         self.principal = grid.k2 * grid.k2 / q**2 + grid.k2
         self.k2_q = grid.k2 / q
-        # (u, Laplacian(u)) from the last gradient, for the Hessian at that u
-        self._last_lap = (None, None)
 
     def energy(self, u: np.ndarray, st: dict | None = None) -> float:
         """The functional; its quadratic part (1/2) integral(u (q^-2 Lap^2
@@ -235,14 +239,12 @@ class _Workspace:
             total = total * grid.h**2 + 0.5 * grid.quadratic(self.principal, uh)
         return float(total) if np.isfinite(total) else np.inf
 
-    def gradient(self, u: np.ndarray, st: dict | None = None) -> np.ndarray:
+    def residual(self, u: np.ndarray, st: dict) -> np.ndarray:
+        """The energy gradient at u, whose pointwise state is st; keeps
+        Laplacian(u) on st as "lap" for linearize and the recovery of v."""
         q, grid, n = self.q, self.grid, self.bg.n
-        st = st if st is not None else _pointwise_state(self.model, self.bg, u)
-        if st is None:
-            raise ValueError("gradient undefined: e^{u0+u} overflows")
         uh = grid.forward(u)
-        lap_u = grid.inverse(-grid.k2 * uh)
-        self._last_lap = (u, lap_u)
+        st["lap"] = lap_u = grid.inverse(-grid.k2 * uh)
         return (
             grid.inverse(self.principal * uh + self.k2_q * grid.forward(st["f"]))
             - st["c"] * (lap_u - FOUR_PI * n) / q
@@ -250,19 +252,20 @@ class _Workspace:
             + FOUR_PI * n
         )
 
-    def hessian_operator(self, u: np.ndarray, st: dict) -> Operator:
-        """Frechet derivative of the gradient at the frozen state.  Its
-        products go into buffers of its own, and its optional second
-        argument, the half spectrum of phi, saves the forward transform of
-        phi (see _minres)."""
+    def linearize(self, u: np.ndarray, st: dict) -> tuple[Operator, _SpectralInverse]:
+        """Frechet derivative of the residual at the frozen state st, which
+        the residual has seen, and its preconditioner, the exact spectral
+        inverse of q^{-2} Lap^2 - Lap + lambda with
+        lambda = max(1, inf f' * inf e^{u*}).  The derivative's products go
+        into buffers of its own, and its optional second argument, the half
+        spectrum of phi, saves the forward transform of phi (see _minres).
+        Raises QTooSmall where q <= sup|c|."""
         q, grid, principal, k2_q = self.q, self.grid, self.principal, self.k2_q
+        _require_coupling(q, st)
         c = st["c"]
         cp = _dc_dt(st) * st["t"]  # d c / d u
-        last_u, lap_u = self._last_lap
-        if last_u is not u:
-            lap_u = grid.apply(-grid.k2, u)
         V = (
-            -cp * (lap_u - FOUR_PI * self.bg.n) / q
+            -cp * (st["lap"] - FOUR_PI * self.bg.n) / q
             + cp * (st["f"] - self.model.s)
             + c * st["fp"] * st["t"]
         )
@@ -285,13 +288,8 @@ class _Workspace:
             linear += np.multiply(V, phi, out=prod)
             return linear
 
-        return matvec
-
-    def coupled_preconditioner(self, st: dict) -> _SpectralInverse:
-        """Exact spectral inverse of q^{-2} Lap^2 - Lap + lambda, with
-        lambda = max(1, inf f' * inf e^{u*}) frozen for this Newton step."""
         lam = max(1.0, float(st["fp"].min()) * float(st["t"].min()))
-        return _SpectralInverse(self.grid, self.principal + lam)
+        return matvec, _SpectralInverse(grid, principal + lam)
 
 
 def _half_spectrum(grid: GridSpec) -> np.ndarray:
@@ -314,26 +312,40 @@ class _SpectralInverse:
         return self.grid.inverse(np.multiply(self.inv_symbol, spectrum, out=spectrum))
 
 
-def _limit_jacobian(
-    grid: GridSpec, s: float, st: dict
-) -> tuple[Operator, _SpectralInverse]:
-    """Frechet derivative -Lap + V of the limit residual at the state st,
-    and its preconditioner, the spectral inverse of -Lap + max(1, inf V).
-    Like the coupled Hessian, the derivative fills buffers of its own and
-    takes the half spectrum of phi as an optional second argument."""
-    cp = _dc_dt(st) * st["t"]
-    V = -cp * (s - st["f"]) + st["c"] * st["fp"] * st["t"]
-    k2 = grid.k2
-    spec, prod = _half_spectrum(grid), np.empty_like(V)
+class _Limit:
+    """The limit equation over one background, as the Newton-Krylov driver
+    reads it: the residual -Lap u - c (s - f) + 4 pi n and its
+    linearization, at scale 1."""
 
-    def hessian(phi: np.ndarray, ph: np.ndarray | None = None) -> np.ndarray:
-        if ph is None:
-            ph = grid.forward(phi, out=spec)
-        out = grid.inverse(np.multiply(k2, ph, out=spec))
-        out += np.multiply(V, phi, out=prod)
-        return out
+    what = "limit equation"
+    scale = 1.0
 
-    return hessian, _SpectralInverse(grid, k2 + max(1.0, float(V.min())))
+    def __init__(self, model: NonlinearityModel, bg: BackgroundData):
+        self.model, self.bg = model, bg
+
+    def residual(self, u: np.ndarray, st: dict) -> np.ndarray:
+        s, bg = self.model.s, self.bg
+        return bg.grid.apply(bg.grid.k2, u) - st["c"] * (s - st["f"]) + FOUR_PI * bg.n
+
+    def linearize(self, u: np.ndarray, st: dict) -> tuple[Operator, _SpectralInverse]:
+        """Frechet derivative -Lap + V of the residual at the state st, and
+        its preconditioner, the spectral inverse of -Lap + max(1, inf V).
+        Like the coupled one, the derivative fills buffers of its own and
+        takes the half spectrum of phi as an optional second argument."""
+        grid = self.bg.grid
+        cp = _dc_dt(st) * st["t"]
+        V = -cp * (self.model.s - st["f"]) + st["c"] * st["fp"] * st["t"]
+        k2 = grid.k2
+        spec, prod = _half_spectrum(grid), np.empty_like(V)
+
+        def hessian(phi: np.ndarray, ph: np.ndarray | None = None) -> np.ndarray:
+            if ph is None:
+                ph = grid.forward(phi, out=spec)
+            out = grid.inverse(np.multiply(k2, ph, out=spec))
+            out += np.multiply(V, phi, out=prod)
+            return out
+
+        return hessian, _SpectralInverse(grid, k2 + max(1.0, float(V.min())))
 
 
 def _predict(
@@ -412,7 +424,7 @@ def energy(
 ) -> float:
     """Value of the variational functional at u."""
     bg = background or compute_u0(spec.vortices, spec.grid)
-    return _Workspace(spec, bg).energy(u.values)
+    return _Coupled(spec, bg).energy(u.values)
 
 
 def energy_gradient(
@@ -420,7 +432,10 @@ def energy_gradient(
 ) -> ScalarField:
     """L2 gradient of the energy: the fourth-order equation's left side."""
     bg = background or compute_u0(spec.vortices, spec.grid)
-    return ScalarField(spec.grid, _Workspace(spec, bg).gradient(u.values))
+    st = _pointwise_state(spec.model, bg, u.values)
+    if st is None:
+        raise ValueError("gradient undefined: e^{u0+u} overflows")
+    return ScalarField(spec.grid, _Coupled(spec, bg).residual(u.values, st))
 
 
 def initial_guess(bg: BackgroundData, model: NonlinearityModel) -> ScalarField:
@@ -484,16 +499,9 @@ class _Ladder:
         below = None if coarse is None else self.limit(coarse)
         solved = isinstance(below, LimitSolution)
         init = grid.prolong(below.u_inf) if solved else initial_guess(bg, model)
-        k2, s = grid.k2, model.s
-
-        def residual(u: np.ndarray, st: dict) -> np.ndarray:
-            return grid.apply(k2, u) - st["c"] * (s - st["f"]) + FOUR_PI * bg.n
-
         try:
             u, _, r, iters = _newton_krylov(
-                np.array(init.values, dtype=float), spec,
-                lambda u: _pointwise_state(model, bg, u), residual,
-                lambda u, st: _limit_jacobian(grid, s, st), "limit equation",
+                _Limit(model, bg), np.array(init.values, dtype=float), spec
             )
             self.limits[grid.N] = LimitSolution(
                 model=model, background=bg, u_inf=ScalarField(grid, u),
@@ -675,46 +683,48 @@ def _minres(
 
 
 def _newton_krylov(
-    u: np.ndarray, spec: ProblemSpec, state, residual, linearize, what: str,
-    scale: float = 1.0,
+    eq: _Coupled | _Limit, u: np.ndarray, spec: ProblemSpec
 ) -> tuple[np.ndarray, dict, np.ndarray, int]:
-    """Damped Newton-Krylov solve of residual(u, state(u)) = 0 from u.
+    """Damped Newton-Krylov solve of the equation eq from u.
 
-    state(u) returns None where u leaves the domain; linearize(u, st)
-    returns the Jacobian and its preconditioner.  With r_k = scale times
-    the L2 norm of the residual, each step runs preconditioned MINRES to
-    the forcing tolerance max(min(1e-4 r_k, 1e-4), 0.01 newton_tol / r_k).
-    The first term follows Eisenstat & Walker (SIAM J. Sci. Comput. 17(1),
-    1996); the second is the lower bound of Kelley (Iterative Methods for
-    Linear and Nonlinear Equations, SIAM 1995, section 6.3): a step leaves a residual of about rtol r_k, so it
-    need not be solved far below newton_tol.  Its factor is 0.01, not 0.1,
-    because MINRES stops on the backward error ||r|| <= rtol ||A|| ||x||,
-    which reduces ||r|| by less than rtol; the loop runs only while
-    r_k > newton_tol, so the term stays below 0.01.  Each step then halves
-    the step from alpha = 1 until r_k drops by the factor 1 - 1e-4 alpha.
-    Stops once r_k <= newton_tol and returns (u, state, residual, passes),
-    the last pass being the one that found convergence.  A failed line
-    search raises NoConvergence naming that step's MINRES exit status.
+    The state of an iterate is _pointwise_state(eq.model, eq.bg, u), None
+    where u leaves the domain.  eq.residual(u, st) is the residual there,
+    and eq.linearize(u, st) returns its Jacobian and preconditioner at a
+    state the residual has seen.  With r_k = eq.scale times the L2 norm of
+    the residual, each step runs preconditioned MINRES to the forcing
+    tolerance max(min(1e-4 r_k, 1e-4), 0.01 newton_tol / r_k).  The first
+    term follows Eisenstat & Walker (SIAM J. Sci. Comput. 17(1), 1996); the
+    second is the lower bound of Kelley (Iterative Methods for Linear and
+    Nonlinear Equations, SIAM 1995, section 6.3): a step leaves a residual
+    of about rtol r_k, so it need not be solved far below newton_tol.  Its
+    factor is 0.01, not 0.1, because MINRES stops on the backward error
+    ||r|| <= rtol ||A|| ||x||, which reduces ||r|| by less than rtol; the
+    loop runs only while r_k > newton_tol, so the term stays below 0.01.
+    Each step then halves the step from alpha = 1 until r_k drops by the
+    factor 1 - 1e-4 alpha.  Stops once r_k <= newton_tol and returns
+    (u, state, residual, passes), the last pass being the one that found
+    convergence.  A failure raises NoConvergence named by eq.what; a failed
+    line search names that step's MINRES exit status too.
     """
-    grid = spec.grid
-    st = state(u)
+    grid, what, scale = spec.grid, eq.what, eq.scale
+    st = _pointwise_state(eq.model, eq.bg, u)
     if st is None:
         raise NoConvergence(0, np.inf, what=what)
-    r = residual(u, st)
+    r = eq.residual(u, st)
     r_norm = scale * _l2(grid, r)
     iters = 0
     for iters in range(1, spec.max_newton_iters + 1):
         if r_norm <= spec.newton_tol:
             break
-        H, M = linearize(u, st)
+        H, M = eq.linearize(u, st)
         rtol = max(min(1e-4 * r_norm, 1e-4), 0.01 * spec.newton_tol / r_norm)
         delta, info = _minres(H, M, -r, rtol, maxiter=400)
         alpha = 1.0
         while True:
             trial = u + alpha * delta
-            st_trial = state(trial)
+            st_trial = _pointwise_state(eq.model, eq.bg, trial)
             if st_trial is not None:
-                r_trial = residual(trial, st_trial)
+                r_trial = eq.residual(trial, st_trial)
                 norm_trial = scale * _l2(grid, r_trial)
                 if norm_trial <= (1.0 - 1e-4 * alpha) * r_norm:
                     break
@@ -797,24 +807,12 @@ def solve_coupled(
         ladder = _Ladder(spec, background)
         return ladder.result(ladder.coupled(spec, (q,))[0])
     bg = background or compute_u0(spec.vortices, spec.grid)
-    ws = _Workspace(spec, bg)
-
-    def linearize(u: np.ndarray, st: dict):
-        _require_coupling(q, st)
-        return ws.hessian_operator(u, st), ws.coupled_preconditioner(st)
-
-    u, st, r, iters = _newton_krylov(
-        np.array(init.values, dtype=float), spec,
-        lambda u: _pointwise_state(model, bg, u), ws.gradient, linearize,
-        "Newton", scale=q,
-    )
+    eq = _Coupled(spec, bg)
+    u, st, r, iters = _newton_krylov(eq, np.array(init.values, dtype=float), spec)
     _require_coupling(q, st)
 
     u_field = ScalarField(grid, u)
-    last_u, lap_u = ws._last_lap  # the last residual's, at u itself
-    if last_u is not u:
-        lap_u = None
-    v = _recover_v(u_field, st["f"], bg.n, q, lap_u)
+    v = _recover_v(u_field, st["f"], bg.n, q, st["lap"])
     w = ScalarField(grid, q * (v.values - st["f"]))
     worst, _ = _bound_violation(model, st["f"], v.values)
     bound_tol = spec.bound_tol
@@ -824,7 +822,7 @@ def solve_coupled(
             "(discretization failure: refine the grid or enlarge sigma)"
         )
 
-    res_a, res_b = _equation_residuals(u_field, v, st, bg.n, model.s, q, lap_u)
+    res_a, res_b = _equation_residuals(u_field, v, st, bg.n, model.s, q, st["lap"])
     residuals = {"genmcsa": res_a, "genmcsb": res_b, "fourth_order": _l2(grid, r)}
     return SolutionBundle(
         spec=spec,
@@ -834,7 +832,7 @@ def solve_coupled(
         w=w,
         residual_norms=residuals,
         newton_iters=iters,
-        energy_value=ws.energy(u, st),
+        energy_value=eq.energy(u, st),
     )
 
 

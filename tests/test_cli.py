@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,8 @@ from mcsvortex import (
 from mcsvortex.diagnostics import ConvergenceTable, SweepRow
 from mcsvortex.cli import bundle_from_snapshot, main, parse_config
 from mcsvortex.snapshots import (
-    FIELD_FILES, MAGIC, read_field, read_solution, write_field, write_text_atomic
+    FIELD_FILES, MAGIC, read_field, read_solution, write_field, write_solution,
+    write_text_atomic,
 )
 
 
@@ -593,6 +595,23 @@ class TestVerifyCommand:
         spoiled[5, 7] += 0.2
         write_field(solved_dir / "v.fld", v.grid.field(spoiled))
         assert main(["verify", str(solved_dir)]) == 2
+
+    def test_interrupted_field_write_keeps_the_old_field(self, solved_dir, monkeypatch):
+        old = (solved_dir / "v.fld").read_bytes()
+        bundle, _ = bundle_from_snapshot(solved_dir)
+        bundle = replace(bundle, v=bundle.v.grid.field(2.0 * bundle.v.values))
+        rename = os.replace
+
+        def fail_at_v(src, dst):
+            if Path(dst).name == "v.fld":
+                raise OSError("disk full")
+            rename(src, dst)
+
+        monkeypatch.setattr(os, "replace", fail_at_v)
+        with pytest.raises(OSError, match="disk full"):
+            write_solution(solved_dir, bundle, [])
+        assert (solved_dir / "v.fld").read_bytes() == old
+        assert not [p.name for p in solved_dir.iterdir() if p.name.endswith(".tmp")]
 
     def test_mismatched_grid_exit_one(self, solved_dir):
         other = GridSpec(16).constant(0.0)

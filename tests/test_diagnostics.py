@@ -258,10 +258,10 @@ class TestConvergenceMetrics:
                 evaluated.append(t.copy())
             return eval_arrays(model, t)
 
-        def driver(*args, **kwargs):
+        def driver(eq, u, sub):
             inside[0] = True
             try:
-                return newton_krylov(*args, **kwargs)
+                return newton_krylov(eq, u, sub)
             finally:
                 inside[0] = False
 

@@ -71,11 +71,18 @@ class TestProblemSpecValidation:
             ("newton_tol", float("nan")),
             ("newton_tol", float("inf")),
             ("max_newton_iters", 0),
+            ("max_newton_iters", 2.5),
+            ("max_newton_iters", float("nan")),
         ],
     )
     def test_rejected_at_construction(self, field, value):
         with pytest.raises(ValueError, match=field):
             make_spec(N=32, **{field: value})
+
+    def test_whole_float_iteration_limit_is_kept_as_int(self):
+        # the Newton loop runs over range(1, max_newton_iters + 1)
+        spec = make_spec(N=32, max_newton_iters=3.0)
+        assert spec.max_newton_iters == 3 and isinstance(spec.max_newton_iters, int)
 
 
 class TestCoefficientFields:
@@ -255,13 +262,15 @@ class TestSolveCoupled:
         # the coupled gradient less its value at u_m has the root u_m; the
         # driver finds it from the limit profile, as a cold solve would
         forcing = energy_gradient(u_m, spec, background=bg).values
-        ws = solver._Workspace(spec, bg)
+
+        class Manufactured(solver._Coupled):
+            what = "manufactured solution"
+
+            def residual(self, u, st):
+                return super().residual(u, st) - forcing
+
         u, _, _, _ = solver._newton_krylov(
-            np.array(lim.u_inf.values, dtype=float), spec,
-            lambda u: solver._pointwise_state(spec.model, bg, u),
-            lambda u, st: ws.gradient(u, st) - forcing,
-            lambda u, st: (ws.hessian_operator(u, st), ws.coupled_preconditioner(st)),
-            "manufactured solution", scale=spec.q,
+            Manufactured(spec, bg), np.array(lim.u_inf.values, dtype=float), spec
         )
         assert sup_norm(spec.grid.field(u) - u_m) <= 1e-7
 
@@ -458,11 +467,11 @@ def _record_levels(monkeypatch, fail_on=None):
     levels, steps = [], []
     real = solver._newton_krylov
 
-    def recorded(u, spec, state, residual, linearize, what, scale=1.0):
-        levels.append((spec.grid.N, what))
+    def recorded(eq, u, spec):
+        levels.append((spec.grid.N, eq.what))
         if spec.grid.N == fail_on:
-            raise NoConvergence(0, np.inf, what=what)
-        result = real(u, spec, state, residual, linearize, what, scale)
+            raise NoConvergence(0, np.inf, what=eq.what)
+        result = real(eq, u, spec)
         steps.append(result[-1])
         return result
 
@@ -534,10 +543,10 @@ class TestGridSequencing:
             built.append(grid.N)
             return real_u0(vortices, grid)
 
-        def newton(u, sub, state, residual, linearize, what, scale=1.0):
-            if (sub.grid.N, what) == (64, "Newton"):
-                raise NoConvergence(0, np.inf, what=what)
-            return real_newton(u, sub, state, residual, linearize, what, scale)
+        def newton(eq, u, sub):
+            if (sub.grid.N, eq.what) == (64, "Newton"):
+                raise NoConvergence(0, np.inf, what=eq.what)
+            return real_newton(eq, u, sub)
 
         monkeypatch.setattr(solver, "compute_u0", counted)
         if case == "fallback":
@@ -601,10 +610,10 @@ class TestGridSequencing:
         real_newton, real_predict = solver._newton_krylov, solver._predict
         predicted = []
 
-        def newton(u, sub, state, residual, linearize, what, scale=1.0):
-            if (sub.grid.N, sub.q, what) == (32, 40.0, "Newton"):
-                raise NoConvergence(0, np.inf, what=what)
-            return real_newton(u, sub, state, residual, linearize, what, scale)
+        def newton(eq, u, sub):
+            if (sub.grid.N, sub.q, eq.what) == (32, 40.0, "Newton"):
+                raise NoConvergence(0, np.inf, what=eq.what)
+            return real_newton(eq, u, sub)
 
         def predict(limit, q, last=None):
             predicted.append((limit.grid.N, q, None if last is None else last.q))
@@ -625,9 +634,9 @@ class TestGridSequencing:
         bg = compute_u0(spec.vortices, spec.grid)
         starts = []
 
-        def failing(u, sub, *args, **kwargs):
+        def failing(eq, u, sub):
             starts.append((sub.grid.N, u.copy()))
-            raise NoConvergence(sub.grid.N, np.inf, what="limit equation")
+            raise NoConvergence(sub.grid.N, np.inf, what=eq.what)
 
         monkeypatch.setattr(solver, "_newton_krylov", failing)
         with pytest.raises(NoConvergence) as raised:
@@ -646,9 +655,9 @@ class TestForcingTerm:
         calls, rung = [], {}
         real_newton, real_minres = solver._newton_krylov, solver._minres
 
-        def newton(u, spec, state, residual, linearize, what, scale=1.0):
-            rung.update(scale=scale, newton_tol=spec.newton_tol, grid=spec.grid)
-            return real_newton(u, spec, state, residual, linearize, what, scale)
+        def newton(eq, u, spec):
+            rung.update(scale=eq.scale, newton_tol=spec.newton_tol, grid=spec.grid)
+            return real_newton(eq, u, spec)
 
         def minres(A, M, b, rtol, maxiter):
             r_k = rung["scale"] * solver._l2(rung["grid"], b)

@@ -35,15 +35,15 @@ class _Captured(Exception):
 
 def _capture_driver(monkeypatch, solve, spec, **kwargs):
     """Run solve up to the Newton-Krylov driver on spec.grid and return the
-    initial iterate u and the state, residual and linearize callables.
-    Coarse-grid solves of the grid sequencing run through the real driver."""
+    equation eq and the initial iterate u it was handed.  Coarse-grid
+    solves of the grid sequencing run through the real driver."""
     captured = {}
     real = solver._newton_krylov
 
-    def capture(u, sub, state, residual, linearize, what, scale=1.0):
+    def capture(eq, u, sub):
         if sub.grid != spec.grid:
-            return real(u, sub, state, residual, linearize, what, scale)
-        captured.update(u=u, state=state, residual=residual, linearize=linearize)
+            return real(eq, u, sub)
+        captured.update(eq=eq, u=u)
         raise _Captured
 
     monkeypatch.setattr(solver, "_newton_krylov", capture)
@@ -68,7 +68,8 @@ def _count_transforms(monkeypatch):
 
 @pytest.fixture(scope="module")
 def drivers():
-    """Driver callables of both equations at one vortex, N = 32."""
+    """The equations handed to the driver, and their first iterates, at
+    one vortex, N = 32."""
     spec = make_spec(N=32, q=40.0)
     with pytest.MonkeyPatch.context() as mp:
         limit = _capture_driver(mp, solve_limit, spec)
@@ -77,14 +78,24 @@ def drivers():
     return {"coupled": coupled, "limit": limit}
 
 
+def _state(driver, u=None):
+    """The pointwise state the driver builds at u, by default its first
+    iterate, with the residual evaluated there, as the driver does before
+    it linearizes; returns (state, residual)."""
+    eq = driver["eq"]
+    u = driver["u"] if u is None else u
+    st_u = solver._pointwise_state(eq.model, eq.bg, u)
+    return st_u, eq.residual(u, st_u)
+
+
 def _applications(driver):
-    u = driver["u"]
-    st_u = driver["state"](u)
+    eq, u = driver["eq"], driver["u"]
+    st_u, _ = _state(driver)
     phi = np.cos(TWO_PI * np.arange(u.size) / 7.0).reshape(u.shape)
-    H, M = driver["linearize"](u, st_u)
+    H, M = eq.linearize(u, st_u)
     ph = np.fft.rfft2(phi)
     return {
-        "residual": lambda: driver["residual"](u, st_u),
+        "residual": lambda: eq.residual(u, st_u),
         "matvec": lambda: H(phi),
         # the half spectrum of phi handed over, as _minres does
         "matvec with spectrum": lambda: H(phi, ph),
@@ -123,11 +134,9 @@ def test_compute_u0_costs_six_transforms(monkeypatch):
 
 
 def _newton_system(driver):
-    u = driver["u"]
-    st_u = driver["state"](u)
-    b = -driver["residual"](u, st_u)
-    H, M = driver["linearize"](u, st_u)
-    return H, M, b
+    st_u, r = _state(driver)
+    H, M = driver["eq"].linearize(driver["u"], st_u)
+    return H, M, -r
 
 
 @pytest.mark.parametrize("equation", ["coupled", "limit"])
@@ -170,12 +179,35 @@ def test_spectrum_hand_off_agrees_to_roundoff(drivers, equation):
 @pytest.mark.parametrize("equation", ["coupled", "limit"])
 def test_linearize_after_residual_costs_no_transform(drivers, monkeypatch, equation):
     driver = drivers[equation]
-    u = driver["u"]
-    st_u = driver["state"](u)
-    driver["residual"](u, st_u)  # the driver's order: residual, then linearize
+    st_u, _ = _state(driver)  # the driver's order: residual, then linearize
     counts = _count_transforms(monkeypatch)
-    driver["linearize"](u, st_u)
+    driver["eq"].linearize(driver["u"], st_u)
     assert counts["transforms"] == 0
+
+
+@pytest.mark.parametrize("equation", ["coupled", "limit"])
+def test_linearization_is_the_derivative_of_the_residual(drivers, equation):
+    # H phi against the central difference of the residual along phi
+    driver, h = drivers[equation], 1e-4
+    eq, u = driver["eq"], driver["u"]
+    phi = smooth_field(eq.bg.grid, np.random.default_rng(7), kmax=5).values
+    H, _ = eq.linearize(u, _state(driver)[0])
+    hphi = H(phi)
+    ahead, behind = (_state(driver, u + sign * h * phi)[1] for sign in (1.0, -1.0))
+    difference = (ahead - behind) / (2.0 * h)
+    assert np.linalg.norm(hphi - difference) <= 1e-7 * np.linalg.norm(hphi)
+
+
+@pytest.mark.parametrize("equation", ["coupled", "limit"])
+def test_linearization_and_preconditioner_are_symmetric(drivers, equation):
+    # MINRES needs both symmetric in the Euclidean inner product
+    driver = drivers[equation]
+    H, M = driver["eq"].linearize(driver["u"], _state(driver)[0])
+    grid, rng = driver["eq"].bg.grid, np.random.default_rng(11)
+    phi, psi = (smooth_field(grid, rng, kmax=12).values for _ in range(2))
+    for A in (H, M):
+        left, right = np.vdot(A(phi), psi), np.vdot(phi, A(psi))
+        assert abs(left - right) <= 1e-12 * abs(left)
 
 
 def test_sweep_row_norms_one_transform_per_field(monkeypatch):
