@@ -86,8 +86,8 @@ def _problem_spec(model, vortices, q, grid: GridSpec, tolerances) -> ProblemSpec
         q=float(q),
         grid=grid,
         newton_tol=float(tolerances.get("newton_tol", ProblemSpec.newton_tol)),
-        max_newton_iters=int(
-            tolerances.get("max_newton_iters", ProblemSpec.max_newton_iters)
+        max_newton_iters=tolerances.get(
+            "max_newton_iters", ProblemSpec.max_newton_iters
         ),
     )
 
@@ -229,9 +229,6 @@ def parse_config(path) -> RunConfig:
         for key in ("max_newton_iters", "newton_tol")
         if (value := get_float("solver", key)) is not None
     }
-    max_iters = tolerances.get("max_newton_iters", 1.0)
-    if not max_iters.is_integer():
-        raise ConfigError(f"[solver] max_newton_iters must be a whole number, got {max_iters}")
     out_dir = get("output", "dir", "out")
     try:  # surface model/vortex validation errors as config errors
         spec = _problem_spec(

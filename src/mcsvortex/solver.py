@@ -44,6 +44,11 @@ Operator = Callable[..., np.ndarray]
 # 1e-4 costs 12 but the sweep 1080, and 1e-10 costs 52 and the sweep 1024.
 _U1_RTOL = 1e-6
 
+# A Newton step's MINRES solve stops once its linearized residual is within
+# _THETA * newton_tol, in the norm of the Newton test (_newton_krylov); the
+# other half of newton_tol is left to the step's quadratic term
+_THETA = 0.5
+
 
 @dataclass(frozen=True)
 class ProblemSpec:
@@ -68,7 +73,9 @@ class ProblemSpec:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         iters = self.max_newton_iters
         if not (isinstance(iters, Real) and 1 <= iters < np.inf and iters % 1 == 0):
-            raise ValueError(f"max_newton_iters must be an integer >= 1, got {iters}")
+            raise ValueError(
+                f"max_newton_iters must be a whole number >= 1, got {iters}"
+            )
         object.__setattr__(self, "max_newton_iters", int(iters))
 
     @property
@@ -567,7 +574,8 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _minres(
-    A: Operator, M: Operator, b: np.ndarray, rtol: float, maxiter: int
+    A: Operator, M: Operator, b: np.ndarray, rtol: float, maxiter: int,
+    target: float | None = None,
 ) -> tuple[np.ndarray, int]:
     """Preconditioned MINRES for A x = b from x = 0, with A symmetric and M
     a symmetric positive definite approximation of A^-1 (Paige & Saunders,
@@ -582,6 +590,13 @@ def _minres(
     reaches 0.1/eps, when eps ||A|| ||x|| reaches ||b||_M, or after maxiter
     iterations.  Returns (x, info), info = maxiter when the iteration limit
     stopped it and 0 otherwise.
+
+    Given a target, it also stops once ||b - A x||_2 <= target.  It then
+    tracks the true residual in place of b with one vector update per
+    iteration, r_k = sn^2 r_{k-1} - phibar cs r2 / beta, r2 / beta being the
+    new unpreconditioned Lanczos vector (Choi, Paige & Saunders, SIAM J. Sci.
+    Comput. 33(4), 2011), so b comes back as the residual of x.  The target
+    only ends the iteration earlier: the iterates stay the same floats.
 
     When M has a spectrum attribute (_SpectralInverse), the half spectrum
     of its last result, each Lanczos vector v = y / beta goes to A together
@@ -608,6 +623,7 @@ def _minres(
     v, tmp = np.empty_like(b), np.empty_like(b)
     w, w1, w2 = np.zeros_like(b), np.empty_like(b), np.zeros_like(b)
     r2 = r1
+    res = None if target is None else b
     while itn < maxiter:
         itn += 1
         # Lanczos step: v = y / beta, then y = M (A v - ...), beta = ||.||_M;
@@ -652,6 +668,11 @@ def _minres(
         w -= np.multiply(delta, w2, out=tmp)
         w *= denom
         x += np.multiply(phi, w, out=tmp)
+        if res is not None:
+            # b - A x along the unpreconditioned Lanczos vector r2 / beta
+            res *= sn * sn
+            res -= np.multiply(phibar * cs / beta, r2, out=tmp)
+            rnorm = sqrt(_dot(res, res))
 
         # norm estimates and stopping tests
         gmax = max(gmax, gamma)
@@ -677,6 +698,8 @@ def _minres(
                 istop = 2
             if test1 <= rtol:
                 istop = 1
+            if res is not None and rnorm <= target:
+                istop = 7
         if istop != 0:
             break
     return x, maxiter if istop == 6 else 0
@@ -692,14 +715,12 @@ def _newton_krylov(
     and eq.linearize(u, st) returns its Jacobian and preconditioner at a
     state the residual has seen.  With r_k = eq.scale times the L2 norm of
     the residual, each step runs preconditioned MINRES to the forcing
-    tolerance max(min(1e-4 r_k, 1e-4), 0.01 newton_tol / r_k).  The first
-    term follows Eisenstat & Walker (SIAM J. Sci. Comput. 17(1), 1996); the
-    second is the lower bound of Kelley (Iterative Methods for Linear and
-    Nonlinear Equations, SIAM 1995, section 6.3): a step leaves a residual
-    of about rtol r_k, so it need not be solved far below newton_tol.  Its
-    factor is 0.01, not 0.1, because MINRES stops on the backward error
-    ||r|| <= rtol ||A|| ||x||, which reduces ||r|| by less than rtol; the
-    loop runs only while r_k > newton_tol, so the term stays below 0.01.
+    tolerance min(1e-4 r_k, 1e-4) of Eisenstat & Walker (SIAM J. Sci.
+    Comput. 17(1), 1996), or only until the linearized residual b - A x,
+    measured like r_k, is within _THETA newton_tol: a full step then leaves
+    a residual below newton_tol up to its quadratic term, so it need not be
+    solved further (Kelley, Iterative Methods for Linear and Nonlinear
+    Equations, SIAM 1995, section 6.3, whose safeguard factor is 0.5).
     Each step then halves the step from alpha = 1 until r_k drops by the
     factor 1 - 1e-4 alpha.  Stops once r_k <= newton_tol and returns
     (u, state, residual, passes), the last pass being the one that found
@@ -712,13 +733,14 @@ def _newton_krylov(
         raise NoConvergence(0, np.inf, what=what)
     r = eq.residual(u, st)
     r_norm = scale * _l2(grid, r)
+    target = _THETA * spec.newton_tol / (scale * grid.h)  # on ||b - A x||_2
     iters = 0
     for iters in range(1, spec.max_newton_iters + 1):
         if r_norm <= spec.newton_tol:
             break
         H, M = eq.linearize(u, st)
-        rtol = max(min(1e-4 * r_norm, 1e-4), 0.01 * spec.newton_tol / r_norm)
-        delta, info = _minres(H, M, -r, rtol, maxiter=400)
+        rtol = min(1e-4 * r_norm, 1e-4)
+        delta, info = _minres(H, M, -r, rtol, maxiter=400, target=target)
         alpha = 1.0
         while True:
             trial = u + alpha * delta

@@ -668,12 +668,19 @@ class TestVerifyCommand:
                 },
                 "malformed solution record",
             ),
+            (
+                lambda meta, out: {
+                    **meta, "tolerances": {**meta["tolerances"], "max_newton_iters": 2.5}
+                },
+                "malformed solution record",
+            ),
             (lambda meta, out: {**meta, "grid": {"N": BIG}}, "invalid grid data"),
         ],
         ids=[
             "list", "null-q", "null-sigma", "overflow", "huge-sigma",
             "overflowing-multiplicity", "overflowing-newton-iters",
-            "overflowing-max-newton-iters", "overflowing-grid-N",
+            "overflowing-max-newton-iters", "fractional-max-newton-iters",
+            "overflowing-grid-N",
         ],
     )
     def test_malformed_record_exit_one(self, solved_dir, capsys, mangle, named):

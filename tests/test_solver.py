@@ -454,6 +454,28 @@ class TestMinres:
         assert info == info_ref == 5
         assert np.array_equal(x, x_ref)
 
+    @pytest.mark.parametrize("kind", ["definite", "indefinite"])
+    def test_target_ends_the_same_iterates_earlier(self, kind):
+        # the target stops the first iterate whose residual b - A x meets
+        # it, and that iterate is scipy's, the same floats
+        A, M, b = _random_system(3, 6, kind)
+        target = 0.1 * np.linalg.norm(b)
+        applied = []
+
+        def counted(v):
+            applied.append(1)
+            return A(v)
+
+        x, info = solver._minres(
+            counted, M, b.copy(), 1e-10, maxiter=400, target=target
+        )
+        k = len(applied)
+        assert info == 0 and k > 1
+        x_ref, info_ref = reference_minres(A, M, b, 1e-10, maxiter=k)
+        assert info_ref == k and np.array_equal(x, x_ref)
+        before, _ = reference_minres(A, M, b, 1e-10, maxiter=k - 1)
+        assert np.linalg.norm(b - A(before)) > target >= np.linalg.norm(b - A(x))
+
     def test_zero_right_side(self):
         A, M, b = _random_system(0, 4, "definite")
         x, info = solver._minres(A, M, np.zeros_like(b), 1e-8, maxiter=400)
@@ -477,6 +499,41 @@ def _record_levels(monkeypatch, fail_on=None):
 
     monkeypatch.setattr(solver, "_newton_krylov", recorded)
     return levels, steps
+
+
+def _record_krylov(monkeypatch):
+    """Record the Krylov iterations, counted as applications of A, of each
+    Newton-Krylov driver call and each LimitSolution.u1 solve, as (grid
+    size, equation or "u1", iterations) in call order."""
+    rungs, current = [], []
+    real_newton, real_minres = solver._newton_krylov, solver._minres
+
+    def newton(eq, u, spec):
+        rungs.append((spec.grid.N, eq.what, 0))
+        current.append(len(rungs) - 1)
+        try:
+            return real_newton(eq, u, spec)
+        finally:
+            current.pop()
+
+    def minres(A, M, b, *args, **kwargs):
+        applied = []
+
+        def counted(*operand):
+            applied.append(1)
+            return A(*operand)
+
+        result = real_minres(counted, M, b, *args, **kwargs)
+        if current:
+            N, what, iters = rungs[current[-1]]
+            rungs[current[-1]] = (N, what, iters + len(applied))
+        else:
+            rungs.append((b.shape[0], "u1", len(applied)))
+        return result
+
+    monkeypatch.setattr(solver, "_newton_krylov", newton)
+    monkeypatch.setattr(solver, "_minres", minres)
+    return rungs
 
 
 class TestGridSequencing:
@@ -649,20 +706,33 @@ class TestGridSequencing:
 
 class TestForcingTerm:
     def _record_minres(self, monkeypatch):
-        """Record (rtol, r_k, newton_tol) of every MINRES call, with r_k
-        the Newton residual norm at that step: scale times the L2 norm
-        of the right side."""
+        """Record every MINRES call of a Newton step as (rtol, r_k, linear,
+        stopped_by_scipy), with r_k the Newton residual norm at that step
+        (scale times the L2 norm of the right side b), linear the same norm
+        of b - A x, computed explicitly, and stopped_by_scipy whether the
+        same solve without a target returns the same x.  The u1 solve,
+        outside the driver, must pass no target."""
         calls, rung = [], {}
         real_newton, real_minres = solver._newton_krylov, solver._minres
 
         def newton(eq, u, spec):
-            rung.update(scale=eq.scale, newton_tol=spec.newton_tol, grid=spec.grid)
-            return real_newton(eq, u, spec)
+            rung.update(scale=eq.scale, grid=spec.grid)
+            try:
+                return real_newton(eq, u, spec)
+            finally:
+                rung.clear()
 
-        def minres(A, M, b, rtol, maxiter):
-            r_k = rung["scale"] * solver._l2(rung["grid"], b)
-            calls.append((rtol, r_k, rung["newton_tol"]))
-            return real_minres(A, M, b, rtol, maxiter)
+        def minres(A, M, b, rtol, maxiter, target=None):
+            if not rung:  # the LimitSolution.u1 solve
+                assert target is None
+                return real_minres(A, M, b, rtol, maxiter)
+            norm = lambda z: rung["scale"] * solver._l2(rung["grid"], z)
+            rhs = b.copy()
+            x, info = real_minres(A, M, b, rtol, maxiter, target)
+            x_scipy, _ = real_minres(A, M, rhs.copy(), rtol, maxiter)
+            stopped_by_scipy = np.array_equal(x, x_scipy)
+            calls.append((rtol, norm(rhs), norm(rhs - A(x)), stopped_by_scipy))
+            return x, info
 
         monkeypatch.setattr(solver, "_newton_krylov", newton)
         monkeypatch.setattr(solver, "_minres", minres)
@@ -670,16 +740,21 @@ class TestForcingTerm:
 
     @pytest.mark.parametrize("equation", ["coupled", "limit"])
     def test_inner_tolerance_knows_newton_tol(self, monkeypatch, equation):
-        # an inexact Newton step leaves a residual of about rtol * r_k, so
-        # no step is solved much beyond what newton_tol asks (Kelley 1995,
-        # section 6.3)
+        # each step's MINRES solve ends at scipy's test with the
+        # Eisenstat-Walker tolerance or, earlier, once the linearized
+        # residual is within theta * newton_tol in the Newton test's norm
+        # (up to the tracked residual's roundoff, 1e-10 of ||b||)
         calls = self._record_minres(monkeypatch)
         spec = make_spec(N=64, q=40.0)
         solve_coupled(spec) if equation == "coupled" else solve_limit(spec)
         assert calls
-        for rtol, r_k, newton_tol in calls:
+        theta, newton_tol = solver._THETA, spec.newton_tol
+        for rtol, r_k, linear, stopped_by_scipy in calls:
             assert r_k > newton_tol
-            assert rtol >= 0.01 * newton_tol / r_k
+            assert rtol == min(1e-4 * r_k, 1e-4)
+            assert stopped_by_scipy or linear <= theta * newton_tol + 1e-10 * r_k
+        # the target ends the last step of each rung here
+        assert not all(stopped_by_scipy for *_, stopped_by_scipy in calls)
 
 
 class TestNewtonPasses:
@@ -690,21 +765,27 @@ class TestNewtonPasses:
     def _rungs(self, levels, steps):
         return [(N, what, n) for (N, what), n in zip(levels, steps)]
 
-    def _cold_rungs(self, monkeypatch):
-        levels, steps = _record_levels(monkeypatch)
+    def _cold_solve(self):
         solve_coupled(make_spec(N=64, q=40.0))
-        return self._rungs(levels, steps)
 
-    def _sweep_rungs(self, monkeypatch):
+    def _sweep(self):
         vortices = VortexConfig(
             points=((0.25, 0.25), (0.75, 0.25), (0.5, 0.75)),
             multiplicities=(1, 1, 1),
             sigma=4.0 * GridSpec(64).h,
         )
         spec = make_spec(N=64, s=16.0, vortices=vortices)
-        levels, steps = _record_levels(monkeypatch)
         table = q_sweep(spec, [20.0, 40.0, 80.0, 160.0])
         assert all(row.status == "converged" for row in table.rows)
+
+    def _cold_rungs(self, monkeypatch):
+        levels, steps = _record_levels(monkeypatch)
+        self._cold_solve()
+        return self._rungs(levels, steps)
+
+    def _sweep_rungs(self, monkeypatch):
+        levels, steps = _record_levels(monkeypatch)
+        self._sweep()
         return self._rungs(levels, steps)
 
     def test_cold_coupled_solve(self, monkeypatch):
@@ -735,13 +816,33 @@ class TestNewtonPasses:
             (64, "Newton", 2), (64, "Newton", 2), (64, "Newton", 2), (64, "Newton", 2),
         ]
 
+    def test_krylov_iterations(self, monkeypatch):
+        # Krylov iterations per driver call and u1 solve.  Before MINRES
+        # stopped at the linear residual a step needs, the cold solve took
+        # 26, 5, 17, 6 (54) and the sweep 35, 6, 7, 24, 19, 24, 30, 8, 9,
+        # 9, 10 (181)
+        krylov = _record_krylov(monkeypatch)
+        self._cold_solve()
+        assert krylov == [
+            (32, "limit equation", 26), (32, "u1", 5), (32, "Newton", 17),
+            (64, "Newton", 2),
+        ]
+        del krylov[:]
+        self._sweep()
+        assert krylov == [
+            (32, "limit equation", 35), (64, "limit equation", 3), (32, "u1", 7),
+            (32, "Newton", 22), (32, "Newton", 19), (32, "Newton", 23),
+            (32, "Newton", 30),
+            (64, "Newton", 5), (64, "Newton", 5), (64, "Newton", 5), (64, "Newton", 5),
+        ]
+
     @pytest.mark.parametrize("failure", ["iteration limit", "not finite"])
     def test_failed_corrector_keeps_the_old_starts(self, monkeypatch, failure):
         # without u1 the starts are u_inf and the larger-q neighbour, and
         # the passes those starts took before u1 existed
         real_u1, results = solver.LimitSolution.u1.func, []
 
-        def failing_minres(A, M, b, rtol, maxiter):
+        def failing_minres(A, M, b, rtol, maxiter, target=None):
             if failure == "iteration limit":
                 return np.zeros_like(b), maxiter
             return np.full_like(b, np.nan), 0

@@ -150,6 +150,20 @@ def test_minres_matches_scipy_on_the_newton_system(drivers, equation):
 
 
 @pytest.mark.parametrize("equation", ["coupled", "limit"])
+def test_minres_tracks_the_true_residual(drivers, equation):
+    # given a target, _minres returns b - A x in place of b, from its
+    # one-vector recurrence; a zero target stops no iteration, so maxiter
+    # = k gives the k-th iterate
+    H, M, b = _newton_system(drivers[equation])
+    for k in range(1, 11):
+        residual = b.copy()
+        x, info = solver._minres(H, M, residual, 1e-14, maxiter=k, target=0.0)
+        assert info == k
+        explicit = b - H(x)
+        assert np.linalg.norm(residual - explicit) <= 1e-10 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("equation", ["coupled", "limit"])
 def test_spectrum_hand_off_agrees_to_roundoff(drivers, equation):
     # with the preconditioner's spectrum, every matvec gets the half
     # spectrum of its argument and skips that forward transform.  The
