@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from math import sqrt
 from numbers import Real
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -40,14 +40,20 @@ Operator = Callable[..., np.ndarray]
 
 # MINRES tolerance of the LimitSolution.u1 solve.  u1 only shapes a Newton
 # start whose error is O(1/q^2) anyway.  On the three-vortex sweep at
-# N = 128 (q = 160 .. 20), 1e-6 costs 28 transforms and the sweep 952;
-# 1e-4 costs 12 but the sweep 1080, and 1e-10 costs 52 and the sweep 1024.
+# N = 128 (q = 160 .. 20), 1e-6 costs 25 transforms and the sweep 928;
+# 1e-4 costs 13 but the sweep 977, and 1e-10 costs 43 and the sweep 941.
 _U1_RTOL = 1e-6
 
 # A Newton step's MINRES solve stops once its linearized residual is within
 # _THETA * newton_tol, in the norm of the Newton test (_newton_krylov); the
 # other half of newton_tol is left to the step's quadratic term
 _THETA = 0.5
+
+# A limit solve whose solution only shapes a Newton start (_predict) stops at
+# _PREDICTOR_SLACK * newton_tol: the predicted start's residual is set by the
+# core layer the limit misses (39 at N = 128, q = 40, from a limit solved to
+# 8e-6), not by the limit solve's last passes
+_PREDICTOR_SLACK = 1e3
 
 
 @dataclass(frozen=True)
@@ -355,14 +361,23 @@ class _Limit:
         return hessian, _SpectralInverse(grid, k2 + max(1.0, float(V.min())))
 
 
+class _Rung(NamedTuple):
+    """What a converged coupled rung below the top grid hands up: its
+    coupling and u, all the next rung's start reads."""
+
+    q: float
+    u: ScalarField
+
+
 def _predict(
-    limit: LimitSolution, q: float, last: SolutionBundle | None = None
+    limit: LimitSolution, q: float, last: SolutionBundle | _Rung | None = None
 ) -> ScalarField:
     """Newton start at coupling q from the expansion in eps = 1/q
     (predictor of Allgower & Georg, Introduction to Numerical Continuation
     Methods, SIAM 2003, ch. 2): u_inf + eps u1; given the last converged
-    solve, at eps_p, the quadratic in eps through u_inf with slope u1 that
-    meets it, u_inf + eps u1 + (eps/eps_p)^2 (u_last - u_inf - eps_p u1).
+    solve on the same grid, its coupling 1/eps_p and its u, the quadratic in
+    eps through u_inf with slope u1 that meets it,
+    u_inf + eps u1 + (eps/eps_p)^2 (u_last - u_inf - eps_p u1).
     Without u1, last.u or else u_inf."""
     u1 = limit.u1
     if u1 is None:
@@ -390,6 +405,8 @@ def coefficient_fields(
     masses would annihilate.
     """
     st = _pointwise_state(model, bg, u.values)
+    if st is None:
+        raise ValueError("coefficients undefined: e^{u0+u} overflows")
     grid = u.grid
     c = ScalarField(grid, st["c"])
     f_q = ScalarField(grid, st["f"] + (model.s / q) * st["c"])
@@ -406,15 +423,6 @@ def coefficient_fields(
     return c, f_q, g_q
 
 
-def _recover_v(
-    u: ScalarField, f: np.ndarray, n: int, q: float, lap_u: np.ndarray | None = None
-) -> ScalarField:
-    """v = (-Laplacian(u) + 4 pi n)/q + f, with f = f(e^{u0+u}) given, and
-    Laplacian(u) too if lap_u is."""
-    lap_u = laplacian(u).values if lap_u is None else lap_u
-    return ScalarField(u.grid, (-lap_u + FOUR_PI * n) / q + f)
-
-
 def recover_v(
     u: ScalarField, bg: BackgroundData, model: NonlinearityModel, q: float
 ) -> ScalarField:
@@ -423,7 +431,7 @@ def recover_v(
     st = _pointwise_state(model, bg, u.values)
     if st is None:
         raise ValueError("v undefined: e^{u0+u} overflows")
-    return _recover_v(u, st["f"], bg.n, q)
+    return ScalarField(u.grid, _recover_v(laplacian(u).values, st["f"], bg.n, q))
 
 
 def energy(
@@ -457,10 +465,18 @@ class _Ladder:
     """The half-grid ladder of one solve, whose top rung is spec.grid.  It
     keeps each rung's grid, background and limit outcome (LimitSolution or
     NoConvergence) by grid size, so no level is built or solved twice;
-    coupled outcomes pass up the rungs instead."""
+    coupled outcomes pass up the rungs instead.  On a predictor_only ladder
+    (a cold solve_coupled) no limit solution is returned or measured
+    against: each one only shapes a Newton start."""
 
-    def __init__(self, spec: ProblemSpec, background: BackgroundData | None = None):
+    def __init__(
+        self,
+        spec: ProblemSpec,
+        background: BackgroundData | None = None,
+        predictor_only: bool = False,
+    ):
         self.top = spec.grid.N
+        self.predictor_only = predictor_only
         self.grids = {}
         self.backgrounds = {} if background is None else {self.top: background}
         self.limits = {}
@@ -497,15 +513,24 @@ class _Ladder:
     def limit(self, spec: ProblemSpec) -> LimitSolution | NoConvergence:
         """The limit equation on spec.grid: Newton-Krylov from the half
         grid's limit solution, prolonged, or from the ansatz where there is
-        none or it failed."""
+        none or it failed.  On a predictor_only ladder it stops at
+        _PREDICTOR_SLACK newton_tol, and the rung with no half grid starts
+        from the widened one (widened) where that applies."""
         grid, model = spec.grid, spec.model
         if grid.N in self.limits:
             return self.limits[grid.N]
         bg = self.background(spec)
         coarse = self.half(spec)
-        below = None if coarse is None else self.limit(coarse)
-        solved = isinstance(below, LimitSolution)
-        init = grid.prolong(below.u_inf) if solved else initial_guess(bg, model)
+        if self.predictor_only:
+            spec = replace(spec, newton_tol=spec.newton_tol * _PREDICTOR_SLACK)
+        if coarse is not None:
+            below = self.limit(coarse)
+            solved = isinstance(below, LimitSolution)
+            init = grid.prolong(below.u_inf) if solved else None
+        else:
+            init = self.widened(spec) if self.predictor_only else None
+        if init is None:
+            init = initial_guess(bg, model)
         try:
             u, _, r, iters = _newton_krylov(
                 _Limit(model, bg), np.array(init.values, dtype=float), spec
@@ -519,41 +544,82 @@ class _Ladder:
             self.limits[grid.N] = exc.with_traceback(None)
         return self.limits[grid.N]
 
+    def widened(self, spec: ProblemSpec) -> ScalarField | None:
+        """Start of a limit rung that has no half grid because sigma < 2h
+        there: the limit equation on that half grid with every vortex
+        widened to sigma = 2h of it, solved from the ansatz to
+        spec.newton_tol and prolonged (nested iteration below the sigma
+        floor).  Its source is not the problem's, so neither its background
+        nor its solution is kept.  None where N/2 is below 64 (there the
+        coarse transforms cost about as much as the fine passes they save),
+        where N/2 is no grid size, or where the solve fails."""
+        M = spec.grid.N // 2
+        if M < 64:
+            return None
+        try:
+            grid = GridSpec(M)
+        except ValueError:
+            return None
+        wide = replace(
+            spec, grid=grid, vortices=replace(spec.vortices, sigma=2.0 * grid.h)
+        )
+        bg = compute_u0(wide.vortices, grid)
+        try:
+            u, *_ = _newton_krylov(
+                _Limit(spec.model, bg), initial_guess(bg, spec.model).values, wide
+            )
+        except NoConvergence:
+            return None
+        return spec.grid.prolong(ScalarField(grid, u))
+
     def coupled(self, spec: ProblemSpec, qs) -> list:
         """The coupled equation on spec.grid at each coupling of the
-        descending qs: the SolutionBundle, or the SolveFailure raised, per
-        coupling.  The rung first runs itself on the half grid with the same
-        couplings.  Each coupling then starts from the half grid's solution
-        at that q, prolonged; where there is none or it failed, from the
-        limit solution predicted to q from the last coupling that converged
-        on this grid (_predict), or from the ansatz where the limit solve
-        fails too.  Each coarse solution is dropped once it is prolonged,
-        and the top rung empties the ladder before its solves."""
+        descending qs, per coupling: on the top grid the SolutionBundle or
+        the SolveFailure raised; below it, the _Rung(q, u) that starts the
+        next rung or None where the solve failed.  A rung below the top runs
+        the driver and the checks that decide whether its solution stands
+        (_admissible_v), and builds no w, residuals, energy or bundle.  The
+        rung first runs itself on the half grid with the same couplings.
+        Each coupling then starts from the half grid's solution at that q,
+        prolonged; where there is none or it failed, from the limit solution
+        predicted to q from the last coupling that converged on this grid
+        (_predict), or from the ansatz where the limit solve fails too.  Each
+        coarse solution is dropped once it is prolonged, and the top rung
+        empties the ladder before its solves."""
         bg = self.background(spec)
         coarse = self.half(spec)
         below = [None] * len(qs) if coarse is None else self.coupled(coarse, qs)
         del coarse  # its grid goes with the last coarse solution
         limit = None
-        if not all(isinstance(under, SolutionBundle) for under in below):
+        if any(under is None for under in below):
             limit = self.limit(spec)
-        if spec.grid.N == self.top:  # its solves need no coarse level
+        top = spec.grid.N == self.top
+        if top:  # its solves need no coarse level
             self.clear()
         outcomes, last = [], None
         for q in qs:
             under = below.pop(0)
-            if isinstance(under, SolutionBundle):
+            if under is not None:
                 init = spec.grid.prolong(under.u)
             elif isinstance(limit, LimitSolution):
                 init = _predict(limit, q, last)
             else:
                 init = initial_guess(bg, spec.model)
             del under
+            sub = replace(spec, q=q)
             try:
-                last = solve_coupled(replace(spec, q=q), init=init, background=bg)
+                if top:
+                    last = solve_coupled(sub, init=init, background=bg)
+                else:
+                    u, st, _, _ = _newton_krylov(
+                        _Coupled(sub, bg), np.array(init.values, dtype=float), sub
+                    )
+                    _admissible_v(sub, bg.n, st)
+                    last = _Rung(q, ScalarField(spec.grid, u))
                 outcomes.append(last)
             except SolveFailure as exc:
                 # without its traceback, which would keep this frame's fields
-                outcomes.append(exc.with_traceback(None))
+                outcomes.append(exc.with_traceback(None) if top else None)
         return outcomes
 
     def result(self, outcome):
@@ -783,6 +849,28 @@ def _equation_residuals(
     return _l2(u.grid, res_a), _l2(u.grid, res_b)
 
 
+def _recover_v(lap_u: np.ndarray, f: np.ndarray, n: int, q: float) -> np.ndarray:
+    """v = (-Laplacian(u) + 4 pi n)/q + f(e^{u0+u}), from Laplacian(u) and f."""
+    return (-lap_u + FOUR_PI * n) / q + f
+
+
+def _admissible_v(spec: ProblemSpec, n: int, st: dict) -> np.ndarray:
+    """v at the converged state st, recovered from its "lap" with no
+    transform, once st passes the checks that decide whether a coupled solve
+    stands: QTooSmall where q <= sup|c|, BoundsViolation where f(e^{u*}) or
+    v leave [f(0), s] by more than spec.bound_tol."""
+    _require_coupling(spec.q, st)
+    v = _recover_v(st["lap"], st["f"], n, spec.q)
+    worst, _ = _bound_violation(spec.model, st["f"], v)
+    bound_tol = spec.bound_tol
+    if worst > bound_tol:
+        raise BoundsViolation(
+            f"pointwise bounds violated by {worst:.3e} > bound_tol={bound_tol:.3e} "
+            "(discretization failure: refine the grid or enlarge sigma)"
+        )
+    return v
+
+
 def _bound_violation(model: NonlinearityModel, f: np.ndarray, v: np.ndarray):
     """Largest excess of f(e^{u*}) and v over the bounds [f(0), s], and
     the extremes (f_min, f_max, v_min, v_max) it was read from."""
@@ -816,8 +904,9 @@ def solve_coupled(
     ladder (_Ladder): it starts from the same problem solved on N/2,
     prolonged; where that does not apply or fails, from the limit profile
     with its first-order term, u_inf + u1/q (LimitSolution.u1), and from
-    the ansatz if the limit solve fails too.  newton_iters counts the steps
-    on spec.grid only.
+    the ansatz if the limit solve fails too.  Those limit solves only shape
+    the start, so they stop at _PREDICTOR_SLACK newton_tol.  newton_iters
+    counts the steps on spec.grid only.
 
     Raises a SolveFailure: QTooSmall if q <= sup|c| at some iterate,
     NoConvergence if the iteration or its line search stalls, and
@@ -826,23 +915,14 @@ def solve_coupled(
     """
     grid, model, q = spec.grid, spec.model, spec.q
     if init is None:
-        ladder = _Ladder(spec, background)
+        ladder = _Ladder(spec, background, predictor_only=True)
         return ladder.result(ladder.coupled(spec, (q,))[0])
     bg = background or compute_u0(spec.vortices, spec.grid)
     eq = _Coupled(spec, bg)
     u, st, r, iters = _newton_krylov(eq, np.array(init.values, dtype=float), spec)
-    _require_coupling(q, st)
-
+    v = ScalarField(grid, _admissible_v(spec, bg.n, st))
     u_field = ScalarField(grid, u)
-    v = _recover_v(u_field, st["f"], bg.n, q, st["lap"])
     w = ScalarField(grid, q * (v.values - st["f"]))
-    worst, _ = _bound_violation(model, st["f"], v.values)
-    bound_tol = spec.bound_tol
-    if worst > bound_tol:
-        raise BoundsViolation(
-            f"pointwise bounds violated by {worst:.3e} > bound_tol={bound_tol:.3e} "
-            "(discretization failure: refine the grid or enlarge sigma)"
-        )
 
     res_a, res_b = _equation_residuals(u_field, v, st, bg.n, model.s, q, st["lap"])
     residuals = {"genmcsa": res_a, "genmcsb": res_b, "fourth_order": _l2(grid, r)}

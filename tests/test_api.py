@@ -1,5 +1,6 @@
 """The README documents every exported name and every configuration key."""
 
+import dataclasses
 import re
 from pathlib import Path
 
@@ -28,3 +29,17 @@ def test_config_block_names_every_key():
     assert match, "README.md has no ini block"
     documented = {key.lower() for key in re.findall(r"\b(\w+) = ", match.group(1))}
     assert documented == set().union(*cli._SCHEMA.values())
+
+
+def test_no_new_problem_or_config_knobs():
+    # a solver refinement that needs a new field or key is a design change,
+    # made deliberately here together with the README
+    fields = [field.name for field in dataclasses.fields(mcsvortex.ProblemSpec)]
+    assert fields == ["model", "vortices", "q", "grid", "newton_tol", "max_newton_iters"]
+    assert cli._SCHEMA == {
+        "model": {"name", "s", "table"},
+        "vortices": {"points", "sigma"},
+        "grid": {"n"},
+        "solver": {"q", "q_list", "newton_tol", "max_newton_iters"},
+        "output": {"dir"},
+    }

@@ -30,7 +30,7 @@ from mcsvortex import (
 )
 
 from mcsvortex import solver
-from mcsvortex.errors import SolveFailure
+from mcsvortex.errors import BoundsViolation, SolveFailure
 
 from conftest import smooth_field
 
@@ -113,6 +113,19 @@ class TestCoefficientFields:
         _, _, g_q = coefficient_fields(u, bg, model, 10.0)
         out = g_q(grid.constant(model.s))
         assert sup_norm(out) <= 1e-13
+
+    def test_overflowing_state_is_a_value_error(self):
+        # the same error recover_v and energy_gradient raise
+        spec = make_spec(N=32)
+        bg = compute_u0(spec.vortices, spec.grid)
+        u = spec.grid.constant(800.0)
+        for undefined in (
+            lambda: coefficient_fields(u, bg, spec.model, spec.q),
+            lambda: recover_v(u, bg, spec.model, spec.q),
+            lambda: energy_gradient(u, spec, bg),
+        ):
+            with pytest.raises(ValueError, match=r"e\^\{u0\+u\} overflows"):
+                undefined()
 
 
 class TestRecoverV:
@@ -653,11 +666,18 @@ class TestGridSequencing:
         (row,) = q_sweep(spec, [spec.q]).rows
         swept = list(zip(levels, steps))
         assert swept.pop(1) == ((64, "limit equation"), 2)
-        assert swept == cold == [
+        # the same rungs; only the cold solve's limit rung, which just feeds
+        # the predictor, stops early (solver._PREDICTOR_SLACK)
+        assert swept == [
             ((32, "limit equation"), 6), ((32, "Newton"), 4), ((64, "Newton"), 2)
         ]
+        assert cold == [
+            ((32, "limit equation"), 5), ((32, "Newton"), 4), ((64, "Newton"), 2)
+        ]
         assert row.status == "converged"
-        assert row.energy == bundle.energy_value
+        # the looser limit moves the cold solve's N = 32 start, so the two
+        # fine solutions agree to the solve's tolerance, not bit for bit
+        assert row.energy == pytest.approx(bundle.energy_value, rel=1e-12)
         assert row.newton_iters == bundle.newton_iters == 2
 
     def test_failed_half_grid_coupling_falls_back_alone(self, monkeypatch):
@@ -704,10 +724,113 @@ class TestGridSequencing:
         assert np.array_equal(starts[1][1], solver.initial_guess(bg, spec.model).values)
 
 
+class TestPredictorOnlyRungs:
+    """A cold solve_coupled's limit solves only feed _predict: they stop at
+    _PREDICTOR_SLACK newton_tol, and the lowest one starts below the sigma
+    floor from a widened half grid.  Returned limit solutions keep
+    newton_tol, and coarse coupled rungs hand up only (q, u)."""
+
+    def _record_calls(self, monkeypatch, fail=None):
+        """Record (grid size, equation, newton_tol, sigma) of every driver
+        call and the start u of each; calls for which fail(what, spec)
+        holds raise NoConvergence."""
+        calls, starts = [], []
+        real = solver._newton_krylov
+
+        def recorded(eq, u, spec):
+            calls.append((spec.grid.N, eq.what, spec.newton_tol, spec.vortices.sigma))
+            starts.append(u.copy())
+            if fail is not None and fail(eq.what, spec):
+                raise NoConvergence(0, np.inf, what=eq.what)
+            return real(eq, u, spec)
+
+        monkeypatch.setattr(solver, "_newton_krylov", recorded)
+        return calls, starts
+
+    def _floor_spec(self):
+        # sigma = 3h at N = 128 is below 2h on N = 64: no coupled half grid
+        return make_spec(N=128, q=40.0, vortices=one_vortex(GridSpec(128), 3.0))
+
+    def test_cold_solve_starts_below_the_sigma_floor(self, monkeypatch):
+        spec = self._floor_spec()
+        calls, _ = self._record_calls(monkeypatch)
+        bundle = solve_coupled(spec)
+        loose, sigma = spec.newton_tol * solver._PREDICTOR_SLACK, spec.vortices.sigma
+        assert calls == [
+            (64, "limit equation", loose, 2.0 / 64),
+            (128, "limit equation", loose, sigma),
+            (128, "Newton", spec.newton_tol, sigma),
+        ]
+        assert bundle.residual_norms["genmcsb"] <= spec.newton_tol
+
+    @pytest.mark.parametrize("case", ["limit solve", "sweep"])
+    @pytest.mark.parametrize("floor", [False, True])
+    def test_returned_limits_keep_newton_tol(self, monkeypatch, case, floor):
+        # neither a widened start nor an early stop for a limit solution
+        # that is returned or that starts the one returned
+        spec = self._floor_spec() if floor else make_spec(N=64, q=40.0)
+        calls, _ = self._record_calls(monkeypatch)
+        if case == "limit solve":
+            solve_limit(spec)
+        else:
+            q_sweep(spec, [20.0, 40.0])
+        limits = [call for call in calls if call[1] == "limit equation"]
+        assert [N for N, *_ in limits] == ([128] if floor else [32, 64])
+        assert all(tol == spec.newton_tol for _, _, tol, _ in limits)
+
+    def test_failed_widened_solve_starts_from_the_ansatz(self, monkeypatch):
+        spec = self._floor_spec()
+        bg = compute_u0(spec.vortices, spec.grid)
+        calls, starts = self._record_calls(
+            monkeypatch, lambda what, sub: sub.grid.N == 64
+        )
+        bundle = solve_coupled(spec, background=bg)
+        assert [(N, what) for N, what, *_ in calls] == [
+            (64, "limit equation"), (128, "limit equation"), (128, "Newton")
+        ]
+        assert np.array_equal(starts[1], solver.initial_guess(bg, spec.model).values)
+        assert bundle.residual_norms["genmcsb"] <= spec.newton_tol
+
+    @pytest.mark.parametrize("failure", [QTooSmall, BoundsViolation])
+    def test_coarse_check_failure_sends_the_coupling_to_the_predictor(
+        self, monkeypatch, failure
+    ):
+        # the N = 32 coupled solve converges to a state that fails the check
+        # after the driver: N = 64 starts from its own limit, predicted
+        spec = make_spec(N=64, q=40.0)
+        real_newton, real_predict = solver._newton_krylov, solver._predict
+        levels, predicted = [], []
+
+        def newton(eq, u, sub):
+            levels.append((sub.grid.N, eq.what))
+            u, st, r, iters = real_newton(eq, u, sub)
+            if (sub.grid.N, eq.what) == (32, "Newton"):
+                st = dict(st)
+                if failure is QTooSmall:
+                    st["c"] = np.full_like(st["c"], 2.0 * sub.q)
+                else:
+                    st["f"] = np.full_like(st["f"], sub.model.s + 1.0)
+            return u, st, r, iters
+
+        def predict(limit, q, last=None):
+            predicted.append((limit.grid.N, q, last))
+            return real_predict(limit, q, last)
+
+        monkeypatch.setattr(solver, "_newton_krylov", newton)
+        monkeypatch.setattr(solver, "_predict", predict)
+        bundle = solve_coupled(spec)
+        assert levels == [
+            (32, "limit equation"), (32, "Newton"), (64, "limit equation"), (64, "Newton")
+        ]
+        assert predicted == [(32, 40.0, None), (64, 40.0, None)]
+        assert bundle.residual_norms["genmcsb"] <= spec.newton_tol
+
+
 class TestForcingTerm:
     def _record_minres(self, monkeypatch):
-        """Record every MINRES call of a Newton step as (rtol, r_k, linear,
-        stopped_by_scipy), with r_k the Newton residual norm at that step
+        """Record every MINRES call of a Newton step as (newton_tol, rtol,
+        r_k, linear, stopped_by_scipy), with newton_tol that of the driver
+        call, r_k the Newton residual norm at that step
         (scale times the L2 norm of the right side b), linear the same norm
         of b - A x, computed explicitly, and stopped_by_scipy whether the
         same solve without a target returns the same x.  The u1 solve,
@@ -716,7 +839,7 @@ class TestForcingTerm:
         real_newton, real_minres = solver._newton_krylov, solver._minres
 
         def newton(eq, u, spec):
-            rung.update(scale=eq.scale, grid=spec.grid)
+            rung.update(scale=eq.scale, grid=spec.grid, tol=spec.newton_tol)
             try:
                 return real_newton(eq, u, spec)
             finally:
@@ -731,7 +854,9 @@ class TestForcingTerm:
             x, info = real_minres(A, M, b, rtol, maxiter, target)
             x_scipy, _ = real_minres(A, M, rhs.copy(), rtol, maxiter)
             stopped_by_scipy = np.array_equal(x, x_scipy)
-            calls.append((rtol, norm(rhs), norm(rhs - A(x)), stopped_by_scipy))
+            calls.append(
+                (rung["tol"], rtol, norm(rhs), norm(rhs - A(x)), stopped_by_scipy)
+            )
             return x, info
 
         monkeypatch.setattr(solver, "_newton_krylov", newton)
@@ -748,8 +873,8 @@ class TestForcingTerm:
         spec = make_spec(N=64, q=40.0)
         solve_coupled(spec) if equation == "coupled" else solve_limit(spec)
         assert calls
-        theta, newton_tol = solver._THETA, spec.newton_tol
-        for rtol, r_k, linear, stopped_by_scipy in calls:
+        theta = solver._THETA
+        for newton_tol, rtol, r_k, linear, stopped_by_scipy in calls:
             assert r_k > newton_tol
             assert rtol == min(1e-4 * r_k, 1e-4)
             assert stopped_by_scipy or linear <= theta * newton_tol + 1e-10 * r_k
@@ -789,9 +914,11 @@ class TestNewtonPasses:
         return self._rungs(levels, steps)
 
     def test_cold_coupled_solve(self, monkeypatch):
-        # the N = 32 rung starts from u_inf + u1/q (5 passes from u_inf)
+        # the N = 32 rung starts from u_inf + u1/q (5 passes from u_inf); its
+        # limit solve only feeds that start and stops at 1e3 newton_tol (6
+        # passes to newton_tol)
         assert self._cold_rungs(monkeypatch) == [
-            (32, "limit equation", 6), (32, "Newton", 4), (64, "Newton", 2)
+            (32, "limit equation", 5), (32, "Newton", 4), (64, "Newton", 2)
         ]
 
     def test_limit_solve(self, monkeypatch):
@@ -820,11 +947,12 @@ class TestNewtonPasses:
         # Krylov iterations per driver call and u1 solve.  Before MINRES
         # stopped at the linear residual a step needs, the cold solve took
         # 26, 5, 17, 6 (54) and the sweep 35, 6, 7, 24, 19, 24, 30, 8, 9,
-        # 9, 10 (181)
+        # 9, 10 (181); before the cold solve's limit rung stopped at the
+        # predictor's accuracy, its limit rung took 26 (50)
         krylov = _record_krylov(monkeypatch)
         self._cold_solve()
         assert krylov == [
-            (32, "limit equation", 26), (32, "u1", 5), (32, "Newton", 17),
+            (32, "limit equation", 19), (32, "u1", 5), (32, "Newton", 17),
             (64, "Newton", 2),
         ]
         del krylov[:]
@@ -855,7 +983,7 @@ class TestNewtonPasses:
 
         monkeypatch.setattr(solver.LimitSolution, "u1", property(u1))
         assert self._cold_rungs(monkeypatch) == [
-            (32, "limit equation", 6), (32, "Newton", 5), (64, "Newton", 2)
+            (32, "limit equation", 5), (32, "Newton", 5), (64, "Newton", 2)
         ]
         assert self._sweep_rungs(monkeypatch) == [
             (32, "limit equation", 6), (64, "limit equation", 2),
