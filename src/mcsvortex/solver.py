@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .background import BackgroundData, VortexConfig, compute_u0
-from .errors import BoundsViolation, NoConvergence, QTooSmall, SolveFailure
+from .errors import BoundsViolation, GridMismatch, NoConvergence, QTooSmall, SolveFailure
 from .grid import GridSpec, ScalarField, _l2, laplacian
 from .nonlinearity import NonlinearityModel
 
@@ -434,11 +434,21 @@ def recover_v(
     return ScalarField(u.grid, _recover_v(laplacian(u).values, st["f"], bg.n, q))
 
 
+def _background(spec: ProblemSpec, bg: BackgroundData | None) -> BackgroundData:
+    """bg, or spec's own built where it is None; GridMismatch where bg was
+    built for another grid or other vortices than spec's."""
+    if bg is None:
+        return compute_u0(spec.vortices, spec.grid)
+    if bg.grid != spec.grid or bg.config != spec.vortices:
+        raise GridMismatch("background was built for another grid or other vortices")
+    return bg
+
+
 def energy(
     u: ScalarField, spec: ProblemSpec, background: BackgroundData | None = None
 ) -> float:
     """Value of the variational functional at u."""
-    bg = background or compute_u0(spec.vortices, spec.grid)
+    bg = _background(spec, background)
     return _Coupled(spec, bg).energy(u.values)
 
 
@@ -446,7 +456,7 @@ def energy_gradient(
     u: ScalarField, spec: ProblemSpec, background: BackgroundData | None = None
 ) -> ScalarField:
     """L2 gradient of the energy: the fourth-order equation's left side."""
-    bg = background or compute_u0(spec.vortices, spec.grid)
+    bg = _background(spec, background)
     st = _pointwise_state(spec.model, bg, u.values)
     if st is None:
         raise ValueError("gradient undefined: e^{u0+u} overflows")
@@ -467,7 +477,8 @@ class _Ladder:
     NoConvergence) by grid size, so no level is built or solved twice;
     coupled outcomes pass up the rungs instead.  On a predictor_only ladder
     (a cold solve_coupled) no limit solution is returned or measured
-    against: each one only shapes a Newton start."""
+    against: each one only shapes a Newton start, so each stops early and
+    the lowest climbs from one more rung, widened."""
 
     def __init__(
         self,
@@ -476,9 +487,12 @@ class _Ladder:
         predictor_only: bool = False,
     ):
         self.top = spec.grid.N
+        self.vortices = spec.vortices
         self.predictor_only = predictor_only
         self.grids = {}
-        self.backgrounds = {} if background is None else {self.top: background}
+        # backgrounds and limits by grid size: a widened rung's is an N/2
+        # that half refused, so no rung of the problem's own vortices has it
+        self.backgrounds = {self.top: _background(spec, background)}
         self.limits = {}
 
     def clear(self) -> None:
@@ -494,7 +508,8 @@ class _Ladder:
         Potra & Rheinboldt, SIAM J. Numer. Anal. 23(1), 1986).  None when
         sigma is below 2h on the half grid (the floor mollified_delta
         enforces) or when N/2 is not a valid grid size; the recursion
-        therefore stops by itself.  Each half grid is built once."""
+        therefore stops by itself, but for one widened limit rung (widened).
+        Each half grid is built once."""
         M = spec.grid.N // 2
         if spec.vortices.sigma < 2.0 * (1.0 / M):
             return None
@@ -505,32 +520,40 @@ class _Ladder:
                 return None
         return replace(spec, grid=self.grids[M])
 
+    def widened(self, spec: ProblemSpec) -> ProblemSpec | None:
+        """On a predictor_only ladder, the rung under the lowest limit rung,
+        for which half finds no grid: spec on N/2 with every vortex widened
+        to sigma = 2h there (nested iteration below the sigma floor).  Only for
+        the problem's own vortices, so the widened rung starts from the
+        ansatz, and only where N/2 >= 64: below, the coarse transforms cost
+        about as much as the fine passes they save.  None otherwise."""
+        M = spec.grid.N // 2
+        if not (self.predictor_only and spec.vortices == self.vortices and M >= 64):
+            return None
+        wide = replace(spec.vortices, sigma=2.0 * (1.0 / M))
+        return self.half(replace(spec, vortices=wide))
+
     def background(self, spec: ProblemSpec) -> BackgroundData:
         if spec.grid.N not in self.backgrounds:
             self.backgrounds[spec.grid.N] = compute_u0(spec.vortices, spec.grid)
         return self.backgrounds[spec.grid.N]
 
     def limit(self, spec: ProblemSpec) -> LimitSolution | NoConvergence:
-        """The limit equation on spec.grid: Newton-Krylov from the half
-        grid's limit solution, prolonged, or from the ansatz where there is
-        none or it failed.  On a predictor_only ladder it stops at
-        _PREDICTOR_SLACK newton_tol, and the rung with no half grid starts
-        from the widened one (widened) where that applies."""
+        """The limit equation on spec.grid: Newton-Krylov from the limit
+        solution of the half grid (or, on a predictor_only ladder, of the
+        widened rung), prolonged, or from the ansatz where there is none or
+        it failed.  On a predictor_only ladder it stops at _PREDICTOR_SLACK
+        newton_tol."""
         grid, model = spec.grid, spec.model
         if grid.N in self.limits:
             return self.limits[grid.N]
         bg = self.background(spec)
-        coarse = self.half(spec)
+        coarse = self.half(spec) or self.widened(spec)
+        below = None if coarse is None else self.limit(coarse)
+        solved = isinstance(below, LimitSolution)
+        init = grid.prolong(below.u_inf) if solved else initial_guess(bg, model)
         if self.predictor_only:
             spec = replace(spec, newton_tol=spec.newton_tol * _PREDICTOR_SLACK)
-        if coarse is not None:
-            below = self.limit(coarse)
-            solved = isinstance(below, LimitSolution)
-            init = grid.prolong(below.u_inf) if solved else None
-        else:
-            init = self.widened(spec) if self.predictor_only else None
-        if init is None:
-            init = initial_guess(bg, model)
         try:
             u, _, r, iters = _newton_krylov(
                 _Limit(model, bg), np.array(init.values, dtype=float), spec
@@ -543,34 +566,6 @@ class _Ladder:
             # without its traceback, whose frames hold this ladder: a cycle
             self.limits[grid.N] = exc.with_traceback(None)
         return self.limits[grid.N]
-
-    def widened(self, spec: ProblemSpec) -> ScalarField | None:
-        """Start of a limit rung that has no half grid because sigma < 2h
-        there: the limit equation on that half grid with every vortex
-        widened to sigma = 2h of it, solved from the ansatz to
-        spec.newton_tol and prolonged (nested iteration below the sigma
-        floor).  Its source is not the problem's, so neither its background
-        nor its solution is kept.  None where N/2 is below 64 (there the
-        coarse transforms cost about as much as the fine passes they save),
-        where N/2 is no grid size, or where the solve fails."""
-        M = spec.grid.N // 2
-        if M < 64:
-            return None
-        try:
-            grid = GridSpec(M)
-        except ValueError:
-            return None
-        wide = replace(
-            spec, grid=grid, vortices=replace(spec.vortices, sigma=2.0 * grid.h)
-        )
-        bg = compute_u0(wide.vortices, grid)
-        try:
-            u, *_ = _newton_krylov(
-                _Limit(spec.model, bg), initial_guess(bg, spec.model).values, wide
-            )
-        except NoConvergence:
-            return None
-        return spec.grid.prolong(ScalarField(grid, u))
 
     def coupled(self, spec: ProblemSpec, qs) -> list:
         """The coupled equation on spec.grid at each coupling of the
@@ -905,19 +900,23 @@ def solve_coupled(
     prolonged; where that does not apply or fails, from the limit profile
     with its first-order term, u_inf + u1/q (LimitSolution.u1), and from
     the ansatz if the limit solve fails too.  Those limit solves only shape
-    the start, so they stop at _PREDICTOR_SLACK newton_tol.  newton_iters
+    the start, so they stop at _PREDICTOR_SLACK newton_tol, and the lowest
+    climbs from one more rung, widened (_Ladder.widened).  newton_iters
     counts the steps on spec.grid only.
 
     Raises a SolveFailure: QTooSmall if q <= sup|c| at some iterate,
     NoConvergence if the iteration or its line search stalls, and
     BoundsViolation if the converged state breaks the pointwise bounds by
-    more than spec.bound_tol, the fixed slack 1e-6 + 10*sigma^2.
+    more than spec.bound_tol, the fixed slack 1e-6 + 10*sigma^2.  Raises
+    GridMismatch if init or background was made for another problem.
     """
     grid, model, q = spec.grid, spec.model, spec.q
     if init is None:
         ladder = _Ladder(spec, background, predictor_only=True)
         return ladder.result(ladder.coupled(spec, (q,))[0])
-    bg = background or compute_u0(spec.vortices, spec.grid)
+    if init.grid != grid:
+        raise GridMismatch("init and problem live on different grids")
+    bg = _background(spec, background)
     eq = _Coupled(spec, bg)
     u, st, r, iters = _newton_krylov(eq, np.array(init.values, dtype=float), spec)
     v = ScalarField(grid, _admissible_v(spec, bg.n, st))

@@ -1,6 +1,7 @@
 """The README documents every exported name and every configuration key."""
 
 import dataclasses
+import inspect
 import re
 from pathlib import Path
 
@@ -42,4 +43,13 @@ def test_no_new_problem_or_config_knobs():
         "grid": {"n"},
         "solver": {"q", "q_list", "newton_tol", "max_newton_iters"},
         "output": {"dir"},
+    }
+    params = {
+        name: list(inspect.signature(getattr(mcsvortex, name)).parameters)
+        for name in ("solve_coupled", "solve_limit", "q_sweep")
+    }
+    assert params == {
+        "solve_coupled": ["spec", "init", "background"],
+        "solve_limit": ["spec", "background"],
+        "q_sweep": ["spec", "q_list"],
     }

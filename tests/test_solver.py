@@ -30,7 +30,7 @@ from mcsvortex import (
 )
 
 from mcsvortex import solver
-from mcsvortex.errors import BoundsViolation, SolveFailure
+from mcsvortex.errors import BoundsViolation, GridMismatch, SolveFailure
 
 from conftest import smooth_field
 
@@ -412,6 +412,38 @@ class TestSolveCoupled:
         assert l2_norm(grid.field(res_w)) <= 10 * spec.newton_tol * q
 
 
+class TestForeignInputs:
+    """A background or init made for another problem is a GridMismatch,
+    never a silently wrong answer or a raw numpy error."""
+
+    @pytest.mark.parametrize("other", ["vortices", "grid"])
+    @pytest.mark.parametrize(
+        "call", ["cold solve", "warm solve", "limit solve", "energy", "gradient"]
+    )
+    def test_foreign_background(self, other, call):
+        spec = make_spec(N=32, q=40.0)
+        if other == "vortices":
+            moved = replace(spec.vortices, points=((0.25, 0.25),))
+            bg = compute_u0(moved, spec.grid)
+        else:
+            bg = compute_u0(spec.vortices, GridSpec(64))
+        u = spec.grid.field(np.zeros((32, 32)))
+        run = {
+            "cold solve": lambda: solve_coupled(spec, background=bg),
+            "warm solve": lambda: solve_coupled(spec, init=u, background=bg),
+            "limit solve": lambda: solve_limit(spec, background=bg),
+            "energy": lambda: energy(u, spec, bg),
+            "gradient": lambda: energy_gradient(u, spec, bg),
+        }[call]
+        with pytest.raises(GridMismatch):
+            run()
+
+    def test_init_on_another_grid(self):
+        spec = make_spec(N=32, q=40.0)
+        with pytest.raises(GridMismatch):
+            solve_coupled(spec, init=GridSpec(64).field(np.zeros((64, 64))))
+
+
 def reference_minres(A, M, b, rtol, maxiter):
     """scipy's MINRES on the raveled system: the reference for
     solver._minres, which must return the same floats and status."""
@@ -600,12 +632,17 @@ class TestGridSequencing:
         ]
         assert bundle.newton_iters == steps[-1]
 
-    @pytest.mark.parametrize("case", ["cold solve", "limit solve", "sweep", "fallback"])
+    @pytest.mark.parametrize(
+        "case", ["cold solve", "limit solve", "sweep", "fallback", "widened"]
+    )
     def test_each_background_is_built_once(self, monkeypatch, case):
         # sigma = 8h: N = 128 over two coarser levels.  In the fallback the
         # N = 64 coupled solve fails, and the N = 128 limit solve climbs
-        # through N = 64 again, on the background that rung built
-        spec = make_spec(N=128, q=40.0, vortices=one_vortex(GridSpec(128), 8.0))
+        # through N = 64 again, on the background that rung built.  At
+        # sigma = 3h the cold solve's limit rung climbs from N = 64 with the
+        # vortex widened to 2h there, whose background is built once too
+        sigma_cells = 3.0 if case == "widened" else 8.0
+        spec = make_spec(N=128, q=40.0, vortices=one_vortex(GridSpec(128), sigma_cells))
         real_u0, real_newton = solver.compute_u0, solver._newton_krylov
         built = []
 
@@ -626,9 +663,10 @@ class TestGridSequencing:
             "limit solve": lambda: solve_limit(spec),
             "sweep": lambda: q_sweep(spec, [20.0, 40.0]),
             "fallback": lambda: solve_coupled(spec),
+            "widened": lambda: solve_coupled(spec),
         }[case]
         run()
-        assert built == [128, 64, 32]
+        assert built == ([128, 64] if case == "widened" else [128, 64, 32])
 
     @pytest.mark.parametrize("case", ["cold solve", "sweep"])
     def test_each_half_grid_is_built_once(self, monkeypatch, case):
@@ -762,6 +800,21 @@ class TestPredictorOnlyRungs:
             (128, "Newton", spec.newton_tol, sigma),
         ]
         assert bundle.residual_norms["genmcsb"] <= spec.newton_tol
+
+    def test_exactly_one_widened_rung(self, monkeypatch):
+        # sigma = 3h at N = 256: the widened N = 128 rung, at sigma = 2h
+        # there, fails the floor on N = 64 too, but it is not widened again:
+        # it starts from the ansatz
+        grid = GridSpec(256)
+        spec = make_spec(N=256, q=40.0, vortices=one_vortex(grid, 3.0), newton_tol=8e-6)
+        calls, _ = self._record_calls(monkeypatch)
+        solve_coupled(spec)
+        loose, sigma = spec.newton_tol * solver._PREDICTOR_SLACK, spec.vortices.sigma
+        assert calls == [
+            (128, "limit equation", loose, 2.0 / 128),
+            (256, "limit equation", loose, sigma),
+            (256, "Newton", spec.newton_tol, sigma),
+        ]
 
     @pytest.mark.parametrize("case", ["limit solve", "sweep"])
     @pytest.mark.parametrize("floor", [False, True])
