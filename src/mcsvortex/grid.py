@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch, NoConvergence, PreconditionViolated
+from .errors import GridMismatch
 
 TWO_PI = 2.0 * np.pi
 
@@ -246,68 +246,3 @@ def _sobolev_norms(field: ScalarField) -> tuple[float, float, float]:
     return tuple(
         float(np.sqrt(grid.quadratic((1.0 + grid.k2) ** k, coeffs))) for k in (0, 1, 2)
     )
-
-
-def _helmholtz(grid: GridSpec, c: np.ndarray, q: float, u: np.ndarray) -> np.ndarray:
-    return grid.apply(grid.k2 + q * q, u) + q * c * u
-
-
-def helmholtz_apply(c: ScalarField, u: ScalarField, q: float) -> ScalarField:
-    """Left-hand operator of the stiff Helmholtz equation:
-    -Laplacian(u) + q^2*(1 + c/q)*u."""
-    grid = same_grid(c, u)
-    return ScalarField(grid, _helmholtz(grid, c.values, q, u.values))
-
-
-def helmholtz_solve(
-    c: ScalarField, rhs: ScalarField, q: float, tol: float = 1e-10
-) -> ScalarField:
-    """Solve -Laplacian(u) + q^2*(1 + c/q)*u = q^2*rhs.
-
-    Preconditioned conjugate gradients on the symmetric positive operator,
-    with the exact spectral inverse of (-Laplacian + q^2) as preconditioner.
-    Stops when the L2 residual falls below tol * q^2 * ||rhs||_2, after at
-    most 10 N iterations.
-
-    Raises PreconditionViolated unless q > sup|c| (positivity of the
-    zeroth-order coefficient) and NoConvergence if the iteration stalls.
-    """
-    grid = same_grid(c, rhs)
-    c_inf = float(np.abs(c.values).max())
-    if q <= c_inf:
-        raise PreconditionViolated(
-            f"need q > sup|c| for a positive operator, got q={q}, sup|c|={c_inf}"
-        )
-    cv = c.values
-    prec = 1.0 / (grid.k2 + q * q)
-
-    b = q * q * rhs.values
-    target = tol * _l2(grid, b)
-    if target == 0.0:
-        return grid.constant(0.0)
-
-    x = grid.apply(prec, b)
-    r = b - _helmholtz(grid, cv, q, x)
-    z = grid.apply(prec, r)
-    p = z.copy()
-    rz = float(np.sum(r * z))
-    res = _l2(grid, r)
-    it = 0
-    while res > target and it < 10 * grid.N:
-        Ap = _helmholtz(grid, cv, q, p)
-        alpha = rz / float(np.sum(p * Ap))
-        x += alpha * p
-        if (it + 1) % 25 == 0:
-            r = b - _helmholtz(grid, cv, q, x)  # periodic true-residual refresh
-        else:
-            r -= alpha * Ap
-        z = grid.apply(prec, r)
-        rz_next = float(np.sum(r * z))
-        p = z + (rz_next / rz) * p
-        rz = rz_next
-        res = _l2(grid, r)
-        it += 1
-    res = _l2(grid, b - _helmholtz(grid, cv, q, x))
-    if res > target:
-        raise NoConvergence(it, res, what="Helmholtz PCG")
-    return ScalarField(grid, x)

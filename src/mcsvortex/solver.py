@@ -27,8 +27,15 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .background import BackgroundData, VortexConfig, compute_u0
-from .errors import BoundsViolation, GridMismatch, NoConvergence, QTooSmall, SolveFailure
-from .grid import GridSpec, ScalarField, _l2, laplacian
+from .errors import (
+    BoundsViolation,
+    GridMismatch,
+    NoConvergence,
+    PreconditionViolated,
+    QTooSmall,
+    SolveFailure,
+)
+from .grid import GridSpec, ScalarField, _l2, laplacian, same_grid
 from .nonlinearity import NonlinearityModel
 
 FOUR_PI = 4.0 * np.pi
@@ -404,10 +411,10 @@ def coefficient_fields(
     the last term being the mollified-source compensation that exact Dirac
     masses would annihilate.
     """
+    grid = same_grid(u, bg.u0)
     st = _pointwise_state(model, bg, u.values)
     if st is None:
         raise ValueError("coefficients undefined: e^{u0+u} overflows")
-    grid = u.grid
     c = ScalarField(grid, st["c"])
     f_q = ScalarField(grid, st["f"] + (model.s / q) * st["c"])
     w2 = _dc_dt(st) * _weighted_gradsq(bg, st)
@@ -423,15 +430,71 @@ def coefficient_fields(
     return c, f_q, g_q
 
 
+def _helmholtz(grid: GridSpec, c: np.ndarray, q: float) -> Operator:
+    """-Laplacian + q^2 + q c on grid arrays; like the Jacobians, it takes
+    the half spectrum of its argument as an optional second argument."""
+    symbol, qc = grid.k2 + q * q, q * c
+
+    def apply(u: np.ndarray, uh: np.ndarray | None = None) -> np.ndarray:
+        uh = grid.forward(u) if uh is None else uh
+        return grid.inverse(symbol * uh) + qc * u
+
+    return apply
+
+
+def helmholtz_apply(c: ScalarField, u: ScalarField, q: float) -> ScalarField:
+    """Left-hand operator of the stiff Helmholtz equation:
+    -Laplacian(u) + q^2*(1 + c/q)*u."""
+    grid = same_grid(c, u)
+    return ScalarField(grid, _helmholtz(grid, c.values, q)(u.values))
+
+
+def helmholtz_solve(
+    c: ScalarField, rhs: ScalarField, q: float, tol: float = 1e-10
+) -> ScalarField:
+    """Solve -Laplacian(u) + q^2*(1 + c/q)*u = q^2*rhs.
+
+    Preconditioned MINRES (_minres) on the symmetric positive operator,
+    with the exact spectral inverse of (-Laplacian + q^2) as preconditioner.
+    Stops when the L2 residual falls below tol * q^2 * ||rhs||_2, after at
+    most 10 N iterations.
+
+    Raises PreconditionViolated unless q > sup|c| (positivity of the
+    zeroth-order coefficient) and NoConvergence if the residual of the
+    result misses that bound.
+    """
+    grid = same_grid(c, rhs)
+    c_inf = float(np.abs(c.values).max())
+    if q <= c_inf:
+        raise PreconditionViolated(
+            f"need q > sup|c| for a positive operator, got q={q}, sup|c|={c_inf}"
+        )
+    A, applied = _helmholtz(grid, c.values, q), []
+
+    def counted(*args) -> np.ndarray:
+        applied.append(1)
+        return A(*args)
+
+    b = q * q * rhs.values
+    target = tol * _l2(grid, b)
+    M = _SpectralInverse(grid, grid.k2 + q * q)
+    x, _ = _minres(counted, M, b.copy(), 0.0, 10 * grid.N, target / grid.h)
+    res = _l2(grid, b - A(x))
+    if res > target:
+        raise NoConvergence(len(applied), res, what="Helmholtz MINRES")
+    return ScalarField(grid, x)
+
+
 def recover_v(
     u: ScalarField, bg: BackgroundData, model: NonlinearityModel, q: float
 ) -> ScalarField:
     """v = (-Laplacian(u) + 4 pi n)/q + f(e^{u0+u}); makes the first
     equation an identity by construction."""
+    grid = same_grid(u, bg.u0)
     st = _pointwise_state(model, bg, u.values)
     if st is None:
         raise ValueError("v undefined: e^{u0+u} overflows")
-    return ScalarField(u.grid, _recover_v(laplacian(u).values, st["f"], bg.n, q))
+    return ScalarField(grid, _recover_v(laplacian(u).values, st["f"], bg.n, q))
 
 
 def _background(spec: ProblemSpec, bg: BackgroundData | None) -> BackgroundData:
@@ -449,6 +512,7 @@ def energy(
 ) -> float:
     """Value of the variational functional at u."""
     bg = _background(spec, background)
+    same_grid(u, bg.u0)
     return _Coupled(spec, bg).energy(u.values)
 
 
@@ -457,10 +521,11 @@ def energy_gradient(
 ) -> ScalarField:
     """L2 gradient of the energy: the fourth-order equation's left side."""
     bg = _background(spec, background)
+    grid = same_grid(u, bg.u0)
     st = _pointwise_state(spec.model, bg, u.values)
     if st is None:
         raise ValueError("gradient undefined: e^{u0+u} overflows")
-    return ScalarField(spec.grid, _Coupled(spec, bg).residual(u.values, st))
+    return ScalarField(grid, _Coupled(spec, bg).residual(u.values, st))
 
 
 def initial_guess(bg: BackgroundData, model: NonlinearityModel) -> ScalarField:
@@ -471,14 +536,45 @@ def initial_guess(bg: BackgroundData, model: NonlinearityModel) -> ScalarField:
     return ScalarField(bg.grid, vals)
 
 
+def _half(spec: ProblemSpec, vortices: VortexConfig) -> ProblemSpec | None:
+    """spec with the given vortices on the half grid, for grid sequencing:
+    from the solution there, prolonged, the smooth solution needs only a
+    few Newton steps on the fine grid (mesh independence: Allgower, Boehmer,
+    Potra & Rheinboldt, SIAM J. Numer. Anal. 23(1), 1986).  None when sigma
+    is below 2h on the half grid (the floor mollified_delta enforces) or
+    when N/2 is not a valid grid size."""
+    M = spec.grid.N // 2
+    if vortices.sigma < 2.0 * (1.0 / M):
+        return None
+    try:
+        return replace(spec, vortices=vortices, grid=GridSpec(M))
+    except ValueError:
+        return None
+
+
+def _coarse_rung(spec: ProblemSpec, bg: BackgroundData, init: ScalarField) -> _Rung:
+    """The coupled solve of a rung below the top from init: _newton_krylov
+    and the checks that decide whether its solution stands (_admissible_v), and
+    no w, residuals, energy or bundle.  A function of its own, so that its
+    state is gone before the next rung's solves."""
+    eq = _Coupled(spec, bg)
+    u, st, _, _ = _newton_krylov(eq, np.array(init.values, dtype=float), spec)
+    _admissible_v(spec, bg.n, st)
+    return _Rung(spec.q, ScalarField(spec.grid, u))
+
+
 class _Ladder:
-    """The half-grid ladder of one solve, whose top rung is spec.grid.  It
-    keeps each rung's grid, background and limit outcome (LimitSolution or
-    NoConvergence) by grid size, so no level is built or solved twice;
-    coupled outcomes pass up the rungs instead.  On a predictor_only ladder
-    (a cold solve_coupled) no limit solution is returned or measured
-    against: each one only shapes a Newton start, so each stops early and
-    the lowest climbs from one more rung, widened."""
+    """The half-grid ladder of one solve: its rungs, the (spec, background)
+    pairs of spec.grid and of each half grid under it (_half), top first,
+    built once.  The coarsest of these is rung floor.  On a predictor_only
+    ladder (a cold solve_coupled) no limit solution is returned or measured
+    against: each one only shapes a Newton start, so each stops early, and
+    where N/2 >= 64 under the floor one more rung follows, for the limit
+    equation only: the floor's half grid with every vortex widened to
+    sigma = 2h there (nested iteration below the sigma floor; on coarser
+    grids the transforms cost about as much as the fine passes they save).
+    The limit outcomes (LimitSolution or NoConvergence) are kept by rung,
+    so none is solved twice; coupled outcomes pass up the rungs instead."""
 
     def __init__(
         self,
@@ -486,70 +582,34 @@ class _Ladder:
         background: BackgroundData | None = None,
         predictor_only: bool = False,
     ):
-        self.top = spec.grid.N
-        self.vortices = spec.vortices
         self.predictor_only = predictor_only
-        self.grids = {}
-        # backgrounds and limits by grid size: a widened rung's is an N/2
-        # that half refused, so no rung of the problem's own vortices has it
-        self.backgrounds = {self.top: _background(spec, background)}
+        self.rungs = [(spec, _background(spec, background))]
+        while (coarse := _half(self.rungs[-1][0], spec.vortices)) is not None:
+            self.rungs.append((coarse, compute_u0(coarse.vortices, coarse.grid)))
+        self.floor = len(self.rungs) - 1
+        floor, _ = self.rungs[-1]
+        M = floor.grid.N // 2
+        if predictor_only and M >= 64:
+            coarse = _half(floor, replace(spec.vortices, sigma=2.0 * (1.0 / M)))
+            if coarse is not None:
+                self.rungs.append((coarse, compute_u0(coarse.vortices, coarse.grid)))
         self.limits = {}
 
     def clear(self) -> None:
-        """Drop every coarse level."""
-        self.grids.clear()
-        self.backgrounds.clear()
+        """Drop every rung and limit outcome."""
+        self.rungs.clear()
         self.limits.clear()
 
-    def half(self, spec: ProblemSpec) -> ProblemSpec | None:
-        """spec moved to the half grid, for grid sequencing: from the
-        solution there, prolonged, the smooth solution needs only a few
-        Newton steps on the fine grid (mesh independence: Allgower, Boehmer,
-        Potra & Rheinboldt, SIAM J. Numer. Anal. 23(1), 1986).  None when
-        sigma is below 2h on the half grid (the floor mollified_delta
-        enforces) or when N/2 is not a valid grid size; the recursion
-        therefore stops by itself, but for one widened limit rung (widened).
-        Each half grid is built once."""
-        M = spec.grid.N // 2
-        if spec.vortices.sigma < 2.0 * (1.0 / M):
-            return None
-        if M not in self.grids:
-            try:
-                self.grids[M] = GridSpec(M)
-            except ValueError:
-                return None
-        return replace(spec, grid=self.grids[M])
-
-    def widened(self, spec: ProblemSpec) -> ProblemSpec | None:
-        """On a predictor_only ladder, the rung under the lowest limit rung,
-        for which half finds no grid: spec on N/2 with every vortex widened
-        to sigma = 2h there (nested iteration below the sigma floor).  Only for
-        the problem's own vortices, so the widened rung starts from the
-        ansatz, and only where N/2 >= 64: below, the coarse transforms cost
-        about as much as the fine passes they save.  None otherwise."""
-        M = spec.grid.N // 2
-        if not (self.predictor_only and spec.vortices == self.vortices and M >= 64):
-            return None
-        wide = replace(spec.vortices, sigma=2.0 * (1.0 / M))
-        return self.half(replace(spec, vortices=wide))
-
-    def background(self, spec: ProblemSpec) -> BackgroundData:
-        if spec.grid.N not in self.backgrounds:
-            self.backgrounds[spec.grid.N] = compute_u0(spec.vortices, spec.grid)
-        return self.backgrounds[spec.grid.N]
-
-    def limit(self, spec: ProblemSpec) -> LimitSolution | NoConvergence:
-        """The limit equation on spec.grid: Newton-Krylov from the limit
-        solution of the half grid (or, on a predictor_only ladder, of the
-        widened rung), prolonged, or from the ansatz where there is none or
-        it failed.  On a predictor_only ladder it stops at _PREDICTOR_SLACK
-        newton_tol."""
+    def limit(self, i: int = 0) -> LimitSolution | NoConvergence:
+        """The limit equation on rung i: Newton-Krylov from the limit
+        solution of the rung under it, prolonged, or from the ansatz where
+        there is none or it failed.  On a predictor_only ladder it stops at
+        _PREDICTOR_SLACK newton_tol."""
+        if i in self.limits:
+            return self.limits[i]
+        spec, bg = self.rungs[i]
         grid, model = spec.grid, spec.model
-        if grid.N in self.limits:
-            return self.limits[grid.N]
-        bg = self.background(spec)
-        coarse = self.half(spec) or self.widened(spec)
-        below = None if coarse is None else self.limit(coarse)
+        below = self.limit(i + 1) if i + 1 < len(self.rungs) else None
         solved = isinstance(below, LimitSolution)
         init = grid.prolong(below.u_inf) if solved else initial_guess(bg, model)
         if self.predictor_only:
@@ -558,63 +618,54 @@ class _Ladder:
             u, _, r, iters = _newton_krylov(
                 _Limit(model, bg), np.array(init.values, dtype=float), spec
             )
-            self.limits[grid.N] = LimitSolution(
+            self.limits[i] = LimitSolution(
                 model=model, background=bg, u_inf=ScalarField(grid, u),
                 residual_norm=_l2(grid, r), newton_iters=iters,
             )
         except NoConvergence as exc:
             # without its traceback, whose frames hold this ladder: a cycle
-            self.limits[grid.N] = exc.with_traceback(None)
-        return self.limits[grid.N]
+            self.limits[i] = exc.with_traceback(None)
+        return self.limits[i]
 
-    def coupled(self, spec: ProblemSpec, qs) -> list:
-        """The coupled equation on spec.grid at each coupling of the
-        descending qs, per coupling: on the top grid the SolutionBundle or
-        the SolveFailure raised; below it, the _Rung(q, u) that starts the
-        next rung or None where the solve failed.  A rung below the top runs
-        the driver and the checks that decide whether its solution stands
-        (_admissible_v), and builds no w, residuals, energy or bundle.  The
-        rung first runs itself on the half grid with the same couplings.
-        Each coupling then starts from the half grid's solution at that q,
-        prolonged; where there is none or it failed, from the limit solution
-        predicted to q from the last coupling that converged on this grid
-        (_predict), or from the ansatz where the limit solve fails too.  Each
-        coarse solution is dropped once it is prolonged, and the top rung
-        empties the ladder before its solves."""
-        bg = self.background(spec)
-        coarse = self.half(spec)
-        below = [None] * len(qs) if coarse is None else self.coupled(coarse, qs)
-        del coarse  # its grid goes with the last coarse solution
-        limit = None
-        if any(under is None for under in below):
-            limit = self.limit(spec)
-        top = spec.grid.N == self.top
-        if top:  # its solves need no coarse level
-            self.clear()
-        outcomes, last = [], None
-        for q in qs:
-            under = below.pop(0)
-            if under is not None:
-                init = spec.grid.prolong(under.u)
-            elif isinstance(limit, LimitSolution):
-                init = _predict(limit, q, last)
-            else:
-                init = initial_guess(bg, spec.model)
-            del under
-            sub = replace(spec, q=q)
-            try:
-                if top:
-                    last = solve_coupled(sub, init=init, background=bg)
+    def coupled(self, qs) -> list:
+        """The coupled equation at each coupling of the descending qs,
+        climbed from the floor to the top rung, per coupling: on the top
+        rung the SolutionBundle or the SolveFailure raised; on a rung below
+        it, the _Rung(q, u) that starts the next rung or None where the
+        solve failed (_coarse_rung).  Each coupling starts from the rung
+        below's solution at that q, prolonged; where there is none or it
+        failed, from the rung's limit solution predicted to q from the last
+        coupling that converged on the rung (_predict), or from the ansatz
+        where the limit solve fails too.  Each coarse solution is dropped
+        once it is prolonged, and the top rung empties the ladder before its
+        solves."""
+        outcomes = [None] * len(qs)
+        for i in range(self.floor, -1, -1):
+            spec, bg = self.rungs[i]
+            below = outcomes
+            limit = self.limit(i) if any(under is None for under in below) else None
+            if i == 0:  # its solves need no coarse level
+                self.clear()
+            outcomes, last = [], None
+            for q in qs:
+                under = below.pop(0)
+                if under is not None:
+                    init = spec.grid.prolong(under.u)
+                elif isinstance(limit, LimitSolution):
+                    init = _predict(limit, q, last)
                 else:
-                    u, st, _, _ = _newton_krylov(
-                        _Coupled(sub, bg), np.array(init.values, dtype=float), sub
-                    )
-                    _admissible_v(sub, bg.n, st)
-                    last = _Rung(q, ScalarField(spec.grid, u))
-                outcomes.append(last)
-            except SolveFailure as exc:
-                # without its traceback, which would keep this frame's fields
-                outcomes.append(exc.with_traceback(None) if top else None)
+                    init = initial_guess(bg, spec.model)
+                del under
+                sub = replace(spec, q=q)
+                try:
+                    if i == 0:
+                        last = solve_coupled(sub, init=init, background=bg)
+                    else:
+                        last = _coarse_rung(sub, bg, init)
+                    outcomes.append(last)
+                except SolveFailure as exc:
+                    # without its traceback, which would keep this frame's fields
+                    outcomes.append(exc.with_traceback(None) if i == 0 else None)
         return outcomes
 
     def result(self, outcome):
@@ -732,7 +783,8 @@ def _minres(
         if res is not None:
             # b - A x along the unpreconditioned Lanczos vector r2 / beta
             res *= sn * sn
-            res -= np.multiply(phibar * cs / beta, r2, out=tmp)
+            if beta > 0:  # else r2 = 0: b is an eigenvector of M A
+                res -= np.multiply(phibar * cs / beta, r2, out=tmp)
             rnorm = sqrt(_dot(res, res))
 
         # norm estimates and stopping tests
@@ -901,8 +953,8 @@ def solve_coupled(
     with its first-order term, u_inf + u1/q (LimitSolution.u1), and from
     the ansatz if the limit solve fails too.  Those limit solves only shape
     the start, so they stop at _PREDICTOR_SLACK newton_tol, and the lowest
-    climbs from one more rung, widened (_Ladder.widened).  newton_iters
-    counts the steps on spec.grid only.
+    climbs from one more rung, widened (_Ladder).  newton_iters counts the
+    steps on spec.grid only.
 
     Raises a SolveFailure: QTooSmall if q <= sup|c| at some iterate,
     NoConvergence if the iteration or its line search stalls, and
@@ -913,7 +965,7 @@ def solve_coupled(
     grid, model, q = spec.grid, spec.model, spec.q
     if init is None:
         ladder = _Ladder(spec, background, predictor_only=True)
-        return ladder.result(ladder.coupled(spec, (q,))[0])
+        return ladder.result(ladder.coupled((q,))[0])
     if init.grid != grid:
         raise GridMismatch("init and problem live on different grids")
     bg = _background(spec, background)
@@ -951,7 +1003,7 @@ def solve_limit(
     a failure there raises that grid's NoConvergence.
     """
     ladder = _Ladder(spec, background)
-    return ladder.result(ladder.limit(spec))
+    return ladder.result(ladder.limit())
 
 
 def q_sweep(spec: ProblemSpec, q_list) -> "ConvergenceTable":
@@ -982,8 +1034,8 @@ def q_sweep(spec: ProblemSpec, q_list) -> "ConvergenceTable":
         raise ValueError("q_list entries must be positive and finite")
 
     ladder = _Ladder(spec)
-    limit = ladder.result(ladder.limit(spec))
-    outcomes = ladder.coupled(spec, q_list[::-1])
+    limit = ladder.result(ladder.limit())
+    outcomes = ladder.coupled(q_list[::-1])
     # outcomes run in descending q; popping frees each bundle after its row
     rows = [diagnostics.SweepRow.of(q, outcomes.pop(), limit) for q in q_list]
     meta = {

@@ -46,10 +46,15 @@ def test_no_new_problem_or_config_knobs():
     }
     params = {
         name: list(inspect.signature(getattr(mcsvortex, name)).parameters)
-        for name in ("solve_coupled", "solve_limit", "q_sweep")
+        for name in (
+            "solve_coupled", "solve_limit", "q_sweep",
+            "helmholtz_solve", "helmholtz_apply",
+        )
     }
     assert params == {
         "solve_coupled": ["spec", "init", "background"],
         "solve_limit": ["spec", "background"],
         "q_sweep": ["spec", "q_list"],
+        "helmholtz_solve": ["c", "rhs", "q", "tol"],
+        "helmholtz_apply": ["c", "u", "q"],
     }

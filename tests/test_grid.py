@@ -308,3 +308,11 @@ class TestHelmholtz:
         with pytest.raises(NoConvergence):
             # below the float64 floor: the iteration runs out of its 10 N steps
             helmholtz_solve(c, rhs, 3.0, tol=1e-30)
+
+    def test_zero_tolerance_asks_for_an_exact_solve(self):
+        # no float64 solution has a zero residual, so this is no convergence,
+        # never u = 0
+        grid = GridSpec(16)
+        rhs = grid.from_function(lambda x, y: np.sin(TWO_PI * x))
+        with pytest.raises(NoConvergence):
+            helmholtz_solve(grid.constant(0.5), rhs, 3.0, tol=0.0)

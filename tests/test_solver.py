@@ -267,6 +267,17 @@ class TestSolveCoupled:
         assert np.max(np.abs(bundle.v.values - s)) <= 1e-9
         assert sup_norm(bundle.w) <= 1e-8
 
+    def test_constant_start_without_vortices(self):
+        # every Newton system's right side is constant, an eigenvector of
+        # M A: each MINRES solve ends with beta = 0 after one iteration
+        grid = GridSpec(16)
+        model = cp1_model(0.5)
+        spec = ProblemSpec(model=model, vortices=no_vortices(), q=10.0, grid=grid)
+        bundle = solve_coupled(spec, init=grid.constant(0.3))
+        assert bundle.newton_iters == 5
+        assert bundle.residual_norms["genmcsb"] <= spec.newton_tol
+        assert np.max(np.abs(np.exp(bundle.u_star.values) - model.inverse(0.5))) <= 1e-6
+
     def test_manufactured_solution(self, rng):
         spec = make_spec(N=64, q=20.0, newton_tol=3e-8)
         bg = compute_u0(spec.vortices, spec.grid)
@@ -443,6 +454,22 @@ class TestForeignInputs:
         with pytest.raises(GridMismatch):
             solve_coupled(spec, init=GridSpec(64).field(np.zeros((64, 64))))
 
+    @pytest.mark.parametrize(
+        "call", ["energy", "gradient", "recover_v", "coefficient_fields"]
+    )
+    def test_u_on_another_grid(self, call):
+        spec = make_spec(N=32, q=40.0)
+        bg = compute_u0(spec.vortices, spec.grid)
+        u = GridSpec(64).field(np.zeros((64, 64)))
+        run = {
+            "energy": lambda: energy(u, spec),
+            "gradient": lambda: energy_gradient(u, spec, bg),
+            "recover_v": lambda: recover_v(u, bg, spec.model, spec.q),
+            "coefficient_fields": lambda: coefficient_fields(u, bg, spec.model, spec.q),
+        }[call]
+        with pytest.raises(GridMismatch):
+            run()
+
 
 def reference_minres(A, M, b, rtol, maxiter):
     """scipy's MINRES on the raveled system: the reference for
@@ -525,6 +552,21 @@ class TestMinres:
         A, M, b = _random_system(0, 4, "definite")
         x, info = solver._minres(A, M, np.zeros_like(b), 1e-8, maxiter=400)
         assert info == 0 and not x.any()
+
+    def test_eigenvector_right_side(self):
+        # b is an eigenvector of M A: the Lanczos step ends with beta = 0,
+        # and the tracked residual b - A x, which comes back in b, is zero
+        grid = GridSpec(16)
+        symbol = grid.k2 + 9.0
+
+        def A(x, xh=None):
+            return grid.inverse(symbol * (grid.forward(x) if xh is None else xh))
+
+        M = solver._SpectralInverse(grid, symbol)
+        b = np.full((16, 16), 9.0)
+        x, info = solver._minres(A, M, b, 0.0, maxiter=400, target=1e-10)
+        assert info == 0 and np.max(np.abs(x - 1.0)) <= 1e-14
+        assert not b.any()
 
 
 def _record_levels(monkeypatch, fail_on=None):
@@ -633,15 +675,21 @@ class TestGridSequencing:
         assert bundle.newton_iters == steps[-1]
 
     @pytest.mark.parametrize(
-        "case", ["cold solve", "limit solve", "sweep", "fallback", "widened"]
+        "case",
+        [
+            "cold solve", "limit solve", "sweep", "fallback", "widened",
+            "limit solve at 3h", "sweep at 3h",
+        ],
     )
     def test_each_background_is_built_once(self, monkeypatch, case):
         # sigma = 8h: N = 128 over two coarser levels.  In the fallback the
         # N = 64 coupled solve fails, and the N = 128 limit solve climbs
         # through N = 64 again, on the background that rung built.  At
         # sigma = 3h the cold solve's limit rung climbs from N = 64 with the
-        # vortex widened to 2h there, whose background is built once too
-        sigma_cells = 3.0 if case == "widened" else 8.0
+        # vortex widened to 2h there, whose background is built once too; a
+        # limit solve or a sweep has no widened rung, so N = 128 stands alone
+        at_3h = {"widened": [128, 64], "limit solve at 3h": [128], "sweep at 3h": [128]}
+        sigma_cells = 3.0 if case in at_3h else 8.0
         spec = make_spec(N=128, q=40.0, vortices=one_vortex(GridSpec(128), sigma_cells))
         real_u0, real_newton = solver.compute_u0, solver._newton_krylov
         built = []
@@ -664,9 +712,11 @@ class TestGridSequencing:
             "sweep": lambda: q_sweep(spec, [20.0, 40.0]),
             "fallback": lambda: solve_coupled(spec),
             "widened": lambda: solve_coupled(spec),
+            "limit solve at 3h": lambda: solve_limit(spec),
+            "sweep at 3h": lambda: q_sweep(spec, [20.0, 40.0]),
         }[case]
         run()
-        assert built == ([128, 64] if case == "widened" else [128, 64, 32])
+        assert built == at_3h.get(case, [128, 64, 32])
 
     @pytest.mark.parametrize("case", ["cold solve", "sweep"])
     def test_each_half_grid_is_built_once(self, monkeypatch, case):
