@@ -14,6 +14,7 @@ through the discrete Parseval identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -35,11 +36,12 @@ class GridSpec:
     """
 
     def __init__(self, N: int):
-        N = int(N)
-        if N < 8 or N % 2 != 0 or N > MAX_GRID_N:
+        # checked before int(), which would truncate 64.5 to 64
+        if not (isinstance(N, Real) and 8 <= N <= MAX_GRID_N and N % 2 == 0):
             raise ValueError(
-                f"grid size must be an even integer in [8, {MAX_GRID_N}], got {N}"
+                f"grid size must be an even integer in [8, {MAX_GRID_N}], got {N!r}"
             )
+        N = int(N)
         self.N = N
         self.h = 1.0 / N
         xs = np.arange(N) * self.h
@@ -61,13 +63,17 @@ class GridSpec:
 
     def forward(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Half spectrum of a real N x N array, written into out if given
-        (a complex N x (N/2 + 1) array)."""
-        return np.fft.rfft2(values, out=out)
+        (a complex N x (N/2 + 1) array).  The two 1-D passes of rfft2, the
+        second in place: a real transform along axis 1, then a complex one
+        along axis 0."""
+        coeffs = np.fft.rfft(values, axis=1, out=out)
+        return np.fft.fft(coeffs, axis=0, out=coeffs)
 
     def inverse(self, coeffs: np.ndarray) -> np.ndarray:
-        """Real N x N array with the given half spectrum.  Always a new
-        array: numpy's irfft2 does not pass its out= on to irfftn."""
-        return np.fft.irfft2(coeffs, s=(self.N, self.N))
+        """Real N x N array with the given half spectrum, as a new array.
+        The two 1-D passes of irfft2: a complex inverse along axis 0, then
+        a real one of length N along axis 1."""
+        return np.fft.irfft(np.fft.ifft(coeffs, axis=0), n=self.N, axis=1)
 
     def apply(self, symbol, values: np.ndarray) -> np.ndarray:
         """Fourier multiplier with the given half-spectrum symbol."""

@@ -155,7 +155,7 @@ def read_solution(path) -> tuple[dict, dict]:
     if not isinstance(meta, dict) or meta.get("format") != "mcsvortex-solution":
         raise SnapshotError(f"{json_path} is not a solution record")
     try:
-        grid = GridSpec(int(meta["grid"]["N"]))
+        grid = GridSpec(meta["grid"]["N"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SnapshotError(f"{json_path}: missing or invalid grid data: {exc}") from exc
     if not isinstance(meta.get("reports", []), list):

@@ -1,3 +1,5 @@
+import collections
+
 import numpy as np
 import pytest
 
@@ -21,3 +23,19 @@ def smooth_field(grid: GridSpec, rng, kmax: int = 4, amp: float = 1.0) -> Scalar
     if scale > 0.0:
         vals = vals * (amp / scale)
     return ScalarField(grid, vals)
+
+
+def count_transforms(monkeypatch):
+    """Counter of GridSpec.forward and GridSpec.inverse calls under key
+    "transforms": the package's one transform path (tests/test_api.py
+    keeps every other module off numpy.fft and scipy.fft)."""
+    counts = collections.Counter()
+    for name in ("forward", "inverse"):
+        original = getattr(GridSpec, name)
+
+        def counted(*args, _fn=original, **kwargs):
+            counts["transforms"] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(GridSpec, name, counted)
+    return counts

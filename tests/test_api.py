@@ -1,4 +1,5 @@
-"""The README documents every exported name and every configuration key."""
+"""The README documents every exported name and every configuration key;
+grid.py makes every Fourier transform of the package."""
 
 import dataclasses
 import inspect
@@ -9,6 +10,7 @@ import mcsvortex
 from mcsvortex import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PACKAGE = Path(mcsvortex.__file__).resolve().parent
 
 
 def _api_section() -> str:
@@ -58,3 +60,20 @@ def test_no_new_problem_or_config_knobs():
         "helmholtz_solve": ["c", "rhs", "q", "tol"],
         "helmholtz_apply": ["c", "u", "q"],
     }
+
+
+def test_only_the_grid_module_transforms():
+    # GridSpec.forward and GridSpec.inverse are the one transform path, so
+    # counting their calls counts every transform the package makes
+    fft = re.compile(
+        r"\b(?:np|numpy|scipy)\.fft\b"  # np.fft.rfft2, import scipy.fft
+        r"|^\s*from\s+(?:numpy|scipy)\s+import\b.*\bfft\b",  # from numpy import fft
+        re.M,
+    )
+    modules = sorted(PACKAGE.glob("**/*.py"))
+    assert PACKAGE / "grid.py" in modules
+    users = [
+        path.name for path in modules
+        if path.name != "grid.py" and fft.search(path.read_text(encoding="utf-8"))
+    ]
+    assert not users, f"modules that call numpy.fft or scipy.fft directly: {users}"

@@ -675,12 +675,16 @@ class TestVerifyCommand:
                 "malformed solution record",
             ),
             (lambda meta, out: {**meta, "grid": {"N": BIG}}, "invalid grid data"),
+            (lambda meta, out: {**meta, "grid": {"N": 48.5}}, "invalid grid data"),
+            (lambda meta, out: {**meta, "grid": {"N": 48.9}}, "invalid grid data"),
+            (lambda meta, out: {**meta, "grid": {"N": "48"}}, "invalid grid data"),
         ],
         ids=[
             "list", "null-q", "null-sigma", "overflow", "huge-sigma",
             "overflowing-multiplicity", "overflowing-newton-iters",
             "overflowing-max-newton-iters", "fractional-max-newton-iters",
-            "overflowing-grid-N",
+            "overflowing-grid-N", "fractional-grid-N", "nearly-whole-grid-N",
+            "string-grid-N",
         ],
     )
     def test_malformed_record_exit_one(self, solved_dir, capsys, mangle, named):

@@ -42,6 +42,17 @@ class TestGridSpec:
         with pytest.raises(ValueError, match="grid size"):
             GridSpec(N)
 
+    @pytest.mark.parametrize("bad", [64.5, 64.9, float("inf"), float("nan"), "64"])
+    def test_rejects_sizes_that_are_not_whole_numbers(self, bad):
+        # int() would truncate 64.5 and 64.9 to 64 and raise OverflowError on inf
+        with pytest.raises(ValueError, match="grid size"):
+            GridSpec(bad)
+
+    @pytest.mark.parametrize("N", [64, 64.0, np.int64(64)])
+    def test_accepts_whole_number_sizes(self, N):
+        grid = GridSpec(N)
+        assert grid.N == 64 and type(grid.N) is int
+
     def test_unit_measure(self):
         grid = GridSpec(16)
         assert grid.N**2 * grid.h**2 == pytest.approx(1.0, rel=1e-15)
@@ -56,6 +67,22 @@ class TestGridSpec:
         buf = np.empty((16, 9), dtype=complex)
         assert grid.forward(values, out=buf) is buf
         assert buf.tobytes() == grid.forward(values).tobytes()
+
+    @pytest.mark.parametrize("N", [8, 12, 64, 96, 256])
+    def test_transforms_are_numpys_2d_transforms(self, N):
+        rng = np.random.default_rng(N)
+        grid = GridSpec(N)
+        values = rng.standard_normal((N, N))
+        kept = values.copy()
+        expected = np.fft.rfft2(values)
+        assert np.array_equal(grid.forward(values), expected)
+        buf = np.empty((N, N // 2 + 1), dtype=complex)
+        assert grid.forward(values, out=buf) is buf
+        assert np.array_equal(buf, expected)
+        assert np.array_equal(values, kept)
+        coeffs = rng.standard_normal(buf.shape) + 1j * rng.standard_normal(buf.shape)
+        for c in (coeffs, expected):
+            assert np.array_equal(grid.inverse(c), np.fft.irfft2(c, s=(N, N)))
 
     def test_field_shape_and_finiteness_checks(self):
         grid = GridSpec(8)

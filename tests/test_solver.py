@@ -32,7 +32,7 @@ from mcsvortex import (
 from mcsvortex import solver
 from mcsvortex.errors import BoundsViolation, GridMismatch, SolveFailure
 
-from conftest import smooth_field
+from conftest import count_transforms, smooth_field
 
 FOUR_PI = 4.0 * np.pi
 
@@ -1066,6 +1066,16 @@ class TestNewtonPasses:
             (32, "Newton", 30),
             (64, "Newton", 5), (64, "Newton", 5), (64, "Newton", 5), (64, "Newton", 5),
         ]
+
+    def test_transforms(self, monkeypatch):
+        # GridSpec transforms of each whole solve: backgrounds, every rung,
+        # u1, the bounds checks and, for the sweep, its table's rows
+        counts, totals = count_transforms(monkeypatch), []
+        for run in (self._cold_solve, lambda: solve_limit(make_spec(N=64)), self._sweep):
+            counts.clear()
+            run()
+            totals.append(counts["transforms"])
+        assert totals == [240, 126, 935]
 
     @pytest.mark.parametrize("failure", ["iteration limit", "not finite"])
     def test_failed_corrector_keeps_the_old_starts(self, monkeypatch, failure):

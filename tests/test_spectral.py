@@ -1,8 +1,6 @@
 """The spectral-operator layer: transforms per operator application, and
 the spectral identities on random band-limited fields."""
 
-import collections
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +21,7 @@ from mcsvortex import (
 )
 from mcsvortex import solver
 
-from conftest import smooth_field
+from conftest import count_transforms, smooth_field
 from test_solver import make_spec, reference_minres
 
 TWO_PI = 2.0 * np.pi
@@ -51,19 +49,6 @@ def _capture_driver(monkeypatch, solve, spec, **kwargs):
         solve(spec, **kwargs)
     monkeypatch.undo()
     return captured
-
-
-def _count_transforms(monkeypatch):
-    counts = collections.Counter()
-    for name in ("fft2", "ifft2", "rfft2", "irfft2"):
-        original = getattr(np.fft, name)
-
-        def counted(*args, _fn=original, **kwargs):
-            counts["transforms"] += 1
-            return _fn(*args, **kwargs)
-
-        monkeypatch.setattr(np.fft, name, counted)
-    return counts
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +88,15 @@ def _applications(driver):
     }
 
 
+def test_transform_counter_sees_a_laplacian(monkeypatch):
+    # one forward and one inverse transform: a counter blind to the
+    # package's transforms reads 0 and fails here, not as a wrong pin
+    field = smooth_field(GridSpec(16), np.random.default_rng(3), kmax=3)
+    counts = count_transforms(monkeypatch)
+    laplacian(field)
+    assert counts["transforms"] == 2
+
+
 @pytest.mark.parametrize(
     "equation,operation,expected",
     [
@@ -118,7 +112,7 @@ def _applications(driver):
 )
 def test_transforms_per_application(drivers, monkeypatch, equation, operation, expected):
     apply = _applications(drivers[equation])[operation]
-    counts = _count_transforms(monkeypatch)
+    counts = count_transforms(monkeypatch)
     apply()
     assert counts["transforms"] == expected
 
@@ -128,7 +122,7 @@ def test_compute_u0_costs_six_transforms(monkeypatch):
     # Laplacian (1 inverse) and its gradient (2 inverses)
     grid = GridSpec(32)
     config = VortexConfig(points=((0.3, 0.4),), multiplicities=(1,), sigma=4 * grid.h)
-    counts = _count_transforms(monkeypatch)
+    counts = count_transforms(monkeypatch)
     compute_u0(config, grid)
     assert counts["transforms"] == 6
 
@@ -194,7 +188,7 @@ def test_spectrum_hand_off_agrees_to_roundoff(drivers, equation):
 def test_linearize_after_residual_costs_no_transform(drivers, monkeypatch, equation):
     driver = drivers[equation]
     st_u, _ = _state(driver)  # the driver's order: residual, then linearize
-    counts = _count_transforms(monkeypatch)
+    counts = count_transforms(monkeypatch)
     driver["eq"].linearize(driver["u"], st_u)
     assert counts["transforms"] == 0
 
@@ -232,7 +226,7 @@ def test_sweep_row_norms_one_transform_per_field(monkeypatch):
     bundle = solve_coupled(spec)
     limit = solve_limit(spec, background=bundle.background)
     bundle._pointwise, limit._pointwise  # both states cached, as in q_sweep
-    counts = _count_transforms(monkeypatch)
+    counts = count_transforms(monkeypatch)
     row = convergence_metrics(bundle, limit)
     sob_u, sob_v = _sobolev_norms(bundle.u), _sobolev_norms(bundle.v)
     assert counts["transforms"] == 4
