@@ -326,7 +326,9 @@ def cmd_sweep(args) -> int:
 
 
 def bundle_from_snapshot(path) -> tuple[SolutionBundle, dict]:
-    """Rebuild a SolutionBundle from stored fields and metadata.
+    """Rebuild a SolutionBundle from stored fields and metadata.  The
+    record's residual norms and energy are not read back: the bundle
+    derives its own from the fields.
 
     Raises SnapshotError for a record whose problem data is missing,
     mistyped or out of range."""
@@ -336,9 +338,7 @@ def bundle_from_snapshot(path) -> tuple[SolutionBundle, dict]:
             meta["model"], meta["vortices"], meta["q"], fields["u"].grid,
             meta.get("tolerances", {}),
         )
-        residual_norms = dict(meta.get("residual_norms", {}))
         newton_iters = int(meta.get("newton_iters", 0))
-        energy_value = float(meta.get("energy", np.nan))
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SnapshotError(f"{path}: malformed solution record: {exc!r}") from exc
     try:
@@ -356,9 +356,7 @@ def bundle_from_snapshot(path) -> tuple[SolutionBundle, dict]:
         u=fields["u"],
         v=fields["v"],
         w=fields["w"],
-        residual_norms=residual_norms,
         newton_iters=newton_iters,
-        energy_value=energy_value,
     )
     if bundle._pointwise is None:  # cached: all_reports evaluates no more
         raise SnapshotError(f"{path}: e^(u0+u) overflows for the stored u")

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from math import sqrt
 from numbers import Real
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -100,16 +100,16 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class SolutionBundle:
-    """Converged (u, v, w) triple with background and diagnostics."""
+    """Converged (u, v, w) triple with its background and Newton steps.
+    The residual norms and the energy are functions of the fields, derived
+    from _pointwise on first read."""
 
     spec: ProblemSpec
     background: BackgroundData
     u: ScalarField
     v: ScalarField
     w: ScalarField
-    residual_norms: dict
     newton_iters: int
-    energy_value: float
 
     @property
     def q(self) -> float:
@@ -130,14 +130,39 @@ class SolutionBundle:
     @cached_property
     def _pointwise(self) -> dict | None:
         """_pointwise_state at u plus the weighted gradient term "wg", for
-        the diagnostics and the convergence metrics; None where e^{u0+u}
-        overflows, which only a stored record can bring.  Built the first
-        time one asks for it, never by the solver, and kept for the
-        bundle's lifetime."""
+        the residual norms, the energy, the diagnostics and the convergence
+        metrics; None where e^{u0+u} overflows, which only a stored record
+        can bring.  Built the first time one asks for it, never by the
+        solver, and kept for the bundle's lifetime."""
         st = _pointwise_state(self.model, self.background, self.u.values)
         if st is not None:
             st["wg"] = _weighted_gradsq(self.background, st)
         return st
+
+    @cached_property
+    def residual_norms(self) -> dict:
+        """L2 residuals at (u, v) of the two coupled equations, "genmcsa"
+        and "genmcsb", and of the fourth-order one, "fourth_order", whose
+        Laplacian(u) gives genmcsa.  ValueError where e^{u0+u} overflows."""
+        st = self._pointwise
+        if st is None:
+            raise ValueError("residuals undefined: e^{u0+u} overflows")
+        grid, q, n, s = self.grid, self.q, self.background.n, self.model.s
+        fourth = _Coupled(self.spec, self.background).residual(self.u.values, st)
+        v = self.v.values
+        res_a = -st["lap"] - q * (v - st["f"]) + FOUR_PI * n
+        res_b = -laplacian(self.v).values - q * (st["c"] * (s - v) - q * (v - st["f"]))
+        return {
+            "genmcsa": _l2(grid, res_a),
+            "genmcsb": _l2(grid, res_b),
+            "fourth_order": _l2(grid, fourth),
+        }
+
+    @cached_property
+    def energy_value(self) -> float:
+        """The energy functional at u (energy); inf where e^{u0+u} overflows."""
+        eq = _Coupled(self.spec, self.background)
+        return eq.energy(self.u.values, self._pointwise)
 
 
 @dataclass(frozen=True)
@@ -241,7 +266,8 @@ class _Coupled:
 
     def energy(self, u: np.ndarray, st: dict | None = None) -> float:
         """The functional; its quadratic part (1/2) integral(u (q^-2 Lap^2
-        - Lap) u) is summed over the spectrum."""
+        - Lap) u) is summed over the spectrum.  Reads e^{u*} |grad u*|^2
+        from st["wg"] where st holds it (SolutionBundle._pointwise)."""
         q, grid, bg = self.q, self.grid, self.bg
         st = st if st is not None else _pointwise_state(self.model, bg, u)
         if st is None:
@@ -249,7 +275,7 @@ class _Coupled:
         f, fp = st["f"], st["fp"]
         uh = grid.forward(u)
         with np.errstate(over="ignore", invalid="ignore"):
-            wg = _weighted_gradsq(bg, st, grid.gradient(uh))
+            wg = st["wg"] if "wg" in st else _weighted_gradsq(bg, st, grid.gradient(uh))
             total = (
                 (1.0 / q) * np.sum(fp * wg)
                 + 0.5 * np.sum((f - self.model.s) ** 2)
@@ -368,16 +394,8 @@ class _Limit:
         return hessian, _SpectralInverse(grid, k2 + max(1.0, float(V.min())))
 
 
-class _Rung(NamedTuple):
-    """What a converged coupled rung below the top grid hands up: its
-    coupling and u, all the next rung's start reads."""
-
-    q: float
-    u: ScalarField
-
-
 def _predict(
-    limit: LimitSolution, q: float, last: SolutionBundle | _Rung | None = None
+    limit: LimitSolution, q: float, last: SolutionBundle | None = None
 ) -> ScalarField:
     """Newton start at coupling q from the expansion in eps = 1/q
     (predictor of Allgower & Georg, Introduction to Numerical Continuation
@@ -552,15 +570,21 @@ def _half(spec: ProblemSpec, vortices: VortexConfig) -> ProblemSpec | None:
         return None
 
 
-def _coarse_rung(spec: ProblemSpec, bg: BackgroundData, init: ScalarField) -> _Rung:
-    """The coupled solve of a rung below the top from init: _newton_krylov
-    and the checks that decide whether its solution stands (_admissible_v), and
-    no w, residuals, energy or bundle.  A function of its own, so that its
-    state is gone before the next rung's solves."""
-    eq = _Coupled(spec, bg)
-    u, st, _, _ = _newton_krylov(eq, np.array(init.values, dtype=float), spec)
-    _admissible_v(spec, bg.n, st)
-    return _Rung(spec.q, ScalarField(spec.grid, u))
+def _rung(spec: ProblemSpec, bg: BackgroundData, init: ScalarField) -> SolutionBundle:
+    """The coupled solve on one grid from init, for every rung of the ladder
+    and for solve_coupled with init: _newton_krylov, the checks that decide
+    whether its solution stands (_admissible_v), and w = q (v - f) by
+    definition.  A function of its own, so that its state is gone before
+    the next rung's solves."""
+    grid = spec.grid
+    u, st, _, iters = _newton_krylov(
+        _Coupled(spec, bg), np.array(init.values, dtype=float), spec
+    )
+    v = _admissible_v(spec, bg.n, st)
+    return SolutionBundle(
+        spec=spec, background=bg, u=ScalarField(grid, u), v=ScalarField(grid, v),
+        w=ScalarField(grid, spec.q * (v - st["f"])), newton_iters=iters,
+    )
 
 
 class _Ladder:
@@ -629,10 +653,9 @@ class _Ladder:
 
     def coupled(self, qs) -> list:
         """The coupled equation at each coupling of the descending qs,
-        climbed from the floor to the top rung, per coupling: on the top
-        rung the SolutionBundle or the SolveFailure raised; on a rung below
-        it, the _Rung(q, u) that starts the next rung or None where the
-        solve failed (_coarse_rung).  Each coupling starts from the rung
+        climbed from the floor to the top rung, with the top rung's outcome
+        per coupling: the SolutionBundle or the SolveFailure raised.  Every
+        rung solves through _rung.  Each coupling starts from the rung
         below's solution at that q, prolonged; where there is none or it
         failed, from the rung's limit solution predicted to q from the last
         coupling that converged on the rung (_predict), or from the ansatz
@@ -643,29 +666,26 @@ class _Ladder:
         for i in range(self.floor, -1, -1):
             spec, bg = self.rungs[i]
             below = outcomes
-            limit = self.limit(i) if any(under is None for under in below) else None
+            solved = all(isinstance(under, SolutionBundle) for under in below)
+            limit = None if solved else self.limit(i)
             if i == 0:  # its solves need no coarse level
                 self.clear()
             outcomes, last = [], None
             for q in qs:
                 under = below.pop(0)
-                if under is not None:
+                if isinstance(under, SolutionBundle):
                     init = spec.grid.prolong(under.u)
                 elif isinstance(limit, LimitSolution):
                     init = _predict(limit, q, last)
                 else:
                     init = initial_guess(bg, spec.model)
                 del under
-                sub = replace(spec, q=q)
                 try:
-                    if i == 0:
-                        last = solve_coupled(sub, init=init, background=bg)
-                    else:
-                        last = _coarse_rung(sub, bg, init)
+                    last = _rung(replace(spec, q=q), bg, init)
                     outcomes.append(last)
                 except SolveFailure as exc:
                     # without its traceback, which would keep this frame's fields
-                    outcomes.append(exc.with_traceback(None) if i == 0 else None)
+                    outcomes.append(exc.with_traceback(None))
         return outcomes
 
     def result(self, outcome):
@@ -881,21 +901,6 @@ def _require_coupling(q: float, st: dict) -> None:
         )
 
 
-def _equation_residuals(
-    u: ScalarField, v: ScalarField, st: dict, n: int, s: float, q: float,
-    lap_u: np.ndarray | None = None,
-) -> tuple[float, float]:
-    """L2 residuals of the two coupled equations at (u, v), with f and c
-    taken from the pointwise state st at u, and Laplacian(u) from lap_u
-    if given."""
-    lap_u = laplacian(u).values if lap_u is None else lap_u
-    res_a = -lap_u - q * (v.values - st["f"]) + FOUR_PI * n
-    res_b = -laplacian(v).values - q * (
-        st["c"] * (s - v.values) - q * (v.values - st["f"])
-    )
-    return _l2(u.grid, res_a), _l2(u.grid, res_b)
-
-
 def _recover_v(lap_u: np.ndarray, f: np.ndarray, n: int, q: float) -> np.ndarray:
     """v = (-Laplacian(u) + 4 pi n)/q + f(e^{u0+u}), from Laplacian(u) and f."""
     return (-lap_u + FOUR_PI * n) / q + f
@@ -962,31 +967,12 @@ def solve_coupled(
     more than spec.bound_tol, the fixed slack 1e-6 + 10*sigma^2.  Raises
     GridMismatch if init or background was made for another problem.
     """
-    grid, model, q = spec.grid, spec.model, spec.q
     if init is None:
         ladder = _Ladder(spec, background, predictor_only=True)
-        return ladder.result(ladder.coupled((q,))[0])
-    if init.grid != grid:
+        return ladder.result(ladder.coupled((spec.q,))[0])
+    if init.grid != spec.grid:
         raise GridMismatch("init and problem live on different grids")
-    bg = _background(spec, background)
-    eq = _Coupled(spec, bg)
-    u, st, r, iters = _newton_krylov(eq, np.array(init.values, dtype=float), spec)
-    v = ScalarField(grid, _admissible_v(spec, bg.n, st))
-    u_field = ScalarField(grid, u)
-    w = ScalarField(grid, q * (v.values - st["f"]))
-
-    res_a, res_b = _equation_residuals(u_field, v, st, bg.n, model.s, q, st["lap"])
-    residuals = {"genmcsa": res_a, "genmcsb": res_b, "fourth_order": _l2(grid, r)}
-    return SolutionBundle(
-        spec=spec,
-        background=bg,
-        u=u_field,
-        v=v,
-        w=w,
-        residual_norms=residuals,
-        newton_iters=iters,
-        energy_value=eq.energy(u, st),
-    )
+    return _rung(spec, _background(spec, background), init)
 
 
 def solve_limit(

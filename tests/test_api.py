@@ -39,6 +39,9 @@ def test_no_new_problem_or_config_knobs():
     # made deliberately here together with the README
     fields = [field.name for field in dataclasses.fields(mcsvortex.ProblemSpec)]
     assert fields == ["model", "vortices", "q", "grid", "newton_tol", "max_newton_iters"]
+    # what a solve produces; its residuals and energy are derived from it
+    fields = [field.name for field in dataclasses.fields(mcsvortex.SolutionBundle)]
+    assert fields == ["spec", "background", "u", "v", "w", "newton_iters"]
     assert cli._SCHEMA == {
         "model": {"name", "s", "table"},
         "vortices": {"points", "sigma"},

@@ -638,6 +638,20 @@ class TestVerifyCommand:
         assert main(["verify", str(solved_dir)]) == 2
         assert named in capsys.readouterr().err
 
+    def test_stored_residuals_and_energy_are_not_read_back(self, solved_dir):
+        # the bundle derives both from the stored fields, bit for bit the
+        # values the solve wrote, whatever the record now says
+        path = solved_dir / "solution.json"
+        meta = json.loads(path.read_text())
+        solved = {key: meta[key] for key in ("energy", "residual_norms")}
+        meta["energy"] = -1.0
+        meta["residual_norms"] = {"genmcsa": 1e3, "genmcsb": 1e3, "fourth_order": 1e3}
+        path.write_text(json.dumps(meta))
+        bundle, _ = bundle_from_snapshot(solved_dir)
+        assert bundle.energy_value == solved["energy"]
+        assert bundle.residual_norms == solved["residual_norms"]
+        assert main(["verify", str(solved_dir)]) == 0
+
     @pytest.mark.parametrize(
         "mangle,named",
         [

@@ -73,9 +73,7 @@ class TestCheckBounds:
             u=flat_bundle.u,
             v=flat_bundle.grid.field(spoiled_v),
             w=flat_bundle.w,
-            residual_norms=flat_bundle.residual_norms,
             newton_iters=flat_bundle.newton_iters,
-            energy_value=flat_bundle.energy_value,
         )
         report = check_bounds(spoiled)
         assert report.failed
@@ -179,9 +177,7 @@ class TestConvergenceMetrics:
             u=limit.u_inf,
             v=spec.grid.field(lim["f"]),
             w=spec.grid.field(lim["w"]),
-            residual_norms={},
             newton_iters=0,
-            energy_value=0.0,
         )
         row = convergence_metrics(synthetic, limit)
         assert row.d_eu == 0.0 and row.d_v == 0.0 and row.d_w == 0.0

@@ -127,6 +127,20 @@ class TestCoefficientFields:
             with pytest.raises(ValueError, match=r"e\^\{u0\+u\} overflows"):
                 undefined()
 
+    def test_overflowing_bundle_has_no_residuals(self):
+        # a hand-built bundle raises the same error, not a TypeError from
+        # indexing its missing state; its energy is inf, as energy's is
+        spec = make_spec(N=32)
+        bg = compute_u0(spec.vortices, spec.grid)
+        u = spec.grid.constant(800.0)
+        bundle = solver.SolutionBundle(
+            spec=spec, background=bg, u=u, v=u, w=u, newton_iters=0
+        )
+        undefined = r"^residuals undefined: e\^\{u0\+u\} overflows$"
+        with pytest.raises(ValueError, match=undefined):
+            bundle.residual_norms
+        assert bundle.energy_value == energy(u, spec, bg) == np.inf
+
 
 class TestRecoverV:
     def test_constant_solution(self):
@@ -1024,6 +1038,22 @@ class TestNewtonPasses:
             (32, "limit equation", 5), (32, "Newton", 4), (64, "Newton", 2)
         ]
 
+    def test_ladder_does_not_call_the_public_solve(self, monkeypatch):
+        # every rung solves through one private function, so a wrapper of
+        # solve_coupled sees a cold solve once and a sweep not at all
+        calls, public = [], solver.solve_coupled
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return public(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "solve_coupled", counted)
+        solver.solve_coupled(make_spec(N=64, q=40.0))
+        assert len(calls) == 1
+        calls.clear()
+        self._sweep()
+        assert calls == []
+
     def test_limit_solve(self, monkeypatch):
         levels, steps = _record_levels(monkeypatch)
         solve_limit(make_spec(N=64))
@@ -1075,7 +1105,7 @@ class TestNewtonPasses:
             counts.clear()
             run()
             totals.append(counts["transforms"])
-        assert totals == [240, 126, 935]
+        assert totals == [235, 126, 943]
 
     @pytest.mark.parametrize("failure", ["iteration limit", "not finite"])
     def test_failed_corrector_keeps_the_old_starts(self, monkeypatch, failure):
