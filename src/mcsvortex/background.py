@@ -1,5 +1,7 @@
 """Vortex background fields: mollified sources, the mean-zero Green's
-function u0, and the smooth weight e^{u0}|grad u0|^2.
+function u0, e^{u0}, and, derived on first read, the smooth weight
+e^{u0}|grad u0|^2 and grad(e^{u0}), which only the energy and the
+diagnostics read.
 
 Dirac masses are replaced by periodic Gaussian bumps of width sigma
 (sigma >= 2h so they are resolvable), which keeps every derived field
@@ -10,17 +12,14 @@ two routes agree to spectral accuracy everywhere, cores included.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import PreconditionViolated, SigmaTooSmall
-from .grid import (
-    GridSpec,
-    ScalarField,
-    integrate,
-    poisson_solve,
-)
+from .grid import GridSpec, ScalarField, integrate, poisson_solve
 
 FOUR_PI = 4.0 * np.pi
 
@@ -74,19 +73,61 @@ def no_vortices() -> VortexConfig:
 
 @dataclass(frozen=True)
 class BackgroundData:
-    """Immutable bundle of background fields shared by all solves."""
+    """Immutable bundle of background fields shared by all solves: the
+    stored ones every solve reads, and weight and grad_exp_u0, built from
+    one half spectrum of e^{u0} on first read."""
 
     grid: GridSpec
     config: VortexConfig
     u0: ScalarField
     exp_u0: ScalarField
-    weight: ScalarField  # e^{u0}|grad u0|^2, assembled via the Laplacian route
     source: ScalarField  # sum of m_j times the mollified unit bumps
-    grad_exp_u0: tuple[ScalarField, ScalarField]
 
     @property
     def n(self) -> int:
         return self.config.n
+
+    @cached_property
+    def _exp_u0_hat(self) -> np.ndarray:
+        """Half spectrum of e^{u0}, shared by weight and grad_exp_u0."""
+        return self.grid.forward(self.exp_u0.values)
+
+    @cached_property
+    def weight(self) -> ScalarField:
+        """The smooth weight e^{u0}|grad u0|^2, via the identity
+        e^{u0}|grad u0|^2 = Laplacian(e^{u0}) - e^{u0} * Laplacian(u0)
+        with Laplacian(u0) = -4*pi*(n - source) known exactly from the u0
+        problem.  The Laplacian route avoids squaring the large near-core
+        gradients; it matches the raw product e^{u0} * grad_squared(u0) to
+        spectral accuracy."""
+        grid, n, exp_u0 = self.grid, self.n, self.exp_u0.values
+        with _within_float64(n, grid):
+            lap_e = grid.inverse(-grid.k2 * self._exp_u0_hat)
+            vals = lap_e + FOUR_PI * exp_u0 * (float(n) - self.source.values)
+            return ScalarField(grid, vals)
+
+    @cached_property
+    def grad_exp_u0(self) -> tuple[ScalarField, ScalarField]:
+        grid = self.grid
+        with _within_float64(self.n, grid):
+            return tuple(ScalarField(grid, g) for g in grid.gradient(self._exp_u0_hat))
+
+
+@contextmanager
+def _within_float64(n: int, grid: GridSpec):
+    """PreconditionViolated naming the vortex number n (past Python's
+    int-to-str digit limit, its magnitude) for a background field that
+    leaves float64: OverflowError where n or a multiplicity does not convert
+    to a float, ValueError where ScalarField finds a non-finite value."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            yield
+    except (OverflowError, ValueError) as exc:
+        name = n if n.bit_length() < 10_000 else f"2^{n.bit_length() - 1} or more"
+        raise PreconditionViolated(
+            f"vortex number n={name} is too large: the background fields "
+            f"overflow float64 on the N={grid.N} grid"
+        ) from exc
 
 
 def mollified_delta(p: tuple[float, float], sigma: float, grid: GridSpec) -> ScalarField:
@@ -122,60 +163,21 @@ def vortex_source(config: VortexConfig, grid: GridSpec) -> ScalarField:
     return ScalarField(grid, vals)
 
 
-def background_weight(
-    exp_u0: ScalarField, exp_u0_hat: np.ndarray, n: int, source: ScalarField
-) -> ScalarField:
-    """The smooth weight e^{u0}|grad u0|^2, via the identity
-    e^{u0}|grad u0|^2 = Laplacian(e^{u0}) - e^{u0} * Laplacian(u0)
-    with Laplacian(u0) = -4*pi*(n - source) known exactly from the u0 problem.
-    exp_u0_hat is the half spectrum of e^{u0}, grid.forward(exp_u0.values).
-
-    The Laplacian route avoids squaring the large near-core gradients; it
-    matches the raw product e^{u0} * grad_squared(u0) to spectral accuracy.
-    """
-    grid = exp_u0.grid
-    lap_e = grid.inverse(-grid.k2 * exp_u0_hat)
-    vals = lap_e + FOUR_PI * exp_u0.values * (float(n) - source.values)
-    return ScalarField(grid, vals)
-
-
 def compute_u0(config: VortexConfig, grid: GridSpec) -> BackgroundData:
-    """Solve -Laplacian(u0) = 4*pi*(n - source) with zero mean and build the
-    derived background fields.
+    """Solve -Laplacian(u0) = 4*pi*(n - source) with zero mean and build
+    e^{u0}: 2 transforms.  The right-hand side is exactly mean-zero at the
+    quadrature level because each bump is normalized, so the spectral solve
+    is consistent; the zero Fourier mode of u0 is pinned to 0.
 
-    The right-hand side is exactly mean-zero at the quadrature level because
-    each bump is normalized, so the spectral solve is consistent; the zero
-    Fourier mode of u0 is pinned to 0.
-
-    Raises PreconditionViolated, naming the vortex number n, when n is so
-    large that a background field leaves float64: u0 grows like n, so
-    e^{u0} overflows first (already near n = 1000 for one vortex).
-    """
+    Raises PreconditionViolated, naming the vortex number n, when u0 or
+    e^{u0} leaves float64: u0 grows like n, so for one vortex at N = 48
+    from n = 1093 on.  The weight and grad(e^{u0}), scaled by up to |k|^2
+    and |k|, overflow earlier (there from n = 1072 and 1081), and their
+    first read raises the same error."""
     n = config.n
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            source = vortex_source(config, grid)
-            rhs = ScalarField(grid, FOUR_PI * (float(n) - source.values))
-            u0 = poisson_solve(rhs)
-            exp_u0 = ScalarField(grid, np.exp(u0.values))
-            exp_u0_hat = grid.forward(exp_u0.values)
-            weight = background_weight(exp_u0, exp_u0_hat, n, source)
-            gx, gy = (ScalarField(grid, g) for g in grid.gradient(exp_u0_hat))
-    except (OverflowError, ValueError) as exc:
-        # OverflowError: n or a multiplicity does not convert to a float;
-        # ValueError: ScalarField found a non-finite value.  Past Python's
-        # int-to-str digit limit, n is named by its magnitude.
-        name = n if n.bit_length() < 10_000 else f"2^{n.bit_length() - 1} or more"
-        raise PreconditionViolated(
-            f"vortex number n={name} is too large: the background fields "
-            f"overflow float64 on the N={grid.N} grid"
-        ) from exc
-    return BackgroundData(
-        grid=grid,
-        config=config,
-        u0=u0,
-        exp_u0=exp_u0,
-        weight=weight,
-        source=source,
-        grad_exp_u0=(gx, gy),
-    )
+    with _within_float64(n, grid):
+        source = vortex_source(config, grid)
+        rhs = ScalarField(grid, FOUR_PI * (float(n) - source.values))
+        u0 = poisson_solve(rhs)
+        exp_u0 = ScalarField(grid, np.exp(u0.values))
+    return BackgroundData(grid=grid, config=config, u0=u0, exp_u0=exp_u0, source=source)

@@ -358,8 +358,11 @@ def bundle_from_snapshot(path) -> tuple[SolutionBundle, dict]:
         w=fields["w"],
         newton_iters=newton_iters,
     )
-    if bundle._pointwise is None:  # cached: all_reports evaluates no more
-        raise SnapshotError(f"{path}: e^(u0+u) overflows for the stored u")
+    try:  # cached: all_reports evaluates no more
+        bundle._state("stored state")
+    except (ValueError, MCSVortexError) as exc:
+        # e^(u0+u) overflows, or the background weight does (PreconditionViolated)
+        raise SnapshotError(f"{path}: {exc}") from exc
     return bundle, meta
 
 

@@ -74,7 +74,7 @@ def check_bounds(bundle: SolutionBundle) -> InvariantReport:
     """Pointwise bounds f(0) <= f(e^{u*}) <= s and f(0) <= v <= s, with
     the slack spec.bound_tol = 1e-6 + 10*sigma^2 for the mollified
     discretization, the same one solve_coupled enforces."""
-    st = bundle._pointwise
+    st = bundle._state("pointwise_bounds")
     model = bundle.model
     f0, s = model.f0, model.s
     worst, extremes = _bound_violation(model, st["f"], bundle.v.values)
@@ -101,7 +101,7 @@ def check_bounds(bundle: SolutionBundle) -> InvariantReport:
 def check_flux(bundle: SolutionBundle) -> InvariantReport:
     """Flux quantization: integral(c*(s-v)) = q*integral(v - f) = 4*pi*n,
     both integrals obtained by integrating the two equations."""
-    st = bundle._pointwise
+    st = bundle._state("flux_quantization")
     grid, q, n = bundle.grid, bundle.q, bundle.background.n
     h2 = grid.h**2
     i1 = h2 * float(np.sum(st["c"] * (bundle.model.s - bundle.v.values)))
@@ -127,7 +127,7 @@ def check_identity(bundle: SolutionBundle) -> InvariantReport:
       = integral((s-v)(f'' e^{u*} + f') e^{u*}|grad u*|^2)
       + 4 pi integral((s-v) c source),
     the last term carrying the mollified cores."""
-    st = bundle._pointwise
+    st = bundle._state("gradient_energy_identity")
     grid, q = bundle.grid, bundle.q
     h2 = grid.h**2
     s = bundle.model.s
@@ -158,7 +158,7 @@ def check_gradu(bundle: SolutionBundle) -> InvariantReport:
     integral(e^{u*}|grad u*|^2) = q integral(e^{u*}(v-f)) - 4 pi integral(e^{u*} source).
     Reports the common (q-uniformly bounded) value; the uncorrected
     right-hand side is kept in the details."""
-    st = bundle._pointwise
+    st = bundle._state("weighted_gradient_identity")
     h2 = bundle.grid.h**2
     q = bundle.q
     source = bundle.background.source.values
@@ -223,7 +223,7 @@ def check_max_location(bundle: SolutionBundle) -> InvariantReport:
 def residual_reports(bundle: SolutionBundle) -> list[InvariantReport]:
     """PDE residuals of the stored fields (bundle.residual_norms) plus the
     w-definition identity."""
-    st = bundle._pointwise
+    st = bundle._state("residuals")
     q = bundle.q
     tol = bundle.spec.newton_tol
     norms = bundle.residual_norms
@@ -271,10 +271,10 @@ def convergence_metrics(bundle: SolutionBundle, limit: LimitSolution) -> Metrics
         raise GridMismatch("bundle and limit solution live on different grids")
     if bundle.background.config != limit.background.config:
         raise GridMismatch("bundle and limit solution use different vortex data")
-    lim = limit._pointwise
+    st, lim = bundle._state("convergence metrics"), limit._pointwise
     f_lim = lim["f"]
     return MetricsRow(
-        d_eu=float(np.abs(bundle._pointwise["t"] - lim["t"]).max()),
+        d_eu=float(np.abs(st["t"] - lim["t"]).max()),
         d_v=float(np.abs(bundle.v.values - f_lim).max()),
         d_w=float(np.abs(bundle.w.values - lim["w"]).max()),
         h_u=_sobolev_norms(bundle.u - limit.u_inf),

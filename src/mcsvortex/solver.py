@@ -131,12 +131,20 @@ class SolutionBundle:
     def _pointwise(self) -> dict | None:
         """_pointwise_state at u plus the weighted gradient term "wg", for
         the residual norms, the energy, the diagnostics and the convergence
-        metrics; None where e^{u0+u} overflows, which only a stored record
-        can bring.  Built the first time one asks for it, never by the
-        solver, and kept for the bundle's lifetime."""
+        metrics; None where e^{u0+u} overflows, which only a hand-built
+        bundle or a stored record can bring.  Built the first time one asks
+        for it, never by the solver, and kept for the bundle's lifetime."""
         st = _pointwise_state(self.model, self.background, self.u.values)
         if st is not None:
             st["wg"] = _weighted_gradsq(self.background, st)
+        return st
+
+    def _state(self, what: str) -> dict:
+        """_pointwise for a reader that needs it, named by what: ValueError
+        "<what> undefined" where e^{u0+u} overflows."""
+        st = self._pointwise
+        if st is None:
+            raise ValueError(f"{what} undefined: e^{{u0+u}} overflows")
         return st
 
     @cached_property
@@ -144,9 +152,7 @@ class SolutionBundle:
         """L2 residuals at (u, v) of the two coupled equations, "genmcsa"
         and "genmcsb", and of the fourth-order one, "fourth_order", whose
         Laplacian(u) gives genmcsa.  ValueError where e^{u0+u} overflows."""
-        st = self._pointwise
-        if st is None:
-            raise ValueError("residuals undefined: e^{u0+u} overflows")
+        st = self._state("residuals")
         grid, q, n, s = self.grid, self.q, self.background.n, self.model.s
         fourth = _Coupled(self.spec, self.background).residual(self.u.values, st)
         v = self.v.values
@@ -450,7 +456,10 @@ def coefficient_fields(
 
 def _helmholtz(grid: GridSpec, c: np.ndarray, q: float) -> Operator:
     """-Laplacian + q^2 + q c on grid arrays; like the Jacobians, it takes
-    the half spectrum of its argument as an optional second argument."""
+    the half spectrum of its argument as an optional second argument.
+    ValueError where q is not finite."""
+    if not np.isfinite(q):
+        raise ValueError(f"q must be finite, got {q}")
     symbol, qc = grid.k2 + q * q, q * c
 
     def apply(u: np.ndarray, uh: np.ndarray | None = None) -> np.ndarray:
@@ -477,17 +486,20 @@ def helmholtz_solve(
     Stops when the L2 residual falls below tol * q^2 * ||rhs||_2, after at
     most 10 N iterations.
 
-    Raises PreconditionViolated unless q > sup|c| (positivity of the
-    zeroth-order coefficient) and NoConvergence if the residual of the
-    result misses that bound.
+    Raises ValueError where q is not finite or tol is not finite and >= 0,
+    PreconditionViolated unless q > sup|c| (positivity of the zeroth-order
+    coefficient) and NoConvergence if the residual of the result misses
+    that bound.
     """
     grid = same_grid(c, rhs)
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+    A, applied = _helmholtz(grid, c.values, q), []
     c_inf = float(np.abs(c.values).max())
     if q <= c_inf:
         raise PreconditionViolated(
             f"need q > sup|c| for a positive operator, got q={q}, sup|c|={c_inf}"
         )
-    A, applied = _helmholtz(grid, c.values, q), []
 
     def counted(*args) -> np.ndarray:
         applied.append(1)
@@ -656,25 +668,25 @@ class _Ladder:
         climbed from the floor to the top rung, with the top rung's outcome
         per coupling: the SolutionBundle or the SolveFailure raised.  Every
         rung solves through _rung.  Each coupling starts from the rung
-        below's solution at that q, prolonged; where there is none or it
-        failed, from the rung's limit solution predicted to q from the last
-        coupling that converged on the rung (_predict), or from the ansatz
-        where the limit solve fails too.  Each coarse solution is dropped
-        once it is prolonged, and the top rung empties the ladder before its
-        solves."""
+        below's u at that q, prolonged; where there is none or it failed,
+        from the rung's limit solution predicted to q from the last coupling
+        that converged on the rung (_predict), or from the ansatz where the
+        limit solve fails too.  A coarse rung passes up only u, which is
+        dropped once it is prolonged, and the top rung empties the ladder
+        before its solves."""
         outcomes = [None] * len(qs)
         for i in range(self.floor, -1, -1):
             spec, bg = self.rungs[i]
             below = outcomes
-            solved = all(isinstance(under, SolutionBundle) for under in below)
+            solved = all(isinstance(under, ScalarField) for under in below)
             limit = None if solved else self.limit(i)
             if i == 0:  # its solves need no coarse level
                 self.clear()
             outcomes, last = [], None
             for q in qs:
                 under = below.pop(0)
-                if isinstance(under, SolutionBundle):
-                    init = spec.grid.prolong(under.u)
+                if isinstance(under, ScalarField):
+                    init = spec.grid.prolong(under)
                 elif isinstance(limit, LimitSolution):
                     init = _predict(limit, q, last)
                 else:
@@ -682,7 +694,7 @@ class _Ladder:
                 del under
                 try:
                     last = _rung(replace(spec, q=q), bg, init)
-                    outcomes.append(last)
+                    outcomes.append(last if i == 0 else last.u)
                 except SolveFailure as exc:
                     # without its traceback, which would keep this frame's fields
                     outcomes.append(exc.with_traceback(None))

@@ -25,7 +25,7 @@ FOUR_PI = 4.0 * np.pi
 
 def raw_weight(u0: ScalarField) -> ScalarField:
     """Direct-product route e^{u0} * grad_squared(u0), the oracle for the
-    Laplacian route of background_weight."""
+    Laplacian route of BackgroundData.weight."""
     return ScalarField(u0.grid, np.exp(u0.values) * grad_squared(u0).values)
 
 
@@ -195,6 +195,28 @@ class TestComputeU0:
         cfg = VortexConfig(points=points, multiplicities=mults, sigma=4 * grid.h)
         with pytest.raises(PreconditionViolated, match=f"vortex number n={name} "):
             compute_u0(cfg, grid)
+
+    # below n = 1093, where e^{u0} overflows, the weight's Laplacian and
+    # the gradient scale e^{u0} by up to |k|^2 and |k| at N = 48: the
+    # background is built, and the first read of a derived field raises
+    @pytest.mark.parametrize(
+        "n,overflowing",
+        [
+            (1072, ("weight",)),
+            (1081, ("weight", "grad_exp_u0")),
+            (1092, ("weight", "grad_exp_u0")),
+        ],
+    )
+    def test_derived_fields_overflow_on_first_read(self, n, overflowing):
+        grid = GridSpec(48)
+        bg = compute_u0(single_vortex(grid, m=n), grid)
+        assert np.all(np.isfinite(bg.exp_u0.values))
+        for name in ("weight", "grad_exp_u0"):
+            if name in overflowing:
+                with pytest.raises(PreconditionViolated, match=f"vortex number n={n} "):
+                    getattr(bg, name)
+            else:
+                getattr(bg, name)
 
     def test_u0_mean_zero(self):
         grid = GridSpec(64)

@@ -22,7 +22,7 @@ from mcsvortex import (
     solve_limit,
     u1_model,
 )
-from mcsvortex.diagnostics import SweepRow
+from mcsvortex.diagnostics import SweepRow, residual_reports
 from mcsvortex.solver import SolutionBundle
 
 FOUR_PI = 4.0 * np.pi
@@ -341,3 +341,38 @@ class TestReportPlumbing:
         assert row.status == status
         assert row.message == str(failure)
         assert np.isnan(row.d_v) and row.newton_iters == newton_iters
+
+
+# every reader of a bundle's pointwise state, as a function of the bundle
+# and a limit solution on its grid
+_STATE_READERS = {
+    "check_bounds": lambda bundle, limit: check_bounds(bundle),
+    "check_flux": lambda bundle, limit: check_flux(bundle),
+    "check_identity": lambda bundle, limit: check_identity(bundle),
+    "check_gradu": lambda bundle, limit: check_gradu(bundle),
+    "all_reports": lambda bundle, limit: all_reports(bundle),
+    "residual_reports": lambda bundle, limit: residual_reports(bundle),
+    "convergence_metrics": convergence_metrics,
+    "SweepRow.of": lambda bundle, limit: SweepRow.of(bundle.q, bundle, limit),
+}
+
+
+class TestOverflowingBundle:
+    """A hand-built bundle whose e^{u0+u} overflows has no pointwise state:
+    every reader of it says so with the ValueError residual_norms raises,
+    never a TypeError from indexing the missing state."""
+
+    @pytest.fixture(scope="class")
+    def overflowing(self):
+        spec = flat_spec()
+        limit = solve_limit(spec)
+        u = spec.grid.constant(800.0)
+        bundle = SolutionBundle(
+            spec=spec, background=limit.background, u=u, v=u, w=u, newton_iters=0
+        )
+        return bundle, limit
+
+    @pytest.mark.parametrize("read", list(_STATE_READERS))
+    def test_every_reader_raises_value_error(self, overflowing, read):
+        with pytest.raises(ValueError, match=r" undefined: e\^\{u0\+u\} overflows$"):
+            _STATE_READERS[read](*overflowing)

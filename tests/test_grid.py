@@ -336,6 +336,25 @@ class TestHelmholtz:
             # below the float64 floor: the iteration runs out of its 10 N steps
             helmholtz_solve(c, rhs, 3.0, tol=1e-30)
 
+    @pytest.mark.parametrize("q", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coupling_is_a_value_error(self, q):
+        # as ProblemSpec's q: a NaN passes no comparison with sup|c|, and an
+        # infinite q makes q^2 + q c a NaN wherever c < 0
+        grid = GridSpec(16)
+        c, u = grid.constant(0.5), grid.constant(1.0)
+        with pytest.raises(ValueError, match=r"^q must be finite, got "):
+            helmholtz_apply(c, u, q)
+        with pytest.raises(ValueError, match=r"^q must be finite, got "):
+            helmholtz_solve(c, u, q)
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-10])
+    def test_tolerance_must_be_finite_and_nonnegative(self, tol):
+        # "res > target" is False for a NaN or infinite target, so such a
+        # tol would hand back a result nothing checked
+        grid = GridSpec(16)
+        with pytest.raises(ValueError, match=r"^tol must be finite and >= 0, got "):
+            helmholtz_solve(grid.constant(0.5), grid.constant(1.0), 3.0, tol=tol)
+
     def test_zero_tolerance_asks_for_an_exact_solve(self):
         # no float64 solution has a zero residual, so this is no convergence,
         # never u = 0

@@ -117,13 +117,18 @@ def test_transforms_per_application(drivers, monkeypatch, equation, operation, e
     assert counts["transforms"] == expected
 
 
-def test_compute_u0_costs_six_transforms(monkeypatch):
-    # Poisson solve 2; one forward transform of e^{u0} shared by its
-    # Laplacian (1 inverse) and its gradient (2 inverses)
+def test_compute_u0_costs_two_transforms(monkeypatch):
+    # the Poisson solve 2; on first read, one forward transform of e^{u0}
+    # shared by the weight's Laplacian (1 inverse) and the gradient (2
+    # inverses), and nothing on a second read
     grid = GridSpec(32)
     config = VortexConfig(points=((0.3, 0.4),), multiplicities=(1,), sigma=4 * grid.h)
     counts = count_transforms(monkeypatch)
-    compute_u0(config, grid)
+    bg = compute_u0(config, grid)
+    assert counts["transforms"] == 2
+    bg.weight, bg.grad_exp_u0
+    assert counts["transforms"] == 6
+    bg.weight, bg.grad_exp_u0
     assert counts["transforms"] == 6
 
 
