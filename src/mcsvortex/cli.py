@@ -358,8 +358,8 @@ def bundle_from_snapshot(path) -> tuple[SolutionBundle, dict]:
         w=fields["w"],
         newton_iters=newton_iters,
     )
-    try:  # cached: all_reports evaluates no more
-        bundle._state("stored state")
+    try:  # the state and its weighted gradient all_reports reads, cached
+        bundle._state("stored state").wg
     except (ValueError, MCSVortexError) as exc:
         # e^(u0+u) overflows, or the background weight does (PreconditionViolated)
         raise SnapshotError(f"{path}: {exc}") from exc

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import GridMismatch, SolveFailure
 from .grid import ScalarField, _sobolev_norms, grad_squared, integrate
 from .snapshots import write_text_atomic
-from .solver import LimitSolution, SolutionBundle, _bound_violation, _dc_dt
+from .solver import LimitSolution, SolutionBundle, _bound_violation
 
 FOUR_PI = 4.0 * np.pi
 
@@ -77,7 +77,7 @@ def check_bounds(bundle: SolutionBundle) -> InvariantReport:
     st = bundle._state("pointwise_bounds")
     model = bundle.model
     f0, s = model.f0, model.s
-    worst, extremes = _bound_violation(model, st["f"], bundle.v.values)
+    worst, extremes = _bound_violation(model, st.f, bundle.v.values)
     fe_min, fe_max, v_min, v_max = extremes
     return _make_report(
         "pointwise_bounds",
@@ -104,8 +104,8 @@ def check_flux(bundle: SolutionBundle) -> InvariantReport:
     st = bundle._state("flux_quantization")
     grid, q, n = bundle.grid, bundle.q, bundle.background.n
     h2 = grid.h**2
-    i1 = h2 * float(np.sum(st["c"] * (bundle.model.s - bundle.v.values)))
-    i2 = q * h2 * float(np.sum(bundle.v.values - st["f"]))
+    i1 = h2 * float(np.sum(st.c * (bundle.model.s - bundle.v.values)))
+    i2 = q * h2 * float(np.sum(bundle.v.values - st.f))
     target = FOUR_PI * n
     abs_disc = max(abs(i1 - target), abs(i2 - target))
     tol_kind = "relative" if n > 0 else "absolute"
@@ -133,13 +133,9 @@ def check_identity(bundle: SolutionBundle) -> InvariantReport:
     s = bundle.model.s
     v = bundle.v.values
     source = bundle.background.source.values
-    lhs = integrate(grad_squared(bundle.v)) + q * q * h2 * float(
-        np.sum((v - st["f"]) ** 2)
-    )
-    w2 = _dc_dt(st) * st["wg"]
-    rhs = h2 * float(
-        np.sum((s - v) * w2) + FOUR_PI * np.sum((s - v) * st["c"] * source)
-    )
+    lhs = integrate(grad_squared(bundle.v)) + q * q * h2 * float(np.sum((v - st.f) ** 2))
+    w2 = st.dc_dt * st.wg
+    rhs = h2 * float(np.sum((s - v) * w2) + FOUR_PI * np.sum((s - v) * st.c * source))
     n = bundle.background.n
     tol_kind = "relative" if n > 0 else "absolute"
     return _make_report(
@@ -162,9 +158,9 @@ def check_gradu(bundle: SolutionBundle) -> InvariantReport:
     h2 = bundle.grid.h**2
     q = bundle.q
     source = bundle.background.source.values
-    a = h2 * float(np.sum(st["wg"]))
-    b_dirac = q * h2 * float(np.sum(st["t"] * (bundle.v.values - st["f"])))
-    b = b_dirac - FOUR_PI * h2 * float(np.sum(st["t"] * source))
+    a = h2 * float(np.sum(st.wg))
+    b_dirac = q * h2 * float(np.sum(st.t * (bundle.v.values - st.f)))
+    b = b_dirac - FOUR_PI * h2 * float(np.sum(st.t * source))
     n = bundle.background.n
     tol_kind = "relative" if n > 0 else "absolute"
     return _make_report(
@@ -228,7 +224,7 @@ def residual_reports(bundle: SolutionBundle) -> list[InvariantReport]:
     tol = bundle.spec.newton_tol
     norms = bundle.residual_norms
     res_a, res_b = norms["genmcsa"], norms["genmcsb"]
-    w_gap = float(np.abs(bundle.w.values - q * (bundle.v.values - st["f"])).max()) / q
+    w_gap = float(np.abs(bundle.w.values - q * (bundle.v.values - st.f)).max()) / q
 
     return [
         _make_report(
@@ -272,11 +268,11 @@ def convergence_metrics(bundle: SolutionBundle, limit: LimitSolution) -> Metrics
     if bundle.background.config != limit.background.config:
         raise GridMismatch("bundle and limit solution use different vortex data")
     st, lim = bundle._state("convergence metrics"), limit._pointwise
-    f_lim = lim["f"]
+    f_lim, w_lim = lim.f, lim.c * (limit.model.s - lim.f)
     return MetricsRow(
-        d_eu=float(np.abs(st["t"] - lim["t"]).max()),
+        d_eu=float(np.abs(st.t - lim.t).max()),
         d_v=float(np.abs(bundle.v.values - f_lim).max()),
-        d_w=float(np.abs(bundle.w.values - lim["w"]).max()),
+        d_w=float(np.abs(bundle.w.values - w_lim).max()),
         h_u=_sobolev_norms(bundle.u - limit.u_inf),
         h_v=_sobolev_norms(ScalarField(bundle.grid, bundle.v.values - f_lim)),
     )

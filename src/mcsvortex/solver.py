@@ -12,8 +12,9 @@ annihilates the sources); the energy carries the compensating term
 equivalent to the mollified two-field system.
 
 Both equations, both solution types, recover_v and the triangular form
-read one pointwise state at an iterate, t = e^{u0+u} with f(t), f'(t),
-f''(t) and c = f'(t) t, built by _pointwise_state and nowhere else.
+read one pointwise state at an iterate, a _State built by _pointwise_state
+and nowhere else, which derives each of its fields once; the equations take
+the state alone.
 """
 
 from __future__ import annotations
@@ -81,9 +82,7 @@ class ProblemSpec:
 
     def __post_init__(self):
         for name in ("q", "newton_tol"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+            _require_positive(name, getattr(self, name))
         iters = self.max_newton_iters
         if not (isinstance(iters, Real) and 1 <= iters < np.inf and iters % 1 == 0):
             raise ValueError(
@@ -128,24 +127,17 @@ class SolutionBundle:
         return self.background.u0 + self.u
 
     @cached_property
-    def _pointwise(self) -> dict | None:
-        """_pointwise_state at u plus the weighted gradient term "wg", for
-        the residual norms, the energy, the diagnostics and the convergence
-        metrics; None where e^{u0+u} overflows, which only a hand-built
-        bundle or a stored record can bring.  Built the first time one asks
-        for it, never by the solver, and kept for the bundle's lifetime."""
-        st = _pointwise_state(self.model, self.background, self.u.values)
-        if st is not None:
-            st["wg"] = _weighted_gradsq(self.background, st)
-        return st
+    def _pointwise(self) -> _State | None:
+        """_pointwise_state at u, for the residual norms, the energy, the
+        diagnostics and the convergence metrics; None where e^{u0+u}
+        overflows, which only a hand-built bundle or a stored record can
+        bring.  Built the first time one asks for it, never by the solver,
+        and kept for the bundle's lifetime with what its readers derive."""
+        return _pointwise_state(self.model, self.background, self.u.values)
 
-    def _state(self, what: str) -> dict:
-        """_pointwise for a reader that needs it, named by what: ValueError
-        "<what> undefined" where e^{u0+u} overflows."""
-        st = self._pointwise
-        if st is None:
-            raise ValueError(f"{what} undefined: e^{{u0+u}} overflows")
-        return st
+    def _state(self, what: str) -> _State:
+        """_pointwise for a reader that needs it, named by what (_defined)."""
+        return _defined(self._pointwise, what)
 
     @cached_property
     def residual_norms(self) -> dict:
@@ -154,10 +146,10 @@ class SolutionBundle:
         Laplacian(u) gives genmcsa.  ValueError where e^{u0+u} overflows."""
         st = self._state("residuals")
         grid, q, n, s = self.grid, self.q, self.background.n, self.model.s
-        fourth = _Coupled(self.spec, self.background).residual(self.u.values, st)
+        fourth = _Coupled(self.spec, self.background).residual(st)
         v = self.v.values
-        res_a = -st["lap"] - q * (v - st["f"]) + FOUR_PI * n
-        res_b = -laplacian(self.v).values - q * (st["c"] * (s - v) - q * (v - st["f"]))
+        res_a = -st.lap - q * (v - st.f) + FOUR_PI * n
+        res_b = -laplacian(self.v).values - q * (st.c * (s - v) - q * (v - st.f))
         return {
             "genmcsa": _l2(grid, res_a),
             "genmcsb": _l2(grid, res_b),
@@ -167,8 +159,7 @@ class SolutionBundle:
     @cached_property
     def energy_value(self) -> float:
         """The energy functional at u (energy); inf where e^{u0+u} overflows."""
-        eq = _Coupled(self.spec, self.background)
-        return eq.energy(self.u.values, self._pointwise)
+        return _Coupled(self.spec, self.background).energy(self._pointwise)
 
 
 @dataclass(frozen=True)
@@ -190,14 +181,11 @@ class LimitSolution:
         return self.background.u0 + self.u_inf
 
     @cached_property
-    def _pointwise(self) -> dict:
-        """_pointwise_state at u_inf plus the limit value of w,
-        "w" = c (s - f(t)), for u1 and the convergence metrics.  Built on
-        first use and kept for the solution's lifetime, so a sweep evaluates
-        the limit state once."""
-        st = _pointwise_state(self.model, self.background, self.u_inf.values)
-        st["w"] = st["c"] * (self.model.s - st["f"])
-        return st
+    def _pointwise(self) -> _State:
+        """_pointwise_state at u_inf, for u1 and the convergence metrics.
+        Built on first use and kept for the solution's lifetime, so a sweep
+        evaluates the limit state once."""
+        return _pointwise_state(self.model, self.background, self.u_inf.values)
 
     @cached_property
     def u1(self) -> ScalarField | None:
@@ -211,46 +199,73 @@ class LimitSolution:
         use and kept.  None when MINRES stops at its iteration limit or gives
         a non-finite field; every start then falls back to u_inf."""
         grid, st = self.grid, self._pointwise
-        rhs = grid.apply(-grid.k2, st["f"]) + st["c"] ** 2 * (st["f"] - self.model.s)
-        H, M = _Limit(self.model, self.background).linearize(self.u_inf.values, st)
+        rhs = grid.apply(-grid.k2, st.f) + st.c**2 * (st.f - self.model.s)
+        H, M = _Limit(self.model, self.background).linearize(st)
         u1, info = _minres(H, M, rhs, _U1_RTOL, maxiter=400)
         if info != 0 or not np.all(np.isfinite(u1)):
             return None
         return ScalarField(grid, u1)
 
 
-def _pointwise_state(
-    model: NonlinearityModel, bg: BackgroundData, u: np.ndarray
-) -> dict | None:
-    """Pointwise state at the regular part u: e^u, t = e^{u0} e^u, f(t),
-    f'(t), f''(t) and c = f'(t) t.  None where t overflows."""
+class _State:
+    """Pointwise state at the regular part u over the background bg: t, f(t),
+    f'(t), f''(t) and c = f'(t) t, built at once (_pointwise_state); the half
+    spectrum uh of u, lap = Laplacian(u) and the weighted gradient wg,
+    built on first read and kept."""
+
+    def __init__(self, model: NonlinearityModel, bg: BackgroundData, u, t):
+        self.bg, self.u, self.t = bg, u, t
+        self.f, self.fp, self.fpp = model._eval_arrays(t)
+        self.c = self.fp * t
+
+    @property
+    def dc_dt(self) -> np.ndarray:
+        """f''(t) t + f'(t), the t-derivative of c = f'(t) t."""
+        return self.fpp * self.t + self.fp
+
+    @cached_property
+    def uh(self) -> np.ndarray:
+        return self.bg.grid.forward(self.u)
+
+    @cached_property
+    def lap(self) -> np.ndarray:
+        grid = self.bg.grid
+        return grid.inverse(-grid.k2 * self.uh)
+
+    @cached_property
+    def wg(self) -> np.ndarray:
+        """e^{u*} |grad u*|^2 assembled from the smooth background weight as
+        e^u weight + 2 e^u grad(e^{u0}).grad(u) + t |grad u|^2, with e^u
+        recomputed; PreconditionViolated where the weight overflows."""
+        bg = self.bg
+        ux, uy = bg.grid.gradient(self.uh)
+        gx0, gy0 = bg.grad_exp_u0
+        eu = np.exp(self.u)
+        return (
+            eu * bg.weight.values
+            + 2.0 * eu * (gx0.values * ux + gy0.values * uy)
+            + self.t * (ux * ux + uy * uy)
+        )
+
+    def recover_v(self, q: float) -> np.ndarray:
+        """v = (-Laplacian(u) + 4 pi n)/q + f(t) (recover_v)."""
+        return (-self.lap + FOUR_PI * self.bg.n) / q + self.f
+
+
+def _pointwise_state(model: NonlinearityModel, bg: BackgroundData, u) -> _State | None:
+    """The _State at u, t = e^{u0} e^u; None where t overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
-        eu = np.exp(u)
-        t = bg.exp_u0.values * eu
+        t = bg.exp_u0.values * np.exp(u)
     if not np.all(np.isfinite(t)):
         return None
-    f, fp, fpp = model._eval_arrays(t)
-    return {"u": u, "eu": eu, "t": t, "f": f, "fp": fp, "fpp": fpp, "c": fp * t}
+    return _State(model, bg, u, t)
 
 
-def _dc_dt(st: dict) -> np.ndarray:
-    """f''(t) t + f'(t), the t-derivative of c = f'(t) t."""
-    return st["fpp"] * st["t"] + st["fp"]
-
-
-def _weighted_gradsq(bg: BackgroundData, st: dict, grad=None) -> np.ndarray:
-    """e^{u*} |grad u*|^2 assembled from the smooth background weight:
-    e^u * weight + 2 e^u grad(e^{u0}).grad(u) + t |grad u|^2.
-    grad, if given, is the (ux, uy) pair already computed at u."""
-    if grad is None:
-        grad = bg.grid.gradient(bg.grid.forward(st["u"]))
-    ux, uy = grad
-    gx0, gy0 = bg.grad_exp_u0
-    return (
-        st["eu"] * bg.weight.values
-        + 2.0 * st["eu"] * (gx0.values * ux + gy0.values * uy)
-        + st["t"] * (ux * ux + uy * uy)
-    )
+def _defined(st: _State | None, what: str) -> _State:
+    """st, or ValueError "<what> undefined" where e^{u0+u} overflows."""
+    if st is None:
+        raise ValueError(f"{what} undefined: e^{{u0+u}} overflows")
+    return st
 
 
 class _Coupled:
@@ -270,60 +285,52 @@ class _Coupled:
         self.principal = grid.k2 * grid.k2 / q**2 + grid.k2
         self.k2_q = grid.k2 / q
 
-    def energy(self, u: np.ndarray, st: dict | None = None) -> float:
-        """The functional; its quadratic part (1/2) integral(u (q^-2 Lap^2
-        - Lap) u) is summed over the spectrum.  Reads e^{u*} |grad u*|^2
-        from st["wg"] where st holds it (SolutionBundle._pointwise)."""
-        q, grid, bg = self.q, self.grid, self.bg
-        st = st if st is not None else _pointwise_state(self.model, bg, u)
+    def energy(self, st: _State | None) -> float:
+        """The functional at the state st, inf where st is None; its
+        quadratic part (1/2) integral(u (q^-2 Lap^2 - Lap) u) is summed over
+        the spectrum."""
         if st is None:
             return np.inf
-        f, fp = st["f"], st["fp"]
-        uh = grid.forward(u)
+        q, grid, bg, f = self.q, self.grid, self.bg, st.f
         with np.errstate(over="ignore", invalid="ignore"):
-            wg = st["wg"] if "wg" in st else _weighted_gradsq(bg, st, grid.gradient(uh))
             total = (
-                (1.0 / q) * np.sum(fp * wg)
+                (1.0 / q) * np.sum(st.fp * st.wg)
                 + 0.5 * np.sum((f - self.model.s) ** 2)
-                + FOUR_PI * bg.n * np.sum(u)
+                + FOUR_PI * bg.n * np.sum(st.u)
                 + (FOUR_PI / q) * np.sum(bg.source.values * f)
             )
-            total = total * grid.h**2 + 0.5 * grid.quadratic(self.principal, uh)
+            total = total * grid.h**2 + 0.5 * grid.quadratic(self.principal, st.uh)
         return float(total) if np.isfinite(total) else np.inf
 
-    def residual(self, u: np.ndarray, st: dict) -> np.ndarray:
-        """The energy gradient at u, whose pointwise state is st; keeps
-        Laplacian(u) on st as "lap" for linearize and the recovery of v."""
+    def residual(self, st: _State) -> np.ndarray:
+        """The energy gradient at the state st."""
         q, grid, n = self.q, self.grid, self.bg.n
-        uh = grid.forward(u)
-        st["lap"] = lap_u = grid.inverse(-grid.k2 * uh)
         return (
-            grid.inverse(self.principal * uh + self.k2_q * grid.forward(st["f"]))
-            - st["c"] * (lap_u - FOUR_PI * n) / q
-            + st["c"] * (st["f"] - self.model.s)
+            grid.inverse(self.principal * st.uh + self.k2_q * grid.forward(st.f))
+            - st.c * (st.lap - FOUR_PI * n) / q
+            + st.c * (st.f - self.model.s)
             + FOUR_PI * n
         )
 
-    def linearize(self, u: np.ndarray, st: dict) -> tuple[Operator, _SpectralInverse]:
-        """Frechet derivative of the residual at the frozen state st, which
-        the residual has seen, and its preconditioner, the exact spectral
-        inverse of q^{-2} Lap^2 - Lap + lambda with
-        lambda = max(1, inf f' * inf e^{u*}).  The derivative's products go
-        into buffers of its own, and its optional second argument, the half
-        spectrum of phi, saves the forward transform of phi (see _minres).
-        Raises QTooSmall where q <= sup|c|."""
+    def linearize(self, st: _State) -> tuple[Operator, _SpectralInverse]:
+        """Frechet derivative of the residual at the frozen state st and its
+        preconditioner, the exact spectral inverse of q^{-2} Lap^2 - Lap +
+        lambda with lambda = max(1, inf f' * inf e^{u*}).  The derivative's
+        products go into buffers of its own, and its optional second
+        argument, the half spectrum of phi, saves the forward transform of
+        phi (see _minres).  Raises QTooSmall where q <= sup|c|."""
         q, grid, principal, k2_q = self.q, self.grid, self.principal, self.k2_q
         _require_coupling(q, st)
-        c = st["c"]
-        cp = _dc_dt(st) * st["t"]  # d c / d u
+        c = st.c
+        cp = st.dc_dt * st.t  # d c / d u
         V = (
-            -cp * (st["lap"] - FOUR_PI * self.bg.n) / q
-            + cp * (st["f"] - self.model.s)
-            + c * st["fp"] * st["t"]
+            -cp * (st.lap - FOUR_PI * self.bg.n) / q
+            + cp * (st.f - self.model.s)
+            + c * st.fp * st.t
         )
         neg_k2 = -grid.k2
         spec, c_spec = _half_spectrum(grid), _half_spectrum(grid)
-        prod = np.empty_like(u)
+        prod = np.empty_like(c)
 
         def matvec(phi: np.ndarray, ph: np.ndarray | None = None) -> np.ndarray:
             if ph is None:
@@ -340,7 +347,7 @@ class _Coupled:
             linear += np.multiply(V, phi, out=prod)
             return linear
 
-        lam = max(1.0, float(st["fp"].min()) * float(st["t"].min()))
+        lam = max(1.0, float(st.fp.min()) * float(st.t.min()))
         return matvec, _SpectralInverse(grid, principal + lam)
 
 
@@ -375,18 +382,21 @@ class _Limit:
     def __init__(self, model: NonlinearityModel, bg: BackgroundData):
         self.model, self.bg = model, bg
 
-    def residual(self, u: np.ndarray, st: dict) -> np.ndarray:
-        s, bg = self.model.s, self.bg
-        return bg.grid.apply(bg.grid.k2, u) - st["c"] * (s - st["f"]) + FOUR_PI * bg.n
+    def residual(self, st: _State) -> np.ndarray:
+        # Laplacian(u) from transforms of its own, not st.lap: no reader of a
+        # limit state wants its spectrum, and keeping it on every Newton state
+        # took a sweep_multi sweep from 2442 to 3556 minor page faults
+        grid, s = self.bg.grid, self.model.s
+        return grid.apply(grid.k2, st.u) - st.c * (s - st.f) + FOUR_PI * self.bg.n
 
-    def linearize(self, u: np.ndarray, st: dict) -> tuple[Operator, _SpectralInverse]:
+    def linearize(self, st: _State) -> tuple[Operator, _SpectralInverse]:
         """Frechet derivative -Lap + V of the residual at the state st, and
         its preconditioner, the spectral inverse of -Lap + max(1, inf V).
         Like the coupled one, the derivative fills buffers of its own and
         takes the half spectrum of phi as an optional second argument."""
         grid = self.bg.grid
-        cp = _dc_dt(st) * st["t"]
-        V = -cp * (self.model.s - st["f"]) + st["c"] * st["fp"] * st["t"]
+        cp = st.dc_dt * st.t
+        V = -cp * (self.model.s - st.f) + st.c * st.fp * st.t
         k2 = grid.k2
         spec, prod = _half_spectrum(grid), np.empty_like(V)
 
@@ -433,23 +443,16 @@ def coefficient_fields(
                   + (4 pi / q) c * source,
 
     the last term being the mollified-source compensation that exact Dirac
-    masses would annihilate.
+    masses would annihilate.  ValueError unless q is positive and finite.
     """
     grid = same_grid(u, bg.u0)
-    st = _pointwise_state(model, bg, u.values)
-    if st is None:
-        raise ValueError("coefficients undefined: e^{u0+u} overflows")
-    c = ScalarField(grid, st["c"])
-    f_q = ScalarField(grid, st["f"] + (model.s / q) * st["c"])
-    w2 = _dc_dt(st) * _weighted_gradsq(bg, st)
+    _require_positive("q", q)
+    st = _defined(_pointwise_state(model, bg, u.values), "coefficients")
+    c, f_q = ScalarField(grid, st.c), ScalarField(grid, st.f + (model.s / q) * st.c)
+    w2_q, source_q = st.dc_dt * st.wg / q, (FOUR_PI / q) * st.c * bg.source.values
 
     def g_q(v: ScalarField) -> ScalarField:
-        return ScalarField(
-            grid,
-            st["c"] * (model.s - v.values)
-            + w2 / q
-            + (FOUR_PI / q) * st["c"] * bg.source.values,
-        )
+        return ScalarField(grid, st.c * (model.s - v.values) + w2_q + source_q)
 
     return c, f_q, g_q
 
@@ -519,12 +522,12 @@ def recover_v(
     u: ScalarField, bg: BackgroundData, model: NonlinearityModel, q: float
 ) -> ScalarField:
     """v = (-Laplacian(u) + 4 pi n)/q + f(e^{u0+u}); makes the first
-    equation an identity by construction."""
+    equation an identity by construction.  ValueError unless q is positive
+    and finite."""
     grid = same_grid(u, bg.u0)
-    st = _pointwise_state(model, bg, u.values)
-    if st is None:
-        raise ValueError("v undefined: e^{u0+u} overflows")
-    return ScalarField(grid, _recover_v(laplacian(u).values, st["f"], bg.n, q))
+    _require_positive("q", q)
+    st = _defined(_pointwise_state(model, bg, u.values), "v")
+    return ScalarField(grid, st.recover_v(q))
 
 
 def _background(spec: ProblemSpec, bg: BackgroundData | None) -> BackgroundData:
@@ -543,7 +546,7 @@ def energy(
     """Value of the variational functional at u."""
     bg = _background(spec, background)
     same_grid(u, bg.u0)
-    return _Coupled(spec, bg).energy(u.values)
+    return _Coupled(spec, bg).energy(_pointwise_state(spec.model, bg, u.values))
 
 
 def energy_gradient(
@@ -552,10 +555,8 @@ def energy_gradient(
     """L2 gradient of the energy: the fourth-order equation's left side."""
     bg = _background(spec, background)
     grid = same_grid(u, bg.u0)
-    st = _pointwise_state(spec.model, bg, u.values)
-    if st is None:
-        raise ValueError("gradient undefined: e^{u0+u} overflows")
-    return ScalarField(grid, _Coupled(spec, bg).residual(u.values, st))
+    st = _defined(_pointwise_state(spec.model, bg, u.values), "gradient")
+    return ScalarField(grid, _Coupled(spec, bg).residual(st))
 
 
 def initial_guess(bg: BackgroundData, model: NonlinearityModel) -> ScalarField:
@@ -592,10 +593,10 @@ def _rung(spec: ProblemSpec, bg: BackgroundData, init: ScalarField) -> SolutionB
     u, st, _, iters = _newton_krylov(
         _Coupled(spec, bg), np.array(init.values, dtype=float), spec
     )
-    v = _admissible_v(spec, bg.n, st)
+    v = _admissible_v(spec, st)
     return SolutionBundle(
         spec=spec, background=bg, u=ScalarField(grid, u), v=ScalarField(grid, v),
-        w=ScalarField(grid, spec.q * (v - st["f"])), newton_iters=iters,
+        w=ScalarField(grid, spec.q * (v - st.f)), newton_iters=iters,
     )
 
 
@@ -852,22 +853,21 @@ def _minres(
 
 def _newton_krylov(
     eq: _Coupled | _Limit, u: np.ndarray, spec: ProblemSpec
-) -> tuple[np.ndarray, dict, np.ndarray, int]:
+) -> tuple[np.ndarray, _State, np.ndarray, int]:
     """Damped Newton-Krylov solve of the equation eq from u.
 
     The state of an iterate is _pointwise_state(eq.model, eq.bg, u), None
-    where u leaves the domain.  eq.residual(u, st) is the residual there,
-    and eq.linearize(u, st) returns its Jacobian and preconditioner at a
-    state the residual has seen.  With r_k = eq.scale times the L2 norm of
-    the residual, each step runs preconditioned MINRES to the forcing
-    tolerance min(1e-4 r_k, 1e-4) of Eisenstat & Walker (SIAM J. Sci.
-    Comput. 17(1), 1996), or only until the linearized residual b - A x,
-    measured like r_k, is within _THETA newton_tol: a full step then leaves
-    a residual below newton_tol up to its quadratic term, so it need not be
-    solved further (Kelley, Iterative Methods for Linear and Nonlinear
-    Equations, SIAM 1995, section 6.3, whose safeguard factor is 0.5).
-    Each step then halves the step from alpha = 1 until r_k drops by the
-    factor 1 - 1e-4 alpha.  Stops once r_k <= newton_tol and returns
+    where u leaves the domain.  eq.residual(st) is the residual there, and
+    eq.linearize(st) its Jacobian and preconditioner.  With r_k = eq.scale
+    times the L2 norm of the residual, each step runs preconditioned MINRES
+    to the forcing tolerance min(1e-4 r_k, 1e-4) of Eisenstat & Walker
+    (SIAM J. Sci. Comput. 17(1), 1996), or only until the linearized
+    residual b - A x, measured like r_k, is within _THETA newton_tol: a full
+    step then leaves a residual below newton_tol up to its quadratic term,
+    so it need not be solved further (Kelley, Iterative Methods for Linear
+    and Nonlinear Equations, SIAM 1995, section 6.3, whose safeguard factor
+    is 0.5).  Each step then halves the step from alpha = 1 until r_k drops
+    by the factor 1 - 1e-4 alpha.  Stops once r_k <= newton_tol and returns
     (u, state, residual, passes), the last pass being the one that found
     convergence.  A failure raises NoConvergence named by eq.what; a failed
     line search names that step's MINRES exit status too.
@@ -876,14 +876,14 @@ def _newton_krylov(
     st = _pointwise_state(eq.model, eq.bg, u)
     if st is None:
         raise NoConvergence(0, np.inf, what=what)
-    r = eq.residual(u, st)
+    r = eq.residual(st)
     r_norm = scale * _l2(grid, r)
     target = _THETA * spec.newton_tol / (scale * grid.h)  # on ||b - A x||_2
     iters = 0
     for iters in range(1, spec.max_newton_iters + 1):
         if r_norm <= spec.newton_tol:
             break
-        H, M = eq.linearize(u, st)
+        H, M = eq.linearize(st)
         rtol = min(1e-4 * r_norm, 1e-4)
         delta, info = _minres(H, M, -r, rtol, maxiter=400, target=target)
         alpha = 1.0
@@ -891,7 +891,7 @@ def _newton_krylov(
             trial = u + alpha * delta
             st_trial = _pointwise_state(eq.model, eq.bg, trial)
             if st_trial is not None:
-                r_trial = eq.residual(trial, st_trial)
+                r_trial = eq.residual(st_trial)
                 norm_trial = scale * _l2(grid, r_trial)
                 if norm_trial <= (1.0 - 1e-4 * alpha) * r_norm:
                     break
@@ -905,27 +905,28 @@ def _newton_krylov(
     return u, st, r, iters
 
 
-def _require_coupling(q: float, st: dict) -> None:
-    c_inf = float(np.abs(st["c"]).max())
+def _require_positive(name: str, value) -> None:
+    if not (np.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def _require_coupling(q: float, st: _State) -> None:
+    c_inf = float(np.abs(st.c).max())
     if q <= c_inf:
         raise QTooSmall(
             f"q={q} <= sup|c|={c_inf:.6g}: zeroth-order coefficient not positive"
         )
 
 
-def _recover_v(lap_u: np.ndarray, f: np.ndarray, n: int, q: float) -> np.ndarray:
-    """v = (-Laplacian(u) + 4 pi n)/q + f(e^{u0+u}), from Laplacian(u) and f."""
-    return (-lap_u + FOUR_PI * n) / q + f
-
-
-def _admissible_v(spec: ProblemSpec, n: int, st: dict) -> np.ndarray:
-    """v at the converged state st, recovered from its "lap" with no
-    transform, once st passes the checks that decide whether a coupled solve
-    stands: QTooSmall where q <= sup|c|, BoundsViolation where f(e^{u*}) or
-    v leave [f(0), s] by more than spec.bound_tol."""
+def _admissible_v(spec: ProblemSpec, st: _State) -> np.ndarray:
+    """v at the converged state st, recovered from the Laplacian the
+    residual read with no transform, once st passes the checks that decide
+    whether a coupled solve stands: QTooSmall where q <= sup|c|,
+    BoundsViolation where f(e^{u*}) or v leave [f(0), s] by more than
+    spec.bound_tol."""
     _require_coupling(spec.q, st)
-    v = _recover_v(st["lap"], st["f"], n, spec.q)
-    worst, _ = _bound_violation(spec.model, st["f"], v)
+    v = st.recover_v(spec.q)
+    worst, _ = _bound_violation(spec.model, st.f, v)
     bound_tol = spec.bound_tol
     if worst > bound_tol:
         raise BoundsViolation(

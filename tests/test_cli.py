@@ -12,7 +12,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mcsvortex import (
-    BoundsViolation, ConfigError, GridSpec, NoConvergence, SnapshotError, cli
+    BoundsViolation, ConfigError, GridSpec, NoConvergence, SnapshotError, VortexConfig,
+    cli, compute_u0,
 )
 from mcsvortex.diagnostics import ConvergenceTable, SweepRow
 from mcsvortex.cli import bundle_from_snapshot, main, parse_config
@@ -518,6 +519,19 @@ def _overflowing_u(meta, out):
     return meta
 
 
+def _weight_overflowing(meta, out):
+    """Store one vortex of multiplicity 1072 with its own u0 and u = 0: at
+    N = 48, e^(u0+u) is finite but the background weight overflows."""
+    vortices = {**meta["vortices"], "multiplicities": [1072]}
+    u0 = read_field(out / "u0.fld")
+    config = VortexConfig(
+        points=vortices["points"], multiplicities=(1072,), sigma=vortices["sigma"]
+    )
+    write_field(out / "u0.fld", compute_u0(config, u0.grid).u0)
+    write_field(out / "u.fld", u0.grid.constant(0.0))
+    return {**meta, "vortices": vortices}
+
+
 # the problem fields of a solution record, as key paths
 RECORD_FIELDS = [
     ("model",), ("model", "name"), ("model", "s"), ("model", "table"),
@@ -662,6 +676,7 @@ class TestVerifyCommand:
                 "snapshot error",
             ),
             (_overflowing_u, "overflows"),
+            (_weight_overflowing, "vortex number n=1072 is too large"),
             (
                 lambda meta, out: {**meta, "vortices": {**meta["vortices"], "sigma": 1e3}},
                 "sigma must be in (0, 1/4]",
@@ -694,7 +709,7 @@ class TestVerifyCommand:
             (lambda meta, out: {**meta, "grid": {"N": "48"}}, "invalid grid data"),
         ],
         ids=[
-            "list", "null-q", "null-sigma", "overflow", "huge-sigma",
+            "list", "null-q", "null-sigma", "overflow", "weight-overflow", "huge-sigma",
             "overflowing-multiplicity", "overflowing-newton-iters",
             "overflowing-max-newton-iters", "fractional-max-newton-iters",
             "overflowing-grid-N", "fractional-grid-N", "nearly-whole-grid-N",

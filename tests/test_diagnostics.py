@@ -15,6 +15,7 @@ from mcsvortex import (
     check_gradu,
     check_identity,
     check_max_location,
+    compute_u0,
     convergence_metrics,
     no_vortices,
     q_sweep,
@@ -23,6 +24,7 @@ from mcsvortex import (
     u1_model,
 )
 from mcsvortex.diagnostics import SweepRow, residual_reports
+from mcsvortex.errors import PreconditionViolated
 from mcsvortex.solver import SolutionBundle
 
 FOUR_PI = 4.0 * np.pi
@@ -175,8 +177,8 @@ class TestConvergenceMetrics:
             spec=spec,
             background=limit.background,
             u=limit.u_inf,
-            v=spec.grid.field(lim["f"]),
-            w=spec.grid.field(lim["w"]),
+            v=spec.grid.field(lim.f),
+            w=spec.grid.field(lim.c * (spec.model.s - lim.f)),
             newton_iters=0,
         )
         row = convergence_metrics(synthetic, limit)
@@ -189,7 +191,7 @@ class TestConvergenceMetrics:
         bundle = solve_coupled(one_vortex_spec(N=N, q=q))
         limit = solve_limit(bundle.spec, background=bundle.background)
         row = convergence_metrics(bundle, limit)
-        t_row, t_lim = bundle._pointwise["t"], limit._pointwise["t"]
+        t_row, t_lim = bundle._pointwise.t, limit._pointwise.t
         assert row.d_eu == float(np.abs(t_row - t_lim).max())
 
     def test_grid_mismatch_rejected(self, vortex_bundle):
@@ -376,3 +378,46 @@ class TestOverflowingBundle:
     def test_every_reader_raises_value_error(self, overflowing, read):
         with pytest.raises(ValueError, match=r" undefined: e\^\{u0\+u\} overflows$"):
             _STATE_READERS[read](*overflowing)
+
+
+class TestOverflowingWeight:
+    """One vortex of multiplicity 1072 at N = 48: e^{u0} is finite but the
+    background weight overflows.  The readers that never read the weighted
+    gradient return; those that do raise the weight's PreconditionViolated."""
+
+    @pytest.fixture(scope="class")
+    def bundle(self):
+        grid = GridSpec(48)
+        cfg = VortexConfig(points=((0.5, 0.5),), multiplicities=(1072,), sigma=4 * grid.h)
+        spec = ProblemSpec(model=u1_model(S_ONE_VORTEX), vortices=cfg, q=40.0, grid=grid)
+        zero = grid.constant(0.0)
+        return SolutionBundle(
+            spec=spec, background=compute_u0(cfg, grid), u=zero, v=zero, w=zero,
+            newton_iters=0,
+        )
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda bundle: bundle.residual_norms["genmcsb"],
+            lambda bundle: check_flux(bundle).lhs,
+            lambda bundle: check_bounds(bundle).lhs,
+            lambda bundle: residual_reports(bundle),
+        ],
+        ids=["residual_norms", "check_flux", "check_bounds", "residual_reports"],
+    )
+    def test_readers_without_the_weight_return(self, bundle, read):
+        assert read(bundle) is not None
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda bundle: bundle.energy_value,
+            lambda bundle: check_identity(bundle),
+            lambda bundle: check_gradu(bundle),
+        ],
+        ids=["energy_value", "check_identity", "check_gradu"],
+    )
+    def test_readers_of_the_weight_raise(self, bundle, read):
+        with pytest.raises(PreconditionViolated, match=r"vortex number n=1072 "):
+            read(bundle)

@@ -1,3 +1,4 @@
+import copy
 import gc
 import tracemalloc
 import weakref
@@ -141,6 +142,18 @@ class TestCoefficientFields:
         with pytest.raises(ValueError, match=undefined):
             bundle.residual_norms
         assert bundle.energy_value == energy(u, spec, bg) == np.inf
+
+
+class TestCouplingArgument:
+    # the check ProblemSpec and helmholtz_apply make: before, q = 0 gave a
+    # ZeroDivisionError or a non-finite v, and q = -1 or inf gave fields
+    @pytest.mark.parametrize("q", [0.0, -1.0, np.inf, np.nan])
+    @pytest.mark.parametrize("reader", [recover_v, coefficient_fields])
+    def test_q_must_be_positive_and_finite(self, reader, q):
+        spec = make_spec(N=32)
+        bg = compute_u0(spec.vortices, spec.grid)
+        with pytest.raises(ValueError, match=r"^q must be positive and finite, got "):
+            reader(spec.grid.constant(0.0), bg, spec.model, q)
 
 
 class TestRecoverV:
@@ -314,8 +327,8 @@ class TestSolveCoupled:
         class Manufactured(solver._Coupled):
             what = "manufactured solution"
 
-            def residual(self, u, st):
-                return super().residual(u, st) - forcing
+            def residual(self, st):
+                return super().residual(st) - forcing
 
         u, _, _, _ = solver._newton_krylov(
             Manufactured(spec, bg), np.array(lim.u_inf.values, dtype=float), spec
@@ -932,11 +945,11 @@ class TestPredictorOnlyRungs:
             levels.append((sub.grid.N, eq.what))
             u, st, r, iters = real_newton(eq, u, sub)
             if (sub.grid.N, eq.what) == (32, "Newton"):
-                st = dict(st)
+                st = copy.copy(st)
                 if failure is QTooSmall:
-                    st["c"] = np.full_like(st["c"], 2.0 * sub.q)
+                    st.c = np.full_like(st.c, 2.0 * sub.q)
                 else:
-                    st["f"] = np.full_like(st["f"], sub.model.s + 1.0)
+                    st.f = np.full_like(st.f, sub.model.s + 1.0)
             return u, st, r, iters
 
         def predict(limit, q, last=None):
@@ -1115,7 +1128,7 @@ class TestNewtonPasses:
             counts.clear()
             run()
             totals.append(counts["transforms"])
-        assert totals == [227, 118, 939]
+        assert totals == [227, 118, 931]
 
     @pytest.mark.parametrize("failure", ["iteration limit", "not finite"])
     def test_failed_corrector_keeps_the_old_starts(self, monkeypatch, failure):

@@ -9,6 +9,7 @@ from mcsvortex import (
     GridSpec,
     ScalarField,
     VortexConfig,
+    all_reports,
     compute_u0,
     gradient,
     integrate,
@@ -70,17 +71,18 @@ def _state(driver, u=None):
     eq = driver["eq"]
     u = driver["u"] if u is None else u
     st_u = solver._pointwise_state(eq.model, eq.bg, u)
-    return st_u, eq.residual(u, st_u)
+    return st_u, eq.residual(st_u)
 
 
 def _applications(driver):
     eq, u = driver["eq"], driver["u"]
     st_u, _ = _state(driver)
     phi = np.cos(TWO_PI * np.arange(u.size) / 7.0).reshape(u.shape)
-    H, M = eq.linearize(u, st_u)
+    H, M = eq.linearize(st_u)
     ph = np.fft.rfft2(phi)
     return {
-        "residual": lambda: eq.residual(u, st_u),
+        # on a new state, which has derived nothing yet
+        "residual": lambda: eq.residual(solver._pointwise_state(eq.model, eq.bg, u)),
         "matvec": lambda: H(phi),
         # the half spectrum of phi handed over, as _minres does
         "matvec with spectrum": lambda: H(phi, ph),
@@ -134,7 +136,7 @@ def test_compute_u0_costs_two_transforms(monkeypatch):
 
 def _newton_system(driver):
     st_u, r = _state(driver)
-    H, M = driver["eq"].linearize(driver["u"], st_u)
+    H, M = driver["eq"].linearize(st_u)
     return H, M, -r
 
 
@@ -194,8 +196,39 @@ def test_linearize_after_residual_costs_no_transform(drivers, monkeypatch, equat
     driver = drivers[equation]
     st_u, _ = _state(driver)  # the driver's order: residual, then linearize
     counts = count_transforms(monkeypatch)
-    driver["eq"].linearize(driver["u"], st_u)
+    driver["eq"].linearize(st_u)
     assert counts["transforms"] == 0
+
+
+@pytest.mark.parametrize("equation", ["coupled", "limit"])
+def test_linearize_before_residual_gives_the_same_floats(drivers, equation):
+    # the state derives the Laplacian linearize reads on first read, so
+    # the order of the two calls does not matter
+    eq, u = drivers[equation]["eq"], drivers[equation]["u"]
+    phi = smooth_field(eq.bg.grid, np.random.default_rng(5), kmax=5).values
+    first = solver._pointwise_state(eq.model, eq.bg, u)
+    before = eq.linearize(first)[0](phi)
+    after = eq.linearize(_state(drivers[equation])[0])[0](phi)
+    assert np.array_equal(before, after)
+    assert np.array_equal(eq.residual(first), _state(drivers[equation])[1])
+
+
+def test_full_read_of_a_bundle_transforms_u_once(monkeypatch):
+    # the residual norms, the energy and every report share the half
+    # spectrum of u on the bundle's one state
+    from dataclasses import replace
+
+    bundle = replace(solve_coupled(make_spec(N=32, q=40.0)))
+    u, forwards = bundle.u.values, []
+    forward = GridSpec.forward
+
+    def recorded(grid, values, *args, **kwargs):
+        forwards.append(np.array_equal(values, u))
+        return forward(grid, values, *args, **kwargs)
+
+    monkeypatch.setattr(GridSpec, "forward", recorded)
+    bundle.residual_norms, bundle.energy_value, all_reports(bundle)
+    assert forwards and sum(forwards) == 1
 
 
 @pytest.mark.parametrize("equation", ["coupled", "limit"])
@@ -204,7 +237,7 @@ def test_linearization_is_the_derivative_of_the_residual(drivers, equation):
     driver, h = drivers[equation], 1e-4
     eq, u = driver["eq"], driver["u"]
     phi = smooth_field(eq.bg.grid, np.random.default_rng(7), kmax=5).values
-    H, _ = eq.linearize(u, _state(driver)[0])
+    H, _ = eq.linearize(_state(driver)[0])
     hphi = H(phi)
     ahead, behind = (_state(driver, u + sign * h * phi)[1] for sign in (1.0, -1.0))
     difference = (ahead - behind) / (2.0 * h)
@@ -215,7 +248,7 @@ def test_linearization_is_the_derivative_of_the_residual(drivers, equation):
 def test_linearization_and_preconditioner_are_symmetric(drivers, equation):
     # MINRES needs both symmetric in the Euclidean inner product
     driver = drivers[equation]
-    H, M = driver["eq"].linearize(driver["u"], _state(driver)[0])
+    H, M = driver["eq"].linearize(_state(driver)[0])
     grid, rng = driver["eq"].bg.grid, np.random.default_rng(11)
     phi, psi = (smooth_field(grid, rng, kmax=12).values for _ in range(2))
     for A in (H, M):
@@ -237,7 +270,7 @@ def test_sweep_row_norms_one_transform_per_field(monkeypatch):
     assert counts["transforms"] == 4
     monkeypatch.undo()
     du = bundle.u - limit.u_inf
-    dv = ScalarField(spec.grid, bundle.v.values - limit._pointwise["f"])
+    dv = ScalarField(spec.grid, bundle.v.values - limit._pointwise.f)
     for norms, field in ((row.h_u, du), (row.h_v, dv), (sob_u, bundle.u), (sob_v, bundle.v)):
         assert norms == tuple(sobolev_norm(field, k) for k in (0, 1, 2))
 
