@@ -15,6 +15,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Real
 
 import numpy as np
 
@@ -42,14 +43,15 @@ class VortexConfig:
 
     def __post_init__(self):
         pts = tuple((float(x), float(y)) for x, y in self.points)
-        mult = tuple(int(m) for m in self.multiplicities)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "multiplicities", mult)
+        mult = tuple(self.multiplicities)
         if len(pts) != len(mult):
             raise ValueError("need one multiplicity per vortex point")
         for m in mult:
-            if m < 1:
-                raise ValueError(f"multiplicities must be positive, got {m}")
+            # checked before int(), which would truncate 1.5 to 1
+            if not (isinstance(m, Real) and 1 <= m < np.inf and m % 1 == 0):
+                raise ValueError(f"multiplicities must be whole numbers >= 1, got {m!r}")
+        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "multiplicities", tuple(int(m) for m in mult))
         for x, y in pts:
             if not (0.0 <= x < 1.0 and 0.0 <= y < 1.0):
                 raise ValueError(f"vortex point ({x}, {y}) outside [0,1)^2")
@@ -57,8 +59,8 @@ class VortexConfig:
             raise ValueError("vortex points must be pairwise distinct")
         # a bump wider than a quarter of the torus no longer localizes, and
         # mollified_delta's sums over periodic images grow like sigma
-        if not (0.0 < self.sigma <= 0.25):
-            raise ValueError(f"sigma must be in (0, 1/4], got {self.sigma}")
+        if not (isinstance(self.sigma, Real) and 0.0 < self.sigma <= 0.25):
+            raise ValueError(f"sigma must be in (0, 1/4], got {self.sigma!r}")
 
     @property
     def n(self) -> int:

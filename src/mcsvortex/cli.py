@@ -78,8 +78,8 @@ def _problem_spec(model, vortices, q, grid: GridSpec, tolerances) -> ProblemSpec
     data."""
     return ProblemSpec(
         vortices=VortexConfig(
-            points=tuple((float(x), float(y)) for x, y in vortices["points"]),
-            multiplicities=tuple(int(m) for m in vortices["multiplicities"]),
+            points=vortices["points"],
+            multiplicities=vortices["multiplicities"],
             sigma=float(vortices["sigma"]),
         ),
         model=model_from_name(model["name"], model.get("s"), model.get("table")),

@@ -2,7 +2,8 @@
 convergence metrics against the limit profile.
 
 Every check is a deterministic, read-only function of a solution bundle
-that returns an InvariantReport; failures are reported, never thrown.
+that returns an InvariantReport; a failed check is reported, not thrown,
+but one on a bundle whose state is undefined raises (README, Library API).
 Identities that involve near-core gradients get tolerance 1e-4 (quadrature
 of the mollified cores dominates), pure quadrature identities 1e-6..1e-8.
 """
@@ -14,7 +15,7 @@ from dataclasses import asdict, dataclass, field as dc_field
 import numpy as np
 
 from .errors import GridMismatch, SolveFailure
-from .grid import ScalarField, _sobolev_norms, grad_squared, integrate
+from .grid import _sobolev_norms
 from .snapshots import write_text_atomic
 from .solver import LimitSolution, SolutionBundle, _bound_violation
 
@@ -133,7 +134,8 @@ def check_identity(bundle: SolutionBundle) -> InvariantReport:
     s = bundle.model.s
     v = bundle.v.values
     source = bundle.background.source.values
-    lhs = integrate(grad_squared(bundle.v)) + q * q * h2 * float(np.sum((v - st.f) ** 2))
+    vx, vy = grid.gradient(bundle._vh)
+    lhs = h2 * float(np.sum(vx**2 + vy**2)) + q * q * h2 * float(np.sum((v - st.f) ** 2))
     w2 = st.dc_dt * st.wg
     rhs = h2 * float(np.sum((s - v) * w2) + FOUR_PI * np.sum((s - v) * st.c * source))
     n = bundle.background.n
@@ -267,14 +269,14 @@ def convergence_metrics(bundle: SolutionBundle, limit: LimitSolution) -> Metrics
         raise GridMismatch("bundle and limit solution live on different grids")
     if bundle.background.config != limit.background.config:
         raise GridMismatch("bundle and limit solution use different vortex data")
-    st, lim = bundle._state("convergence metrics"), limit._pointwise
+    st, lim, grid = bundle._state("convergence metrics"), limit._pointwise, bundle.grid
     f_lim, w_lim = lim.f, lim.c * (limit.model.s - lim.f)
     return MetricsRow(
         d_eu=float(np.abs(st.t - lim.t).max()),
         d_v=float(np.abs(bundle.v.values - f_lim).max()),
         d_w=float(np.abs(bundle.w.values - w_lim).max()),
-        h_u=_sobolev_norms(bundle.u - limit.u_inf),
-        h_v=_sobolev_norms(ScalarField(bundle.grid, bundle.v.values - f_lim)),
+        h_u=_sobolev_norms(grid, grid.forward(bundle.u.values - limit.u_inf.values)),
+        h_v=_sobolev_norms(grid, grid.forward(bundle.v.values - f_lim)),
     )
 
 
@@ -310,8 +312,8 @@ class SweepRow:
             q=q,
             status="converged",
             **asdict(convergence_metrics(outcome, limit)),
-            sob_u=_sobolev_norms(outcome.u),
-            sob_v=_sobolev_norms(outcome.v),
+            sob_u=_sobolev_norms(outcome.grid, outcome._state("sweep row").uh),
+            sob_v=_sobolev_norms(outcome.grid, outcome._vh),
             gradu_value=float(check_gradu(outcome).lhs),
             flux_rel_err=float(check_flux(outcome).rel_discrepancy),
             energy=outcome.energy_value,

@@ -244,11 +244,9 @@ def sobolev_norm(field: ScalarField, k: int) -> float:
     return float(np.sqrt(grid.quadratic((1.0 + grid.k2) ** k, grid.forward(field.values))))
 
 
-def _sobolev_norms(field: ScalarField) -> tuple[float, float, float]:
-    """(H^0, H^1, H^2) norms, equal to sobolev_norm(field, k) for k = 0, 1,
-    2, from one forward transform."""
-    grid = field.grid
-    coeffs = grid.forward(field.values)
+def _sobolev_norms(grid: GridSpec, coeffs: np.ndarray) -> tuple[float, float, float]:
+    """(H^0, H^1, H^2) norms of the field on grid with half spectrum coeffs,
+    equal to sobolev_norm(field, k) for k = 0, 1, 2."""
     return tuple(
         float(np.sqrt(grid.quadratic((1.0 + grid.k2) ** k, coeffs))) for k in (0, 1, 2)
     )

@@ -36,7 +36,7 @@ from .errors import (
     QTooSmall,
     SolveFailure,
 )
-from .grid import GridSpec, ScalarField, _l2, laplacian, same_grid
+from .grid import GridSpec, ScalarField, _l2, same_grid
 from .nonlinearity import NonlinearityModel
 
 FOUR_PI = 4.0 * np.pi
@@ -101,7 +101,7 @@ class ProblemSpec:
 class SolutionBundle:
     """Converged (u, v, w) triple with its background and Newton steps.
     The residual norms and the energy are functions of the fields, derived
-    from _pointwise on first read."""
+    on first read from _pointwise, _vh and _equation, as the checks are."""
 
     spec: ProblemSpec
     background: BackgroundData
@@ -140,16 +140,25 @@ class SolutionBundle:
         return _defined(self._pointwise, what)
 
     @cached_property
+    def _vh(self) -> np.ndarray:
+        """Half spectrum of v: Laplacian(v), grad v and the H^k norms of v."""
+        return self.grid.forward(self.v.values)
+
+    @cached_property
+    def _equation(self) -> _Coupled:
+        return _Coupled(self.spec, self.background)
+
+    @cached_property
     def residual_norms(self) -> dict:
         """L2 residuals at (u, v) of the two coupled equations, "genmcsa"
         and "genmcsb", and of the fourth-order one, "fourth_order", whose
         Laplacian(u) gives genmcsa.  ValueError where e^{u0+u} overflows."""
         st = self._state("residuals")
         grid, q, n, s = self.grid, self.q, self.background.n, self.model.s
-        fourth = _Coupled(self.spec, self.background).residual(st)
+        fourth = self._equation.residual(st)
         v = self.v.values
         res_a = -st.lap - q * (v - st.f) + FOUR_PI * n
-        res_b = -laplacian(self.v).values - q * (st.c * (s - v) - q * (v - st.f))
+        res_b = grid.inverse(grid.k2 * self._vh) - q * (st.c * (s - v) - q * (v - st.f))
         return {
             "genmcsa": _l2(grid, res_a),
             "genmcsb": _l2(grid, res_b),
@@ -159,7 +168,7 @@ class SolutionBundle:
     @cached_property
     def energy_value(self) -> float:
         """The energy functional at u (energy); inf where e^{u0+u} overflows."""
-        return _Coupled(self.spec, self.background).energy(self._pointwise)
+        return self._equation.energy(self._pointwise)
 
 
 @dataclass(frozen=True)
@@ -590,12 +599,12 @@ def _rung(spec: ProblemSpec, bg: BackgroundData, init: ScalarField) -> SolutionB
     definition.  A function of its own, so that its state is gone before
     the next rung's solves."""
     grid = spec.grid
-    u, st, _, iters = _newton_krylov(
+    st, _, iters = _newton_krylov(
         _Coupled(spec, bg), np.array(init.values, dtype=float), spec
     )
     v = _admissible_v(spec, st)
     return SolutionBundle(
-        spec=spec, background=bg, u=ScalarField(grid, u), v=ScalarField(grid, v),
+        spec=spec, background=bg, u=ScalarField(grid, st.u), v=ScalarField(grid, v),
         w=ScalarField(grid, spec.q * (v - st.f)), newton_iters=iters,
     )
 
@@ -652,12 +661,12 @@ class _Ladder:
         if self.predictor_only:
             spec = replace(spec, newton_tol=spec.newton_tol * _PREDICTOR_SLACK)
         try:
-            u, _, r, iters = _newton_krylov(
+            st, r_norm, iters = _newton_krylov(
                 _Limit(model, bg), np.array(init.values, dtype=float), spec
             )
             self.limits[i] = LimitSolution(
-                model=model, background=bg, u_inf=ScalarField(grid, u),
-                residual_norm=_l2(grid, r), newton_iters=iters,
+                model=model, background=bg, u_inf=ScalarField(grid, st.u),
+                residual_norm=r_norm, newton_iters=iters,
             )
         except NoConvergence as exc:
             # without its traceback, whose frames hold this ladder: a cycle
@@ -853,7 +862,7 @@ def _minres(
 
 def _newton_krylov(
     eq: _Coupled | _Limit, u: np.ndarray, spec: ProblemSpec
-) -> tuple[np.ndarray, _State, np.ndarray, int]:
+) -> tuple[_State, float, int]:
     """Damped Newton-Krylov solve of the equation eq from u.
 
     The state of an iterate is _pointwise_state(eq.model, eq.bg, u), None
@@ -868,9 +877,9 @@ def _newton_krylov(
     and Nonlinear Equations, SIAM 1995, section 6.3, whose safeguard factor
     is 0.5).  Each step then halves the step from alpha = 1 until r_k drops
     by the factor 1 - 1e-4 alpha.  Stops once r_k <= newton_tol and returns
-    (u, state, residual, passes), the last pass being the one that found
-    convergence.  A failure raises NoConvergence named by eq.what; a failed
-    line search names that step's MINRES exit status too.
+    (state, r_k, passes), the solution being state.u and the last pass the
+    one that found convergence.  A failure raises NoConvergence named by
+    eq.what; a failed line search names that step's MINRES exit status too.
     """
     grid, what, scale = spec.grid, eq.what, eq.scale
     st = _pointwise_state(eq.model, eq.bg, u)
@@ -888,10 +897,9 @@ def _newton_krylov(
         delta, info = _minres(H, M, -r, rtol, maxiter=400, target=target)
         alpha = 1.0
         while True:
-            trial = u + alpha * delta
-            st_trial = _pointwise_state(eq.model, eq.bg, trial)
-            if st_trial is not None:
-                r_trial = eq.residual(st_trial)
+            trial = _pointwise_state(eq.model, eq.bg, st.u + alpha * delta)
+            if trial is not None:
+                r_trial = eq.residual(trial)
                 norm_trial = scale * _l2(grid, r_trial)
                 if norm_trial <= (1.0 - 1e-4 * alpha) * r_norm:
                     break
@@ -899,15 +907,15 @@ def _newton_krylov(
             if alpha < 1e-12:
                 what = f"{what} line search (MINRES exit status {info})"
                 raise NoConvergence(iters, r_norm, what=what)
-        u, st, r, r_norm = trial, st_trial, r_trial, norm_trial
+        st, r, r_norm = trial, r_trial, norm_trial
     if r_norm > spec.newton_tol:
         raise NoConvergence(iters, r_norm, what=what)
-    return u, st, r, iters
+    return st, r_norm, iters
 
 
 def _require_positive(name: str, value) -> None:
-    if not (np.isfinite(value) and value > 0.0):
-        raise ValueError(f"{name} must be positive and finite, got {value}")
+    if not (isinstance(value, Real) and np.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 def _require_coupling(q: float, st: _State) -> None:

@@ -42,6 +42,8 @@ def test_no_new_problem_or_config_knobs():
     # what a solve produces; its residuals and energy are derived from it
     fields = [field.name for field in dataclasses.fields(mcsvortex.SolutionBundle)]
     assert fields == ["spec", "background", "u", "v", "w", "newton_iters"]
+    fields = [field.name for field in dataclasses.fields(mcsvortex.LimitSolution)]
+    assert fields == ["model", "background", "u_inf", "residual_norm", "newton_iters"]
     # what every solve reads; the weight and grad(e^{u0}) are derived from it
     fields = [field.name for field in dataclasses.fields(mcsvortex.BackgroundData)]
     assert fields == ["grid", "config", "u0", "exp_u0", "source"]

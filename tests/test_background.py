@@ -79,6 +79,11 @@ class TestVortexConfig:
             )
         with pytest.raises(ValueError):
             VortexConfig(points=((0.5, 0.5),), multiplicities=(1,), sigma=-1.0)
+        # checked before int(), which would make 1.5 a single vortex
+        with pytest.raises(ValueError, match="multiplicities"):
+            VortexConfig(points=((0.5, 0.5),), multiplicities=(1.5,), sigma=0.05)
+        with pytest.raises(ValueError, match="sigma"):
+            VortexConfig(points=((0.5, 0.5),), multiplicities=(1,), sigma="0.05")
 
     @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), 1e3, 0.2500001])
     def test_rejects_sigma_outside_quarter_torus(self, sigma):

@@ -688,6 +688,12 @@ class TestVerifyCommand:
                 "malformed solution record",
             ),
             (
+                lambda meta, out: {
+                    **meta, "vortices": {**meta["vortices"], "multiplicities": [1.5]}
+                },
+                "malformed solution record",
+            ),
+            (
                 lambda meta, out: {**meta, "newton_iters": BIG},
                 "malformed solution record",
             ),
@@ -710,8 +716,9 @@ class TestVerifyCommand:
         ],
         ids=[
             "list", "null-q", "null-sigma", "overflow", "weight-overflow", "huge-sigma",
-            "overflowing-multiplicity", "overflowing-newton-iters",
-            "overflowing-max-newton-iters", "fractional-max-newton-iters",
+            "overflowing-multiplicity", "fractional-multiplicity",
+            "overflowing-newton-iters", "overflowing-max-newton-iters",
+            "fractional-max-newton-iters",
             "overflowing-grid-N", "fractional-grid-N", "nearly-whole-grid-N",
             "string-grid-N",
         ],

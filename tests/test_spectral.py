@@ -213,18 +213,20 @@ def test_linearize_before_residual_gives_the_same_floats(drivers, equation):
     assert np.array_equal(eq.residual(first), _state(drivers[equation])[1])
 
 
-def test_full_read_of_a_bundle_transforms_u_once(monkeypatch):
+@pytest.mark.parametrize("field", ["u", "v"])
+def test_full_read_of_a_bundle_transforms_each_field_once(monkeypatch, field):
     # the residual norms, the energy and every report share the half
-    # spectrum of u on the bundle's one state
+    # spectrum of u on the bundle's one state and the bundle's half
+    # spectrum of v
     from dataclasses import replace
 
     bundle = replace(solve_coupled(make_spec(N=32, q=40.0)))
-    u, forwards = bundle.u.values, []
+    values, forwards = getattr(bundle, field).values, []
     forward = GridSpec.forward
 
-    def recorded(grid, values, *args, **kwargs):
-        forwards.append(np.array_equal(values, u))
-        return forward(grid, values, *args, **kwargs)
+    def recorded(grid, array, *args, **kwargs):
+        forwards.append(np.array_equal(array, values))
+        return forward(grid, array, *args, **kwargs)
 
     monkeypatch.setattr(GridSpec, "forward", recorded)
     bundle.residual_norms, bundle.energy_value, all_reports(bundle)
@@ -257,21 +259,24 @@ def test_linearization_and_preconditioner_are_symmetric(drivers, equation):
 
 
 def test_sweep_row_norms_one_transform_per_field(monkeypatch):
-    from mcsvortex import convergence_metrics
-    from mcsvortex.grid import _sobolev_norms
+    # a row's H^k norms of u and v read the spectra the bundle's residuals
+    # and reports already made: only the two differences to the limit
+    # profile are transformed
+    from mcsvortex import SweepRow
 
     spec = make_spec(N=32, q=40.0)
     bundle = solve_coupled(spec)
     limit = solve_limit(spec, background=bundle.background)
-    bundle._pointwise, limit._pointwise  # both states cached, as in q_sweep
+    bundle.residual_norms, bundle.energy_value, all_reports(bundle), limit._pointwise
     counts = count_transforms(monkeypatch)
-    row = convergence_metrics(bundle, limit)
-    sob_u, sob_v = _sobolev_norms(bundle.u), _sobolev_norms(bundle.v)
-    assert counts["transforms"] == 4
+    row = SweepRow.of(spec.q, bundle, limit)
+    assert counts["transforms"] == 2
     monkeypatch.undo()
     du = bundle.u - limit.u_inf
     dv = ScalarField(spec.grid, bundle.v.values - limit._pointwise.f)
-    for norms, field in ((row.h_u, du), (row.h_v, dv), (sob_u, bundle.u), (sob_v, bundle.v)):
+    for norms, field in (
+        (row.h_u, du), (row.h_v, dv), (row.sob_u, bundle.u), (row.sob_v, bundle.v)
+    ):
         assert norms == tuple(sobolev_norm(field, k) for k in (0, 1, 2))
 
 
