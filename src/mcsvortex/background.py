@@ -47,8 +47,10 @@ class VortexConfig:
         if len(pts) != len(mult):
             raise ValueError("need one multiplicity per vortex point")
         for m in mult:
-            # checked before int(), which would truncate 1.5 to 1
-            if not (isinstance(m, Real) and 1 <= m < np.inf and m % 1 == 0):
+            # checked before int(), which would truncate 1.5 to 1 and make
+            # True a 1 (a bool is a Real)
+            whole = isinstance(m, Real) and not isinstance(m, bool)
+            if not (whole and 1 <= m < np.inf and m % 1 == 0):
                 raise ValueError(f"multiplicities must be whole numbers >= 1, got {m!r}")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "multiplicities", tuple(int(m) for m in mult))

@@ -83,9 +83,9 @@ def _problem_spec(model, vortices, q, grid: GridSpec, tolerances) -> ProblemSpec
             sigma=float(vortices["sigma"]),
         ),
         model=model_from_name(model["name"], model.get("s"), model.get("table")),
-        q=float(q),
+        q=q,
         grid=grid,
-        newton_tol=float(tolerances.get("newton_tol", ProblemSpec.newton_tol)),
+        newton_tol=tolerances.get("newton_tol", ProblemSpec.newton_tol),
         max_newton_iters=tolerances.get(
             "max_newton_iters", ProblemSpec.max_newton_iters
         ),

@@ -246,7 +246,11 @@ def sobolev_norm(field: ScalarField, k: int) -> float:
 
 def _sobolev_norms(grid: GridSpec, coeffs: np.ndarray) -> tuple[float, float, float]:
     """(H^0, H^1, H^2) norms of the field on grid with half spectrum coeffs,
-    equal to sobolev_norm(field, k) for k = 0, 1, 2."""
+    equal to sobolev_norm(field, k) for k = 0, 1, 2: the sums of
+    GridSpec.quadratic in its order of operations, with |coeffs|^2 formed
+    once for the three."""
+    power = np.abs(coeffs) ** 2
     return tuple(
-        float(np.sqrt(grid.quadratic((1.0 + grid.k2) ** k, coeffs))) for k in (0, 1, 2)
+        float(np.sqrt(np.sum(grid.parseval * (1.0 + grid.k2) ** k * power)))
+        for k in (0, 1, 2)
     )

@@ -154,13 +154,15 @@ def u1_model(s: float = 1.0) -> NonlinearityModel:
     if not np.isfinite(s):
         raise ValueError(f"linear model needs a finite s, got s={s}")
     T = 2.0 * s
+    # the constant derivatives as read-only views of one float, no N x N
+    # array: every reader broadcasts them
     return NonlinearityModel(
         name="u1",
         s=s,
         T=T,
         raw_f=lambda t: t,
-        raw_fp=lambda t: np.ones_like(np.asarray(t, dtype=float)),
-        raw_fpp=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
+        raw_fp=lambda t: np.broadcast_to(1.0, np.shape(t)),
+        raw_fpp=lambda t: np.broadcast_to(0.0, np.shape(t)),
         f_upper=T,
     )
 

@@ -83,8 +83,9 @@ class ProblemSpec:
     def __post_init__(self):
         for name in ("q", "newton_tol"):
             _require_positive(name, getattr(self, name))
+            object.__setattr__(self, name, float(getattr(self, name)))
         iters = self.max_newton_iters
-        if not (isinstance(iters, Real) and 1 <= iters < np.inf and iters % 1 == 0):
+        if not (_number(iters) and 1 <= iters < np.inf and iters % 1 == 0):
             raise ValueError(
                 f"max_newton_iters must be a whole number >= 1, got {iters}"
             )
@@ -220,7 +221,9 @@ class _State:
     """Pointwise state at the regular part u over the background bg: t, f(t),
     f'(t), f''(t) and c = f'(t) t, built at once (_pointwise_state); the half
     spectrum uh of u, lap = Laplacian(u) and the weighted gradient wg,
-    built on first read and kept."""
+    built on first read and kept for the state's lifetime.  A solution keeps
+    its state; the Newton driver holds one only from its residual to its
+    linearization (_newton_krylov)."""
 
     def __init__(self, model: NonlinearityModel, bg: BackgroundData, u, t):
         self.bg, self.u, self.t = bg, u, t
@@ -337,22 +340,24 @@ class _Coupled:
             + cp * (st.f - self.model.s)
             + c * st.fp * st.t
         )
-        neg_k2 = -grid.k2
+        k2 = grid.k2
         spec, c_spec = _half_spectrum(grid), _half_spectrum(grid)
         prod = np.empty_like(c)
 
         def matvec(phi: np.ndarray, ph: np.ndarray | None = None) -> np.ndarray:
             if ph is None:
                 ph = grid.forward(phi, out=c_spec)  # last read before F(c phi)
-            lap_phi = grid.inverse(np.multiply(neg_k2, ph, out=spec))
+            # -Laplacian(phi): its sign goes into the last sum, which gives
+            # the floats of subtracting c Laplacian(phi) / q (negation is exact)
+            neg_lap = grid.inverse(np.multiply(k2, ph, out=spec))
             np.multiply(principal, ph, out=spec)
             grid.forward(np.multiply(c, phi, out=prod), out=c_spec)
             linear = grid.inverse(
                 np.add(spec, np.multiply(k2_q, c_spec, out=c_spec), out=spec)
             )
-            np.multiply(c, lap_phi, out=lap_phi)
-            lap_phi /= q
-            linear -= lap_phi
+            np.multiply(c, neg_lap, out=neg_lap)
+            neg_lap /= q
+            linear += neg_lap
             linear += np.multiply(V, phi, out=prod)
             return linear
 
@@ -592,16 +597,19 @@ def _half(spec: ProblemSpec, vortices: VortexConfig) -> ProblemSpec | None:
         return None
 
 
-def _rung(spec: ProblemSpec, bg: BackgroundData, init: ScalarField) -> SolutionBundle:
-    """The coupled solve on one grid from init, for every rung of the ladder
-    and for solve_coupled with init: _newton_krylov, the checks that decide
-    whether its solution stands (_admissible_v), and w = q (v - f) by
-    definition.  A function of its own, so that its state is gone before
-    the next rung's solves."""
+def _rung(
+    spec: ProblemSpec, bg: BackgroundData, start: Callable[[], ScalarField]
+) -> SolutionBundle:
+    """The coupled solve on one grid from the field start() returns, for
+    every rung of the ladder and for solve_coupled with init: _newton_krylov,
+    the checks that decide whether its solution stands (_admissible_v), and
+    w = q (v - f) by definition.  A function of its own, so that its state
+    is gone before the next rung's solves.  start is called in the driver's
+    argument list, so that no frame but the driver's holds the start (in
+    CPython 3.11 and later, which hand a temporary argument over to the
+    callee), and the driver drops it with its first step."""
     grid = spec.grid
-    st, _, iters = _newton_krylov(
-        _Coupled(spec, bg), np.array(init.values, dtype=float), spec
-    )
+    st, _, iters = _newton_krylov(_Coupled(spec, bg), start().values, spec)
     v = _admissible_v(spec, st)
     return SolutionBundle(
         spec=spec, background=bg, u=ScalarField(grid, st.u), v=ScalarField(grid, v),
@@ -657,12 +665,13 @@ class _Ladder:
         grid, model = spec.grid, spec.model
         below = self.limit(i + 1) if i + 1 < len(self.rungs) else None
         solved = isinstance(below, LimitSolution)
-        init = grid.prolong(below.u_inf) if solved else initial_guess(bg, model)
+        start = [grid.prolong(below.u_inf) if solved else initial_guess(bg, model)]
         if self.predictor_only:
             spec = replace(spec, newton_tol=spec.newton_tol * _PREDICTOR_SLACK)
         try:
+            # popped in the argument list: only the driver holds the start
             st, r_norm, iters = _newton_krylov(
-                _Limit(model, bg), np.array(init.values, dtype=float), spec
+                _Limit(model, bg), start.pop().values, spec
             )
             self.limits[i] = LimitSolution(
                 model=model, background=bg, u_inf=ScalarField(grid, st.u),
@@ -694,16 +703,18 @@ class _Ladder:
                 self.clear()
             outcomes, last = [], None
             for q in qs:
+                # each start goes to _rung as the pop of a list that holds
+                # only it, so that this frame keeps no reference to it
                 under = below.pop(0)
                 if isinstance(under, ScalarField):
-                    init = spec.grid.prolong(under)
+                    start = [spec.grid.prolong(under)].pop
                 elif isinstance(limit, LimitSolution):
-                    init = _predict(limit, q, last)
+                    start = [_predict(limit, q, last)].pop
                 else:
-                    init = initial_guess(bg, spec.model)
+                    start = [initial_guess(bg, spec.model)].pop
                 del under
                 try:
-                    last = _rung(replace(spec, q=q), bg, init)
+                    last = _rung(replace(spec, q=q), bg, start)
                     outcomes.append(last if i == 0 else last.u)
                 except SolveFailure as exc:
                     # without its traceback, which would keep this frame's fields
@@ -774,16 +785,18 @@ def _minres(
     oldb, beta, dbar, epsln, phibar = 0, beta1, 0, 0, beta1
     tnorm2, gmax, gmin = 0, 0, np.finfo(float).max
     cs, sn = -1, 0
-    v, tmp = np.empty_like(b), np.empty_like(b)
+    tmp = np.empty_like(b)
     w, w1, w2 = np.zeros_like(b), np.empty_like(b), np.zeros_like(b)
     r2 = r1
     res = None if target is None else b
     while itn < maxiter:
         itn += 1
-        # Lanczos step: v = y / beta, then y = M (A v - ...), beta = ||.||_M;
-        # y is A's new array, which only this loop writes
+        # Lanczos step: v = y / beta in y's buffer, a new array of M's that
+        # nothing else reads, then y = M (A v - ...), beta = ||.||_M; y is
+        # A's new array, which only this loop writes
         s = 1.0 / beta
-        np.multiply(s, y, out=v)
+        v = y
+        v *= s
         y = A(v) if vh is None else A(v, np.multiply(s, spectrum, out=vh))
         if itn >= 2:
             y -= np.multiply(beta / oldb, r1, out=tmp)
@@ -880,6 +893,12 @@ def _newton_krylov(
     (state, r_k, passes), the solution being state.u and the last pass the
     one that found convergence.  A failure raises NoConvergence named by
     eq.what; a failed line search names that step's MINRES exit status too.
+
+    Every N x N array goes after its last read: a state and its residual
+    live until the state is linearized or its trial rejected, and then only
+    u is kept; MINRES gets -r in r's buffer, and the Jacobian and
+    preconditioner go before the line search.  u itself is never written,
+    so it may be a read-only start.
     """
     grid, what, scale = spec.grid, eq.what, eq.scale
     st = _pointwise_state(eq.model, eq.bg, u)
@@ -893,28 +912,38 @@ def _newton_krylov(
         if r_norm <= spec.newton_tol:
             break
         H, M = eq.linearize(st)
+        u, st = st.u, None  # of a linearized state only u is read again
         rtol = min(1e-4 * r_norm, 1e-4)
-        delta, info = _minres(H, M, -r, rtol, maxiter=400, target=target)
+        # -r, in r's own buffer: MINRES's right side, which it overwrites
+        delta, info = _minres(H, M, np.negative(r, out=r), rtol, maxiter=400, target=target)
+        r = H = M = None
         alpha = 1.0
         while True:
-            trial = _pointwise_state(eq.model, eq.bg, st.u + alpha * delta)
-            if trial is not None:
-                r_trial = eq.residual(trial)
-                norm_trial = scale * _l2(grid, r_trial)
+            st = _pointwise_state(eq.model, eq.bg, u + alpha * delta)
+            if st is not None:
+                r = eq.residual(st)
+                norm_trial = scale * _l2(grid, r)
                 if norm_trial <= (1.0 - 1e-4 * alpha) * r_norm:
                     break
+            st = r = None  # a rejected trial is dropped before the next
             alpha *= 0.5
             if alpha < 1e-12:
                 what = f"{what} line search (MINRES exit status {info})"
                 raise NoConvergence(iters, r_norm, what=what)
-        st, r, r_norm = trial, r_trial, norm_trial
+        r_norm = norm_trial
     if r_norm > spec.newton_tol:
         raise NoConvergence(iters, r_norm, what=what)
     return st, r_norm, iters
 
 
+def _number(value) -> bool:
+    """Whether value is a real number and not a bool, which is a Real too:
+    True would pass for 1."""
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
 def _require_positive(name: str, value) -> None:
-    if not (isinstance(value, Real) and np.isfinite(value) and value > 0.0):
+    if not (_number(value) and np.isfinite(value) and value > 0.0):
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
@@ -993,7 +1022,7 @@ def solve_coupled(
         return ladder.result(ladder.coupled((spec.q,))[0])
     if init.grid != spec.grid:
         raise GridMismatch("init and problem live on different grids")
-    return _rung(spec, _background(spec, background), init)
+    return _rung(spec, _background(spec, background), [init].pop)
 
 
 def solve_limit(

@@ -1,4 +1,5 @@
 import collections
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,3 +40,20 @@ def count_transforms(monkeypatch):
 
         monkeypatch.setattr(GridSpec, name, counted)
     return counts
+
+
+def peak_fields(fn, grid: GridSpec) -> float:
+    """The tracemalloc peak of the call fn(), above what was traced when it
+    began, in units of one N x N float64 field of grid."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return (peak - base) / (grid.N * grid.N * 8)

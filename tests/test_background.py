@@ -82,6 +82,9 @@ class TestVortexConfig:
         # checked before int(), which would make 1.5 a single vortex
         with pytest.raises(ValueError, match="multiplicities"):
             VortexConfig(points=((0.5, 0.5),), multiplicities=(1.5,), sigma=0.05)
+        # a bool is a Real, which int() would make a single vortex
+        with pytest.raises(ValueError, match="multiplicities"):
+            VortexConfig(points=((0.5, 0.5),), multiplicities=(True,), sigma=0.05)
         with pytest.raises(ValueError, match="sigma"):
             VortexConfig(points=((0.5, 0.5),), multiplicities=(1,), sigma="0.05")
 

@@ -694,6 +694,13 @@ class TestVerifyCommand:
                 "malformed solution record",
             ),
             (
+                lambda meta, out: {
+                    **meta, "vortices": {**meta["vortices"], "multiplicities": [True]}
+                },
+                "malformed solution record",
+            ),
+            (lambda meta, out: {**meta, "q": True}, "malformed solution record"),
+            (
                 lambda meta, out: {**meta, "newton_iters": BIG},
                 "malformed solution record",
             ),
@@ -717,6 +724,7 @@ class TestVerifyCommand:
         ids=[
             "list", "null-q", "null-sigma", "overflow", "weight-overflow", "huge-sigma",
             "overflowing-multiplicity", "fractional-multiplicity",
+            "boolean-multiplicity", "boolean-q",
             "overflowing-newton-iters", "overflowing-max-newton-iters",
             "fractional-max-newton-iters",
             "overflowing-grid-N", "fractional-grid-N", "nearly-whole-grid-N",
@@ -757,6 +765,7 @@ class TestVerifyCommand:
         max_examples=300,
         deadline=None,
         database=None,
+        print_blob=True,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(st.sampled_from(RECORD_FIELDS), record_values)

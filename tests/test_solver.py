@@ -34,7 +34,7 @@ from mcsvortex import (
 from mcsvortex import solver
 from mcsvortex.errors import BoundsViolation, GridMismatch, SolveFailure
 
-from conftest import count_transforms, smooth_field
+from conftest import count_transforms, peak_fields, smooth_field
 
 FOUR_PI = 4.0 * np.pi
 
@@ -78,6 +78,10 @@ class TestProblemSpecValidation:
             ("q", "40"),
             ("q", None),
             ("newton_tol", "1e-6"),
+            # a bool is a Real, but True is not the number 1 here
+            ("q", True),
+            ("newton_tol", True),
+            ("max_newton_iters", True),
         ],
     )
     def test_rejected_at_construction(self, field, value):
@@ -1023,6 +1027,22 @@ class TestForcingTerm:
             assert stopped_by_scipy or linear <= theta * newton_tol + 1e-10 * r_k
         # the target ends the last step of each rung here
         assert not all(stopped_by_scipy for *_, stopped_by_scipy in calls)
+
+
+class TestWorkingSet:
+    def test_cold_solve_peak(self):
+        # the arrays live at the peak, inside the top rung's MINRES, in
+        # N x N fields: 3 of the background; 1 of the equation's two
+        # symbols; 1, the start u; 6.5 of the linearization (c, V, the
+        # product buffer, two half spectra, and the preconditioner's inverse
+        # symbol and half spectrum); 10 of MINRES (x, the right side in the
+        # residual's buffer, r1, r2, v, w, w1, w2, tmp and the half spectrum
+        # of v); 3 in the Jacobian product (-Laplacian of its argument, its
+        # result and the half spectrum of an inverse transform)
+        spec = make_spec(N=64, q=40.0)
+        solve_coupled(spec)  # the transforms' plans are cached: warm
+        peak = peak_fields(lambda: solve_coupled(spec), spec.grid)
+        assert peak == pytest.approx(24.92, abs=0.25)
 
 
 class TestNewtonPasses:
