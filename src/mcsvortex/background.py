@@ -20,7 +20,7 @@ from numbers import Real
 import numpy as np
 
 from .errors import PreconditionViolated, SigmaTooSmall
-from .grid import GridSpec, ScalarField, integrate, poisson_solve
+from .grid import GridSpec, ScalarField
 
 FOUR_PI = 4.0 * np.pi
 
@@ -143,45 +143,65 @@ def mollified_delta(p: tuple[float, float], sigma: float, grid: GridSpec) -> Sca
     m = -width..width and g_y alike, rescaled so that the trapezoidal
     integral is exactly 1.
     """
+    return ScalarField(grid, _bump(p, sigma, grid)[0])
+
+
+def _bump(
+    p: tuple[float, float], sigma: float, grid: GridSpec
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(values, g_x / integral, g_y): mollified_delta's values, and two
+    1-D factors whose outer product they are up to roundoff."""
     if sigma < 2.0 * grid.h:
         raise SigmaTooSmall(
             f"sigma={sigma} is below the 2h={2 * grid.h} resolvability floor"
         )
     width = max(2, int(np.ceil(6.0 * sigma)))
     images = np.arange(-width, width + 1)[:, None]
-    nodes = grid.X[:, 0]
     inv = 1.0 / (2.0 * sigma * sigma)
     gx, gy = (
-        np.exp(-((nodes - float(c) + images) ** 2) * inv).sum(axis=0) for c in p
+        np.exp(-((grid.nodes - float(c) + images) ** 2) * inv).sum(axis=0) for c in p
     )
-    vals = np.multiply.outer(gx, gy)
-    f = ScalarField(grid, vals)
-    return ScalarField(grid, vals / integrate(f))
+    vals = np.einsum("i,j->ij", gx, gy)  # the outer product, without a temporary
+    integral = grid.h**2 * vals.sum()
+    vals /= integral
+    return vals, gx / integral, gy
 
 
 def vortex_source(config: VortexConfig, grid: GridSpec) -> ScalarField:
     """Sum of m_j mollified unit bumps; integrates exactly to n."""
+    return _source(config, grid)[0]
+
+
+def _source(config: VortexConfig, grid: GridSpec) -> tuple[ScalarField, np.ndarray]:
+    """vortex_source and its half spectrum, built from the bumps' 1-D
+    factors (GridSpec.outer_spectrum): no N x N transform."""
     vals = np.zeros((grid.N, grid.N))
+    spectrum = np.zeros((grid.N, grid.N // 2 + 1), dtype=complex)
     for (x, y), m in zip(config.points, config.multiplicities):
-        vals += m * mollified_delta((x, y), config.sigma, grid).values
-    return ScalarField(grid, vals)
+        bump, gx, gy = _bump((x, y), config.sigma, grid)
+        vals += np.multiply(m, bump, out=bump)
+        spectrum += grid.outer_spectrum(m * gx, gy)
+    return ScalarField(grid, vals), spectrum
 
 
 def compute_u0(config: VortexConfig, grid: GridSpec) -> BackgroundData:
     """Solve -Laplacian(u0) = 4*pi*(n - source) with zero mean and build
-    e^{u0}: 2 transforms.  The right-hand side is exactly mean-zero at the
+    e^{u0}: 1 transform.  The right-hand side is exactly mean-zero at the
     quadrature level because each bump is normalized, so the spectral solve
-    is consistent; the zero Fourier mode of u0 is pinned to 0.
+    is consistent; the zero Fourier mode of u0 is pinned to 0, so only the
+    source's half spectrum enters, which its bumps give without an N x N
+    forward transform (_source), and u0 is its inverse transform.
 
     Raises PreconditionViolated, naming the vortex number n, when u0 or
     e^{u0} leaves float64: u0 grows like n, so for one vortex at N = 48
     from n = 1093 on.  The weight and grad(e^{u0}), scaled by up to |k|^2
     and |k|, overflow earlier (there from n = 1072 and 1081), and their
     first read raises the same error."""
-    n = config.n
+    n, k2 = config.n, grid.k2
     with _within_float64(n, grid):
-        source = vortex_source(config, grid)
-        rhs = ScalarField(grid, FOUR_PI * (float(n) - source.values))
-        u0 = poisson_solve(rhs)
+        source, spectrum = _source(config, grid)
+        spectrum *= np.divide(-FOUR_PI, k2, out=np.zeros_like(k2), where=k2 > 0.0)
+        u0 = ScalarField(grid, grid.inverse(spectrum))
+        del spectrum  # before e^{u0}: the peak stays at the inverse transform
         exp_u0 = ScalarField(grid, np.exp(u0.values))
     return BackgroundData(grid=grid, config=config, u0=u0, exp_u0=exp_u0, source=source)

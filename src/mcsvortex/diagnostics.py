@@ -203,7 +203,7 @@ def check_max_location(bundle: SolutionBundle) -> InvariantReport:
         )
     grid = bundle.grid
     idx = np.unravel_index(int(np.argmax(bundle.v.values)), bundle.v.values.shape)
-    argmax = (float(grid.X[idx]), float(grid.Y[idx]))
+    argmax = (float(grid.nodes[idx[0]]), float(grid.nodes[idx[1]]))
     dist = min(_torus_distance(argmax, p) for p in cfg.points)
     threshold = 5.0 * cfg.sigma
     return _make_report(

@@ -28,7 +28,8 @@ MAX_GRID_N = 4096  # one N x N float64 field is 128 MiB at this size
 class GridSpec:
     """Uniform N x N periodic grid on the unit torus, h = 1/N.
 
-    Precomputes the coordinate meshes and the half-spectrum tables of the
+    Precomputes the node coordinates x_i = i h (nodes; the meshes X and Y
+    are built from them on each read) and the half-spectrum tables of the
     real transform (forward/inverse): rows carry k_x = 0..N/2-1, -N/2..-1,
     columns k_y = 0..N/2.  k2 is the symbol of -Laplacian, ikx and iky
     those of d/dx and d/dy, parseval the quadrature weight of each column.
@@ -44,8 +45,7 @@ class GridSpec:
         N = int(N)
         self.N = N
         self.h = 1.0 / N
-        xs = np.arange(N) * self.h
-        self.X, self.Y = np.meshgrid(xs, xs, indexing="ij")
+        self.nodes = np.arange(N) * self.h
         kx = np.fft.fftfreq(N, d=self.h)[:, None]  # integer wave numbers
         ky = np.fft.rfftfreq(N, d=self.h)[None, :]
         # symbol of -Laplacian (Nyquist kept: even powers are unambiguous)
@@ -61,6 +61,16 @@ class GridSpec:
         weights[[0, -1]] = 1.0
         self.parseval = weights / float(N) ** 4
 
+    @property
+    def X(self) -> np.ndarray:
+        """x coordinate of every node, X[i, j] = nodes[i], as a new array."""
+        return np.tile(self.nodes[:, None], (1, self.N))
+
+    @property
+    def Y(self) -> np.ndarray:
+        """y coordinate of every node, Y[i, j] = nodes[j], as a new array."""
+        return np.tile(self.nodes, (self.N, 1))
+
     def forward(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Half spectrum of a real N x N array, written into out if given
         (a complex N x (N/2 + 1) array).  The two 1-D passes of rfft2, the
@@ -74,6 +84,16 @@ class GridSpec:
         The two 1-D passes of irfft2: a complex inverse along axis 0, then
         a real one of length N along axis 1."""
         return np.fft.irfft(np.fft.ifft(coeffs, axis=0), n=self.N, axis=1)
+
+    def outer_spectrum(self, gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
+        """Half spectrum of the outer product of two length-N arrays, equal
+        to forward(np.multiply.outer(gx, gy)) up to roundoff: the product
+        fft(gx) (x) rfft(gy) of their 1-D transforms, with no N x N one.
+        count_transforms (tests/conftest.py) counts forward and inverse,
+        not these 1-D transforms."""
+        # einsum: np.multiply.outer holds two more N x (N/2 + 1) arrays
+        # on the way to its result
+        return np.einsum("i,j->ij", np.fft.fft(gx), np.fft.rfft(gy))
 
     def apply(self, symbol, values: np.ndarray) -> np.ndarray:
         """Fourier multiplier with the given half-spectrum symbol."""

@@ -627,8 +627,10 @@ class _Ladder:
     equation only: the floor's half grid with every vortex widened to
     sigma = 2h there (nested iteration below the sigma floor; on coarser
     grids the transforms cost about as much as the fine passes they save).
-    The limit outcomes (LimitSolution or NoConvergence) are kept by rung,
-    so none is solved twice; coupled outcomes pass up the rungs instead."""
+    Its limit solution, with its own u1, predicts the floor's start, so
+    neither is solved on the floor grid (_predictor).  The limit outcomes
+    (LimitSolution or NoConvergence) are kept by rung, so none is solved
+    twice; coupled outcomes pass up the rungs instead."""
 
     def __init__(
         self,
@@ -682,14 +684,25 @@ class _Ladder:
             self.limits[i] = exc.with_traceback(None)
         return self.limits[i]
 
+    def _predictor(self, i: int) -> LimitSolution | NoConvergence:
+        """The limit outcome that predicts the coupled starts on rung i: on
+        the floor of a ladder with a widened rung, that rung's solution,
+        unless its solve failed; else rung i's own (limit)."""
+        if i == self.floor and i + 1 < len(self.rungs):
+            widened = self.limit(i + 1)
+            if isinstance(widened, LimitSolution):
+                return widened
+        return self.limit(i)
+
     def coupled(self, qs) -> list:
         """The coupled equation at each coupling of the descending qs,
         climbed from the floor to the top rung, with the top rung's outcome
         per coupling: the SolutionBundle or the SolveFailure raised.  Every
         rung solves through _rung.  Each coupling starts from the rung
         below's u at that q, prolonged; where there is none or it failed,
-        from the rung's limit solution predicted to q from the last coupling
-        that converged on the rung (_predict), or from the ansatz where the
+        from the limit solution of _predictor predicted to q (_predict):
+        the widened rung's, prolonged, or the rung's own, from the last
+        coupling that converged on the rung; from the ansatz where the
         limit solve fails too.  A coarse rung passes up only u, which is
         dropped once it is prolonged, and the top rung empties the ladder
         before its solves."""
@@ -698,7 +711,7 @@ class _Ladder:
             spec, bg = self.rungs[i]
             below = outcomes
             solved = all(isinstance(under, ScalarField) for under in below)
-            limit = None if solved else self.limit(i)
+            limit = None if solved else self._predictor(i)
             if i == 0:  # its solves need no coarse level
                 self.clear()
             outcomes, last = [], None
@@ -708,10 +721,12 @@ class _Ladder:
                 under = below.pop(0)
                 if isinstance(under, ScalarField):
                     start = [spec.grid.prolong(under)].pop
-                elif isinstance(limit, LimitSolution):
-                    start = [_predict(limit, q, last)].pop
-                else:
+                elif not isinstance(limit, LimitSolution):
                     start = [initial_guess(bg, spec.model)].pop
+                elif limit.grid == spec.grid:
+                    start = [_predict(limit, q, last)].pop
+                else:  # the widened rung's, on the half grid
+                    start = [spec.grid.prolong(_predict(limit, q))].pop
                 del under
                 try:
                     last = _rung(replace(spec, q=q), bg, start)
@@ -1007,9 +1022,10 @@ def solve_coupled(
     prolonged; where that does not apply or fails, from the limit profile
     with its first-order term, u_inf + u1/q (LimitSolution.u1), and from
     the ansatz if the limit solve fails too.  Those limit solves only shape
-    the start, so they stop at _PREDICTOR_SLACK newton_tol, and the lowest
-    climbs from one more rung, widened (_Ladder).  newton_iters counts the
-    steps on spec.grid only.
+    the start, so they stop at _PREDICTOR_SLACK newton_tol.  Where the
+    ladder has a widened rung under its floor (_Ladder), u_inf and u1 are
+    solved there alone, and their prediction, prolonged, starts the floor.
+    newton_iters counts the steps on spec.grid only.
 
     Raises a SolveFailure: QTooSmall if q <= sup|c| at some iterate,
     NoConvergence if the iteration or its line search stalls, and

@@ -28,15 +28,18 @@ def smooth_field(grid: GridSpec, rng, kmax: int = 4, amp: float = 1.0) -> Scalar
 
 def count_transforms(monkeypatch):
     """Counter of GridSpec.forward and GridSpec.inverse calls under key
-    "transforms": the package's one transform path (tests/test_api.py
-    keeps every other module off numpy.fft and scipy.fft)."""
+    "transforms", and per grid size N under ("transforms", N): the
+    package's one N x N transform path (tests/test_api.py keeps every other
+    module off numpy.fft and scipy.fft).  The 1-D transforms of
+    GridSpec.outer_spectrum are not counted."""
     counts = collections.Counter()
     for name in ("forward", "inverse"):
         original = getattr(GridSpec, name)
 
-        def counted(*args, _fn=original, **kwargs):
+        def counted(grid, *args, _fn=original, **kwargs):
             counts["transforms"] += 1
-            return _fn(*args, **kwargs)
+            counts["transforms", grid.N] += 1
+            return _fn(grid, *args, **kwargs)
 
         monkeypatch.setattr(GridSpec, name, counted)
     return counts

@@ -20,6 +20,8 @@ from mcsvortex import (
 from mcsvortex import background
 from mcsvortex.background import vortex_source
 
+from conftest import peak_fields
+
 FOUR_PI = 4.0 * np.pi
 
 
@@ -225,6 +227,23 @@ class TestComputeU0:
                     getattr(bg, name)
             else:
                 getattr(bg, name)
+
+    def test_peak_memory(self):
+        # in N x N fields: the source's values and half spectrum, and two
+        # more during u0's inverse transform (its intermediate and its
+        # output, then its output and u0's copy of it); no N x N forward
+        # transform, and no temporary of the bumps' outer products (5.56
+        # with both)
+        grid = GridSpec(128)
+        cfg = VortexConfig(
+            points=((0.25, 0.25), (0.75, 0.25), (0.5, 0.75)),
+            multiplicities=(1, 1, 1),
+            sigma=4 * grid.h,
+        )
+        compute_u0(cfg, grid)  # the transforms' plans are cached: warm
+        assert peak_fields(lambda: compute_u0(cfg, grid), grid) == pytest.approx(
+            4.16, abs=0.25
+        )
 
     def test_u0_mean_zero(self):
         grid = GridSpec(64)

@@ -84,6 +84,27 @@ class TestGridSpec:
         for c in (coeffs, expected):
             assert np.array_equal(grid.inverse(c), np.fft.irfft2(c, s=(N, N)))
 
+    @pytest.mark.parametrize("N", [8, 64, 256])
+    def test_meshes_are_built_from_the_nodes(self, N):
+        # a grid keeps its 1-D nodes and no N x N array
+        grid = GridSpec(N)
+        nodes = np.arange(N) * grid.h
+        X, Y = np.meshgrid(nodes, nodes, indexing="ij")
+        assert np.array_equal(grid.nodes, nodes)
+        assert np.array_equal(grid.X, X) and np.array_equal(grid.Y, Y)
+        assert np.array_equal(grid.X[:, 0], grid.nodes)
+        assert all(np.size(value) < N * N for value in vars(grid).values())
+
+    @pytest.mark.parametrize("N", [8, 12, 64, 256])
+    def test_outer_spectrum_is_the_transform_of_the_outer_product(self, N):
+        rng = np.random.default_rng(N)
+        grid = GridSpec(N)
+        gx, gy = rng.standard_normal((2, N))
+        expected = grid.forward(np.multiply.outer(gx, gy))
+        spectrum = grid.outer_spectrum(gx, gy)
+        assert spectrum.shape == expected.shape
+        assert np.abs(spectrum - expected).max() <= 1e-14 * np.abs(expected).max()
+
     def test_field_shape_and_finiteness_checks(self):
         grid = GridSpec(8)
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import collections
 import copy
 import gc
 import tracemalloc
@@ -858,9 +859,10 @@ class TestGridSequencing:
 
 class TestPredictorOnlyRungs:
     """A cold solve_coupled's limit solves only feed _predict: they stop at
-    _PREDICTOR_SLACK newton_tol, and the lowest one starts below the sigma
-    floor from a widened half grid.  Returned limit solutions keep
-    newton_tol, and coarse coupled rungs hand up only (q, u)."""
+    _PREDICTOR_SLACK newton_tol, and below the sigma floor one runs on a
+    widened half grid, whose prediction, prolonged, starts the floor.
+    Returned limit solutions keep newton_tol, and coarse coupled rungs hand
+    up only (q, u)."""
 
     def _record_calls(self, monkeypatch, fail=None):
         """Record (grid size, equation, newton_tol, sigma) of every driver
@@ -883,16 +885,49 @@ class TestPredictorOnlyRungs:
         # sigma = 3h at N = 128 is below 2h on N = 64: no coupled half grid
         return make_spec(N=128, q=40.0, vortices=one_vortex(GridSpec(128), 3.0))
 
+    def _record_u1(self, monkeypatch, u1=None):
+        """Record every LimitSolution and the u1 it gives, which is the real
+        one or, where u1 is given, u1(limit)."""
+        solved, real_u1 = [], solver.LimitSolution.u1.func
+        corrector = real_u1 if u1 is None else u1
+
+        def recorded(limit):
+            solved.append((limit, corrector(limit)))
+            return solved[-1][1]
+
+        monkeypatch.setattr(solver.LimitSolution, "u1", property(recorded))
+        return solved
+
     def test_cold_solve_starts_below_the_sigma_floor(self, monkeypatch):
+        # neither the limit equation nor u1 is solved on the floor grid: the
+        # widened rung's u_inf + u1/q, prolonged, starts the floor
         spec = self._floor_spec()
-        calls, _ = self._record_calls(monkeypatch)
+        calls, starts = self._record_calls(monkeypatch)
+        solved = self._record_u1(monkeypatch)
         bundle = solve_coupled(spec)
         loose, sigma = spec.newton_tol * solver._PREDICTOR_SLACK, spec.vortices.sigma
         assert calls == [
             (64, "limit equation", loose, 2.0 / 64),
-            (128, "limit equation", loose, sigma),
             (128, "Newton", spec.newton_tol, sigma),
         ]
+        (limit, u1), = solved
+        assert limit.grid == GridSpec(64) and u1 is not None
+        predicted = spec.grid.prolong(limit.u_inf + (1.0 / spec.q) * u1)
+        assert np.array_equal(starts[1], predicted.values)
+        assert bundle.residual_norms["genmcsb"] <= spec.newton_tol
+
+    def test_widened_start_without_u1_is_the_prolonged_limit(self, monkeypatch):
+        # where the widened rung's u1 solve fails, its u_inf alone, prolonged
+        spec = self._floor_spec()
+        calls, starts = self._record_calls(monkeypatch)
+        solved = self._record_u1(monkeypatch, lambda limit: None)
+        bundle = solve_coupled(spec)
+        assert [(N, what) for N, what, *_ in calls] == [
+            (64, "limit equation"), (128, "Newton")
+        ]
+        (limit, u1), = solved
+        assert limit.grid == GridSpec(64) and u1 is None
+        assert np.array_equal(starts[1], spec.grid.prolong(limit.u_inf).values)
         assert bundle.residual_norms["genmcsb"] <= spec.newton_tol
 
     def test_exactly_one_widened_rung(self, monkeypatch):
@@ -906,7 +941,6 @@ class TestPredictorOnlyRungs:
         loose, sigma = spec.newton_tol * solver._PREDICTOR_SLACK, spec.vortices.sigma
         assert calls == [
             (128, "limit equation", loose, 2.0 / 128),
-            (256, "limit equation", loose, sigma),
             (256, "Newton", spec.newton_tol, sigma),
         ]
 
@@ -1127,7 +1161,10 @@ class TestNewtonPasses:
         # stopped at the linear residual a step needs, the cold solve took
         # 26, 5, 17, 6 (54) and the sweep 35, 6, 7, 24, 19, 24, 30, 8, 9,
         # 9, 10 (181); before the cold solve's limit rung stopped at the
-        # predictor's accuracy, its limit rung took 26 (50)
+        # predictor's accuracy, its limit rung took 26 (50).  The sweep's
+        # third N = 32 coupling took 23 and its N = 64 couplings 5 each
+        # (159) before u0 came from the bumps' 1-D transforms, which moved
+        # it at roundoff
         krylov = _record_krylov(monkeypatch)
         self._cold_solve()
         assert krylov == [
@@ -1138,20 +1175,43 @@ class TestNewtonPasses:
         self._sweep()
         assert krylov == [
             (32, "limit equation", 35), (64, "limit equation", 3), (32, "u1", 7),
-            (32, "Newton", 22), (32, "Newton", 19), (32, "Newton", 23),
+            (32, "Newton", 22), (32, "Newton", 19), (32, "Newton", 22),
             (32, "Newton", 30),
-            (64, "Newton", 5), (64, "Newton", 5), (64, "Newton", 5), (64, "Newton", 5),
+            (64, "Newton", 6), (64, "Newton", 5), (64, "Newton", 6), (64, "Newton", 5),
         ]
 
+    def test_cold_solve_with_a_widened_rung(self, monkeypatch):
+        # sigma = 3h at N = 128: the floor is the top rung, and the widened
+        # N = 64 rung solves the limit equation and u1 for its start.  With
+        # a limit solve on N = 128 too (2 passes), and u1 there, the top
+        # rung took the same 4 passes but 26 Krylov iterations and 147
+        # transforms
+        levels, steps = _record_levels(monkeypatch)
+        counts, krylov = count_transforms(monkeypatch), _record_krylov(monkeypatch)
+        grid = GridSpec(128)
+        solve_coupled(make_spec(N=128, q=40.0, vortices=one_vortex(grid, 3.0)))
+        assert self._rungs(levels, steps) == [
+            (64, "limit equation", 5), (128, "Newton", 4)
+        ]
+        per_grid = collections.Counter()
+        for N, _, iters in krylov:
+            per_grid[N] += iters
+        assert per_grid == {64: 23, 128: 17}
+        assert (counts["transforms", 64], counts["transforms", 128]) == (93, 109)
+
     def test_transforms(self, monkeypatch):
-        # GridSpec transforms of each whole solve: backgrounds, every rung,
-        # u1, the bounds checks and, for the sweep, its table's rows
+        # GridSpec transforms of each whole solve: backgrounds (one each),
+        # every rung, u1, the bounds checks and, for the sweep, its table's
+        # rows.  Each background took two before compute_u0 took the
+        # source's spectrum from its bumps' 1-D transforms; the sweep's
+        # count rose with its Krylov iterations (test_krylov_iterations)
         counts, totals = count_transforms(monkeypatch), []
         for run in (self._cold_solve, lambda: solve_limit(make_spec(N=64)), self._sweep):
             counts.clear()
             run()
             totals.append(counts["transforms"])
-        assert totals == [227, 118, 923]
+            assert counts["transforms"] == counts["transforms", 32] + counts["transforms", 64]
+        assert totals == [225, 116, 926]
 
     @pytest.mark.parametrize("failure", ["iteration limit", "not finite"])
     def test_failed_corrector_keeps_the_old_starts(self, monkeypatch, failure):

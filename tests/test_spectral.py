@@ -119,19 +119,28 @@ def test_transforms_per_application(drivers, monkeypatch, equation, operation, e
     assert counts["transforms"] == expected
 
 
-def test_compute_u0_costs_two_transforms(monkeypatch):
-    # the Poisson solve 2; on first read, one forward transform of e^{u0}
-    # shared by the weight's Laplacian (1 inverse) and the gradient (2
-    # inverses), and nothing on a second read
+def test_transform_counter_splits_by_grid_size(monkeypatch):
+    coarse = smooth_field(GridSpec(16), np.random.default_rng(4), kmax=3)
+    counts = count_transforms(monkeypatch)
+    GridSpec(32).prolong(coarse)  # a forward transform on 16, an inverse on 32
+    laplacian(coarse)
+    assert counts == {"transforms": 4, ("transforms", 16): 3, ("transforms", 32): 1}
+
+
+def test_compute_u0_costs_one_transform(monkeypatch):
+    # the Poisson solve 1, the inverse: the source's half spectrum comes from
+    # its bumps' 1-D transforms; on first read, one forward transform of
+    # e^{u0} shared by the weight's Laplacian (1 inverse) and the gradient
+    # (2 inverses), and nothing on a second read
     grid = GridSpec(32)
     config = VortexConfig(points=((0.3, 0.4),), multiplicities=(1,), sigma=4 * grid.h)
     counts = count_transforms(monkeypatch)
     bg = compute_u0(config, grid)
-    assert counts["transforms"] == 2
+    assert counts["transforms"] == 1
     bg.weight, bg.grad_exp_u0
-    assert counts["transforms"] == 6
+    assert counts["transforms"] == 5
     bg.weight, bg.grad_exp_u0
-    assert counts["transforms"] == 6
+    assert counts["transforms"] == 5
 
 
 def _newton_system(driver):
