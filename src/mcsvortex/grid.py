@@ -9,6 +9,15 @@ real and skew-adjoint.  GridSpec.prolong resamples a field from a coarser
 grid by zero-padding its spectrum.  Trapezoidal quadrature (h^2 times the
 grid sum) is exact for band-limited fields and pairs with the transforms
 through the discrete Parseval identity.
+
+The transforms call the pocketfft ufuncs of numpy.fft._pocketfft_umath, a
+private module present since numpy 2.0, with the axes and factors that
+numpy.fft's wrappers pass them, so they return numpy.fft's floats without
+its per-call argument handling.  The ufuncs check no lengths: given an out
+array with a short transform axis they compute a shorter transform, so
+GridSpec checks every shape itself.  tests/test_grid.py fails if numpy
+moves or changes these ufuncs.  They are looked up through np.fft on each
+call, so numpy imports numpy.fft on its first use, not with this module.
 """
 
 from __future__ import annotations
@@ -60,6 +69,9 @@ class GridSpec:
         weights = np.full(N // 2 + 1, 2.0)
         weights[[0, -1]] = 1.0
         self.parseval = weights / float(N) ** 4
+        # numpy.fft's factor for each inverse pass of length N
+        self._inv_n = 1.0 / N
+        self._half_shape = (N, N // 2 + 1)
 
     @property
     def X(self) -> np.ndarray:
@@ -75,15 +87,39 @@ class GridSpec:
         """Half spectrum of a real N x N array, written into out if given
         (a complex N x (N/2 + 1) array).  The two 1-D passes of rfft2, the
         second in place: a real transform along axis 1, then a complex one
-        along axis 0."""
-        coeffs = np.fft.rfft(values, axis=1, out=out)
-        return np.fft.fft(coeffs, axis=0, out=coeffs)
+        along axis 0.  ValueError for arrays of other shapes."""
+        if values.shape != (self.N, self.N):
+            raise ValueError(
+                f"{self!r} transforms arrays of shape {(self.N, self.N)}, "
+                f"got shape {values.shape}"
+            )
+        if out is None:
+            out = np.empty(self._half_shape, dtype=complex)
+        elif out.shape != self._half_shape or out.dtype != complex:
+            raise ValueError(
+                f"{self!r} needs a complex out of shape {self._half_shape}, "
+                f"got {out.dtype} of shape {out.shape}"
+            )
+        pocketfft = np.fft._pocketfft_umath
+        pocketfft.rfft_n_even(values, 1, out=out)
+        return pocketfft.fft(out, 1, axes=[(0,), (), (0,)], out=out)
 
     def inverse(self, coeffs: np.ndarray) -> np.ndarray:
         """Real N x N array with the given half spectrum, as a new array.
-        The two 1-D passes of irfft2: a complex inverse along axis 0, then
-        a real one of length N along axis 1."""
-        return np.fft.irfft(np.fft.ifft(coeffs, axis=0), n=self.N, axis=1)
+        The two 1-D passes of irfft2, each scaled by 1/N: a complex inverse
+        along axis 0, then a real one of length N along axis 1.  ValueError
+        for a half spectrum of another shape."""
+        if coeffs.shape != self._half_shape:
+            raise ValueError(
+                f"{self!r} inverts half spectra of shape {self._half_shape}, "
+                f"got shape {coeffs.shape}"
+            )
+        pocketfft = np.fft._pocketfft_umath
+        spectrum = pocketfft.ifft(
+            coeffs, self._inv_n, axes=[(0,), (), (0,)],
+            out=np.empty(self._half_shape, dtype=complex),
+        )
+        return pocketfft.irfft(spectrum, self._inv_n, out=np.empty((self.N, self.N)))
 
     def outer_spectrum(self, gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
         """Half spectrum of the outer product of two length-N arrays, equal
@@ -91,9 +127,19 @@ class GridSpec:
         fft(gx) (x) rfft(gy) of their 1-D transforms, with no N x N one.
         count_transforms (tests/conftest.py) counts forward and inverse,
         not these 1-D transforms."""
+        N = self.N
+        if gx.shape != (N,) or gy.shape != (N,):
+            raise ValueError(
+                f"{self!r} needs two arrays of shape ({N},), got {gx.shape} and {gy.shape}"
+            )
+        pocketfft = np.fft._pocketfft_umath
         # einsum: np.multiply.outer holds two more N x (N/2 + 1) arrays
         # on the way to its result
-        return np.einsum("i,j->ij", np.fft.fft(gx), np.fft.rfft(gy))
+        return np.einsum(
+            "i,j->ij",
+            pocketfft.fft(gx, 1, out=np.empty(N, dtype=complex)),
+            pocketfft.rfft_n_even(gy, 1, out=np.empty(N // 2 + 1, dtype=complex)),
+        )
 
     def apply(self, symbol, values: np.ndarray) -> np.ndarray:
         """Fourier multiplier with the given half-spectrum symbol."""

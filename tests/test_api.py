@@ -72,10 +72,12 @@ def test_no_new_problem_or_config_knobs():
 
 def test_only_the_grid_module_transforms():
     # GridSpec.forward and GridSpec.inverse are the one transform path, so
-    # counting their calls counts every transform the package makes
+    # counting their calls counts every transform the package makes; only
+    # grid.py reaches numpy's private pocketfft ufuncs, too
     fft = re.compile(
         r"\b(?:np|numpy|scipy)\.fft\b"  # np.fft.rfft2, import scipy.fft
-        r"|^\s*from\s+(?:numpy|scipy)\s+import\b.*\bfft\b",  # from numpy import fft
+        r"|^\s*from\s+(?:numpy|scipy)\s+import\b.*\bfft\b"  # from numpy import fft
+        r"|\b_pocketfft_umath\b",  # numpy.fft._pocketfft_umath
         re.M,
     )
     modules = sorted(PACKAGE.glob("**/*.py"))
@@ -85,3 +87,4 @@ def test_only_the_grid_module_transforms():
         if path.name != "grid.py" and fft.search(path.read_text(encoding="utf-8"))
     ]
     assert not users, f"modules that call numpy.fft or scipy.fft directly: {users}"
+    assert fft.search('ufuncs = getattr(numpy_fft, "_pocketfft_umath")')

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -25,6 +26,24 @@ from mcsvortex.grid import MAX_GRID_N
 from conftest import smooth_field
 
 TWO_PI = 2.0 * np.pi
+
+
+def _layouts(a, *more):
+    """a, the arrays in more, and copies of a that are read-only,
+    Fortran-ordered, a transposed view and a strided view."""
+    read_only = a.copy()
+    read_only.setflags(write=False)
+    wide = np.zeros((a.shape[0], 2 * a.shape[1]), dtype=a.dtype)
+    wide[:, ::2] = a
+    return (a, *more, read_only, np.asfortranarray(a), a.T.copy().T, wide[:, ::2])
+
+
+def _same_bits(a, b):
+    return (
+        a.shape == b.shape
+        and a.dtype == b.dtype
+        and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+    )
 
 
 class TestGridSpec:
@@ -70,19 +89,46 @@ class TestGridSpec:
 
     @pytest.mark.parametrize("N", [8, 12, 64, 96, 256])
     def test_transforms_are_numpys_2d_transforms(self, N):
+        # bit for bit, for every layout numpy.fft's wrappers accepted: a
+        # read-only ScalarField.values, Fortran order, transposed and
+        # strided views
         rng = np.random.default_rng(N)
         grid = GridSpec(N)
         values = rng.standard_normal((N, N))
-        kept = values.copy()
         expected = np.fft.rfft2(values)
-        assert np.array_equal(grid.forward(values), expected)
+        coeffs = rng.standard_normal(expected.shape) + 1j * rng.standard_normal(expected.shape)
         buf = np.empty((N, N // 2 + 1), dtype=complex)
-        assert grid.forward(values, out=buf) is buf
-        assert np.array_equal(buf, expected)
-        assert np.array_equal(values, kept)
-        coeffs = rng.standard_normal(buf.shape) + 1j * rng.standard_normal(buf.shape)
+        for layout in _layouts(values, grid.field(values).values):
+            kept = layout.copy(order="K")
+            assert _same_bits(grid.forward(layout), expected)
+            assert grid.forward(layout, out=buf) is buf
+            assert _same_bits(buf, expected)
+            assert _same_bits(layout, kept)
         for c in (coeffs, expected):
-            assert np.array_equal(grid.inverse(c), np.fft.irfft2(c, s=(N, N)))
+            irfft2 = np.fft.irfft2(c, s=(N, N))
+            for layout in _layouts(c):
+                kept = layout.copy(order="K")
+                assert _same_bits(grid.inverse(layout), irfft2)
+                assert _same_bits(layout, kept)  # inverse leaves its input as it was
+
+    def test_transforms_reject_arrays_of_another_grid(self):
+        # the pocketfft ufuncs would zero-pad or crop such arrays silently
+        grid = GridSpec(16)
+        for shape in [(12, 12), (16, 12), (12, 16), (16, 16, 1), (256,)]:
+            with pytest.raises(ValueError, match=rf"\(16, 16\).*{re.escape(str(shape))}"):
+                grid.forward(np.zeros(shape))
+        values = np.zeros((16, 16))
+        for shape, dtype in [((16, 8), complex), ((16, 10), complex), ((8, 9), complex),
+                             ((9, 16), complex), ((16, 9), float), ((16, 9), np.complex64)]:
+            with pytest.raises(ValueError, match=rf"\(16, 9\).*{re.escape(str(shape))}"):
+                grid.forward(values, out=np.zeros(shape, dtype=dtype))
+        for shape in [(12, 7), (16, 8), (16, 16), (9, 16), (16, 9, 1)]:
+            with pytest.raises(ValueError, match=rf"\(16, 9\).*{re.escape(str(shape))}"):
+                grid.inverse(np.zeros(shape, dtype=complex))
+        with pytest.raises(ValueError, match=r"\(16,\).*\(16,\) and \(12,\)"):
+            grid.outer_spectrum(np.zeros(16), np.zeros(12))
+        with pytest.raises(ValueError, match=r"\(16,\).*\(32,\) and \(16,\)"):
+            grid.outer_spectrum(np.zeros(32), np.zeros(16))
 
     @pytest.mark.parametrize("N", [8, 64, 256])
     def test_meshes_are_built_from_the_nodes(self, N):

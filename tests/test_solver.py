@@ -38,6 +38,7 @@ from mcsvortex.errors import BoundsViolation, GridMismatch, SolveFailure
 from conftest import count_transforms, peak_fields, smooth_field
 
 FOUR_PI = 4.0 * np.pi
+TWO_PI = 2.0 * np.pi
 
 # the linear model carries nonzero vortex flux on the unit torus only if
 # max_t t(s-t) = s^2/4 clears 4*pi*n; s values below keep a >= 25% margin
@@ -1061,6 +1062,38 @@ class TestForcingTerm:
             assert stopped_by_scipy or linear <= theta * newton_tol + 1e-10 * r_k
         # the target ends the last step of each rung here
         assert not all(stopped_by_scipy for *_, stopped_by_scipy in calls)
+
+
+class _WrapperCalled(Exception):
+    pass
+
+
+class TestTransformPath:
+    @pytest.mark.parametrize("case", ["cold solve", "sweep", "background", "prolong"])
+    def test_no_solve_goes_through_numpy_fft(self, monkeypatch, case):
+        # GridSpec calls numpy's pocketfft ufuncs directly; numpy.fft's
+        # per-call wrapper, _raw_fft, costs about 5 us a pass at N = 64
+        spec = make_spec(N=64, q=40.0)
+        coarse = GridSpec(32).from_function(
+            lambda x, y: np.sin(TWO_PI * x) * np.cos(2 * TWO_PI * y)
+        )
+
+        def wrapper(*args, **kwargs):
+            raise _WrapperCalled
+
+        monkeypatch.setattr("numpy.fft._pocketfft._raw_fft", wrapper)
+        with pytest.raises(_WrapperCalled):  # the patch reaches numpy.fft
+            np.fft.rfft(np.ones(8))
+        if case == "cold solve":
+            assert solve_coupled(spec).residual_norms["fourth_order"] <= spec.newton_tol
+        elif case == "sweep":
+            table = q_sweep(spec, [20.0, 40.0])
+            assert [row.status for row in table.rows] == ["converged"] * 2
+        elif case == "background":
+            assert compute_u0(spec.vortices, spec.grid).u0.grid == spec.grid
+        else:
+            fine = spec.grid.prolong(coarse)
+            assert np.abs(fine.values[::2, ::2] - coarse.values).max() <= 1e-14
 
 
 class TestWorkingSet:
