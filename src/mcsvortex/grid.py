@@ -87,12 +87,16 @@ class GridSpec:
         """Half spectrum of a real N x N array, written into out if given
         (a complex N x (N/2 + 1) array).  The two 1-D passes of rfft2, the
         second in place: a real transform along axis 1, then a complex one
-        along axis 0.  ValueError for arrays of other shapes."""
+        along axis 0.  ValueError for arrays of other shapes, and for
+        complex, string or object ones, which the real transform does not
+        take."""
         if values.shape != (self.N, self.N):
             raise ValueError(
                 f"{self!r} transforms arrays of shape {(self.N, self.N)}, "
                 f"got shape {values.shape}"
             )
+        if values.dtype.kind not in "biuf":
+            raise ValueError(f"{self!r} transforms real arrays, got dtype {values.dtype}")
         if out is None:
             out = np.empty(self._half_shape, dtype=complex)
         elif out.shape != self._half_shape or out.dtype != complex:
@@ -170,14 +174,14 @@ class GridSpec:
         return ScalarField(self, self.inverse(coeffs))
 
     def field(self, values) -> "ScalarField":
-        return ScalarField(self, np.asarray(values, dtype=float))
+        return ScalarField(self, values)
 
     def constant(self, value: float) -> "ScalarField":
         return ScalarField(self, np.full((self.N, self.N), float(value)))
 
     def from_function(self, fn) -> "ScalarField":
         """Sample fn(x, y) on the grid nodes."""
-        return ScalarField(self, np.asarray(fn(self.X, self.Y), dtype=float))
+        return ScalarField(self, fn(self.X, self.Y))
 
     def __eq__(self, other):
         return isinstance(other, GridSpec) and other.N == self.N
@@ -191,13 +195,19 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Real scalar field sampled on a GridSpec, immutable after creation."""
+    """Real scalar field sampled on a GridSpec, immutable after creation.
+    ValueError for values of another shape, non-finite ones, and values
+    whose dtype is not real (complex, string, object): float() would drop
+    an imaginary part with only a ComplexWarning, or parse strings."""
 
     grid: GridSpec
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=float, copy=True)
+        v = np.asarray(self.values)
+        if v.dtype.kind not in "biuf":
+            raise ValueError(f"field values must be real numbers, got dtype {v.dtype}")
+        v = np.array(v, dtype=float, copy=True)
         if v.shape != (self.grid.N, self.grid.N):
             raise ValueError(
                 f"field shape {v.shape} does not match grid {self.grid!r}"

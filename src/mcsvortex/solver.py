@@ -623,12 +623,13 @@ class _Ladder:
     built once.  The coarsest of these is rung floor.  On a predictor_only
     ladder (a cold solve_coupled) no limit solution is returned or measured
     against: each one only shapes a Newton start, so each stops early, and
-    where N/2 >= 64 under the floor one more rung follows, for the limit
+    where N/2 >= 32 under the floor one more rung follows, for the limit
     equation only: the floor's half grid with every vortex widened to
-    sigma = 2h there (nested iteration below the sigma floor; on coarser
-    grids the transforms cost about as much as the fine passes they save).
-    Its limit solution, with its own u1, predicts the floor's start, so
-    neither is solved on the floor grid (_predictor).  The limit outcomes
+    sigma = 2h there (nested iteration below the sigma floor).  Measured,
+    one under a floor of N = 32 made the solve slower: a transform on
+    N = 16 still costs about 60% of one on N = 32.  The widened rung's limit
+    solution, with its own u1, predicts the floor's start, so neither is
+    solved on the floor grid (_predictor).  The limit outcomes
     (LimitSolution or NoConvergence) are kept by rung, so none is solved
     twice; coupled outcomes pass up the rungs instead."""
 
@@ -645,7 +646,7 @@ class _Ladder:
         self.floor = len(self.rungs) - 1
         floor, _ = self.rungs[-1]
         M = floor.grid.N // 2
-        if predictor_only and M >= 64:
+        if predictor_only and M >= 32:
             coarse = _half(floor, replace(spec.vortices, sigma=2.0 * (1.0 / M)))
             if coarse is not None:
                 self.rungs.append((coarse, compute_u0(coarse.vortices, coarse.grid)))
@@ -1075,15 +1076,20 @@ def q_sweep(spec: ProblemSpec, q_list) -> "ConvergenceTable":
     (_predict); without u1, from u_inf and then from the last converged
     neighbor.  The limit solve on spec.grid, which the rows are measured
     against, raises its NoConvergence; newton_iters counts the steps on
-    spec.grid only.
+    spec.grid only.  ValueError, before any solve, unless q_list is a
+    non-empty, strictly ascending list of positive, finite numbers, each
+    checked as ProblemSpec checks q (no bool, no string).
     """
     from . import diagnostics
 
+    q_list = list(q_list)
+    if not q_list:
+        raise ValueError("q_list must not be empty")
+    for i, q in enumerate(q_list):
+        _require_positive(f"q_list[{i}]", q)
     q_list = [float(q) for q in q_list]
     if any(b <= a for a, b in zip(q_list, q_list[1:])):
         raise ValueError("q_list must be strictly ascending")
-    if not all(np.isfinite(q) and q > 0.0 for q in q_list):
-        raise ValueError("q_list entries must be positive and finite")
 
     ladder = _Ladder(spec)
     limit = ladder.result(ladder.limit())

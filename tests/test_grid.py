@@ -130,6 +130,14 @@ class TestGridSpec:
         with pytest.raises(ValueError, match=r"\(16,\).*\(32,\) and \(16,\)"):
             grid.outer_spectrum(np.zeros(32), np.zeros(16))
 
+    @pytest.mark.parametrize("dtype", [complex, np.complex64, "<U3", object])
+    def test_forward_rejects_arrays_that_are_not_real(self, dtype):
+        # the real transform has no loop for them: the ufunc raised a bare TypeError
+        values = np.full((16, 16), "1.5").astype(dtype)
+        message = rf"real arrays, got dtype {re.escape(str(values.dtype))}$"
+        with pytest.raises(ValueError, match=message):
+            GridSpec(16).forward(values)
+
     @pytest.mark.parametrize("N", [8, 64, 256])
     def test_meshes_are_built_from_the_nodes(self, N):
         # a grid keeps its 1-D nodes and no N x N array
@@ -159,6 +167,30 @@ class TestGridSpec:
         bad[0, 0] = np.inf
         with pytest.raises(ValueError):
             ScalarField(grid, bad)
+
+    @pytest.mark.parametrize("build", ["field", "ScalarField", "from_function"])
+    def test_complex_values_are_rejected(self, build):
+        # float() would keep only the real part, with a ComplexWarning
+        grid = GridSpec(8)
+        values = np.ones((8, 8)) * (1 + 1j)
+        make = {
+            "field": lambda: grid.field(values),
+            "ScalarField": lambda: ScalarField(grid, values),
+            "from_function": lambda: grid.from_function(lambda x, y: x + 1j * y),
+        }[build]
+        with pytest.raises(ValueError, match=r"real numbers, got dtype complex128$"):
+            make()
+
+    def test_string_values_are_rejected(self):
+        # float() would parse them
+        with pytest.raises(ValueError, match=r"real numbers, got dtype <U3$"):
+            GridSpec(8).field(np.full((8, 8), "1.5"))
+
+    def test_integer_and_boolean_values_become_floats(self):
+        grid = GridSpec(8)
+        for values in ([[1] * 8] * 8, np.ones((8, 8), np.int32), np.ones((8, 8), bool)):
+            field = grid.field(values)
+            assert field.values.dtype == np.float64 and np.all(field.values == 1.0)
 
     def test_mixed_grid_arithmetic_rejected(self):
         a = GridSpec(8).constant(1.0)

@@ -674,7 +674,7 @@ class TestGridSequencing:
         "N,sigma_cells,grids",
         [
             (64, 4.0, [32, 32, 64]),
-            (64, 2.0, [64, 64]),  # sigma is below 2h on the half grid
+            (64, 2.0, [32, 64]),  # sigma is below 2h on the half grid: widened
             (36, 4.0, [18, 18, 36]),  # sigma is exactly 2h on the half grid
             (18, 4.0, [18, 18]),  # half grid 9 is odd
             (12, 3.0, [12, 12]),  # half grid 6 is below 8 (sigma <= 1/4 caps it at 3h)
@@ -687,6 +687,37 @@ class TestGridSequencing:
         assert [n for n, _ in levels] == grids
         # newton_iters counts the steps on the requested grid only
         assert bundle.newton_iters == steps[-1] < sum(steps)
+
+    @pytest.mark.parametrize(
+        "N,sigma_cells,route",
+        [
+            # floor N = 32: a widened rung would be N = 16, under the cut-off
+            (64, 4.0, [(32, "limit equation"), (32, "Newton"), (64, "Newton")]),
+            # floors N = 64, 128 and 64: the limit equation runs only on the
+            # widened rung under the floor, at sigma = 2h there
+            (128, 4.0, [(32, "limit equation"), (64, "Newton"), (128, "Newton")]),
+            (256, 4.0, [(64, "limit equation"), (128, "Newton"), (256, "Newton")]),
+            (64, 2.0, [(32, "limit equation"), (64, "Newton")]),
+        ],
+    )
+    def test_route_of_a_cold_solve(self, monkeypatch, N, sigma_cells, route):
+        grid = GridSpec(N)
+        spec = make_spec(
+            N=N, q=40.0, vortices=one_vortex(grid, sigma_cells),
+            newton_tol=8e-6 if N == 256 else 1e-6,
+        )
+        ladder = solver._Ladder(spec, predictor_only=True)
+        floor = ladder.rungs[ladder.floor][0].grid.N
+        widened = [
+            (rung.grid.N, rung.vortices.sigma) for rung, _ in ladder.rungs[ladder.floor + 1 :]
+        ]
+        levels, _ = _record_levels(monkeypatch)
+        bundle = solve_coupled(spec)
+        assert levels == route
+        assert widened == ([] if floor == 32 else [(floor // 2, 4.0 / floor)])
+        if widened:
+            assert (floor, "limit equation") not in levels
+        assert bundle.residual_norms["genmcsb"] <= spec.newton_tol
 
     def test_cold_limit_solve_starts_on_half_grid(self, monkeypatch):
         levels, steps = _record_levels(monkeypatch)
@@ -767,7 +798,8 @@ class TestGridSequencing:
     @pytest.mark.parametrize("case", ["cold solve", "sweep"])
     def test_each_half_grid_is_built_once(self, monkeypatch, case):
         # three vortices, sigma = 4h at N = 128: N = 64 is the only half
-        # grid, and N = 32 fails the sigma floor before it is built
+        # grid, and N = 32 fails the sigma floor before it is built; a cold
+        # solve builds N = 32 once more, for its widened rung
         grid = GridSpec(128)
         vortices = VortexConfig(
             points=((0.25, 0.25), (0.75, 0.25), (0.5, 0.75)),
@@ -787,7 +819,7 @@ class TestGridSequencing:
         else:
             table = q_sweep(spec, [20.0, 40.0, 80.0, 160.0])
             assert all(row.status == "converged" for row in table.rows)
-        assert built == [64]
+        assert built == ([64, 32] if case == "cold solve" else [64])
 
     def test_sweep_and_cold_solve_climb_one_ladder(self, monkeypatch):
         # a one-coupling sweep is a cold solve plus the fine limit solve
@@ -1422,6 +1454,27 @@ class TestQSweep:
             q_sweep(spec, [-1.0, 10.0])
         with pytest.raises(ValueError, match="finite"):
             q_sweep(spec, [10.0, float("inf")])
+
+    @pytest.mark.parametrize(
+        "q_list,message",
+        [
+            ([True, 40.0], r"^q_list\[0\] must be positive and finite, got True$"),
+            ([20.0, "40"], r"^q_list\[1\] must be positive and finite, got '40'$"),
+            ([20.0, float("nan")], r"^q_list\[1\] must be positive and finite, got nan$"),
+            ([0.0, 20.0], r"^q_list\[0\] must be positive and finite, got 0.0$"),
+            ([], r"^q_list must not be empty$"),
+        ],
+        ids=["bool", "string", "nan", "zero", "empty"],
+    )
+    def test_entries_are_checked_before_any_solve(self, monkeypatch, q_list, message):
+        # each entry as ProblemSpec checks q: float() would take True for
+        # q = 1 and parse strings, and an empty list ran the limit solve
+        def built(*args):
+            raise AssertionError("a background was built")
+
+        monkeypatch.setattr(solver, "compute_u0", built)
+        with pytest.raises(ValueError, match=message):
+            q_sweep(make_spec(N=32), q_list)
 
     def test_single_vortex_sweep_monotone(self):
         spec = make_spec(N=64)
