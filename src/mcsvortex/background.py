@@ -15,11 +15,10 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from numbers import Real
 
 import numpy as np
 
-from .errors import PreconditionViolated, SigmaTooSmall
+from .errors import PreconditionViolated, SigmaTooSmall, _number, _require_whole
 from .grid import GridSpec, ScalarField
 
 FOUR_PI = 4.0 * np.pi
@@ -35,6 +34,7 @@ class VortexConfig:
     multiplicities: positive integer winding numbers m_j.
     sigma: Gaussian width in torus length units, in (0, 1/4] (checked
         against the grid spacing when fields are built).
+    Every value must be a number (errors._number), not a bool or a string.
     """
 
     points: tuple[tuple[float, float], ...]
@@ -42,32 +42,32 @@ class VortexConfig:
     sigma: float
 
     def __post_init__(self):
-        pts = tuple((float(x), float(y)) for x, y in self.points)
-        mult = tuple(self.multiplicities)
+        pts, mult = tuple(self.points), tuple(self.multiplicities)
         if len(pts) != len(mult):
             raise ValueError("need one multiplicity per vortex point")
-        for m in mult:
-            # checked before int(), which would truncate 1.5 to 1 and make
-            # True a 1 (a bool is a Real)
-            whole = isinstance(m, Real) and not isinstance(m, bool)
-            if not (whole and 1 <= m < np.inf and m % 1 == 0):
-                raise ValueError(f"multiplicities must be whole numbers >= 1, got {m!r}")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "multiplicities", tuple(int(m) for m in mult))
         for x, y in pts:
-            if not (0.0 <= x < 1.0 and 0.0 <= y < 1.0):
-                raise ValueError(f"vortex point ({x}, {y}) outside [0,1)^2")
+            if not all(_number(c) and 0.0 <= c < 1.0 for c in (x, y)):
+                raise ValueError(f"vortex point ({x!r}, {y!r}) outside [0,1)^2")
+        pts = tuple((float(x), float(y)) for x, y in pts)
         if len(set(pts)) != len(pts):
             raise ValueError("vortex points must be pairwise distinct")
-        # a bump wider than a quarter of the torus no longer localizes, and
-        # mollified_delta's sums over periodic images grow like sigma
-        if not (isinstance(self.sigma, Real) and 0.0 < self.sigma <= 0.25):
-            raise ValueError(f"sigma must be in (0, 1/4], got {self.sigma!r}")
+        mult = (_require_whole(f"multiplicity of vortex {i}", m) for i, m in enumerate(mult))
+        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "multiplicities", tuple(mult))
+        object.__setattr__(self, "sigma", _require_sigma(self.sigma))
 
     @property
     def n(self) -> int:
         """Total vortex number (sum of multiplicities)."""
         return sum(self.multiplicities)
+
+
+def _require_sigma(sigma) -> float:
+    """sigma as a float; ValueError unless a number in (0, 1/4]: a wider bump
+    no longer localizes, and _bump's sums over periodic images grow like it."""
+    if not (_number(sigma) and 0.0 < sigma <= 0.25):
+        raise ValueError(f"sigma must be in (0, 1/4], got {sigma!r}")
+    return float(sigma)
 
 
 def no_vortices() -> VortexConfig:
@@ -141,9 +141,10 @@ def mollified_delta(p: tuple[float, float], sigma: float, grid: GridSpec) -> Sca
     the outer product of two 1-D periodic image sums,
     g_x[i] = sum_m exp(-(x_i - p_x + m)^2 / (2 sigma^2)) over the images
     m = -width..width and g_y alike, rescaled so that the trapezoidal
-    integral is exactly 1.
+    integral is exactly 1.  ValueError unless sigma is in (0, 1/4], as
+    VortexConfig's; SigmaTooSmall below 2h.
     """
-    return ScalarField(grid, _bump(p, sigma, grid)[0])
+    return ScalarField(grid, _bump(p, _require_sigma(sigma), grid)[0])
 
 
 def _bump(

@@ -26,11 +26,12 @@ from .errors import (
     PreconditionViolated,
     SnapshotError,
     SolveFailure,
+    _require_whole,
 )
 from .grid import GridSpec, sup_norm
 from .nonlinearity import model_from_name
 from .snapshots import FIELD_FILES, read_solution, write_solution, write_text_atomic
-from .solver import ProblemSpec, SolutionBundle, q_sweep, solve_coupled
+from .solver import ProblemSpec, SolutionBundle, _coupling_list, q_sweep, solve_coupled
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -73,14 +74,14 @@ def _problem_spec(model, vortices, q, grid: GridSpec, tolerances) -> ProblemSpec
     model is {name, s, table}, s and table optional; vortices is {points,
     multiplicities, sigma}, sigma in torus units; tolerances holds the ones
     given, the absent ones take ProblemSpec's defaults; any other entry,
-    such as the bound_tol that records still carry, is ignored.  Raises
-    ValueError for invalid data, KeyError, TypeError, ... for mistyped
-    data."""
+    such as the bound_tol that records still carry, is ignored.  The
+    library checks every value: ValueError for invalid data, KeyError,
+    TypeError, ... for data of the wrong shape."""
     return ProblemSpec(
         vortices=VortexConfig(
             points=vortices["points"],
             multiplicities=vortices["multiplicities"],
-            sigma=float(vortices["sigma"]),
+            sigma=vortices["sigma"],
         ),
         model=model_from_name(model["name"], model.get("s"), model.get("table")),
         q=q,
@@ -105,12 +106,13 @@ def _load_table(path: Path) -> tuple:
 
 
 def parse_config(path) -> RunConfig:
-    """Parse and validate a run configuration.
+    """Parse a run configuration into a RunConfig.
 
     Schema (key = value, '#' comments, values may continue onto indented
     lines; any other section or key is an error):
 
-        [model]    name (u1 | cp1 | custom), s (optional), table (custom)
+        [model]    name (u1 | cp1 | custom), s (optional), table (custom
+                   only, a file of two columns t f)
         [vortices] points (one "x y multiplicity" triple per line), sigma
                    (units of h, default 4, >= 2, <= N/4)
         [grid]     N (even, >= 8)
@@ -118,8 +120,10 @@ def parse_config(path) -> RunConfig:
                    optional)
         [output]   dir (default "out")
 
-    The slack of the pointwise bounds is not configurable: it is
-    ProblemSpec.bound_tol, 1e-6 + 10*sigma^2.
+    It checks sections, keys, the syntax of values, the required keys and
+    sigma >= 2 cells; the library checks the values (model_from_name,
+    VortexConfig, GridSpec, ProblemSpec, _coupling_list), its ValueError
+    becomes a ConfigError.  The bounds' slack is fixed (ProblemSpec.bound_tol).
     """
     path = Path(path)
     if not path.is_file():
@@ -160,14 +164,7 @@ def parse_config(path) -> RunConfig:
             raise ConfigError(f"[{section}] {key}: not a number: {raw!r}") from exc
 
     model = {"name": get("model", "name"), "s": get_float("model", "s")}
-    if model["name"] not in ("u1", "cp1", "custom"):
-        raise ConfigError(
-            f"[model] name must be one of u1 | cp1 | custom, got {model['name']!r}"
-        )
-    if model["name"] == "custom":
-        table_path = get("model", "table")
-        if table_path is None or model["s"] is None:
-            raise ConfigError("[model] custom model needs both 'table' and 's'")
+    if (table_path := get("model", "table")) is not None:
         model["table"] = _load_table(path.parent / table_path)
 
     vortices = {"points": [], "multiplicities": []}
@@ -185,14 +182,6 @@ def parse_config(path) -> RunConfig:
             x, y, m = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError as exc:
             raise ConfigError(f"[vortices] points line {lineno}: {exc}") from exc
-        if not (0.0 <= x < 1.0 and 0.0 <= y < 1.0):
-            raise ConfigError(
-                f"[vortices] points line {lineno}: ({x}, {y}) outside [0,1)^2"
-            )
-        if m < 1:
-            raise ConfigError(
-                f"[vortices] points line {lineno}: multiplicity must be >= 1"
-            )
         vortices["points"].append((x, y))
         vortices["multiplicities"].append(m)
     sigma_cells = get_float("vortices", "sigma", DEFAULT_SIGMA_CELLS)
@@ -210,18 +199,11 @@ def parse_config(path) -> RunConfig:
 
     q = get_float("solver", "q")
     q_list = None
-    raw_q_list = get("solver", "q_list")
-    if raw_q_list is not None:
+    if (raw_q_list := get("solver", "q_list")) is not None:
         try:
             q_list = [float(tok) for tok in raw_q_list.split()]
         except ValueError as exc:
             raise ConfigError(f"[solver] q_list: {exc}") from exc
-        if not q_list:
-            raise ConfigError("[solver] q_list is empty")
-        if not all(np.isfinite(v) and v > 0.0 for v in q_list):
-            raise ConfigError("[solver] q_list entries must be positive and finite")
-        if any(b <= a for a, b in zip(q_list, q_list[1:])):
-            raise ConfigError("[solver] q_list must be ascending")
     if q is None and q_list is None:
         raise ConfigError("[solver] needs q or q_list")
     tolerances = {
@@ -230,7 +212,8 @@ def parse_config(path) -> RunConfig:
         if (value := get_float("solver", key)) is not None
     }
     out_dir = get("output", "dir", "out")
-    try:  # surface model/vortex validation errors as config errors
+    try:  # surface the library's validation errors as config errors
+        q_list = None if q_list is None else _coupling_list(q_list)
         spec = _problem_spec(
             model, vortices, q if q is not None else q_list[0], grid, tolerances
         )
@@ -330,22 +313,21 @@ def bundle_from_snapshot(path) -> tuple[SolutionBundle, dict]:
     record's residual norms and energy are not read back: the bundle
     derives its own from the fields.
 
-    Raises SnapshotError for a record whose problem data is missing,
-    mistyped or out of range."""
+    Raises SnapshotError, naming the file, for a record whose problem data
+    is missing, mistyped or out of range."""
     meta, fields = read_solution(path)
     try:
         spec = _problem_spec(
             meta["model"], meta["vortices"], meta["q"], fields["u"].grid,
             meta.get("tolerances", {}),
         )
-        newton_iters = int(meta.get("newton_iters", 0))
-    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise SnapshotError(f"{path}: malformed solution record: {exc!r}") from exc
-    try:
+        newton_iters = _require_whole("newton_iters", meta.get("newton_iters", 0), 0)
         background = compute_u0(spec.vortices, spec.grid)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise SnapshotError(f"{path}: malformed solution record: {exc!r}") from exc
     except MCSVortexError as exc:
         # sigma below 2h, or multiplicities so large that e^u0 overflows
-        raise SnapshotError(str(exc)) from exc
+        raise SnapshotError(f"{path}: {exc}") from exc
     if sup_norm(background.u0 - fields["u0"]) > 1e-10:
         raise SnapshotError(
             f"{path}: stored u0 does not match its vortex configuration"
@@ -384,7 +366,7 @@ def cmd_verify(args) -> int:
         try:
             bundle, meta = bundle_from_snapshot(target)
         except MCSVortexError as exc:
-            print(f"snapshot error: {target}: {exc}", file=sys.stderr)
+            print(f"snapshot error: {exc}", file=sys.stderr)  # exc names the file
             return EXIT_CONFIG
         reports = diagnostics.all_reports(bundle)
         print(f"== {target}")

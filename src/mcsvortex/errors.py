@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all solver modules."""
+"""Exception hierarchy and number predicates shared by all solver modules."""
+
+import math
+from numbers import Real
 
 
 class MCSVortexError(Exception):
@@ -75,3 +78,31 @@ class ConfigError(MCSVortexError):
 
 class SnapshotError(MCSVortexError):
     """Unreadable, corrupt, or grid-mismatched field snapshot."""
+
+
+def _number(value) -> bool:
+    """Whether value is a real number, not a bool (a Real too) or a string:
+    the package's one type test of a number, made before float() or int()."""
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
+def _finite(value) -> bool:
+    """_number, and finite as a float (an integer beyond float64 is not)."""
+    try:
+        return _number(value) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _require_positive(name: str, value) -> float:
+    """value as a float; ValueError naming it unless positive and finite."""
+    if not (_finite(value) and value > 0.0):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return float(value)
+
+
+def _require_whole(name: str, value, least: int = 1) -> int:
+    """value as an int; ValueError naming it unless a whole number >= least."""
+    if not (_number(value) and least <= value < math.inf and value % 1 == 0):
+        raise ValueError(f"{name} must be a whole number >= {least}, got {value!r}")
+    return int(value)

@@ -23,11 +23,10 @@ call, so numpy imports numpy.fft on its first use, not with this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
-from .errors import GridMismatch
+from .errors import GridMismatch, _number
 
 TWO_PI = 2.0 * np.pi
 
@@ -47,7 +46,7 @@ class GridSpec:
 
     def __init__(self, N: int):
         # checked before int(), which would truncate 64.5 to 64
-        if not (isinstance(N, Real) and 8 <= N <= MAX_GRID_N and N % 2 == 0):
+        if not (_number(N) and 8 <= N <= MAX_GRID_N and N % 2 == 0):
             raise ValueError(
                 f"grid size must be an even integer in [8, {MAX_GRID_N}], got {N!r}"
             )

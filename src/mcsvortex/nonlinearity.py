@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NegativeArgument, OutOfRange
+from .errors import NegativeArgument, OutOfRange, _finite, _number, _require_positive
 
 INVERSE_TOL = 1e-12
 
@@ -147,12 +147,8 @@ class NonlinearityModel:
 
 
 def u1_model(s: float = 1.0) -> NonlinearityModel:
-    """Linear model f(t) = t.  Requires s > 0; truncated beyond T = 2s."""
-    s = float(s)
-    if s <= 0.0:
-        raise ValueError(f"linear model needs f(0)=0 < s, got s={s}")
-    if not np.isfinite(s):
-        raise ValueError(f"linear model needs a finite s, got s={s}")
+    """Linear model f(t) = t.  Requires a finite s > 0; truncated beyond T = 2s."""
+    s = _require_positive("s", s)
     T = 2.0 * s
     # the constant derivatives as read-only views of one float, no N x N
     # array: every reader broadcasts them
@@ -170,9 +166,9 @@ def u1_model(s: float = 1.0) -> NonlinearityModel:
 def cp1_model(s: float = 0.5) -> NonlinearityModel:
     """Rational model f(t) = (t-1)/(t+1), already bounded with bounded
     derivatives on t >= 0, so no truncation (T = inf)."""
+    if not (_number(s) and -1.0 < s < 1.0):
+        raise ValueError(f"rational model needs -1 < s < 1, got s={s!r}")
     s = float(s)
-    if not (-1.0 < s < 1.0):
-        raise ValueError(f"rational model needs -1 < s < 1, got s={s}")
     return NonlinearityModel(
         name="cp1",
         s=s,
@@ -188,23 +184,24 @@ def tabulated_model(ts, fs, s: float) -> NonlinearityModel:
     """Monotone-cubic interpolant of tabulated (t, f) samples, named
     "custom".
 
-    The table must start at t = 0, be strictly increasing in both columns,
-    and cover the range of interest; the truncation threshold is set to
-    (2/3) * t_max so the flattening stays inside the table.
+    The table, of finite numbers, must start at t = 0, be strictly
+    increasing in both columns, and cover the range of interest; the
+    truncation threshold is (2/3) * t_max, so the flattening stays inside.
     """
     from scipy.interpolate import PchipInterpolator
 
-    ts = np.asarray(ts, dtype=float)
-    fs = np.asarray(fs, dtype=float)
-    if ts.ndim != 1 or ts.shape != fs.shape or ts.size < 4:
+    if not all(np.ndim(c) == 1 and all(map(_finite, c)) for c in (ts, fs)):
+        raise ValueError("the (t, f) table must be two columns of finite numbers")
+    ts, fs = np.asarray(ts, dtype=float), np.asarray(fs, dtype=float)
+    if ts.shape != fs.shape or ts.size < 4:
         raise ValueError("need matching 1-d (t, f) tables with >= 4 rows")
     if ts[0] != 0.0:
         raise ValueError("table must start at t = 0")
     if np.any(np.diff(ts) <= 0.0) or np.any(np.diff(fs) <= 0.0):
         raise ValueError("table must be strictly increasing")
+    if not (_number(s) and fs[0] < s < fs[-1]):
+        raise ValueError(f"s={s!r} outside the table's value range ({fs[0]}, {fs[-1]})")
     s = float(s)
-    if not (fs[0] < s < fs[-1]):
-        raise ValueError(f"s={s} outside the table's value range ({fs[0]}, {fs[-1]})")
     interp = PchipInterpolator(ts, fs)
     d1 = interp.derivative(1)
     d2 = interp.derivative(2)
@@ -224,14 +221,16 @@ def tabulated_model(ts, fs, s: float) -> NonlinearityModel:
 def model_from_name(
     name: str, s: float | None = None, table=None
 ) -> NonlinearityModel:
-    """Registry used by the CLI config: 'u1' | 'cp1' | 'custom'."""
-    if name == "u1":
-        return u1_model(1.0 if s is None else s)
-    if name == "cp1":
-        return cp1_model(0.5 if s is None else s)
+    """Registry used by the CLI config and records: 'u1' | 'cp1' | 'custom'.
+    s is optional but for custom, which alone takes, and needs, a table."""
     if name == "custom":
         if table is None or s is None:
             raise ValueError("custom model needs both a (t, f) table and s")
         ts, fs = table
         return tabulated_model(ts, fs, s)
-    raise ValueError(f"unknown model name {name!r}")
+    if name not in ("u1", "cp1"):
+        raise ValueError(f"model name must be one of u1 | cp1 | custom, got {name!r}")
+    if table is not None:
+        raise ValueError(f"a (t, f) table is for the custom model only, not {name!r}")
+    make = u1_model if name == "u1" else cp1_model
+    return make() if s is None else make(s)

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 from math import sqrt
-from numbers import Real
 from typing import Callable
 
 import numpy as np
@@ -35,6 +34,9 @@ from .errors import (
     PreconditionViolated,
     QTooSmall,
     SolveFailure,
+    _finite,
+    _require_positive,
+    _require_whole,
 )
 from .grid import GridSpec, ScalarField, _l2, same_grid
 from .nonlinearity import NonlinearityModel
@@ -82,14 +84,9 @@ class ProblemSpec:
 
     def __post_init__(self):
         for name in ("q", "newton_tol"):
-            _require_positive(name, getattr(self, name))
-            object.__setattr__(self, name, float(getattr(self, name)))
-        iters = self.max_newton_iters
-        if not (_number(iters) and 1 <= iters < np.inf and iters % 1 == 0):
-            raise ValueError(
-                f"max_newton_iters must be a whole number >= 1, got {iters}"
-            )
-        object.__setattr__(self, "max_newton_iters", int(iters))
+            object.__setattr__(self, name, _require_positive(name, getattr(self, name)))
+        iters = _require_whole("max_newton_iters", self.max_newton_iters)
+        object.__setattr__(self, "max_newton_iters", iters)
 
     @property
     def bound_tol(self) -> float:
@@ -370,6 +367,23 @@ def _half_spectrum(grid: GridSpec) -> np.ndarray:
     return np.empty(grid.k2.shape, dtype=complex)
 
 
+def _multiplier_plus_potential(grid: GridSpec, symbol, V) -> Operator:
+    """phi -> the Fourier multiplier symbol (on the half spectrum) applied
+    to phi, plus V phi, on grid arrays.  It fills buffers of its own and,
+    like the Jacobians, takes the half spectrum of phi as an optional
+    second argument."""
+    spec, prod = _half_spectrum(grid), np.empty_like(V)
+
+    def apply(phi: np.ndarray, ph: np.ndarray | None = None) -> np.ndarray:
+        if ph is None:
+            ph = grid.forward(phi, out=spec)
+        out = grid.inverse(np.multiply(symbol, ph, out=spec))
+        out += np.multiply(V, phi, out=prod)
+        return out
+
+    return apply
+
+
 class _SpectralInverse:
     """Exact inverse of the Fourier multiplier with a positive symbol.
     spectrum is a buffer of its own that holds the half spectrum of its
@@ -405,23 +419,12 @@ class _Limit:
 
     def linearize(self, st: _State) -> tuple[Operator, _SpectralInverse]:
         """Frechet derivative -Lap + V of the residual at the state st, and
-        its preconditioner, the spectral inverse of -Lap + max(1, inf V).
-        Like the coupled one, the derivative fills buffers of its own and
-        takes the half spectrum of phi as an optional second argument."""
+        its preconditioner, the spectral inverse of -Lap + max(1, inf V)."""
         grid = self.bg.grid
         cp = st.dc_dt * st.t
         V = -cp * (self.model.s - st.f) + st.c * st.fp * st.t
-        k2 = grid.k2
-        spec, prod = _half_spectrum(grid), np.empty_like(V)
-
-        def hessian(phi: np.ndarray, ph: np.ndarray | None = None) -> np.ndarray:
-            if ph is None:
-                ph = grid.forward(phi, out=spec)
-            out = grid.inverse(np.multiply(k2, ph, out=spec))
-            out += np.multiply(V, phi, out=prod)
-            return out
-
-        return hessian, _SpectralInverse(grid, k2 + max(1.0, float(V.min())))
+        hessian = _multiplier_plus_potential(grid, grid.k2, V)
+        return hessian, _SpectralInverse(grid, grid.k2 + max(1.0, float(V.min())))
 
 
 def _predict(
@@ -472,18 +475,10 @@ def coefficient_fields(
 
 
 def _helmholtz(grid: GridSpec, c: np.ndarray, q: float) -> Operator:
-    """-Laplacian + q^2 + q c on grid arrays; like the Jacobians, it takes
-    the half spectrum of its argument as an optional second argument.
-    ValueError where q is not finite."""
-    if not np.isfinite(q):
-        raise ValueError(f"q must be finite, got {q}")
-    symbol, qc = grid.k2 + q * q, q * c
-
-    def apply(u: np.ndarray, uh: np.ndarray | None = None) -> np.ndarray:
-        uh = grid.forward(u) if uh is None else uh
-        return grid.inverse(symbol * uh) + qc * u
-
-    return apply
+    """-Laplacian + q^2 + q c (_multiplier_plus_potential); ValueError unless q is finite."""
+    if not _finite(q):
+        raise ValueError(f"q must be finite, got {q!r}")
+    return _multiplier_plus_potential(grid, grid.k2 + q * q, q * c)
 
 
 def helmholtz_apply(c: ScalarField, u: ScalarField, q: float) -> ScalarField:
@@ -509,8 +504,8 @@ def helmholtz_solve(
     that bound.
     """
     grid = same_grid(c, rhs)
-    if not (np.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+    if not (_finite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     A, applied = _helmholtz(grid, c.values, q), []
     c_inf = float(np.abs(c.values).max())
     if q <= c_inf:
@@ -952,17 +947,6 @@ def _newton_krylov(
     return st, r_norm, iters
 
 
-def _number(value) -> bool:
-    """Whether value is a real number and not a bool, which is a Real too:
-    True would pass for 1."""
-    return isinstance(value, Real) and not isinstance(value, bool)
-
-
-def _require_positive(name: str, value) -> None:
-    if not (_number(value) and np.isfinite(value) and value > 0.0):
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
-
-
 def _require_coupling(q: float, st: _State) -> None:
     c_inf = float(np.abs(st.c).max())
     if q <= c_inf:
@@ -1059,6 +1043,17 @@ def solve_limit(
     return ladder.result(ladder.limit())
 
 
+def _coupling_list(q_list) -> list[float]:
+    """q_list as floats; ValueError, naming the first bad entry, unless it is
+    a non-empty, strictly ascending list of q as ProblemSpec takes it."""
+    q_list = [_require_positive(f"q_list[{i}]", q) for i, q in enumerate(q_list)]
+    if not q_list:
+        raise ValueError("q_list must not be empty")
+    if any(b <= a for a, b in zip(q_list, q_list[1:])):
+        raise ValueError("q_list must be strictly ascending")
+    return q_list
+
+
 def q_sweep(spec: ProblemSpec, q_list) -> "ConvergenceTable":
     """Solves over ascending couplings, measured against the limit
     profile.  Per-entry solver failures become marked rows rather than
@@ -1076,21 +1071,12 @@ def q_sweep(spec: ProblemSpec, q_list) -> "ConvergenceTable":
     (_predict); without u1, from u_inf and then from the last converged
     neighbor.  The limit solve on spec.grid, which the rows are measured
     against, raises its NoConvergence; newton_iters counts the steps on
-    spec.grid only.  ValueError, before any solve, unless q_list is a
-    non-empty, strictly ascending list of positive, finite numbers, each
-    checked as ProblemSpec checks q (no bool, no string).
+    spec.grid only.  ValueError, before any solve, where _coupling_list
+    rejects q_list.
     """
     from . import diagnostics
 
-    q_list = list(q_list)
-    if not q_list:
-        raise ValueError("q_list must not be empty")
-    for i, q in enumerate(q_list):
-        _require_positive(f"q_list[{i}]", q)
-    q_list = [float(q) for q in q_list]
-    if any(b <= a for a, b in zip(q_list, q_list[1:])):
-        raise ValueError("q_list must be strictly ascending")
-
+    q_list = _coupling_list(q_list)
     ladder = _Ladder(spec)
     limit = ladder.result(ladder.limit())
     outcomes = ladder.coupled(q_list[::-1])

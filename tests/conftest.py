@@ -3,8 +3,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from mcsvortex import GridSpec, ScalarField
+
+# every property test prints the blob that reproduces a failure it finds
+settings.register_profile("mcsvortex", print_blob=True)
+settings.load_profile("mcsvortex")
 
 
 @pytest.fixture

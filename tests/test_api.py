@@ -88,3 +88,20 @@ def test_only_the_grid_module_transforms():
     ]
     assert not users, f"modules that call numpy.fft or scipy.fft directly: {users}"
     assert fft.search('ufuncs = getattr(numpy_fft, "_pocketfft_umath")')
+
+
+def test_only_the_errors_module_tests_number_types():
+    # errors._number is the one rule for "a real number, not a bool or a
+    # string", so every route into the package checks numbers alike
+    number_type = re.compile(r"\bisinstance\([^)]*\b(?:Real|bool)\b")
+    modules = sorted(PACKAGE.glob("**/*.py"))
+    assert PACKAGE / "errors.py" in modules
+    users = [
+        path.name for path in modules
+        if path.name != "errors.py" and number_type.search(path.read_text(encoding="utf-8"))
+    ]
+    assert not users, f"modules that test for a number type themselves: {users}"
+    for text in ("isinstance(m, Real)", "isinstance(x, (numbers.Real, np.floating))",
+                 "isinstance(flag, bool)"):
+        assert number_type.search(text), text
+    assert not number_type.search("isinstance(outcome, SolveFailure)")

@@ -82,10 +82,10 @@ class TestVortexConfig:
         with pytest.raises(ValueError):
             VortexConfig(points=((0.5, 0.5),), multiplicities=(1,), sigma=-1.0)
         # checked before int(), which would make 1.5 a single vortex
-        with pytest.raises(ValueError, match="multiplicities"):
+        with pytest.raises(ValueError, match="multiplicity"):
             VortexConfig(points=((0.5, 0.5),), multiplicities=(1.5,), sigma=0.05)
         # a bool is a Real, which int() would make a single vortex
-        with pytest.raises(ValueError, match="multiplicities"):
+        with pytest.raises(ValueError, match="multiplicity"):
             VortexConfig(points=((0.5, 0.5),), multiplicities=(True,), sigma=0.05)
         with pytest.raises(ValueError, match="sigma"):
             VortexConfig(points=((0.5, 0.5),), multiplicities=(1,), sigma="0.05")
@@ -128,6 +128,13 @@ class TestMollifiedDelta:
         bump = mollified_delta((0.5, 0.5), 4 * grid.h, grid)
         mirrored = np.roll(bump.values[::-1, ::-1], (1, 1), axis=(0, 1))
         assert np.max(np.abs(bump.values - mirrored)) <= 1e-12 * bump.max()
+
+    @pytest.mark.parametrize("sigma", ["0.1", float("inf"), 5.0, True])
+    def test_sigma_outside_quarter_torus_rejected(self, sigma):
+        # VortexConfig's rule: a string raised TypeError, inf OverflowError,
+        # and 5.0 or True (as 1) built a bump wider than the torus
+        with pytest.raises(ValueError, match=r"^sigma must be in \(0, 1/4\], got "):
+            mollified_delta((0.5, 0.5), sigma, GridSpec(32))
 
     def test_two_bumps_integrate_to_two(self):
         grid = GridSpec(32)

@@ -169,7 +169,7 @@ q_list = 10 20 40
             (("N = 48", ""), r"\[grid\] N is required"),
             (("q = 40.0", ""), r"\[solver\] needs q or q_list"),
             (("[output]", "[solvr]\nq = 40.0\n\n[output]"), r"unknown section \[solvr\]"),
-            (("s = 9.0", "s = inf"), "finite s"),
+            (("s = 9.0", "s = inf"), "s must be positive and finite"),
             (("q = 40.0", "q = 40.0\nkrylov_tol = 1e-10"), r"unknown key \[solver\] krylov_tol"),
         ],
     )
@@ -338,6 +338,23 @@ class TestSolveCommand:
         assert model["name"] == "custom"
         assert model["table"] == [ts.tolist(), fs.tolist()]
         assert main(["verify", str(out)]) == 0
+
+    @pytest.mark.parametrize(
+        "written,named",
+        [(True, "custom model only, not 'u1'"), (False, "[model] table: cannot read")],
+        ids=["table", "missing-table"],
+    )
+    def test_table_needs_the_custom_model(self, tmp_path, capsys, written, named):
+        # u1 and cp1 ignored a table, and never opened its file
+        if written:
+            ts = np.linspace(0, 3, 24)
+            np.savetxt(tmp_path / "f.dat", np.column_stack([ts, np.sqrt(ts + 0.01)]))
+        body = VORTEX_CONFIG.format(out=tmp_path / "out").replace(
+            "s = 9.0", "s = 9.0\ntable = f.dat"
+        )
+        assert main(["solve", "--config", write_config(tmp_path / "run.cfg", body)]) == 1
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_q_list_only_exit_one(self, tmp_path, capsys):
         body = VORTEX_CONFIG.format(out=tmp_path / "out").replace(
@@ -720,6 +737,35 @@ class TestVerifyCommand:
             (lambda meta, out: {**meta, "grid": {"N": 48.5}}, "invalid grid data"),
             (lambda meta, out: {**meta, "grid": {"N": 48.9}}, "invalid grid data"),
             (lambda meta, out: {**meta, "grid": {"N": "48"}}, "invalid grid data"),
+            # numbers the library checks before float() or int() would
+            # parse a string or truncate 2.7: verify passed all of these
+            (
+                lambda meta, out: {**meta, "model": {**meta["model"], "s": "9"}},
+                "s must be positive and finite, got '9'",
+            ),
+            (
+                lambda meta, out: {**meta, "vortices": {**meta["vortices"], "sigma": "0.125"}},
+                "sigma must be in (0, 1/4], got '0.125'",
+            ),
+            (
+                lambda meta, out: {
+                    **meta, "vortices": {**meta["vortices"], "points": [["0.5", "0.5"]]}
+                },
+                "vortex point ('0.5', '0.5') outside",
+            ),
+            (
+                lambda meta, out: {**meta, "newton_iters": 2.7},
+                "newton_iters must be a whole number >= 0, got 2.7",
+            ),
+            (
+                lambda meta, out: {**meta, "newton_iters": "5"},
+                "newton_iters must be a whole number >= 0, got '5'",
+            ),
+            # compute_u0's error, which named no file
+            (
+                lambda meta, out: {**meta, "vortices": {**meta["vortices"], "sigma": 0.01}},
+                "resolvability floor",
+            ),
         ],
         ids=[
             "list", "null-q", "null-sigma", "overflow", "weight-overflow", "huge-sigma",
@@ -728,7 +774,8 @@ class TestVerifyCommand:
             "overflowing-newton-iters", "overflowing-max-newton-iters",
             "fractional-max-newton-iters",
             "overflowing-grid-N", "fractional-grid-N", "nearly-whole-grid-N",
-            "string-grid-N",
+            "string-grid-N", "string-s", "string-sigma", "string-points",
+            "fractional-newton-iters", "string-newton-iters", "sigma-below-2h",
         ],
     )
     def test_malformed_record_exit_one(self, solved_dir, capsys, mangle, named):
@@ -738,6 +785,7 @@ class TestVerifyCommand:
         assert main(["verify", str(solved_dir)]) == 1
         err = capsys.readouterr().err
         assert "snapshot error" in err and named in err
+        assert err.count(str(solved_dir)) == 1  # the file, named once
 
     def test_stored_bound_tol_is_ignored(self, solved_dir):
         # the slack is fixed: the reports are recomputed with 1e-6 + 10*sigma^2
@@ -765,7 +813,6 @@ class TestVerifyCommand:
         max_examples=300,
         deadline=None,
         database=None,
-        print_blob=True,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(st.sampled_from(RECORD_FIELDS), record_values)

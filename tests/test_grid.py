@@ -435,10 +435,11 @@ class TestHelmholtz:
             # below the float64 floor: the iteration runs out of its 10 N steps
             helmholtz_solve(c, rhs, 3.0, tol=1e-30)
 
-    @pytest.mark.parametrize("q", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("q", [np.nan, np.inf, -np.inf, "3", True])
     def test_non_finite_coupling_is_a_value_error(self, q):
-        # as ProblemSpec's q: a NaN passes no comparison with sup|c|, and an
-        # infinite q makes q^2 + q c a NaN wherever c < 0
+        # as ProblemSpec's q: a NaN passes no comparison with sup|c|, an
+        # infinite q makes q^2 + q c a NaN wherever c < 0, a string raised
+        # numpy's TypeError and True passed for q = 1
         grid = GridSpec(16)
         c, u = grid.constant(0.5), grid.constant(1.0)
         with pytest.raises(ValueError, match=r"^q must be finite, got "):
@@ -446,7 +447,7 @@ class TestHelmholtz:
         with pytest.raises(ValueError, match=r"^q must be finite, got "):
             helmholtz_solve(c, u, q)
 
-    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-10])
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-10, True, "1e-10"])
     def test_tolerance_must_be_finite_and_nonnegative(self, tol):
         # "res > target" is False for a NaN or infinite target, so such a
         # tol would hand back a result nothing checked

@@ -316,3 +316,29 @@ class TestTabulatedModel:
             model_from_name("unknown")
         with pytest.raises(ValueError):
             model_from_name("custom")
+
+
+TS = np.linspace(0.0, 3.0, 8)
+TABLE = (TS, np.sqrt(TS + 0.01))
+BAD_TABLE = r"^the \(t, f\) table must be two columns of finite numbers$"
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: u1_model(True), r"^s must be positive and finite, got True$"),
+        (lambda: u1_model("9"), r"^s must be positive and finite, got '9'$"),
+        (lambda: cp1_model(False), r"needs -1 < s < 1, got s=False$"),
+        (lambda: tabulated_model(*TABLE, s="1.0"), r"^s='1.0' outside"),
+        (lambda: tabulated_model([str(t) for t in TS], TABLE[1], s=1.0), BAD_TABLE),
+        (lambda: tabulated_model([*TS[:-1], np.nan], TABLE[1], s=1.0), BAD_TABLE),
+        (lambda: model_from_name("u1", table=TABLE), "custom model only, not 'u1'$"),
+    ],
+    ids=["u1-bool", "u1-string", "cp1-bool", "custom-string-s", "string-table",
+         "nan-table", "u1-with-table"],
+)
+def test_numbers_are_checked_before_conversion(build, message):
+    # float() took True for s = 1, False for s = 0 and parsed strings, a
+    # NaN passed the monotonicity test, and u1 ignored a table
+    with pytest.raises(ValueError, match=message):
+        build()
