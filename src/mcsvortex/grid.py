@@ -107,21 +107,29 @@ class GridSpec:
         pocketfft.rfft_n_even(values, 1, out=out)
         return pocketfft.fft(out, 1, axes=[(0,), (), (0,)], out=out)
 
-    def inverse(self, coeffs: np.ndarray) -> np.ndarray:
+    def inverse(self, coeffs: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
         """Real N x N array with the given half spectrum, as a new array.
         The two 1-D passes of irfft2, each scaled by 1/N: a complex inverse
-        along axis 0, then a real one of length N along axis 1.  ValueError
-        for a half spectrum of another shape."""
+        along axis 0, then a real one of length N along axis 1.  The first
+        pass writes into scratch if given (a complex N x (N/2 + 1) array,
+        which may be coeffs itself), else into a new array; coeffs is left
+        unchanged unless it is the scratch.  ValueError for a half spectrum
+        or scratch of another shape, and for a scratch that is not
+        complex128."""
         if coeffs.shape != self._half_shape:
             raise ValueError(
                 f"{self!r} inverts half spectra of shape {self._half_shape}, "
                 f"got shape {coeffs.shape}"
             )
+        if scratch is None:
+            scratch = np.empty(self._half_shape, dtype=complex)
+        elif scratch.shape != self._half_shape or scratch.dtype != complex:
+            raise ValueError(
+                f"{self!r} needs a complex scratch of shape {self._half_shape}, "
+                f"got {scratch.dtype} of shape {scratch.shape}"
+            )
         pocketfft = np.fft._pocketfft_umath
-        spectrum = pocketfft.ifft(
-            coeffs, self._inv_n, axes=[(0,), (), (0,)],
-            out=np.empty(self._half_shape, dtype=complex),
-        )
+        spectrum = pocketfft.ifft(coeffs, self._inv_n, axes=[(0,), (), (0,)], out=scratch)
         return pocketfft.irfft(spectrum, self._inv_n, out=np.empty((self.N, self.N)))
 
     def outer_spectrum(self, gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
@@ -146,7 +154,8 @@ class GridSpec:
 
     def apply(self, symbol, values: np.ndarray) -> np.ndarray:
         """Fourier multiplier with the given half-spectrum symbol."""
-        return self.inverse(symbol * self.forward(values))
+        coeffs = symbol * self.forward(values)
+        return self.inverse(coeffs, scratch=coeffs)
 
     def gradient(self, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(d/dx, d/dy) of the real array with half spectrum coeffs."""

@@ -45,7 +45,8 @@ FOUR_PI = 4.0 * np.pi
 
 # a linear operator on N x N grid arrays, returning a new array the caller
 # may overwrite; a Jacobian also takes the half spectrum of its argument as
-# an optional second argument, which spares its forward transform (_minres)
+# an optional second argument, which spares its forward transform and which
+# it may overwrite (_minres hands on the preconditioner's own buffer)
 Operator = Callable[..., np.ndarray]
 
 # MINRES tolerance of the LimitSolution.u1 solve.  u1 only shapes a Newton
@@ -150,18 +151,20 @@ class SolutionBundle:
     def residual_norms(self) -> dict:
         """L2 residuals at (u, v) of the two coupled equations, "genmcsa"
         and "genmcsb", and of the fourth-order one, "fourth_order", whose
-        Laplacian(u) gives genmcsa.  ValueError where e^{u0+u} overflows."""
+        Laplacian(u) gives genmcsa.  Each norm is taken as soon as its
+        residual is formed, so no two residual arrays live at once.
+        ValueError where e^{u0+u} overflows."""
         st = self._state("residuals")
         grid, q, n, s = self.grid, self.q, self.background.n, self.model.s
-        fourth = self._equation.residual(st)
+        fourth = _l2(grid, self._equation.residual(st))
         v = self.v.values
-        res_a = -st.lap - q * (v - st.f) + FOUR_PI * n
-        res_b = grid.inverse(grid.k2 * self._vh) - q * (st.c * (s - v) - q * (v - st.f))
-        return {
-            "genmcsa": _l2(grid, res_a),
-            "genmcsb": _l2(grid, res_b),
-            "fourth_order": _l2(grid, fourth),
-        }
+        res_a = _l2(grid, -st.lap - q * (v - st.f) + FOUR_PI * n)
+        lap_v = grid.k2 * self._vh
+        res_b = _l2(
+            grid,
+            grid.inverse(lap_v, scratch=lap_v) - q * (st.c * (s - v) - q * (v - st.f)),
+        )
+        return {"genmcsa": res_a, "genmcsb": res_b, "fourth_order": fourth}
 
     @cached_property
     def energy_value(self) -> float:
@@ -239,7 +242,8 @@ class _State:
     @cached_property
     def lap(self) -> np.ndarray:
         grid = self.bg.grid
-        return grid.inverse(-grid.k2 * self.uh)
+        spectrum = -grid.k2 * self.uh
+        return grid.inverse(spectrum, scratch=spectrum)
 
     @cached_property
     def wg(self) -> np.ndarray:
@@ -314,8 +318,9 @@ class _Coupled:
     def residual(self, st: _State) -> np.ndarray:
         """The energy gradient at the state st."""
         q, grid, n = self.q, self.grid, self.bg.n
+        spectrum = self.principal * st.uh + self.k2_q * grid.forward(st.f)
         return (
-            grid.inverse(self.principal * st.uh + self.k2_q * grid.forward(st.f))
+            grid.inverse(spectrum, scratch=spectrum)
             - st.c * (st.lap - FOUR_PI * n) / q
             + st.c * (st.f - self.model.s)
             + FOUR_PI * n
@@ -324,10 +329,12 @@ class _Coupled:
     def linearize(self, st: _State) -> tuple[Operator, _SpectralInverse]:
         """Frechet derivative of the residual at the frozen state st and its
         preconditioner, the exact spectral inverse of q^{-2} Lap^2 - Lap +
-        lambda with lambda = max(1, inf f' * inf e^{u*}).  The derivative's
-        products go into buffers of its own, and its optional second
-        argument, the half spectrum of phi, saves the forward transform of
-        phi (see _minres).  Raises QTooSmall where q <= sup|c|."""
+        lambda with lambda = max(1, inf f' * inf e^{u*}).  The two share one
+        scratch half spectrum, and the derivative's products go into
+        buffers of the linearization.  Its optional second argument, the
+        half spectrum of phi, saves the forward transform of phi (see
+        _minres); it is overwritten with that of c phi.  Raises QTooSmall
+        where q <= sup|c|."""
         q, grid, principal, k2_q = self.q, self.grid, self.principal, self.k2_q
         _require_coupling(q, st)
         c = st.c
@@ -338,20 +345,19 @@ class _Coupled:
             + c * st.fp * st.t
         )
         k2 = grid.k2
-        spec, c_spec = _half_spectrum(grid), _half_spectrum(grid)
+        spec = _half_spectrum(grid)
         prod = np.empty_like(c)
 
         def matvec(phi: np.ndarray, ph: np.ndarray | None = None) -> np.ndarray:
             if ph is None:
-                ph = grid.forward(phi, out=c_spec)  # last read before F(c phi)
+                ph = grid.forward(phi)
             # -Laplacian(phi): its sign goes into the last sum, which gives
             # the floats of subtracting c Laplacian(phi) / q (negation is exact)
-            neg_lap = grid.inverse(np.multiply(k2, ph, out=spec))
+            neg_lap = grid.inverse(np.multiply(k2, ph, out=spec), scratch=spec)
             np.multiply(principal, ph, out=spec)
-            grid.forward(np.multiply(c, phi, out=prod), out=c_spec)
-            linear = grid.inverse(
-                np.add(spec, np.multiply(k2_q, c_spec, out=c_spec), out=spec)
-            )
+            grid.forward(np.multiply(c, phi, out=prod), out=ph)  # ph's last read was above
+            np.add(spec, np.multiply(k2_q, ph, out=ph), out=spec)
+            linear = grid.inverse(spec, scratch=spec)
             np.multiply(c, neg_lap, out=neg_lap)
             neg_lap /= q
             linear += neg_lap
@@ -359,7 +365,7 @@ class _Coupled:
             return linear
 
         lam = max(1.0, float(st.fp.min()) * float(st.t.min()))
-        return matvec, _SpectralInverse(grid, principal + lam)
+        return matvec, _SpectralInverse(grid, principal + lam, spec)
 
 
 def _half_spectrum(grid: GridSpec) -> np.ndarray:
@@ -367,17 +373,18 @@ def _half_spectrum(grid: GridSpec) -> np.ndarray:
     return np.empty(grid.k2.shape, dtype=complex)
 
 
-def _multiplier_plus_potential(grid: GridSpec, symbol, V) -> Operator:
+def _multiplier_plus_potential(grid: GridSpec, symbol, V, spec: np.ndarray) -> Operator:
     """phi -> the Fourier multiplier symbol (on the half spectrum) applied
-    to phi, plus V phi, on grid arrays.  It fills buffers of its own and,
-    like the Jacobians, takes the half spectrum of phi as an optional
-    second argument."""
-    spec, prod = _half_spectrum(grid), np.empty_like(V)
+    to phi, plus V phi, on grid arrays.  Like the Jacobians, it takes the
+    half spectrum of phi as an optional second argument, which it
+    overwrites; without it, it transforms phi into the scratch half
+    spectrum spec.  Its product goes into a buffer of its own."""
+    prod = np.empty_like(V)
 
     def apply(phi: np.ndarray, ph: np.ndarray | None = None) -> np.ndarray:
         if ph is None:
             ph = grid.forward(phi, out=spec)
-        out = grid.inverse(np.multiply(symbol, ph, out=spec))
+        out = grid.inverse(np.multiply(symbol, ph, out=ph), scratch=ph)
         out += np.multiply(V, phi, out=prod)
         return out
 
@@ -387,16 +394,20 @@ def _multiplier_plus_potential(grid: GridSpec, symbol, V) -> Operator:
 class _SpectralInverse:
     """Exact inverse of the Fourier multiplier with a positive symbol.
     spectrum is a buffer of its own that holds the half spectrum of its
-    last result, which _minres hands on to the operator."""
+    last result, which _minres scales in place and hands on to the
+    operator, which may overwrite it.  The inverse transform's first pass
+    goes into scratch, a half spectrum it shares with that operator."""
 
-    def __init__(self, grid: GridSpec, symbol: np.ndarray):
+    def __init__(self, grid: GridSpec, symbol: np.ndarray, scratch: np.ndarray):
         self.grid = grid
         self.inv_symbol = 1.0 / symbol
         self.spectrum = _half_spectrum(grid)
+        self.scratch = scratch
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         spectrum = self.grid.forward(x, out=self.spectrum)
-        return self.grid.inverse(np.multiply(self.inv_symbol, spectrum, out=spectrum))
+        np.multiply(self.inv_symbol, spectrum, out=spectrum)
+        return self.grid.inverse(spectrum, scratch=self.scratch)
 
 
 class _Limit:
@@ -419,12 +430,14 @@ class _Limit:
 
     def linearize(self, st: _State) -> tuple[Operator, _SpectralInverse]:
         """Frechet derivative -Lap + V of the residual at the state st, and
-        its preconditioner, the spectral inverse of -Lap + max(1, inf V)."""
+        its preconditioner, the spectral inverse of -Lap + max(1, inf V),
+        which share one scratch half spectrum."""
         grid = self.bg.grid
         cp = st.dc_dt * st.t
         V = -cp * (self.model.s - st.f) + st.c * st.fp * st.t
-        hessian = _multiplier_plus_potential(grid, grid.k2, V)
-        return hessian, _SpectralInverse(grid, grid.k2 + max(1.0, float(V.min())))
+        spec = _half_spectrum(grid)
+        hessian = _multiplier_plus_potential(grid, grid.k2, V, spec)
+        return hessian, _SpectralInverse(grid, grid.k2 + max(1.0, float(V.min())), spec)
 
 
 def _predict(
@@ -474,18 +487,25 @@ def coefficient_fields(
     return c, f_q, g_q
 
 
-def _helmholtz(grid: GridSpec, c: np.ndarray, q: float) -> Operator:
-    """-Laplacian + q^2 + q c (_multiplier_plus_potential); ValueError unless q is finite."""
+def _helmholtz_q(q) -> float:
+    """The Helmholtz coupling q as a float; ValueError unless q is finite."""
     if not _finite(q):
         raise ValueError(f"q must be finite, got {q!r}")
-    return _multiplier_plus_potential(grid, grid.k2 + q * q, q * c)
+    return float(q)
+
+
+def _helmholtz(grid: GridSpec, c: np.ndarray, q: float, spec: np.ndarray) -> Operator:
+    """-Laplacian + q^2 + q c (_multiplier_plus_potential, with the scratch
+    half spectrum spec) for a float q (_helmholtz_q)."""
+    return _multiplier_plus_potential(grid, grid.k2 + q * q, q * c, spec)
 
 
 def helmholtz_apply(c: ScalarField, u: ScalarField, q: float) -> ScalarField:
     """Left-hand operator of the stiff Helmholtz equation:
-    -Laplacian(u) + q^2*(1 + c/q)*u."""
+    -Laplacian(u) + q^2*(1 + c/q)*u.  ValueError where q is not finite."""
     grid = same_grid(c, u)
-    return ScalarField(grid, _helmholtz(grid, c.values, q)(u.values))
+    A = _helmholtz(grid, c.values, _helmholtz_q(q), _half_spectrum(grid))
+    return ScalarField(grid, A(u.values))
 
 
 def helmholtz_solve(
@@ -494,9 +514,9 @@ def helmholtz_solve(
     """Solve -Laplacian(u) + q^2*(1 + c/q)*u = q^2*rhs.
 
     Preconditioned MINRES (_minres) on the symmetric positive operator,
-    with the exact spectral inverse of (-Laplacian + q^2) as preconditioner.
-    Stops when the L2 residual falls below tol * q^2 * ||rhs||_2, after at
-    most 10 N iterations.
+    with the exact spectral inverse of (-Laplacian + q^2) as preconditioner;
+    the two share one scratch half spectrum.  Stops when the L2 residual
+    falls below tol * q^2 * ||rhs||_2, after at most 10 N iterations.
 
     Raises ValueError where q is not finite or tol is not finite and >= 0,
     PreconditionViolated unless q > sup|c| (positivity of the zeroth-order
@@ -506,7 +526,8 @@ def helmholtz_solve(
     grid = same_grid(c, rhs)
     if not (_finite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
-    A, applied = _helmholtz(grid, c.values, q), []
+    q, spec = _helmholtz_q(q), _half_spectrum(grid)
+    A, applied = _helmholtz(grid, c.values, q, spec), []
     c_inf = float(np.abs(c.values).max())
     if q <= c_inf:
         raise PreconditionViolated(
@@ -519,7 +540,7 @@ def helmholtz_solve(
 
     b = q * q * rhs.values
     target = tol * _l2(grid, b)
-    M = _SpectralInverse(grid, grid.k2 + q * q)
+    M = _SpectralInverse(grid, grid.k2 + q * q, spec)
     x, _ = _minres(counted, M, b.copy(), 0.0, 10 * grid.N, target / grid.h)
     res = _l2(grid, b - A(x))
     if res > target:
@@ -776,29 +797,33 @@ def _minres(
 
     When M has a spectrum attribute (_SpectralInverse), the half spectrum
     of its last result, each Lanczos vector v = y / beta goes to A together
-    with spectrum / beta, which spares A the forward transform of v; the
-    iterates then differ from scipy's at roundoff level.
+    with spectrum / beta, scaled in M's own buffer, which A may overwrite;
+    that spares A the forward transform of v, and the iterates then differ
+    from scipy's at roundoff level.
+
+    Next to b it holds six N x N vectors: x, r1, r2, the Lanczos vector v
+    (M's array) and the last two search directions, w_k being formed over
+    w_{k-2}.  Each iteration's scratch is r1's buffer, free once y has
+    been orthogonalized against it; M and A return new arrays.
     """
     eps = np.finfo(float).eps
     x = np.zeros_like(b)
-    r1 = b.copy()
-    y = M(r1)
-    beta1 = _dot(r1, y)
+    # r1 is first read at the second iteration: the first one's scratch
+    r1, r2 = np.empty_like(b), b.copy()
+    y = M(r2)
+    beta1 = _dot(r2, y)
     if beta1 < 0:
         raise ValueError("indefinite preconditioner")
     if beta1 == 0:
         return x, 0
     beta1 = sqrt(beta1)
     spectrum = getattr(M, "spectrum", None)
-    vh = None if spectrum is None else np.empty_like(spectrum)
 
     istop, itn = 0, 0
     oldb, beta, dbar, epsln, phibar = 0, beta1, 0, 0, beta1
     tnorm2, gmax, gmin = 0, 0, np.finfo(float).max
     cs, sn = -1, 0
-    tmp = np.empty_like(b)
-    w, w1, w2 = np.zeros_like(b), np.empty_like(b), np.zeros_like(b)
-    r2 = r1
+    w, w2 = np.zeros_like(b), np.zeros_like(b)  # w_{k-1} and w_{k-2}
     res = None if target is None else b
     while itn < maxiter:
         itn += 1
@@ -808,10 +833,11 @@ def _minres(
         s = 1.0 / beta
         v = y
         v *= s
-        y = A(v) if vh is None else A(v, np.multiply(s, spectrum, out=vh))
+        y = A(v) if spectrum is None else A(v, np.multiply(s, spectrum, out=spectrum))
         if itn >= 2:
-            y -= np.multiply(beta / oldb, r1, out=tmp)
+            y -= np.multiply(beta / oldb, r1, out=r1)
         alfa = _dot(v, y)
+        tmp = r1  # r1 is not read again: this iteration's scratch
         y -= np.multiply(alfa / beta, r2, out=tmp)
         r1 = r2
         r2 = y
@@ -838,13 +864,12 @@ def _minres(
         phi = cs * phibar
         phibar = sn * phibar
 
-        # update x along the new search direction; w takes the buffer of
-        # the w1 that drops out
+        # update x along the new search direction w_k, formed over w_{k-2}
         denom = 1.0 / gamma
-        w1, w2, w = w2, w, w1
-        np.subtract(v, np.multiply(oldeps, w1, out=tmp), out=w)
-        w -= np.multiply(delta, w2, out=tmp)
-        w *= denom
+        np.subtract(v, np.multiply(oldeps, w2, out=w2), out=w2)
+        w2 -= np.multiply(delta, w, out=tmp)
+        w2 *= denom
+        w, w2 = w2, w
         x += np.multiply(phi, w, out=tmp)
         if res is not None:
             # b - A x along the unpreconditioned Lanczos vector r2 / beta
@@ -852,6 +877,7 @@ def _minres(
             if beta > 0:  # else r2 = 0: b is an eigenvector of M A
                 res -= np.multiply(phibar * cs / beta, r2, out=tmp)
             rnorm = sqrt(_dot(res, res))
+        tmp = None  # freed before the next A v
 
         # norm estimates and stopping tests
         gmax = max(gmax, gamma)

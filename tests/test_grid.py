@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -110,6 +111,11 @@ class TestGridSpec:
                 kept = layout.copy(order="K")
                 assert _same_bits(grid.inverse(layout), irfft2)
                 assert _same_bits(layout, kept)  # inverse leaves its input as it was
+                assert _same_bits(grid.inverse(layout, scratch=buf), irfft2)
+                assert _same_bits(layout, kept)
+            # a scratch that is the half spectrum itself, which it consumes
+            own = c.copy()
+            assert _same_bits(grid.inverse(own, scratch=own), irfft2)
 
     def test_transforms_reject_arrays_of_another_grid(self):
         # the pocketfft ufuncs would zero-pad or crop such arrays silently
@@ -125,6 +131,11 @@ class TestGridSpec:
         for shape in [(12, 7), (16, 8), (16, 16), (9, 16), (16, 9, 1)]:
             with pytest.raises(ValueError, match=rf"\(16, 9\).*{re.escape(str(shape))}"):
                 grid.inverse(np.zeros(shape, dtype=complex))
+        coeffs = np.zeros((16, 9), dtype=complex)
+        for shape, dtype in [((16, 8), complex), ((16, 10), complex), ((8, 9), complex),
+                             ((9, 16), complex), ((16, 9), float), ((16, 9), np.complex64)]:
+            with pytest.raises(ValueError, match=rf"\(16, 9\).*{re.escape(str(shape))}"):
+                grid.inverse(coeffs, scratch=np.zeros(shape, dtype=dtype))
         with pytest.raises(ValueError, match=r"\(16,\).*\(16,\) and \(12,\)"):
             grid.outer_spectrum(np.zeros(16), np.zeros(12))
         with pytest.raises(ValueError, match=r"\(16,\).*\(32,\) and \(16,\)"):
@@ -446,6 +457,17 @@ class TestHelmholtz:
             helmholtz_apply(c, u, q)
         with pytest.raises(ValueError, match=r"^q must be finite, got "):
             helmholtz_solve(c, u, q)
+
+    @pytest.mark.parametrize("q", [Fraction(3), Fraction(7, 2), 3, np.float32(3.3)])
+    def test_coupling_of_another_real_type_acts_as_its_float(self, rng, q):
+        # a Fraction made q * c an object array (numpy's UFuncTypeError in
+        # helmholtz_apply, "transforms real arrays, got dtype object" in
+        # helmholtz_solve), and a float32 squared itself in float32
+        grid = GridSpec(16)
+        c = smooth_field(grid, rng, kmax=2, amp=1.0)
+        u = smooth_field(grid, rng, kmax=3)
+        for fn in (helmholtz_apply, helmholtz_solve):
+            assert _same_bits(fn(c, u, q).values, fn(c, u, float(q)).values)
 
     @pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-10, True, "1e-10"])
     def test_tolerance_must_be_finite_and_nonnegative(self, tol):
