@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import SnapshotError
+from .errors import SnapshotError, _number
 from .grid import GridSpec, ScalarField
 
 MAGIC = b"TVFIELD1"
@@ -146,7 +146,8 @@ def read_solution(path) -> tuple[dict, dict]:
     """Load (metadata, fields) from a solve directory or solution.json path.
 
     The fields are the snapshots FIELD_FILES names, read from beside
-    solution.json; the record's "fields" map is not consulted."""
+    solution.json; the record's "fields" map is not consulted.
+    SnapshotError where the record's "version" is missing or not VERSION."""
     json_path = locate_solution(path)
     try:
         meta = json.loads(json_path.read_text())
@@ -154,6 +155,9 @@ def read_solution(path) -> tuple[dict, dict]:
         raise SnapshotError(f"cannot parse {json_path}: {exc}") from exc
     if not isinstance(meta, dict) or meta.get("format") != "mcsvortex-solution":
         raise SnapshotError(f"{json_path} is not a solution record")
+    version = meta.get("version")  # every record written carries it
+    if not (_number(version) and version == VERSION):
+        raise SnapshotError(f"{json_path}: unsupported record version {version!r}")
     try:
         grid = GridSpec(meta["grid"]["N"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

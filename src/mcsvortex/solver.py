@@ -441,29 +441,36 @@ class _Limit:
 
 
 def _predict(
-    limit: LimitSolution, q: float, last: SolutionBundle | None = None
+    limit: LimitSolution, q: float, last: tuple[float, ScalarField] | None = None
 ) -> ScalarField:
     """Newton start at coupling q from the expansion in eps = 1/q
     (predictor of Allgower & Georg, Introduction to Numerical Continuation
-    Methods, SIAM 2003, ch. 2): u_inf + eps u1; given the last converged
-    solve on the same grid, its coupling 1/eps_p and its u, the quadratic in
-    eps through u_inf with slope u1 that meets it,
-    u_inf + eps u1 + (eps/eps_p)^2 (u_last - u_inf - eps_p u1).
-    Without u1, last.u or else u_inf."""
+    Methods, SIAM 2003, ch. 2): u_inf + eps u1; given last = (q_p, u_p), the
+    last converged solve on the same grid, with eps_p = 1/q_p, the quadratic
+    in eps through u_inf with slope u1 that meets it,
+    u_inf + eps u1 + (eps/eps_p)^2 (u_p - u_inf - eps_p u1).
+    Without u1, u_p or else u_inf."""
     u1 = limit.u1
     if u1 is None:
-        return limit.u_inf if last is None else last.u
+        return limit.u_inf if last is None else last[1]
     eps = 1.0 / q
     start = limit.u_inf + eps * u1
     if last is not None:
-        eps_p = 1.0 / last.q
-        start = start + (eps / eps_p) ** 2 * (last.u - limit.u_inf - eps_p * u1)
+        q_p, u_p = last
+        eps_p = 1.0 / q_p
+        start = start + (eps / eps_p) ** 2 * (u_p - limit.u_inf - eps_p * u1)
     return start
 
 
-def coefficient_fields(
-    u: ScalarField, bg: BackgroundData, model: NonlinearityModel, q: float
-):
+def _problem_background(spec: ProblemSpec, field: ScalarField) -> BackgroundData:
+    """spec's background, for a field passed with spec: the u of a function
+    of a field or a solve's init; GridMismatch unless it lives on spec.grid."""
+    if field.grid != spec.grid:
+        raise GridMismatch("field and problem live on different grids")
+    return compute_u0(spec.vortices, spec.grid)
+
+
+def coefficient_fields(u: ScalarField, spec: ProblemSpec):
     """Coefficient fields of the triangular form.
 
     Returns (c, F_q, G_q) where c = f'(e^{u*}) e^{u*},
@@ -473,11 +480,11 @@ def coefficient_fields(
                   + (4 pi / q) c * source,
 
     the last term being the mollified-source compensation that exact Dirac
-    masses would annihilate.  ValueError unless q is positive and finite.
+    masses would annihilate.
     """
-    grid = same_grid(u, bg.u0)
-    _require_positive("q", q)
-    st = _defined(_pointwise_state(model, bg, u.values), "coefficients")
+    bg = _problem_background(spec, u)
+    st = _defined(_pointwise_state(spec.model, bg, u.values), "coefficients")
+    model, q, grid = spec.model, spec.q, spec.grid
     c, f_q = ScalarField(grid, st.c), ScalarField(grid, st.f + (model.s / q) * st.c)
     w2_q, source_q = st.dc_dt * st.wg / q, (FOUR_PI / q) * st.c * bg.source.values
 
@@ -548,45 +555,24 @@ def helmholtz_solve(
     return ScalarField(grid, x)
 
 
-def recover_v(
-    u: ScalarField, bg: BackgroundData, model: NonlinearityModel, q: float
-) -> ScalarField:
+def recover_v(u: ScalarField, spec: ProblemSpec) -> ScalarField:
     """v = (-Laplacian(u) + 4 pi n)/q + f(e^{u0+u}); makes the first
-    equation an identity by construction.  ValueError unless q is positive
-    and finite."""
-    grid = same_grid(u, bg.u0)
-    _require_positive("q", q)
-    st = _defined(_pointwise_state(model, bg, u.values), "v")
-    return ScalarField(grid, st.recover_v(q))
+    equation an identity by construction."""
+    st = _pointwise_state(spec.model, _problem_background(spec, u), u.values)
+    return ScalarField(spec.grid, _defined(st, "v").recover_v(spec.q))
 
 
-def _background(spec: ProblemSpec, bg: BackgroundData | None) -> BackgroundData:
-    """bg, or spec's own built where it is None; GridMismatch where bg was
-    built for another grid or other vortices than spec's."""
-    if bg is None:
-        return compute_u0(spec.vortices, spec.grid)
-    if bg.grid != spec.grid or bg.config != spec.vortices:
-        raise GridMismatch("background was built for another grid or other vortices")
-    return bg
-
-
-def energy(
-    u: ScalarField, spec: ProblemSpec, background: BackgroundData | None = None
-) -> float:
+def energy(u: ScalarField, spec: ProblemSpec) -> float:
     """Value of the variational functional at u."""
-    bg = _background(spec, background)
-    same_grid(u, bg.u0)
+    bg = _problem_background(spec, u)
     return _Coupled(spec, bg).energy(_pointwise_state(spec.model, bg, u.values))
 
 
-def energy_gradient(
-    u: ScalarField, spec: ProblemSpec, background: BackgroundData | None = None
-) -> ScalarField:
+def energy_gradient(u: ScalarField, spec: ProblemSpec) -> ScalarField:
     """L2 gradient of the energy: the fourth-order equation's left side."""
-    bg = _background(spec, background)
-    grid = same_grid(u, bg.u0)
+    bg = _problem_background(spec, u)
     st = _defined(_pointwise_state(spec.model, bg, u.values), "gradient")
-    return ScalarField(grid, _Coupled(spec, bg).residual(st))
+    return ScalarField(spec.grid, _Coupled(spec, bg).residual(st))
 
 
 def initial_guess(bg: BackgroundData, model: NonlinearityModel) -> ScalarField:
@@ -649,23 +635,18 @@ class _Ladder:
     (LimitSolution or NoConvergence) are kept by rung, so none is solved
     twice; coupled outcomes pass up the rungs instead."""
 
-    def __init__(
-        self,
-        spec: ProblemSpec,
-        background: BackgroundData | None = None,
-        predictor_only: bool = False,
-    ):
+    def __init__(self, spec: ProblemSpec, predictor_only: bool = False):
         self.predictor_only = predictor_only
-        self.rungs = [(spec, _background(spec, background))]
-        while (coarse := _half(self.rungs[-1][0], spec.vortices)) is not None:
-            self.rungs.append((coarse, compute_u0(coarse.vortices, coarse.grid)))
-        self.floor = len(self.rungs) - 1
-        floor, _ = self.rungs[-1]
-        M = floor.grid.N // 2
+        specs = [spec]
+        while (coarse := _half(specs[-1], spec.vortices)) is not None:
+            specs.append(coarse)
+        self.floor = len(specs) - 1
+        M = specs[-1].grid.N // 2
         if predictor_only and M >= 32:
-            coarse = _half(floor, replace(spec.vortices, sigma=2.0 * (1.0 / M)))
+            coarse = _half(specs[-1], replace(spec.vortices, sigma=2.0 * (1.0 / M)))
             if coarse is not None:
-                self.rungs.append((coarse, compute_u0(coarse.vortices, coarse.grid)))
+                specs.append(coarse)
+        self.rungs = [(rung, compute_u0(rung.vortices, rung.grid)) for rung in specs]
         self.limits = {}
 
     def clear(self) -> None:
@@ -711,18 +692,19 @@ class _Ladder:
                 return widened
         return self.limit(i)
 
-    def coupled(self, qs) -> list:
+    def coupled(self, qs, top: Callable) -> list:
         """The coupled equation at each coupling of the descending qs,
-        climbed from the floor to the top rung, with the top rung's outcome
-        per coupling: the SolutionBundle or the SolveFailure raised.  Every
-        rung solves through _rung.  Each coupling starts from the rung
+        climbed from the floor to the top rung, with what top(q, outcome)
+        returns for each of the top rung's outcomes: the SolutionBundle or
+        the SolveFailure raised, handed to top as soon as it is made.
+        Every rung solves through _rung.  Each coupling starts from the rung
         below's u at that q, prolonged; where there is none or it failed,
         from the limit solution of _predictor predicted to q (_predict):
         the widened rung's, prolonged, or the rung's own, from the last
-        coupling that converged on the rung; from the ansatz where the
-        limit solve fails too.  A coarse rung passes up only u, which is
-        dropped once it is prolonged, and the top rung empties the ladder
-        before its solves."""
+        coupling that converged on the rung, of which only (q, u) is kept;
+        from the ansatz where the limit solve fails too.  A coarse rung
+        passes up only u, which is dropped once it is prolonged, and the
+        top rung empties the ladder before its solves."""
         outcomes = [None] * len(qs)
         for i in range(self.floor, -1, -1):
             spec, bg = self.rungs[i]
@@ -746,11 +728,16 @@ class _Ladder:
                     start = [spec.grid.prolong(_predict(limit, q))].pop
                 del under
                 try:
-                    last = _rung(replace(spec, q=q), bg, start)
-                    outcomes.append(last if i == 0 else last.u)
+                    outcome = _rung(replace(spec, q=q), bg, start)
+                    last = (q, outcome.u)
+                    if i > 0:
+                        outcome = outcome.u
                 except SolveFailure as exc:
                     # without its traceback, which would keep this frame's fields
-                    outcomes.append(exc.with_traceback(None))
+                    outcome = exc.with_traceback(None)
+                # the top rung's outcome is gone before the next solve
+                outcomes.append(top(q, outcome) if i == 0 else outcome)
+                del outcome
         return outcomes
 
     def result(self, outcome):
@@ -1008,20 +995,16 @@ def _bound_violation(model: NonlinearityModel, f: np.ndarray, v: np.ndarray):
     return max(f0 - fe_min, fe_max - s, f0 - v_min, v_max - s), extremes
 
 
-def solve_coupled(
-    spec: ProblemSpec,
-    init: ScalarField | None = None,
-    background: BackgroundData | None = None,
-) -> SolutionBundle:
+def solve_coupled(spec: ProblemSpec, init: ScalarField | None = None) -> SolutionBundle:
     """Newton-Krylov solve of the coupled system for the given coupling.
 
     Newton runs on the energy gradient with MINRES inner solves
     preconditioned by the exact spectral inverse of
     q^{-2} Lap^2 - Lap + lambda.  Globalization backtracks on the residual
-    norm: the solutions are saddle points of the energy (which is unbounded
-    below along constant shifts), so energy descent cannot drive the line
-    search, while Newton directions are always descent directions for the
-    residual norm when the inner solve is accurate.  Converges when the L2
+    norm: for n >= 1 the energy is unbounded below along constant shifts,
+    so energy descent cannot drive the line search, while Newton directions
+    are always descent directions for the residual norm when the inner
+    solve is accurate.  Converges when the L2
     residual of the second equation (q times the fourth-order residual) is
     below newton_tol.  On convergence v is recovered from the first
     equation and w = q(v - f(e^{u0+u})) is formed by definition.  The
@@ -1042,19 +1025,15 @@ def solve_coupled(
     NoConvergence if the iteration or its line search stalls, and
     BoundsViolation if the converged state breaks the pointwise bounds by
     more than spec.bound_tol, the fixed slack 1e-6 + 10*sigma^2.  Raises
-    GridMismatch if init or background was made for another problem.
+    GridMismatch if init does not live on spec.grid.
     """
     if init is None:
-        ladder = _Ladder(spec, background, predictor_only=True)
-        return ladder.result(ladder.coupled((spec.q,))[0])
-    if init.grid != spec.grid:
-        raise GridMismatch("init and problem live on different grids")
-    return _rung(spec, _background(spec, background), [init].pop)
+        ladder = _Ladder(spec, predictor_only=True)
+        return ladder.result(ladder.coupled((spec.q,), lambda q, outcome: outcome)[0])
+    return _rung(spec, _problem_background(spec, init), [init].pop)
 
 
-def solve_limit(
-    spec: ProblemSpec, background: BackgroundData | None = None
-) -> LimitSolution:
+def solve_limit(spec: ProblemSpec) -> LimitSolution:
     """Newton solve of the limit equation for the regular part:
     -Laplacian(u) = f'(e^{u0+u}) e^{u0+u} (s - f(e^{u0+u})) - 4 pi n.
 
@@ -1065,7 +1044,7 @@ def solve_limit(
     none or it failed; newton_iters counts the steps on spec.grid only, and
     a failure there raises that grid's NoConvergence.
     """
-    ladder = _Ladder(spec, background)
+    ladder = _Ladder(spec)
     return ladder.result(ladder.limit())
 
 
@@ -1097,17 +1076,19 @@ def q_sweep(spec: ProblemSpec, q_list) -> "ConvergenceTable":
     (_predict); without u1, from u_inf and then from the last converged
     neighbor.  The limit solve on spec.grid, which the rows are measured
     against, raises its NoConvergence; newton_iters counts the steps on
-    spec.grid only.  ValueError, before any solve, where _coupling_list
-    rejects q_list.
+    spec.grid only.  Each row is built as soon as its outcome on spec.grid
+    is made, so no two couplings' bundles live at once.  ValueError, before
+    any solve, where _coupling_list rejects q_list.
     """
     from . import diagnostics
 
     q_list = _coupling_list(q_list)
     ladder = _Ladder(spec)
     limit = ladder.result(ladder.limit())
-    outcomes = ladder.coupled(q_list[::-1])
-    # outcomes run in descending q; popping frees each bundle after its row
-    rows = [diagnostics.SweepRow.of(q, outcomes.pop(), limit) for q in q_list]
+    # rows in descending q, each built as its bundle is made (_Ladder.coupled)
+    rows = ladder.coupled(
+        q_list[::-1], lambda q, outcome: diagnostics.SweepRow.of(q, outcome, limit)
+    )
     meta = {
         "model": spec.model.name,
         "s": spec.model.s,
@@ -1117,4 +1098,4 @@ def q_sweep(spec: ProblemSpec, q_list) -> "ConvergenceTable":
         "newton_tol": spec.newton_tol,
         "bound_tol": spec.bound_tol,
     }
-    return diagnostics.ConvergenceTable(meta=meta, rows=rows)
+    return diagnostics.ConvergenceTable(meta=meta, rows=rows[::-1])

@@ -79,7 +79,7 @@ def sweep_data():
     """Criterion-5 configuration: warm-started bundles, table, and limit."""
     spec = vortex_spec(128, 1, 80.0)
     bg = compute_u0(spec.vortices, spec.grid)
-    limit = solve_limit(spec, background=bg)
+    limit = solve_limit(spec)
     bundles = {}
     t0 = time.perf_counter()
     u_prev = limit.u_inf
@@ -87,7 +87,7 @@ def sweep_data():
         from dataclasses import replace
 
         sub = replace(spec, q=q)
-        bundle = solve_coupled(sub, init=u_prev, background=bg)
+        bundle = solve_coupled(sub, init=u_prev)
         u_prev = bundle.u
         bundles[q] = bundle
     table = q_sweep(spec, [10.0, 20.0, 40.0, 80.0])
@@ -249,15 +249,15 @@ class TestCriterion7GradientCheck:
         )
         bg = compute_u0(spec.vortices, spec.grid)
         u = smooth_field(grid, rng, kmax=4, amp=0.5)
-        g = energy_gradient(u, spec, background=bg)
+        g = energy_gradient(u, spec)
         step = 1e-5
         worst = 0.0
         ok = True
         for _ in range(10):
             phi = smooth_field(grid, rng, kmax=4, amp=1.0)
             fd = (
-                energy(u + step * phi, spec, background=bg)
-                - energy(u - step * phi, spec, background=bg)
+                energy(u + step * phi, spec)
+                - energy(u - step * phi, spec)
             ) / (2 * step)
             rel = abs(integrate(g * phi) - fd) / max(abs(fd), 1e-30)
             worst = max(worst, rel)

@@ -57,14 +57,19 @@ def test_no_new_problem_or_config_knobs():
     params = {
         name: list(inspect.signature(getattr(mcsvortex, name)).parameters)
         for name in (
-            "solve_coupled", "solve_limit", "q_sweep",
-            "helmholtz_solve", "helmholtz_apply",
+            "solve_coupled", "solve_limit", "q_sweep", "energy", "energy_gradient",
+            "recover_v", "coefficient_fields", "helmholtz_solve", "helmholtz_apply",
         )
     }
+    # a problem is its ProblemSpec alone: no background, model or q beside it
     assert params == {
-        "solve_coupled": ["spec", "init", "background"],
-        "solve_limit": ["spec", "background"],
+        "solve_coupled": ["spec", "init"],
+        "solve_limit": ["spec"],
         "q_sweep": ["spec", "q_list"],
+        "energy": ["u", "spec"],
+        "energy_gradient": ["u", "spec"],
+        "recover_v": ["u", "spec"],
+        "coefficient_fields": ["u", "spec"],
         "helmholtz_solve": ["c", "rhs", "q", "tol"],
         "helmholtz_apply": ["c", "u", "q"],
     }

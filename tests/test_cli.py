@@ -557,7 +557,7 @@ RECORD_FIELDS = [
     ("tolerances", "newton_tol"),
     ("tolerances", "krylov_tol"),  # written by earlier releases, now ignored
     ("tolerances", "max_newton_iters"), ("tolerances", "bound_tol"),
-    ("residual_norms",), ("newton_iters",), ("energy",),
+    ("residual_norms",), ("newton_iters",), ("energy",), ("version",),
 ]
 
 # values near the record's schema: valid and out-of-range numbers, integers
@@ -766,6 +766,14 @@ class TestVerifyCommand:
                 lambda meta, out: {**meta, "vortices": {**meta["vortices"], "sigma": 0.01}},
                 "resolvability floor",
             ),
+            # a record of a format this reader does not know, or of none:
+            # verify passed both
+            (lambda meta, out: {**meta, "version": 99}, "unsupported record version 99"),
+            (
+                lambda meta, out: {k: v for k, v in meta.items() if k != "version"},
+                "unsupported record version None",
+            ),
+            (lambda meta, out: {**meta, "version": True}, "unsupported record version True"),
         ],
         ids=[
             "list", "null-q", "null-sigma", "overflow", "weight-overflow", "huge-sigma",
@@ -776,6 +784,7 @@ class TestVerifyCommand:
             "overflowing-grid-N", "fractional-grid-N", "nearly-whole-grid-N",
             "string-grid-N", "string-s", "string-sigma", "string-points",
             "fractional-newton-iters", "string-newton-iters", "sigma-below-2h",
+            "unknown-version", "missing-version", "boolean-version",
         ],
     )
     def test_malformed_record_exit_one(self, solved_dir, capsys, mangle, named):
@@ -927,7 +936,7 @@ class TestSnapshotFormat:
         assert [p.name for p in tmp_path.iterdir()] == ["record.json"]
 
     def test_read_solution_requires_all_fields(self, tmp_path):
-        record = {"format": "mcsvortex-solution", "grid": {"N": 8}}
+        record = {"format": "mcsvortex-solution", "version": 1, "grid": {"N": 8}}
         (tmp_path / "solution.json").write_text(json.dumps(record))
         for missing in FIELD_FILES:
             for name in FIELD_FILES:

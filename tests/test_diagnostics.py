@@ -189,7 +189,7 @@ class TestConvergenceMetrics:
     def test_d_eu_reads_both_cached_states(self, N, q):
         # on these problems, exp(u0 + u) in place of e^{u0} e^u moves d_eu by an ulp
         bundle = solve_coupled(one_vortex_spec(N=N, q=q))
-        limit = solve_limit(bundle.spec, background=bundle.background)
+        limit = solve_limit(bundle.spec)
         row = convergence_metrics(bundle, limit)
         t_row, t_lim = bundle._pointwise.t, limit._pointwise.t
         assert row.d_eu == float(np.abs(t_row - t_lim).max())

@@ -62,6 +62,16 @@ def make_spec(N=64, s=S_ONE_VORTEX, q=20.0, vortices=None, **kw):
     )
 
 
+def three_vortex_spec():
+    """Three unit vortices at N = 64, sigma = 4h: the benchmark sweep's layout."""
+    vortices = VortexConfig(
+        points=((0.25, 0.25), (0.75, 0.25), (0.5, 0.75)),
+        multiplicities=(1, 1, 1),
+        sigma=4.0 * GridSpec(64).h,
+    )
+    return make_spec(N=64, s=16.0, vortices=vortices)
+
+
 class TestProblemSpecValidation:
     @pytest.mark.parametrize(
         "field,value",
@@ -101,7 +111,7 @@ class TestCoefficientFields:
         spec = make_spec(N=32)
         bg = compute_u0(spec.vortices, spec.grid)
         u = smooth_field(spec.grid, rng, kmax=3, amp=0.4)
-        c, f_q, _ = coefficient_fields(u, bg, spec.model, spec.q)
+        c, f_q, _ = coefficient_fields(u, spec)
         e_star = np.exp(bg.u0.values + u.values)
         assert np.max(np.abs(c.values - e_star)) <= 1e-12 * e_star.max()
         expected_fq = e_star + (spec.model.s / spec.q) * e_star
@@ -109,31 +119,29 @@ class TestCoefficientFields:
 
     def test_constant_state_no_vortices(self):
         grid = GridSpec(32)
-        model = u1_model(1.0)
-        bg = compute_u0(no_vortices(), grid)
+        spec = ProblemSpec(model=u1_model(1.0), vortices=no_vortices(), q=10.0, grid=grid)
         a = -0.3
-        c, f_q, _ = coefficient_fields(grid.constant(a), bg, model, 10.0)
+        c, f_q, _ = coefficient_fields(grid.constant(a), spec)
         assert np.allclose(c.values, np.exp(a), atol=1e-14)
         assert np.allclose(f_q.values, np.exp(a) + 0.1 * np.exp(a), atol=1e-14)
 
     def test_gq_vanishes_at_flat_state(self):
         grid = GridSpec(32)
         model = u1_model(1.0)
-        bg = compute_u0(no_vortices(), grid)
+        spec = ProblemSpec(model=model, vortices=no_vortices(), q=10.0, grid=grid)
         u = grid.constant(0.2)
-        _, _, g_q = coefficient_fields(u, bg, model, 10.0)
+        _, _, g_q = coefficient_fields(u, spec)
         out = g_q(grid.constant(model.s))
         assert sup_norm(out) <= 1e-13
 
     def test_overflowing_state_is_a_value_error(self):
         # the same error recover_v and energy_gradient raise
         spec = make_spec(N=32)
-        bg = compute_u0(spec.vortices, spec.grid)
         u = spec.grid.constant(800.0)
         for undefined in (
-            lambda: coefficient_fields(u, bg, spec.model, spec.q),
-            lambda: recover_v(u, bg, spec.model, spec.q),
-            lambda: energy_gradient(u, spec, bg),
+            lambda: coefficient_fields(u, spec),
+            lambda: recover_v(u, spec),
+            lambda: energy_gradient(u, spec),
         ):
             with pytest.raises(ValueError, match=r"e\^\{u0\+u\} overflows"):
                 undefined()
@@ -150,35 +158,23 @@ class TestCoefficientFields:
         undefined = r"^residuals undefined: e\^\{u0\+u\} overflows$"
         with pytest.raises(ValueError, match=undefined):
             bundle.residual_norms
-        assert bundle.energy_value == energy(u, spec, bg) == np.inf
-
-
-class TestCouplingArgument:
-    # the check ProblemSpec and helmholtz_apply make: before, q = 0 gave a
-    # ZeroDivisionError or a non-finite v, and q = -1 or inf gave fields
-    @pytest.mark.parametrize("q", [0.0, -1.0, np.inf, np.nan])
-    @pytest.mark.parametrize("reader", [recover_v, coefficient_fields])
-    def test_q_must_be_positive_and_finite(self, reader, q):
-        spec = make_spec(N=32)
-        bg = compute_u0(spec.vortices, spec.grid)
-        with pytest.raises(ValueError, match=r"^q must be positive and finite, got "):
-            reader(spec.grid.constant(0.0), bg, spec.model, q)
+        assert bundle.energy_value == energy(u, spec) == np.inf
 
 
 class TestRecoverV:
     def test_constant_solution(self):
         grid = GridSpec(32)
         model = u1_model(1.0)
-        bg = compute_u0(no_vortices(), grid)
+        spec = ProblemSpec(model=model, vortices=no_vortices(), q=7.0, grid=grid)
         u = grid.constant(np.log(model.inverse(model.s)))
-        v = recover_v(u, bg, model, 7.0)
+        v = recover_v(u, spec)
         assert np.max(np.abs(v.values - model.s)) <= 1e-12
 
     def test_first_equation_identity_by_construction(self, rng):
         spec = make_spec(N=64)
         bg = compute_u0(spec.vortices, spec.grid)
         u = smooth_field(spec.grid, rng, kmax=5, amp=0.7)
-        v = recover_v(u, bg, spec.model, spec.q)
+        v = recover_v(u, spec)
         t = bg.exp_u0.values * np.exp(u.values)
         f, _, _ = spec.model._eval_arrays(t)
         res = -laplacian(u).values - spec.q * (v.values - f) + FOUR_PI * bg.n
@@ -187,9 +183,7 @@ class TestRecoverV:
     def test_matches_helmholtz_route_on_converged_solve(self):
         spec = make_spec(N=64, q=40.0, newton_tol=1e-8)
         bundle = solve_coupled(spec)
-        c, f_q, _ = coefficient_fields(
-            bundle.u, bundle.background, spec.model, spec.q
-        )
+        c, f_q, _ = coefficient_fields(bundle.u, spec)
         v_helm = helmholtz_solve(c, f_q, spec.q, tol=1e-12)
         assert sup_norm(bundle.v - v_helm) <= 10 * spec.newton_tol
 
@@ -246,7 +240,7 @@ class TestEnergy:
         spec = make_spec(N=64)
         bg = compute_u0(spec.vortices, spec.grid)
         u = smooth_field(spec.grid, rng, kmax=5, amp=0.5)
-        lib = energy(u, spec, background=bg)
+        lib = energy(u, spec)
         oracle = _oracle_energy(u, spec, bg)
         assert lib == pytest.approx(oracle, rel=1e-8)
 
@@ -261,16 +255,12 @@ class TestEnergyGradient:
 
     def test_directional_derivative_oracle(self, rng):
         spec = make_spec(N=64, q=20.0)
-        bg = compute_u0(spec.vortices, spec.grid)
         u = smooth_field(spec.grid, rng, kmax=4, amp=0.5)
-        g = energy_gradient(u, spec, background=bg)
+        g = energy_gradient(u, spec)
         step = 1e-5
         for _ in range(10):
             phi = smooth_field(spec.grid, rng, kmax=4, amp=1.0)
-            fd = (
-                energy(u + step * phi, spec, background=bg)
-                - energy(u - step * phi, spec, background=bg)
-            ) / (2 * step)
+            fd = (energy(u + step * phi, spec) - energy(u - step * phi, spec)) / (2 * step)
             assert integrate(g * phi) == pytest.approx(fd, rel=1e-5)
 
     def test_linear_model_bracket_simplification(self, rng):
@@ -327,11 +317,11 @@ class TestSolveCoupled:
     def test_manufactured_solution(self, rng):
         spec = make_spec(N=64, q=20.0, newton_tol=3e-8)
         bg = compute_u0(spec.vortices, spec.grid)
-        lim = solve_limit(spec, background=bg)
+        lim = solve_limit(spec)
         u_m = lim.u_inf + smooth_field(spec.grid, rng, kmax=3, amp=0.3)
         # the coupled gradient less its value at u_m has the root u_m; the
         # driver finds it from the limit profile, as a cold solve would
-        forcing = energy_gradient(u_m, spec, background=bg).values
+        forcing = energy_gradient(u_m, spec).values
 
         class Manufactured(solver._Coupled):
             what = "manufactured solution"
@@ -449,9 +439,7 @@ class TestSolveCoupled:
         spec = make_spec(N=64, q=20.0, newton_tol=5e-8)
         bundle = solve_coupled(spec)
         grid = spec.grid
-        c, f_q, g_q = coefficient_fields(
-            bundle.u, bundle.background, spec.model, spec.q
-        )
+        c, f_q, g_q = coefficient_fields(bundle.u, spec)
         q = spec.q
         res_u = -laplacian(bundle.u).values - (bundle.w.values - FOUR_PI * bundle.background.n)
         res_v = (
@@ -470,30 +458,8 @@ class TestSolveCoupled:
 
 
 class TestForeignInputs:
-    """A background or init made for another problem is a GridMismatch,
+    """An init or u on another grid than the problem's is a GridMismatch,
     never a silently wrong answer or a raw numpy error."""
-
-    @pytest.mark.parametrize("other", ["vortices", "grid"])
-    @pytest.mark.parametrize(
-        "call", ["cold solve", "warm solve", "limit solve", "energy", "gradient"]
-    )
-    def test_foreign_background(self, other, call):
-        spec = make_spec(N=32, q=40.0)
-        if other == "vortices":
-            moved = replace(spec.vortices, points=((0.25, 0.25),))
-            bg = compute_u0(moved, spec.grid)
-        else:
-            bg = compute_u0(spec.vortices, GridSpec(64))
-        u = spec.grid.field(np.zeros((32, 32)))
-        run = {
-            "cold solve": lambda: solve_coupled(spec, background=bg),
-            "warm solve": lambda: solve_coupled(spec, init=u, background=bg),
-            "limit solve": lambda: solve_limit(spec, background=bg),
-            "energy": lambda: energy(u, spec, bg),
-            "gradient": lambda: energy_gradient(u, spec, bg),
-        }[call]
-        with pytest.raises(GridMismatch):
-            run()
 
     def test_init_on_another_grid(self):
         spec = make_spec(N=32, q=40.0)
@@ -505,13 +471,12 @@ class TestForeignInputs:
     )
     def test_u_on_another_grid(self, call):
         spec = make_spec(N=32, q=40.0)
-        bg = compute_u0(spec.vortices, spec.grid)
         u = GridSpec(64).field(np.zeros((64, 64)))
         run = {
             "energy": lambda: energy(u, spec),
-            "gradient": lambda: energy_gradient(u, spec, bg),
-            "recover_v": lambda: recover_v(u, bg, spec.model, spec.q),
-            "coefficient_fields": lambda: coefficient_fields(u, bg, spec.model, spec.q),
+            "gradient": lambda: energy_gradient(u, spec),
+            "recover_v": lambda: recover_v(u, spec),
+            "coefficient_fields": lambda: coefficient_fields(u, spec),
         }[call]
         with pytest.raises(GridMismatch):
             run()
@@ -859,7 +824,7 @@ class TestGridSequencing:
             return real_newton(eq, u, sub)
 
         def predict(limit, q, last=None):
-            predicted.append((limit.grid.N, q, None if last is None else last.q))
+            predicted.append((limit.grid.N, q, None if last is None else last[0]))
             return real_predict(limit, q, last)
 
         monkeypatch.setattr(solver, "_newton_krylov", newton)
@@ -883,7 +848,7 @@ class TestGridSequencing:
 
         monkeypatch.setattr(solver, "_newton_krylov", failing)
         with pytest.raises(NoConvergence) as raised:
-            solve_limit(spec, background=bg)
+            solve_limit(spec)
         # the fine grid's failure is the one raised, after a start from the ansatz
         assert raised.value.iterations == 64
         assert [n for n, _ in starts] == [32, 64]
@@ -998,7 +963,7 @@ class TestPredictorOnlyRungs:
         calls, starts = self._record_calls(
             monkeypatch, lambda what, sub: sub.grid.N == 64
         )
-        bundle = solve_coupled(spec, background=bg)
+        bundle = solve_coupled(spec)
         assert [(N, what) for N, what, *_ in calls] == [
             (64, "limit equation"), (128, "limit equation"), (128, "Newton")
         ]
@@ -1143,6 +1108,16 @@ class TestWorkingSet:
         peak = peak_fields(lambda: solve_coupled(spec), spec.grid)
         assert peak == pytest.approx(19.82, abs=0.25)
 
+    def test_sweep_peak(self):
+        # each row is built as its bundle is made, and the bundle is gone
+        # before the next solve: the peak is in the second top-grid solve,
+        # beside what the first row keeps for the later ones (the limit
+        # solution's state and the background's weight and grad(e^{u0}))
+        spec = three_vortex_spec()
+        sweep = lambda: q_sweep(spec, [20.0, 40.0, 80.0, 160.0])
+        sweep()  # warm
+        assert peak_fields(sweep, spec.grid) == pytest.approx(28.68, abs=0.25)
+
     @staticmethod
     def _linearization(equation):
         """(grid, Jacobian, preconditioner) of the equation at the ansatz."""
@@ -1189,13 +1164,7 @@ class TestNewtonPasses:
         solve_coupled(make_spec(N=64, q=40.0))
 
     def _sweep(self):
-        vortices = VortexConfig(
-            points=((0.25, 0.25), (0.75, 0.25), (0.5, 0.75)),
-            multiplicities=(1, 1, 1),
-            sigma=4.0 * GridSpec(64).h,
-        )
-        spec = make_spec(N=64, s=16.0, vortices=vortices)
-        table = q_sweep(spec, [20.0, 40.0, 80.0, 160.0])
+        table = q_sweep(three_vortex_spec(), [20.0, 40.0, 80.0, 160.0])
         assert all(row.status == "converged" for row in table.rows)
 
     def _cold_rungs(self, monkeypatch):
@@ -1349,28 +1318,26 @@ class TestFirstOrderCorrector:
     @pytest.fixture(scope="class")
     def expansion(self):
         spec = make_spec(N=64)
-        bg = compute_u0(spec.vortices, spec.grid)
-        limit = solve_limit(spec, background=bg)
-        return spec, bg, limit
+        return spec, solve_limit(spec)
 
     def test_corrector_cancels_the_first_order_residual(self, expansion):
         # the Newton residual q ||gradient|| is O(1) at u_inf, O(1/q) at
         # u_inf + u1/q
-        spec, bg, limit = expansion
+        spec, limit = expansion
         zeroth, first = [], []
         for q in self.QS:
             sub = replace(spec, q=q)
-            zeroth.append(q * l2_norm(energy_gradient(limit.u_inf, sub, bg)))
-            first.append(q * l2_norm(energy_gradient(limit.u_inf + limit.u1 / q, sub, bg)))
+            zeroth.append(q * l2_norm(energy_gradient(limit.u_inf, sub)))
+            first.append(q * l2_norm(energy_gradient(limit.u_inf + limit.u1 / q, sub)))
         assert max(zeroth) <= 1.05 * min(zeroth)
         assert all(b <= a / 2.0 for a, b in zip(first, first[1:]))
         assert first[0] <= zeroth[0] / 5.0
 
     def test_converged_solutions_follow_the_expansion(self, expansion):
-        spec, bg, limit = expansion
+        spec, limit = expansion
         zeroth, first = [], []
         for q in self.QS:
-            u = solve_coupled(replace(spec, q=q), background=bg).u
+            u = solve_coupled(replace(spec, q=q)).u
             zeroth.append(sup_norm(u - limit.u_inf))
             first.append(sup_norm(u - limit.u_inf - limit.u1 / q))
         # O(1/q^2) with u1, only O(1/q) without

@@ -275,7 +275,7 @@ def test_sweep_row_norms_one_transform_per_field(monkeypatch):
 
     spec = make_spec(N=32, q=40.0)
     bundle = solve_coupled(spec)
-    limit = solve_limit(spec, background=bundle.background)
+    limit = solve_limit(spec)
     bundle.residual_norms, bundle.energy_value, all_reports(bundle), limit._pointwise
     counts = count_transforms(monkeypatch)
     row = SweepRow.of(spec.q, bundle, limit)
