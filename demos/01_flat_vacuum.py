@@ -30,5 +30,5 @@ for model in (u1_model(1.0), cp1_model(0.5)):
             f"  q = {q:4g}: |e^u - {target:g}| <= {np.abs(e_u - target).max():.2e}, "
             f"|v - s| <= {np.abs(bundle.v.values - model.s).max():.2e}, "
             f"sup|w| = {sup_norm(bundle.w):.2e}, "
-            f"{bundle.newton_iters} Newton steps"
+            f"{bundle.newton_iters} Newton passes"
         )

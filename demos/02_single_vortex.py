@@ -27,7 +27,7 @@ vortices = VortexConfig(points=((0.5, 0.5),), multiplicities=(1,), sigma=4 * gri
 spec = ProblemSpec(model=u1_model(9.0), vortices=vortices, q=40.0, grid=grid)
 
 bundle = solve_coupled(spec)
-print(f"converged in {bundle.newton_iters} Newton steps")
+print(f"converged in {bundle.newton_iters} Newton passes")
 print(f"integral(w) = {integrate(bundle.w):.12f}   (4*pi = {4 * np.pi:.12f})")
 print(f"v range: [{bundle.v.min():.4f}, {bundle.v.max():.4f}]  (s = {spec.model.s})")
 print(f"e^(u*) dips to {np.exp(bundle.u_star.values).min():.4f} at the core\n")

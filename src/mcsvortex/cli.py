@@ -248,7 +248,7 @@ def cmd_solve(args) -> int:
     reports = diagnostics.all_reports(bundle)
     write_solution(out_dir, bundle, reports)
     (out_dir / FAILURE_RECORD).unlink(missing_ok=True)
-    print(f"converged in {bundle.newton_iters} Newton steps")
+    print(f"converged in {bundle.newton_iters} Newton passes")
     print(f"energy = {bundle.energy_value:.17e}")
     for name, value in bundle.residual_norms.items():
         print(f"residual {name} = {value:.17e}")

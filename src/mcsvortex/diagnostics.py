@@ -301,12 +301,13 @@ class SweepRow:
     @classmethod
     def of(cls, q: float, outcome, limit: LimitSolution) -> "SweepRow":
         """The row of one sweep coupling from its outcome: the SolutionBundle,
-        measured against the limit solution, or the SolveFailure raised,
-        with the Newton steps a NoConvergence ran."""
+        measured against the limit solution, or the SolveFailure raised.
+        newton_iters is the bundle's Newton passes on the sweep's grid, or
+        the failure's iterations."""
         if isinstance(outcome, SolveFailure):
             return cls(
                 q=q, status=outcome.status, message=str(outcome),
-                newton_iters=getattr(outcome, "iterations", 0),
+                newton_iters=outcome.iterations,
             )
         return cls(
             q=q,

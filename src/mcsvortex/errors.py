@@ -19,10 +19,12 @@ class PreconditionViolated(MCSVortexError):
 class SolveFailure(MCSVortexError):
     """A solve that ran but gave no admissible solution.  status names the
     outcome in a sweep table's row, exit_code the command line's exit code:
-    2 for an invariant failure, 3 for a solver failure."""
+    2 for an invariant failure, 3 for a solver failure.  iterations counts
+    the passes the failed iteration ran (NoConvergence), 0 for the others."""
 
     status: str
     exit_code: int
+    iterations = 0
 
 
 class NoConvergence(SolveFailure):

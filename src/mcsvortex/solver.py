@@ -98,7 +98,8 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class SolutionBundle:
-    """Converged (u, v, w) triple with its background and Newton steps.
+    """Converged (u, v, w) triple with its background and newton_iters, the
+    Newton passes on spec.grid (_newton_krylov: the steps taken plus one).
     The residual norms and the energy are functions of the fields, derived
     on first read from _pointwise, _vh and _equation, as the checks are."""
 
@@ -206,13 +207,14 @@ class LimitSolution:
         L'(u_inf) u1 = -B(u_inf) = Lap f + c^2 (f - s), where
         L(u_inf) = 0 gives Lap u_inf - 4 pi n = c (f - s).  One MINRES solve
         with the limit equation's Jacobian and preconditioner, made on first
-        use and kept.  None when MINRES stops at its iteration limit or gives
-        a non-finite field; every start then falls back to u_inf."""
+        use and kept.  None when MINRES stops at its iteration limit
+        (istop 6) or gives a non-finite field; every start then falls back
+        to u_inf."""
         grid, st = self.grid, self._pointwise
         rhs = grid.apply(-grid.k2, st.f) + st.c**2 * (st.f - self.model.s)
         H, M = _Limit(self.model, self.background).linearize(st)
-        u1, info = _minres(H, M, rhs, _U1_RTOL, maxiter=400)
-        if info != 0 or not np.all(np.isfinite(u1)):
+        u1, istop, _ = _minres(H, M, rhs, _U1_RTOL, maxiter=400)
+        if istop == 6 or not np.all(np.isfinite(u1)):
             return None
         return ScalarField(grid, u1)
 
@@ -534,24 +536,20 @@ def helmholtz_solve(
     if not (_finite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     q, spec = _helmholtz_q(q), _half_spectrum(grid)
-    A, applied = _helmholtz(grid, c.values, q, spec), []
+    A = _helmholtz(grid, c.values, q, spec)
     c_inf = float(np.abs(c.values).max())
     if q <= c_inf:
         raise PreconditionViolated(
             f"need q > sup|c| for a positive operator, got q={q}, sup|c|={c_inf}"
         )
 
-    def counted(*args) -> np.ndarray:
-        applied.append(1)
-        return A(*args)
-
     b = q * q * rhs.values
     target = tol * _l2(grid, b)
     M = _SpectralInverse(grid, grid.k2 + q * q, spec)
-    x, _ = _minres(counted, M, b.copy(), 0.0, 10 * grid.N, target / grid.h)
+    x, _, itn = _minres(A, M, b.copy(), 0.0, 10 * grid.N, target / grid.h)
     res = _l2(grid, b - A(x))
     if res > target:
-        raise NoConvergence(len(applied), res, what="Helmholtz MINRES")
+        raise NoConvergence(itn, res, what="Helmholtz MINRES")
     return ScalarField(grid, x)
 
 
@@ -701,10 +699,11 @@ class _Ladder:
         below's u at that q, prolonged; where there is none or it failed,
         from the limit solution of _predictor predicted to q (_predict):
         the widened rung's, prolonged, or the rung's own, from the last
-        coupling that converged on the rung, of which only (q, u) is kept;
-        from the ansatz where the limit solve fails too.  A coarse rung
-        passes up only u, which is dropped once it is prolonged, and the
-        top rung empties the ladder before its solves."""
+        coupling that converged on the rung, of which only (q, u) is kept,
+        and only on a rung that reads a limit outcome; from the ansatz where
+        the limit solve fails too.  A coarse rung passes up only u, which is
+        dropped once it is prolonged, and the top rung empties the ladder
+        before its solves."""
         outcomes = [None] * len(qs)
         for i in range(self.floor, -1, -1):
             spec, bg = self.rungs[i]
@@ -729,7 +728,7 @@ class _Ladder:
                 del under
                 try:
                     outcome = _rung(replace(spec, q=q), bg, start)
-                    last = (q, outcome.u)
+                    last = None if limit is None else (q, outcome.u)  # only _predict reads it
                     if i > 0:
                         outcome = outcome.u
                 except SolveFailure as exc:
@@ -760,7 +759,7 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 def _minres(
     A: Operator, M: Operator, b: np.ndarray, rtol: float, maxiter: int,
     target: float | None = None,
-) -> tuple[np.ndarray, int]:
+) -> tuple[np.ndarray, int, int]:
     """Preconditioned MINRES for A x = b from x = 0, with A symmetric and M
     a symmetric positive definite approximation of A^-1 (Paige & Saunders,
     SIAM J. Numer. Anal. 12(4), 1975).
@@ -772,8 +771,12 @@ def _minres(
     rtol ||A|| ||x|| (test1) or ||A r|| <= rtol ||A|| ||r|| (test2), when
     either test reaches machine precision, when the estimate of cond(A)
     reaches 0.1/eps, when eps ||A|| ||x|| reaches ||b||_M, or after maxiter
-    iterations.  Returns (x, info), info = maxiter when the iteration limit
-    stopped it and 0 otherwise.
+    iterations.  Returns (x, istop, itn): itn is the number of iterations,
+    each one application of A, and istop the stop code: 1 for test1 and 2
+    for test2 (at rtol or at machine precision), 3 for eps ||A|| ||x||, 4
+    for cond(A), 6 for the iteration limit, 7 for the target below, -1
+    where b is an eigenvector of M A, and 0 for b = 0 (x = 0, itn = 0).
+    scipy reports istop 6 as info = maxiter and every other code as 0.
 
     Given a target, it also stops once ||b - A x||_2 <= target.  It then
     tracks the true residual in place of b with one vector update per
@@ -802,7 +805,7 @@ def _minres(
     if beta1 < 0:
         raise ValueError("indefinite preconditioner")
     if beta1 == 0:
-        return x, 0
+        return x, 0, 0
     beta1 = sqrt(beta1)
     spectrum = getattr(M, "spectrum", None)
 
@@ -894,7 +897,7 @@ def _minres(
                 istop = 7
         if istop != 0:
             break
-    return x, maxiter if istop == 6 else 0
+    return x, istop, itn
 
 
 def _newton_krylov(
@@ -913,10 +916,13 @@ def _newton_krylov(
     so it need not be solved further (Kelley, Iterative Methods for Linear
     and Nonlinear Equations, SIAM 1995, section 6.3, whose safeguard factor
     is 0.5).  Each step then halves the step from alpha = 1 until r_k drops
-    by the factor 1 - 1e-4 alpha.  Stops once r_k <= newton_tol and returns
-    (state, r_k, passes), the solution being state.u and the last pass the
-    one that found convergence.  A failure raises NoConvergence named by
-    eq.what; a failed line search names that step's MINRES exit status too.
+    by the factor 1 - 1e-4 alpha.  Each pass first tests r_k <= newton_tol,
+    the only convergence test; the first pass that meets it returns (state,
+    r_k, passes), the solution being state.u, so the passes are the steps
+    taken plus one.  Where spec.max_newton_iters steps do not meet it,
+    raises NoConvergence(max_newton_iters, r_k); a failed line search
+    raises NoConvergence(pass, r_k) and names that step's MINRES istop.
+    Both are named by eq.what.
 
     Every N x N array goes after its last read: a state and its residual
     live until the state is linearized or its trial rejected, and then only
@@ -931,15 +937,16 @@ def _newton_krylov(
     r = eq.residual(st)
     r_norm = scale * _l2(grid, r)
     target = _THETA * spec.newton_tol / (scale * grid.h)  # on ||b - A x||_2
-    iters = 0
-    for iters in range(1, spec.max_newton_iters + 1):
+    for iters in range(1, spec.max_newton_iters + 2):
         if r_norm <= spec.newton_tol:
+            return st, r_norm, iters
+        if iters > spec.max_newton_iters:
             break
         H, M = eq.linearize(st)
         u, st = st.u, None  # of a linearized state only u is read again
         rtol = min(1e-4 * r_norm, 1e-4)
         # -r, in r's own buffer: MINRES's right side, which it overwrites
-        delta, info = _minres(H, M, np.negative(r, out=r), rtol, maxiter=400, target=target)
+        delta, istop, _ = _minres(H, M, np.negative(r, out=r), rtol, 400, target)
         r = H = M = None
         alpha = 1.0
         while True:
@@ -952,12 +959,10 @@ def _newton_krylov(
             st = r = None  # a rejected trial is dropped before the next
             alpha *= 0.5
             if alpha < 1e-12:
-                what = f"{what} line search (MINRES exit status {info})"
+                what = f"{what} line search (MINRES exit status {istop})"
                 raise NoConvergence(iters, r_norm, what=what)
         r_norm = norm_trial
-    if r_norm > spec.newton_tol:
-        raise NoConvergence(iters, r_norm, what=what)
-    return st, r_norm, iters
+    raise NoConvergence(spec.max_newton_iters, r_norm, what=what)
 
 
 def _require_coupling(q: float, st: _State) -> None:
@@ -1019,7 +1024,7 @@ def solve_coupled(spec: ProblemSpec, init: ScalarField | None = None) -> Solutio
     the start, so they stop at _PREDICTOR_SLACK newton_tol.  Where the
     ladder has a widened rung under its floor (_Ladder), u_inf and u1 are
     solved there alone, and their prediction, prolonged, starts the floor.
-    newton_iters counts the steps on spec.grid only.
+    newton_iters counts the passes on spec.grid only.
 
     Raises a SolveFailure: QTooSmall if q <= sup|c| at some iterate,
     NoConvergence if the iteration or its line search stalls, and
@@ -1041,7 +1046,7 @@ def solve_limit(spec: ProblemSpec) -> LimitSolution:
     as solve_coupled, with the spectral inverse of -Lap + lambda as
     preconditioner.  Climbs the half-grid ladder (_Ladder): each level
     starts from the one below, prolonged, or from the ansatz where there is
-    none or it failed; newton_iters counts the steps on spec.grid only, and
+    none or it failed; newton_iters counts the passes on spec.grid only, and
     a failure there raises that grid's NoConvergence.
     """
     ladder = _Ladder(spec)
@@ -1075,7 +1080,7 @@ def q_sweep(spec: ProblemSpec, q_list) -> "ConvergenceTable":
     with slope u1, that meets the last converged solve on that grid
     (_predict); without u1, from u_inf and then from the last converged
     neighbor.  The limit solve on spec.grid, which the rows are measured
-    against, raises its NoConvergence; newton_iters counts the steps on
+    against, raises its NoConvergence; newton_iters counts the passes on
     spec.grid only.  Each row is built as soon as its outcome on spec.grid
     is made, so no two couplings' bundles live at once.  ValueError, before
     any solve, where _coupling_list rejects q_list.

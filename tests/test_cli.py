@@ -796,6 +796,16 @@ class TestVerifyCommand:
         assert "snapshot error" in err and named in err
         assert err.count(str(solved_dir)) == 1  # the file, named once
 
+    def test_stored_u0_mismatch_exit_one(self, solved_dir, capsys):
+        # a u0.fld that is not the background of the record's vortices
+        path = solved_dir / "u0.fld"
+        write_field(path, read_field(path) + 1e-9)
+        capsys.readouterr()
+        assert main(["verify", str(solved_dir)]) == 1
+        err = capsys.readouterr().err
+        assert "stored u0 does not match its vortex configuration" in err
+        assert err.count(str(solved_dir)) == 1  # the file, named once
+
     def test_stored_bound_tol_is_ignored(self, solved_dir):
         # the slack is fixed: the reports are recomputed with 1e-6 + 10*sigma^2
         path = solved_dir / "solution.json"
@@ -934,6 +944,16 @@ class TestSnapshotFormat:
             write_text_atomic(path, "new")
         assert path.read_text() == "old"
         assert [p.name for p in tmp_path.iterdir()] == ["record.json"]
+
+    def test_read_solution_requires_a_report_list(self, tmp_path):
+        record = {
+            "format": "mcsvortex-solution", "version": 1, "grid": {"N": 8},
+            "reports": {"flux": "pass"},
+        }
+        path = tmp_path / "solution.json"
+        path.write_text(json.dumps(record))
+        with pytest.raises(SnapshotError, match=r"solution\.json: 'reports' must be a list"):
+            read_solution(tmp_path)
 
     def test_read_solution_requires_all_fields(self, tmp_path):
         record = {"format": "mcsvortex-solution", "version": 1, "grid": {"N": 8}}

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -199,6 +201,13 @@ class TestConvergenceMetrics:
         limit = solve_limit(other)
         with pytest.raises(GridMismatch):
             convergence_metrics(vortex_bundle, limit)
+
+    def test_vortex_mismatch_rejected(self, vortex_bundle):
+        # the same grid, the vortex moved
+        spec = vortex_bundle.spec
+        moved = replace(spec, vortices=replace(spec.vortices, points=((0.25, 0.5),)))
+        with pytest.raises(GridMismatch, match="different vortex data"):
+            convergence_metrics(vortex_bundle, solve_limit(moved))
 
     def test_sweep_evaluates_limit_state_once(self, monkeypatch):
         from mcsvortex import NonlinearityModel, diagnostics

@@ -484,7 +484,8 @@ class TestForeignInputs:
 
 def reference_minres(A, M, b, rtol, maxiter):
     """scipy's MINRES on the raveled system: the reference for
-    solver._minres, which must return the same floats and status."""
+    solver._minres, which must return the same floats, and istop 6 where
+    scipy's info is maxiter."""
     from scipy.sparse.linalg import LinearOperator, minres
 
     shape, n = b.shape, b.size
@@ -518,23 +519,38 @@ def _random_system(seed, N, kind):
     return (lambda x: (matrix @ x.ravel()).reshape(N, N)), (lambda x: diag * x), b
 
 
+def counting(A):
+    """A, and the list its wrapper grows by one entry per application."""
+    applied = []
+
+    def counted(*operand):
+        applied.append(1)
+        return A(*operand)
+
+    return counted, applied
+
+
 class TestMinres:
     @pytest.mark.parametrize("kind", ["definite", "indefinite", "singular"])
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("rtol", [1e-4, 1e-10])
     def test_matches_scipy(self, kind, seed, rtol):
         A, M, b = _random_system(seed, 6, kind)
-        x, info = solver._minres(A, M, b, rtol, maxiter=400)
+        counted, applied = counting(A)
+        x, istop, itn = solver._minres(counted, M, b, rtol, maxiter=400)
         x_ref, info_ref = reference_minres(A, M, b, rtol, maxiter=400)
-        assert info == info_ref == 0
+        assert info_ref == 0 and istop in (1, 2)
+        assert itn == len(applied)
         assert x.shape == b.shape and np.array_equal(x, x_ref)
 
     @pytest.mark.parametrize("kind", ["definite", "indefinite"])
     def test_iteration_limit_matches_scipy(self, kind):
         A, M, b = _random_system(7, 6, kind)
-        x, info = solver._minres(A, M, b, 1e-12, maxiter=5)
+        counted, applied = counting(A)
+        x, istop, itn = solver._minres(counted, M, b, 1e-12, maxiter=5)
         x_ref, info_ref = reference_minres(A, M, b, 1e-12, maxiter=5)
-        assert info == info_ref == 5
+        assert info_ref == 5 and istop == 6
+        assert itn == len(applied) == 5
         assert np.array_equal(x, x_ref)
 
     @pytest.mark.parametrize("kind", ["definite", "indefinite"])
@@ -543,17 +559,11 @@ class TestMinres:
         # it, and that iterate is scipy's, the same floats
         A, M, b = _random_system(3, 6, kind)
         target = 0.1 * np.linalg.norm(b)
-        applied = []
-
-        def counted(v):
-            applied.append(1)
-            return A(v)
-
-        x, info = solver._minres(
+        counted, applied = counting(A)
+        x, istop, k = solver._minres(
             counted, M, b.copy(), 1e-10, maxiter=400, target=target
         )
-        k = len(applied)
-        assert info == 0 and k > 1
+        assert istop == 7 and k == len(applied) and k > 1
         x_ref, info_ref = reference_minres(A, M, b, 1e-10, maxiter=k)
         assert info_ref == k and np.array_equal(x, x_ref)
         before, _ = reference_minres(A, M, b, 1e-10, maxiter=k - 1)
@@ -561,8 +571,9 @@ class TestMinres:
 
     def test_zero_right_side(self):
         A, M, b = _random_system(0, 4, "definite")
-        x, info = solver._minres(A, M, np.zeros_like(b), 1e-8, maxiter=400)
-        assert info == 0 and not x.any()
+        counted, applied = counting(A)
+        x, istop, itn = solver._minres(counted, M, np.zeros_like(b), 1e-8, maxiter=400)
+        assert istop == itn == len(applied) == 0 and not x.any()
 
     def test_eigenvector_right_side(self):
         # b is an eigenvector of M A: the Lanczos step ends with beta = 0,
@@ -575,8 +586,10 @@ class TestMinres:
 
         M = solver._SpectralInverse(grid, symbol, solver._half_spectrum(grid))
         b = np.full((16, 16), 9.0)
-        x, info = solver._minres(A, M, b, 0.0, maxiter=400, target=1e-10)
-        assert info == 0 and np.max(np.abs(x - 1.0)) <= 1e-14
+        counted, applied = counting(A)
+        x, istop, itn = solver._minres(counted, M, b, 0.0, maxiter=400, target=1e-10)
+        assert istop == -1 and itn == len(applied) == 1
+        assert np.max(np.abs(x - 1.0)) <= 1e-14
         assert not b.any()
 
 
@@ -600,9 +613,9 @@ def _record_levels(monkeypatch, fail_on=None):
 
 
 def _record_krylov(monkeypatch):
-    """Record the Krylov iterations, counted as applications of A, of each
-    Newton-Krylov driver call and each LimitSolution.u1 solve, as (grid
-    size, equation or "u1", iterations) in call order."""
+    """Record the Krylov iterations, MINRES's itn, of each Newton-Krylov
+    driver call and each LimitSolution.u1 solve, as (grid size, equation
+    or "u1", iterations) in call order."""
     rungs, current = [], []
     real_newton, real_minres = solver._newton_krylov, solver._minres
 
@@ -615,18 +628,13 @@ def _record_krylov(monkeypatch):
             current.pop()
 
     def minres(A, M, b, *args, **kwargs):
-        applied = []
-
-        def counted(*operand):
-            applied.append(1)
-            return A(*operand)
-
-        result = real_minres(counted, M, b, *args, **kwargs)
+        result = real_minres(A, M, b, *args, **kwargs)
+        itn = result[2]
         if current:
             N, what, iters = rungs[current[-1]]
-            rungs[current[-1]] = (N, what, iters + len(applied))
+            rungs[current[-1]] = (N, what, iters + itn)
         else:
-            rungs.append((b.shape[0], "u1", len(applied)))
+            rungs.append((b.shape[0], "u1", itn))
         return result
 
     monkeypatch.setattr(solver, "_newton_krylov", newton)
@@ -1030,13 +1038,16 @@ class TestForcingTerm:
                 return real_minres(A, M, b, rtol, maxiter)
             norm = lambda z: rung["scale"] * solver._l2(rung["grid"], z)
             rhs = b.copy()
-            x, info = real_minres(A, M, b, rtol, maxiter, target)
-            x_scipy, _ = real_minres(A, M, rhs.copy(), rtol, maxiter)
+            counted, applied = counting(A)
+            x, istop, itn = real_minres(counted, M, b, rtol, maxiter, target)
+            assert itn == len(applied)
+            x_scipy, _, _ = real_minres(A, M, rhs.copy(), rtol, maxiter)
             stopped_by_scipy = np.array_equal(x, x_scipy)
+            assert istop == 7 or stopped_by_scipy  # only the target ends it earlier
             calls.append(
                 (rung["tol"], rtol, norm(rhs), norm(rhs - A(x)), stopped_by_scipy)
             )
-            return x, info
+            return x, istop, itn
 
         monkeypatch.setattr(solver, "_newton_krylov", newton)
         monkeypatch.setattr(solver, "_minres", minres)
@@ -1112,11 +1123,13 @@ class TestWorkingSet:
         # each row is built as its bundle is made, and the bundle is gone
         # before the next solve: the peak is in the second top-grid solve,
         # beside what the first row keeps for the later ones (the limit
-        # solution's state and the background's weight and grad(e^{u0}))
+        # solution's state and the background's weight and grad(e^{u0})).
+        # The top rung starts every coupling from the half grid, so it
+        # keeps no last solution for a predictor
         spec = three_vortex_spec()
         sweep = lambda: q_sweep(spec, [20.0, 40.0, 80.0, 160.0])
         sweep()  # warm
-        assert peak_fields(sweep, spec.grid) == pytest.approx(28.68, abs=0.25)
+        assert peak_fields(sweep, spec.grid) == pytest.approx(27.68, abs=0.25)
 
     @staticmethod
     def _linearization(equation):
@@ -1288,8 +1301,8 @@ class TestNewtonPasses:
 
         def failing_minres(A, M, b, rtol, maxiter, target=None):
             if failure == "iteration limit":
-                return np.zeros_like(b), maxiter
-            return np.full_like(b, np.nan), 0
+                return np.zeros_like(b), 6, maxiter
+            return np.full_like(b, np.nan), 1, maxiter
 
         def u1(limit):
             with monkeypatch.context() as m:
@@ -1307,6 +1320,40 @@ class TestNewtonPasses:
             (64, "Newton", 2), (64, "Newton", 2), (64, "Newton", 2), (64, "Newton", 2),
         ]
         assert results and all(u1 is None for u1 in results)
+
+
+class TestNewtonStops:
+    """The driver's convergence test, made once at the head of each pass,
+    on one vortex at N = 64 and q = 40, started from u_inf + u1/q, from
+    which it converges after 3 steps, in 4 passes."""
+
+    @pytest.fixture(scope="class")
+    def started(self):
+        spec = make_spec(N=64, q=40.0)
+        limit = solve_limit(spec)
+        return spec, limit.u_inf + limit.u1 / spec.q
+
+    def test_converging_on_the_last_allowed_step(self, started):
+        spec, init = started
+        free = solve_coupled(spec, init=init)
+        assert free.newton_iters == 4
+        for limit in (3, 4):
+            bundle = solve_coupled(replace(spec, max_newton_iters=limit), init=init)
+            assert bundle.newton_iters == free.newton_iters
+            assert np.array_equal(bundle.u.values, free.u.values)
+
+    def test_limit_too_small(self, started):
+        spec, init = started
+        with pytest.raises(NoConvergence, match="Newton did not converge after 2 ") as exc:
+            solve_coupled(replace(spec, max_newton_iters=2), init=init)
+        assert exc.value.iterations == 2 and exc.value.residual > spec.newton_tol
+
+    def test_start_outside_the_domain(self):
+        # e^{u0+u} overflows at the start: no pass is made
+        spec = make_spec(N=32, q=40.0)
+        with pytest.raises(NoConvergence, match="after 0 iterations") as exc:
+            solve_coupled(spec, init=spec.grid.constant(800.0))
+        assert exc.value.iterations == 0 and exc.value.residual == np.inf
 
 
 class TestFirstOrderCorrector:

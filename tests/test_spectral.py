@@ -23,7 +23,7 @@ from mcsvortex import (
 from mcsvortex import solver
 
 from conftest import count_transforms, smooth_field
-from test_solver import make_spec, reference_minres
+from test_solver import counting, make_spec, reference_minres
 
 TWO_PI = 2.0 * np.pi
 
@@ -153,9 +153,11 @@ def _newton_system(driver):
 def test_minres_matches_scipy_on_the_newton_system(drivers, equation):
     # a preconditioner without its spectrum attribute hides the hand-off
     H, M, b = _newton_system(drivers[equation])
-    x, info = solver._minres(H, lambda r: M(r), b, 1e-8, maxiter=400)
+    counted, applied = counting(H)
+    x, istop, itn = solver._minres(counted, lambda r: M(r), b, 1e-8, maxiter=400)
     x_ref, info_ref = reference_minres(H, M, b, 1e-8, maxiter=400)
-    assert info == info_ref == 0
+    assert info_ref == 0 and istop in (1, 2)
+    assert itn == len(applied)
     assert np.array_equal(x, x_ref)
 
 
@@ -167,8 +169,9 @@ def test_minres_tracks_the_true_residual(drivers, equation):
     H, M, b = _newton_system(drivers[equation])
     for k in range(1, 11):
         residual = b.copy()
-        x, info = solver._minres(H, M, residual, 1e-14, maxiter=k, target=0.0)
-        assert info == k
+        counted, applied = counting(H)
+        x, istop, itn = solver._minres(counted, M, residual, 1e-14, maxiter=k, target=0.0)
+        assert istop == 6 and itn == len(applied) == k
         explicit = b - H(x)
         assert np.linalg.norm(residual - explicit) <= 1e-10 * np.linalg.norm(b)
 
@@ -189,12 +192,14 @@ def test_spectrum_hand_off_agrees_to_roundoff(drivers, equation):
         handed.append(len(ph))
         return H(phi, *ph)
 
-    x_ref, info_ref = solver._minres(recorded, lambda r: M(r), b, rtol, maxiter=400)
-    assert handed and not any(handed)
+    x_ref, istop_ref, itn_ref = solver._minres(
+        recorded, lambda r: M(r), b, rtol, maxiter=400
+    )
+    assert handed and not any(handed) and itn_ref == len(handed)
     del handed[:]
-    x, info = solver._minres(recorded, M, b, rtol, maxiter=400)
-    assert handed and all(handed)
-    assert info == info_ref == 0
+    x, istop, itn = solver._minres(recorded, M, b, rtol, maxiter=400)
+    assert handed and all(handed) and itn == len(handed)
+    assert istop in (1, 2) and istop_ref in (1, 2)
     assert np.linalg.norm(x - x_ref) <= rtol * np.linalg.norm(x_ref)
     res, res_ref = (np.linalg.norm(b - H(z)) for z in (x, x_ref))
     assert abs(res - res_ref) <= 0.01 * res_ref
