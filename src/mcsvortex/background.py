@@ -168,14 +168,10 @@ def _bump(
     return vals, gx / integral, gy
 
 
-def vortex_source(config: VortexConfig, grid: GridSpec) -> ScalarField:
-    """Sum of m_j mollified unit bumps; integrates exactly to n."""
-    return _source(config, grid)[0]
-
-
 def _source(config: VortexConfig, grid: GridSpec) -> tuple[ScalarField, np.ndarray]:
-    """vortex_source and its half spectrum, built from the bumps' 1-D
-    factors (GridSpec.outer_spectrum): no N x N transform."""
+    """The vortex source, the sum of the m_j mollified unit bumps, which
+    integrates exactly to n, and its half spectrum, built from the bumps'
+    1-D factors (GridSpec.outer_spectrum): no N x N transform."""
     vals = np.zeros((grid.N, grid.N))
     spectrum = np.zeros((grid.N, grid.N // 2 + 1), dtype=complex)
     for (x, y), m in zip(config.points, config.multiplicities):

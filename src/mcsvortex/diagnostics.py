@@ -10,16 +10,18 @@ of the mollified cores dominates), pure quadrature identities 1e-6..1e-8.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import asdict, astuple, dataclass, field as dc_field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .background import FOUR_PI
 from .errors import GridMismatch, SolveFailure
 from .grid import _sobolev_norms
 from .snapshots import write_text_atomic
-from .solver import LimitSolution, SolutionBundle, _bound_violation
 
-FOUR_PI = 4.0 * np.pi
+if TYPE_CHECKING:  # the solver imports this module
+    from .solver import LimitSolution, SolutionBundle
 
 
 @dataclass(frozen=True)
@@ -71,6 +73,15 @@ def _make_report(
     )
 
 
+def _identity_report(name: str, bundle: SolutionBundle, tolerances, **report) -> InvariantReport:
+    """_make_report for an identity of the theory at tolerances = (relative,
+    absolute): relative where the bundle has vortices, absolute in the
+    vacuum (n = 0), where both sides vanish."""
+    if bundle.background.n > 0:
+        return _make_report(name, tolerance=tolerances[0], tol_kind="relative", **report)
+    return _make_report(name, tolerance=tolerances[1], tol_kind="absolute", **report)
+
+
 def check_bounds(bundle: SolutionBundle) -> InvariantReport:
     """Pointwise bounds f(0) <= f(e^{u*}) <= s and f(0) <= v <= s, with
     the slack spec.bound_tol = 1e-6 + 10*sigma^2 for the mollified
@@ -78,7 +89,7 @@ def check_bounds(bundle: SolutionBundle) -> InvariantReport:
     st = bundle._state("pointwise_bounds")
     model = bundle.model
     f0, s = model.f0, model.s
-    worst, extremes = _bound_violation(model, st.f, bundle.v.values)
+    worst, extremes = model.bound_violation(st.f, bundle.v.values)
     fe_min, fe_max, v_min, v_max = extremes
     return _make_report(
         "pointwise_bounds",
@@ -108,16 +119,14 @@ def check_flux(bundle: SolutionBundle) -> InvariantReport:
     i1 = h2 * float(np.sum(st.c * (bundle.model.s - bundle.v.values)))
     i2 = q * h2 * float(np.sum(bundle.v.values - st.f))
     target = FOUR_PI * n
-    abs_disc = max(abs(i1 - target), abs(i2 - target))
-    tol_kind = "relative" if n > 0 else "absolute"
-    return _make_report(
+    return _identity_report(
         "flux_quantization",
+        bundle,
         lhs=(i1, i2),
         rhs=target,
-        abs_disc=abs_disc,
+        abs_disc=max(abs(i1 - target), abs(i2 - target)),
         scale=abs(target),
-        tolerance=1e-6 if n > 0 else 1e-8,
-        tol_kind=tol_kind,
+        tolerances=(1e-6, 1e-8),
         details={"lhs_gap": abs(i1 - i2)},
     )
 
@@ -138,16 +147,14 @@ def check_identity(bundle: SolutionBundle) -> InvariantReport:
     lhs = h2 * float(np.sum(vx**2 + vy**2)) + q * q * h2 * float(np.sum((v - st.f) ** 2))
     w2 = st.dc_dt * st.wg
     rhs = h2 * float(np.sum((s - v) * w2) + FOUR_PI * np.sum((s - v) * st.c * source))
-    n = bundle.background.n
-    tol_kind = "relative" if n > 0 else "absolute"
-    return _make_report(
+    return _identity_report(
         "gradient_energy_identity",
+        bundle,
         lhs=lhs,
         rhs=rhs,
         abs_disc=abs(lhs - rhs),
         scale=max(abs(lhs), abs(rhs)),
-        tolerance=1e-4 if n > 0 else 1e-10,
-        tol_kind=tol_kind,
+        tolerances=(1e-4, 1e-10),
     )
 
 
@@ -163,16 +170,14 @@ def check_gradu(bundle: SolutionBundle) -> InvariantReport:
     a = h2 * float(np.sum(st.wg))
     b_dirac = q * h2 * float(np.sum(st.t * (bundle.v.values - st.f)))
     b = b_dirac - FOUR_PI * h2 * float(np.sum(st.t * source))
-    n = bundle.background.n
-    tol_kind = "relative" if n > 0 else "absolute"
-    return _make_report(
+    return _identity_report(
         "weighted_gradient_identity",
+        bundle,
         lhs=a,
         rhs=b,
         abs_disc=abs(a - b),
         scale=max(abs(a), abs(b)),
-        tolerance=1e-6 if n > 0 else 1e-10,
-        tol_kind=tol_kind,
+        tolerances=(1e-6, 1e-10),
         details={"rhs_uncorrected": b_dirac, "ratio": a / b if b != 0.0 else np.nan},
     )
 
@@ -282,9 +287,11 @@ def convergence_metrics(bundle: SolutionBundle, limit: LimitSolution) -> Metrics
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One sweep coupling; its fields, tuples spread, are the sweep table's
+    columns in order (_TSV_COLUMNS)."""
+
     q: float
     status: str  # converged | no_convergence | q_too_small | bounds_violation
-    message: str = ""
     d_eu: float = np.nan
     d_v: float = np.nan
     d_w: float = np.nan
@@ -297,6 +304,7 @@ class SweepRow:
     energy: float = np.nan
     genmcsb_residual: float = np.nan
     newton_iters: int = 0
+    message: str = ""
 
     @classmethod
     def of(cls, q: float, outcome, limit: LimitSolution) -> "SweepRow":
@@ -338,12 +346,9 @@ class ConvergenceTable:
     rows: list
 
     def row_values(self, row: SweepRow) -> list:
-        return [
-            row.q, row.status, row.d_eu, row.d_v, row.d_w,
-            *row.h_u, *row.h_v, *row.sob_u, *row.sob_v,
-            row.gradu_value, row.flux_rel_err, row.energy,
-            row.genmcsb_residual, row.newton_iters, row.message,
-        ]
+        """row's fields in order, with each tuple spread: one per column."""
+        values = astuple(row)
+        return [x for value in values for x in (value if isinstance(value, tuple) else (value,))]
 
     def to_tsv(self) -> str:
         def fmt(x) -> str:

@@ -109,6 +109,15 @@ class NonlinearityModel:
         """f(0), the lower pointwise bound of the theory."""
         return float(self.raw_f(np.asarray(0.0)))
 
+    def bound_violation(self, f: np.ndarray, v: np.ndarray) -> tuple[float, tuple]:
+        """Largest excess of f = f(e^{u*}) and v over the pointwise bounds
+        [f(0), s] of the theory, and the extremes (f_min, f_max, v_min,
+        v_max) it was read from."""
+        extremes = (float(f.min()), float(f.max()), float(v.min()), float(v.max()))
+        fe_min, fe_max, v_min, v_max = extremes
+        f0, s = self.f0, self.s
+        return max(f0 - fe_min, fe_max - s, f0 - v_min, v_max - s), extremes
+
     def inverse(self, y: float) -> float:
         """t >= 0 with f(t) = y, by safeguarded Newton/bisection.
 

@@ -26,7 +26,8 @@ from typing import Callable
 
 import numpy as np
 
-from .background import BackgroundData, VortexConfig, compute_u0
+from .background import FOUR_PI, BackgroundData, VortexConfig, compute_u0
+from .diagnostics import ConvergenceTable, SweepRow
 from .errors import (
     BoundsViolation,
     GridMismatch,
@@ -40,8 +41,6 @@ from .errors import (
 )
 from .grid import GridSpec, ScalarField, _l2, same_grid
 from .nonlinearity import NonlinearityModel
-
-FOUR_PI = 4.0 * np.pi
 
 # a linear operator on N x N grid arrays, returning a new array the caller
 # may overwrite; a Jacobian also takes the half spectrum of its argument as
@@ -101,7 +100,9 @@ class SolutionBundle:
     """Converged (u, v, w) triple with its background and newton_iters, the
     Newton passes on spec.grid (_newton_krylov: the steps taken plus one).
     The residual norms and the energy are functions of the fields, derived
-    on first read from _pointwise, _vh and _equation, as the checks are."""
+    on first read from _pointwise, _vh and _equation, as the checks are.
+    GridMismatch unless the background and the fields live on spec.grid and
+    the background is built for spec.vortices."""
 
     spec: ProblemSpec
     background: BackgroundData
@@ -109,6 +110,13 @@ class SolutionBundle:
     v: ScalarField
     w: ScalarField
     newton_iters: int
+
+    def __post_init__(self):
+        parts = (self.background, self.u, self.v, self.w)
+        if any(part.grid != self.spec.grid for part in parts):
+            raise GridMismatch("bundle background and fields must live on spec.grid")
+        if self.background.config != self.spec.vortices:
+            raise GridMismatch("bundle background is built for other vortices than spec's")
 
     @property
     def q(self) -> float:
@@ -503,17 +511,11 @@ def _helmholtz_q(q) -> float:
     return float(q)
 
 
-def _helmholtz(grid: GridSpec, c: np.ndarray, q: float, spec: np.ndarray) -> Operator:
-    """-Laplacian + q^2 + q c (_multiplier_plus_potential, with the scratch
-    half spectrum spec) for a float q (_helmholtz_q)."""
-    return _multiplier_plus_potential(grid, grid.k2 + q * q, q * c, spec)
-
-
 def helmholtz_apply(c: ScalarField, u: ScalarField, q: float) -> ScalarField:
     """Left-hand operator of the stiff Helmholtz equation:
     -Laplacian(u) + q^2*(1 + c/q)*u.  ValueError where q is not finite."""
-    grid = same_grid(c, u)
-    A = _helmholtz(grid, c.values, _helmholtz_q(q), _half_spectrum(grid))
+    grid, q = same_grid(c, u), _helmholtz_q(q)
+    A = _multiplier_plus_potential(grid, grid.k2 + q * q, q * c.values, _half_spectrum(grid))
     return ScalarField(grid, A(u.values))
 
 
@@ -536,7 +538,8 @@ def helmholtz_solve(
     if not (_finite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     q, spec = _helmholtz_q(q), _half_spectrum(grid)
-    A = _helmholtz(grid, c.values, q, spec)
+    symbol = grid.k2 + q * q  # of -Laplacian + q^2, shared by A and M
+    A = _multiplier_plus_potential(grid, symbol, q * c.values, spec)
     c_inf = float(np.abs(c.values).max())
     if q <= c_inf:
         raise PreconditionViolated(
@@ -545,7 +548,7 @@ def helmholtz_solve(
 
     b = q * q * rhs.values
     target = tol * _l2(grid, b)
-    M = _SpectralInverse(grid, grid.k2 + q * q, spec)
+    M = _SpectralInverse(grid, symbol, spec)
     x, _, itn = _minres(A, M, b.copy(), 0.0, 10 * grid.N, target / grid.h)
     res = _l2(grid, b - A(x))
     if res > target:
@@ -981,7 +984,7 @@ def _admissible_v(spec: ProblemSpec, st: _State) -> np.ndarray:
     spec.bound_tol."""
     _require_coupling(spec.q, st)
     v = st.recover_v(spec.q)
-    worst, _ = _bound_violation(spec.model, st.f, v)
+    worst, _ = spec.model.bound_violation(st.f, v)
     bound_tol = spec.bound_tol
     if worst > bound_tol:
         raise BoundsViolation(
@@ -989,15 +992,6 @@ def _admissible_v(spec: ProblemSpec, st: _State) -> np.ndarray:
             "(discretization failure: refine the grid or enlarge sigma)"
         )
     return v
-
-
-def _bound_violation(model: NonlinearityModel, f: np.ndarray, v: np.ndarray):
-    """Largest excess of f(e^{u*}) and v over the bounds [f(0), s], and
-    the extremes (f_min, f_max, v_min, v_max) it was read from."""
-    extremes = (float(f.min()), float(f.max()), float(v.min()), float(v.max()))
-    fe_min, fe_max, v_min, v_max = extremes
-    f0, s = model.f0, model.s
-    return max(f0 - fe_min, fe_max - s, f0 - v_min, v_max - s), extremes
 
 
 def solve_coupled(spec: ProblemSpec, init: ScalarField | None = None) -> SolutionBundle:
@@ -1064,7 +1058,7 @@ def _coupling_list(q_list) -> list[float]:
     return q_list
 
 
-def q_sweep(spec: ProblemSpec, q_list) -> "ConvergenceTable":
+def q_sweep(spec: ProblemSpec, q_list) -> ConvergenceTable:
     """Solves over ascending couplings, measured against the limit
     profile.  Per-entry solver failures become marked rows rather than
     exceptions.
@@ -1085,14 +1079,12 @@ def q_sweep(spec: ProblemSpec, q_list) -> "ConvergenceTable":
     is made, so no two couplings' bundles live at once.  ValueError, before
     any solve, where _coupling_list rejects q_list.
     """
-    from . import diagnostics
-
     q_list = _coupling_list(q_list)
     ladder = _Ladder(spec)
     limit = ladder.result(ladder.limit())
     # rows in descending q, each built as its bundle is made (_Ladder.coupled)
     rows = ladder.coupled(
-        q_list[::-1], lambda q, outcome: diagnostics.SweepRow.of(q, outcome, limit)
+        q_list[::-1], lambda q, outcome: SweepRow.of(q, outcome, limit)
     )
     meta = {
         "model": spec.model.name,
@@ -1103,4 +1095,4 @@ def q_sweep(spec: ProblemSpec, q_list) -> "ConvergenceTable":
         "newton_tol": spec.newton_tol,
         "bound_tol": spec.bound_tol,
     }
-    return diagnostics.ConvergenceTable(meta=meta, rows=rows[::-1])
+    return ConvergenceTable(meta=meta, rows=rows[::-1])

@@ -1,7 +1,10 @@
 """The README documents every exported name and every configuration key;
-grid.py makes every Fourier transform of the package."""
+grid.py makes every Fourier transform of the package; the package's
+modules import each other at module level only, without a cycle."""
 
+import ast
 import dataclasses
+import graphlib
 import inspect
 import re
 from pathlib import Path
@@ -110,3 +113,66 @@ def test_only_the_errors_module_tests_number_types():
                  "isinstance(flag, bool)"):
         assert number_type.search(text), text
     assert not number_type.search("isinstance(outcome, SolveFailure)")
+
+
+def _package_imports(path: Path) -> tuple[set[str], list[int]]:
+    """The package modules path imports when it is loaded, by stem: the
+    module-level imports outside `if TYPE_CHECKING:`, "__init__" for the
+    package itself; and the lines of every package import inside a function."""
+    modules = {p.stem for p in PACKAGE.glob("*.py")}
+
+    def targets(node) -> set[str]:
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif node.level:  # the package is flat: "from . import x", "from .x import y"
+            names = [f"mcsvortex.{node.module or alias.name}" for alias in node.names]
+        else:
+            names = [node.module]
+        found = set()
+        for parts in (name.split(".") for name in names):
+            if parts[0] == "mcsvortex":
+                found.add(parts[1] if parts[1:] and parts[1] in modules else "__init__")
+        return found
+
+    imported, in_functions = set(), []
+
+    def visit(node, in_function: bool) -> None:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found = targets(node)
+            if found and in_function:
+                in_functions.append(node.lineno)
+            elif not in_function:
+                imported.update(found)
+            return
+        if isinstance(node, ast.If) and ast.unparse(node.test) in (
+            "TYPE_CHECKING", "typing.TYPE_CHECKING"
+        ):
+            children = node.orelse  # the guarded body only ever runs under a type checker
+        else:
+            children = ast.iter_child_nodes(node)
+        in_function = in_function or isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+        )
+        for child in children:
+            visit(child, in_function)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), False)
+    return imported, in_functions
+
+
+def test_package_imports_form_no_cycle():
+    # every package import is made at module level, so the import graph is
+    # the whole story, and that graph has no cycle: a module never sees a
+    # half-initialized one
+    graph, in_functions = {}, {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        graph[path.stem], lines = _package_imports(path)
+        if lines:
+            in_functions[path.name] = lines
+    assert not in_functions, f"package imports inside functions: {in_functions}"
+    assert "diagnostics" in graph["solver"] and "solver" not in graph["diagnostics"]
+    assert graph["__init__"] >= {"solver", "diagnostics", "grid"}
+    try:
+        list(graphlib.TopologicalSorter(graph).static_order())
+    except graphlib.CycleError as exc:
+        raise AssertionError(f"import cycle among package modules: {exc.args[1]}") from None

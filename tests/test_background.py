@@ -18,7 +18,6 @@ from mcsvortex import (
     sup_norm,
 )
 from mcsvortex import background
-from mcsvortex.background import vortex_source
 
 from conftest import peak_fields
 
@@ -262,7 +261,7 @@ class TestComputeU0:
         cfg = VortexConfig(
             points=((0.25, 0.25), (0.75, 0.5)), multiplicities=(2, 1), sigma=3 * grid.h
         )
-        source = vortex_source(cfg, grid)
+        source = compute_u0(cfg, grid).source
         assert integrate(grid.field(FOUR_PI * (cfg.n - source.values))) == pytest.approx(
             0.0, abs=1e-12
         )

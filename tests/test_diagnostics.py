@@ -25,7 +25,7 @@ from mcsvortex import (
     solve_limit,
     u1_model,
 )
-from mcsvortex.diagnostics import SweepRow, residual_reports
+from mcsvortex.diagnostics import _TSV_COLUMNS, ConvergenceTable, SweepRow, residual_reports
 from mcsvortex.errors import PreconditionViolated
 from mcsvortex.solver import SolutionBundle
 
@@ -366,6 +366,62 @@ _STATE_READERS = {
     "convergence_metrics": convergence_metrics,
     "SweepRow.of": lambda bundle, limit: SweepRow.of(bundle.q, bundle, limit),
 }
+
+
+class TestSweepTable:
+    def test_every_row_fills_every_column(self, vortex_bundle):
+        # one value per header column, in the header's order, for a
+        # converged row and a failed one
+        limit = solve_limit(vortex_bundle.spec)
+        failure = NoConvergence(7, 1e-3)
+        converged = SweepRow.of(vortex_bundle.q, vortex_bundle, limit)
+        failed = SweepRow.of(5.0, failure, None)
+        lines = ConvergenceTable(meta={"N": 64}, rows=[failed, converged]).to_tsv().splitlines()
+        assert lines[1].split("\t") == _TSV_COLUMNS
+        cells = [dict(zip(_TSV_COLUMNS, line.split("\t"), strict=True)) for line in lines[2:]]
+        assert len(cells) == 2
+        failed_cells, converged_cells = cells
+        assert failed_cells["status"] == "no_convergence"
+        assert failed_cells["message"] == str(failure)
+        assert failed_cells["newton_iters"] == "7"
+        assert failed_cells["h2_v"] == "nan"
+        fields = {
+            "q": converged.q, "d_eu": converged.d_eu, "d_w": converged.d_w,
+            "h0_u": converged.h_u[0], "h2_v": converged.h_v[2],
+            "sob0_u": converged.sob_u[0], "sob2_v": converged.sob_v[2],
+            "gradu": converged.gradu_value, "flux_rel_err": converged.flux_rel_err,
+            "energy": converged.energy, "genmcsb_residual": converged.genmcsb_residual,
+        }
+        assert {key: converged_cells[key] for key in fields} == {
+            key: f"{value:.17e}" for key, value in fields.items()
+        }
+        assert converged_cells["status"] == "converged"
+        assert converged_cells["newton_iters"] == str(vortex_bundle.newton_iters)
+        assert converged_cells["message"] == ""
+
+
+class TestBundleParts:
+    """A SolutionBundle is built from the parts of its own problem, so its
+    reports describe the solution, not a mismatch of its parts."""
+
+    @pytest.fixture(scope="class")
+    def solved(self):
+        return solve_coupled(one_vortex_spec(N=32))
+
+    def test_background_of_other_vortices_rejected(self, solved):
+        moved = replace(solved.spec.vortices, points=((0.25, 0.5),))
+        with pytest.raises(GridMismatch, match="other vortices"):
+            replace(solved, background=compute_u0(moved, solved.grid))
+
+    @pytest.mark.parametrize("name", ["background", "u", "v", "w"])
+    def test_part_on_other_grid_rejected(self, solved, name):
+        other = GridSpec(64)
+        if name == "background":
+            part = compute_u0(solved.spec.vortices, other)
+        else:
+            part = other.constant(0.0)
+        with pytest.raises(GridMismatch, match="spec.grid"):
+            replace(solved, **{name: part})
 
 
 class TestOverflowingBundle:

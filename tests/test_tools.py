@@ -28,3 +28,36 @@ def test_outputs_digest():
     # the failed default-tolerance solve names how its last MINRES solve stopped
     failure = lines[OUTPUTS.index("solve_large.default_tol")]
     assert "line search (MINRES exit status 7)" in failure
+
+
+def test_code_lines_counts_code_only(tmp_path):
+    # docstrings, comments and blank lines are not code; a line that holds
+    # code and a comment, or a def and its one-line docstring, is
+    package = tmp_path / "src" / "mcsvortex"
+    package.mkdir(parents=True)
+    (package / "small.py").write_text(
+        '"""Module docstring,\n'
+        'over two lines."""\n'
+        "\n"
+        "# a comment\n"
+        "X = 1  # code and a comment\n"
+        "\n"
+        "def f(a):\n"
+        '    """Function docstring."""\n'
+        '    return """not a docstring\n'
+        '    but a value"""\n'
+        "\n"
+        "class C:\n"
+        '    def g(self): """one-line docstring"""\n',
+        encoding="utf-8",
+    )
+    (package / "__init__.py").write_text("", encoding="utf-8")
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "code_lines.py"), str(tmp_path)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    rows = [line.split() for line in run.stdout.splitlines()]
+    assert rows == [
+        ["module", str(tmp_path)], ["__init__.py", "0"], ["small.py", "6"], ["total", "6"],
+    ]
