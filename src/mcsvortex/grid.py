@@ -6,9 +6,9 @@ the half spectrum of the real transform, all built from GridSpec's tables:
 the Laplacian symbol is -4*pi^2*|k|^2 for integer wave vectors k, first
 derivatives drop the Nyquist mode so that derivatives of real fields stay
 real and skew-adjoint.  GridSpec.prolong resamples a field from a coarser
-grid by zero-padding its spectrum.  Trapezoidal quadrature (h^2 times the
-grid sum) is exact for band-limited fields and pairs with the transforms
-through the discrete Parseval identity.
+grid by zero-padding its spectrum (_prolonged_spectrum).  Trapezoidal
+quadrature (h^2 times the grid sum) is exact for band-limited fields and
+pairs with the transforms through the discrete Parseval identity.
 
 The transforms call the pocketfft ufuncs of numpy.fft._pocketfft_umath, a
 private module present since numpy 2.0, with the axes and factors that
@@ -167,19 +167,11 @@ class GridSpec:
         return float(np.sum(self.parseval * symbol * np.abs(coeffs) ** 2))
 
     def prolong(self, field: "ScalarField") -> "ScalarField":
-        """The field of a coarser grid M < N resampled on this one: its
-        half spectrum zero-padded, the coarse Nyquist row and column
-        dropped, and scaled by (N/M)^2.  Exact for trigonometric
-        polynomials with |k_x|, |k_y| < M/2."""
-        M = field.grid.N
-        if M >= self.N:
-            raise ValueError(f"cannot prolong from {field.grid!r} to {self!r}")
-        coarse = field.grid.forward(field.values) * (self.N / M) ** 2
-        half = M // 2
-        coeffs = np.zeros((self.N, self.N // 2 + 1), dtype=complex)
-        coeffs[:half, :half] = coarse[:half, :half]  # k_x = 0 .. M/2 - 1
-        coeffs[1 - half :, :half] = coarse[1 - half :, :half]  # k_x = 1 - M/2 .. -1
-        return ScalarField(self, self.inverse(coeffs))
+        """The field of a coarser grid M < N resampled on this one: the
+        inverse transform of its half spectrum zero-padded
+        (_prolonged_spectrum).  Exact for trigonometric polynomials with
+        |k_x|, |k_y| < M/2."""
+        return ScalarField(self, self.inverse(_prolonged_spectrum(self, field)))
 
     def field(self, values) -> "ScalarField":
         return ScalarField(self, values)
@@ -261,6 +253,23 @@ class ScalarField:
 
     def max(self) -> float:
         return float(self.values.max())
+
+
+def _prolonged_spectrum(grid: GridSpec, field: ScalarField) -> np.ndarray:
+    """Half spectrum on grid of the field of a coarser grid M < N: the
+    field's half spectrum zero-padded, the coarse Nyquist row and column
+    dropped, and scaled by (N/M)^2.  GridSpec.prolong is its inverse
+    transform; a prolonged Newton start keeps it as the start's spectrum,
+    which is exactly zero on the band |k| >= M/2."""
+    M, N = field.grid.N, grid.N
+    if M >= N:
+        raise ValueError(f"cannot prolong from {field.grid!r} to {grid!r}")
+    coarse = field.grid.forward(field.values) * (N / M) ** 2
+    half = M // 2
+    coeffs = np.zeros((N, N // 2 + 1), dtype=complex)
+    coeffs[:half, :half] = coarse[:half, :half]  # k_x = 0 .. M/2 - 1
+    coeffs[1 - half :, :half] = coarse[1 - half :, :half]  # k_x = 1 - M/2 .. -1
+    return coeffs
 
 
 def same_grid(*fields: ScalarField) -> GridSpec:

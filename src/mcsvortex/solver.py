@@ -39,7 +39,7 @@ from .errors import (
     _require_positive,
     _require_whole,
 )
-from .grid import GridSpec, ScalarField, _l2, same_grid
+from .grid import GridSpec, ScalarField, _l2, _prolonged_spectrum, same_grid
 from .nonlinearity import NonlinearityModel
 
 # a linear operator on N x N grid arrays, returning a new array the caller
@@ -74,11 +74,15 @@ class ProblemSpec:
     vortices: VortexConfig
     q: float
     grid: GridSpec
-    # The float64 evaluation floor of the fourth-order residual grows like
-    # eps * |k|_max^4 / q.  Measured with one vortex, s = 9 and q = 40, the
-    # residual stalls at 2.1e-6 .. 2.5e-6 at N = 256, so the default
-    # newton_tol is only reachable on coarser grids; N = 256 needs
-    # newton_tol >~ 8e-6.
+    # The fourth-order residual read through a forward transform of u has a
+    # float64 floor that grows like eps * |k|_max^4 / q: with one vortex,
+    # s = 9 and q = 40, Newton steps stall at 2.1e-6 .. 2.5e-6 at N = 256.
+    # A cold solve's top rung reads its start's Laplacians from the
+    # prolonged half spectrum and smooths it (_newton_krylov), which there
+    # reaches 1e-7 .. 3e-7 without a Newton step: N = 256 converges at this
+    # default (not at 4e-7) and N = 512 at 4e-6 (not at 1e-5 or 1e-6).  A
+    # solve from init, or a rung whose start the smoothing estimate
+    # rejects, still needs newton_tol >~ 8e-6 at N = 256.
     newton_tol: float = 1e-6
     max_newton_iters: int = 60
 
@@ -230,15 +234,18 @@ class LimitSolution:
 class _State:
     """Pointwise state at the regular part u over the background bg: t, f(t),
     f'(t), f''(t) and c = f'(t) t, built at once (_pointwise_state); the half
-    spectrum uh of u, lap = Laplacian(u) and the weighted gradient wg,
-    built on first read and kept for the state's lifetime.  A solution keeps
-    its state; the Newton driver holds one only from its residual to its
+    spectrum uh of u, where it is handed in, and lap = Laplacian(u) and the
+    weighted gradient wg, built on first read (uh too, where it is not
+    handed in) and kept for the state's lifetime.  A solution keeps its
+    state; the Newton driver holds one only from its residual to its
     linearization (_newton_krylov)."""
 
-    def __init__(self, model: NonlinearityModel, bg: BackgroundData, u, t):
+    def __init__(self, model: NonlinearityModel, bg: BackgroundData, u, t, uh=None):
         self.bg, self.u, self.t = bg, u, t
         self.f, self.fp, self.fpp = model._eval_arrays(t)
         self.c = self.fp * t
+        if uh is not None:  # shadows the cached property
+            self.uh = uh
 
     @property
     def dc_dt(self) -> np.ndarray:
@@ -275,13 +282,16 @@ class _State:
         return (-self.lap + FOUR_PI * self.bg.n) / q + self.f
 
 
-def _pointwise_state(model: NonlinearityModel, bg: BackgroundData, u) -> _State | None:
-    """The _State at u, t = e^{u0} e^u; None where t overflows."""
+def _pointwise_state(
+    model: NonlinearityModel, bg: BackgroundData, u, uh: np.ndarray | None = None
+) -> _State | None:
+    """The _State at u, t = e^{u0} e^u, with the half spectrum uh of u
+    where it is known; None where t overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
         t = bg.exp_u0.values * np.exp(u)
     if not np.all(np.isfinite(t)):
         return None
-    return _State(model, bg, u, t)
+    return _State(model, bg, u, t, uh)
 
 
 def _defined(st: _State | None, what: str) -> _State:
@@ -294,8 +304,10 @@ def _defined(st: _State | None, what: str) -> _State:
 class _Coupled:
     """The coupled equation at spec.q over one background, as the
     Newton-Krylov driver reads it: the energy, its gradient as the residual,
-    the residual's linearization, and the scale q that turns the residual
-    norm into that of the second equation."""
+    the residual's linearization (from its potential and preconditioner),
+    the contraction estimate that decides whether a prolonged start is
+    smoothed, and the scale q that turns the residual norm into that of the
+    second equation."""
 
     what = "Newton"
 
@@ -336,24 +348,57 @@ class _Coupled:
             + FOUR_PI * n
         )
 
-    def linearize(self, st: _State) -> tuple[Operator, _SpectralInverse]:
-        """Frechet derivative of the residual at the frozen state st and its
-        preconditioner, the exact spectral inverse of q^{-2} Lap^2 - Lap +
-        lambda with lambda = max(1, inf f' * inf e^{u*}).  The two share one
-        scratch half spectrum, and the derivative's products go into
-        buffers of the linearization.  Its optional second argument, the
-        half spectrum of phi, saves the forward transform of phi (see
-        _minres); it is overwritten with that of c phi.  Raises QTooSmall
-        where q <= sup|c|."""
+    def potential(self, st: _State) -> np.ndarray:
+        """V, the zeroth-order term of the residual's Frechet derivative at
+        the state st (linearize)."""
+        cp = st.dc_dt * st.t  # d c / d u
+        return (
+            -cp * (st.lap - FOUR_PI * self.bg.n) / self.q
+            + cp * (st.f - self.model.s)
+            + st.c * st.fp * st.t
+        )
+
+    @staticmethod
+    def shift(st: _State) -> float:
+        """lambda = max(1, inf f' * inf e^{u*}) at the state st."""
+        return max(1.0, float(st.fp.min()) * float(st.t.min()))
+
+    def preconditioner(self, st: _State, scratch: np.ndarray) -> _SpectralInverse:
+        """P^-1, the exact spectral inverse of P = q^{-2} Lap^2 - Lap +
+        lambda at the state st (shift), whose inverse transforms go through
+        the half spectrum scratch."""
+        return _SpectralInverse(self.grid, self.principal + self.shift(st), scratch)
+
+    def contraction(self, st: _State, V: np.ndarray) -> float:
+        """rho = (2 sup|c| k_c^2 / q + max|V - lambda|) / (k_c^4 / q^2 + k_c^2
+        + lambda) at the state st with potential V, k_c = 2 pi M / 2 for the
+        half grid M = N/2: a bound on the factor by which one
+        preconditioned step u - P^-1 r multiplies the residual on the band
+        |k| >= k_c, which a start prolonged from M holds none of.  The
+        derivative less P is (c (-Lap) + (-Lap)(c .)) / q + V - lambda,
+        and on that band P is at least its value at k_c."""
+        q, c = self.q, st.c
+        lam = self.shift(st)
+        kc2 = (np.pi * self.grid.N / 2) ** 2
+        c_inf = max(float(c.max()), -float(c.min()))
+        v_dev = max(float(V.max()) - lam, lam - float(V.min()))
+        return (2.0 * c_inf * kc2 / q + v_dev) / (kc2 * kc2 / q**2 + kc2 + lam)
+
+    def linearize(
+        self, st: _State, V: np.ndarray | None = None
+    ) -> tuple[Operator, _SpectralInverse]:
+        """Frechet derivative of the residual at the frozen state st, with
+        potential V (potential(st) unless given), and its preconditioner
+        (preconditioner).  The two share one scratch half spectrum, and the
+        derivative's products go into buffers of the linearization.  Its
+        optional second argument, the half spectrum of phi, saves the
+        forward transform of phi (see _minres); it is overwritten with that
+        of c phi.  Raises QTooSmall where q <= sup|c|."""
         q, grid, principal, k2_q = self.q, self.grid, self.principal, self.k2_q
         _require_coupling(q, st)
         c = st.c
-        cp = st.dc_dt * st.t  # d c / d u
-        V = (
-            -cp * (st.lap - FOUR_PI * self.bg.n) / q
-            + cp * (st.f - self.model.s)
-            + c * st.fp * st.t
-        )
+        if V is None:
+            V = self.potential(st)
         k2 = grid.k2
         spec = _half_spectrum(grid)
         prod = np.empty_like(c)
@@ -374,8 +419,7 @@ class _Coupled:
             linear += np.multiply(V, phi, out=prod)
             return linear
 
-        lam = max(1.0, float(st.fp.min()) * float(st.t.min()))
-        return matvec, _SpectralInverse(grid, principal + lam, spec)
+        return matvec, self.preconditioner(st, spec)
 
 
 def _half_spectrum(grid: GridSpec) -> np.ndarray:
@@ -438,13 +482,22 @@ class _Limit:
         grid, s = self.bg.grid, self.model.s
         return grid.apply(grid.k2, st.u) - st.c * (s - st.f) + FOUR_PI * self.bg.n
 
-    def linearize(self, st: _State) -> tuple[Operator, _SpectralInverse]:
-        """Frechet derivative -Lap + V of the residual at the state st, and
-        its preconditioner, the spectral inverse of -Lap + max(1, inf V),
-        which share one scratch half spectrum."""
-        grid = self.bg.grid
+    def potential(self, st: _State) -> np.ndarray:
+        """V, the zeroth-order term of the residual's Frechet derivative at
+        the state st (linearize)."""
         cp = st.dc_dt * st.t
-        V = -cp * (self.model.s - st.f) + st.c * st.fp * st.t
+        return -cp * (self.model.s - st.f) + st.c * st.fp * st.t
+
+    def linearize(
+        self, st: _State, V: np.ndarray | None = None
+    ) -> tuple[Operator, _SpectralInverse]:
+        """Frechet derivative -Lap + V of the residual at the state st, with
+        V = potential(st) unless given, and its preconditioner, the spectral
+        inverse of -Lap + max(1, inf V), which share one scratch half
+        spectrum."""
+        grid = self.bg.grid
+        if V is None:
+            V = self.potential(st)
         spec = _half_spectrum(grid)
         hessian = _multiplier_plus_potential(grid, grid.k2, V, spec)
         return hessian, _SpectralInverse(grid, grid.k2 + max(1.0, float(V.min())), spec)
@@ -600,19 +653,21 @@ def _half(spec: ProblemSpec, vortices: VortexConfig) -> ProblemSpec | None:
         return None
 
 
-def _rung(
-    spec: ProblemSpec, bg: BackgroundData, start: Callable[[], ScalarField]
-) -> SolutionBundle:
-    """The coupled solve on one grid from the field start() returns, for
+def _rung(spec: ProblemSpec, bg: BackgroundData, start: list) -> SolutionBundle:
+    """The coupled solve on one grid from the start in the list start, for
     every rung of the ladder and for solve_coupled with init: _newton_krylov,
     the checks that decide whether its solution stands (_admissible_v), and
     w = q (v - f) by definition.  A function of its own, so that its state
-    is gone before the next rung's solves.  start is called in the driver's
-    argument list, so that no frame but the driver's holds the start (in
-    CPython 3.11 and later, which hand a temporary argument over to the
-    callee), and the driver drops it with its first step."""
+    is gone before the next rung's solves.  start holds the start's values
+    and, for a start prolonged from the rung below, their half spectrum
+    after them.  Both are popped in the driver's argument list, so that no
+    frame but the driver's holds them (in CPython 3.11 and later, which
+    hand a temporary argument over to the callee), and the driver drops
+    them with its first step."""
     grid = spec.grid
-    st, _, iters = _newton_krylov(_Coupled(spec, bg), start().values, spec)
+    st, _, iters = _newton_krylov(
+        _Coupled(spec, bg), start.pop(0), spec, start.pop() if start else None
+    )
     v = _admissible_v(spec, st)
     return SolutionBundle(
         spec=spec, background=bg, u=ScalarField(grid, st.u), v=ScalarField(grid, v),
@@ -699,7 +754,8 @@ class _Ladder:
         returns for each of the top rung's outcomes: the SolutionBundle or
         the SolveFailure raised, handed to top as soon as it is made.
         Every rung solves through _rung.  Each coupling starts from the rung
-        below's u at that q, prolonged; where there is none or it failed,
+        below's u at that q, prolonged, with its half spectrum, which the
+        driver may smooth (_newton_krylov); where there is none or it failed,
         from the limit solution of _predictor predicted to q (_predict):
         the widened rung's, prolonged, or the rung's own, from the last
         coupling that converged on the rung, of which only (q, u) is kept,
@@ -717,17 +773,20 @@ class _Ladder:
                 self.clear()
             outcomes, last = [], None
             for q in qs:
-                # each start goes to _rung as the pop of a list that holds
-                # only it, so that this frame keeps no reference to it
+                # each start goes to _rung in a list that holds only it and
+                # that _rung empties, so that this frame keeps no reference
+                # to it; a prolonged u brings its half spectrum along
                 under = below.pop(0)
                 if isinstance(under, ScalarField):
-                    start = [spec.grid.prolong(under)].pop
+                    # prolong's values, and the half spectrum they invert
+                    uh = _prolonged_spectrum(spec.grid, under)
+                    start, uh = [spec.grid.inverse(uh), uh], None
                 elif not isinstance(limit, LimitSolution):
-                    start = [initial_guess(bg, spec.model)].pop
+                    start = [initial_guess(bg, spec.model).values]
                 elif limit.grid == spec.grid:
-                    start = [_predict(limit, q, last)].pop
+                    start = [_predict(limit, q, last).values]
                 else:  # the widened rung's, on the half grid
-                    start = [spec.grid.prolong(_predict(limit, q))].pop
+                    start = [spec.grid.prolong(_predict(limit, q)).values]
                 del under
                 try:
                     outcome = _rung(replace(spec, q=q), bg, start)
@@ -904,37 +963,55 @@ def _minres(
 
 
 def _newton_krylov(
-    eq: _Coupled | _Limit, u: np.ndarray, spec: ProblemSpec
+    eq: _Coupled | _Limit, u: np.ndarray, spec: ProblemSpec, uh: np.ndarray | None = None
 ) -> tuple[_State, float, int]:
     """Damped Newton-Krylov solve of the equation eq from u.
 
     The state of an iterate is _pointwise_state(eq.model, eq.bg, u), None
     where u leaves the domain.  eq.residual(st) is the residual there, and
-    eq.linearize(st) its Jacobian and preconditioner.  With r_k = eq.scale
-    times the L2 norm of the residual, each step runs preconditioned MINRES
-    to the forcing tolerance min(1e-4 r_k, 1e-4) of Eisenstat & Walker
-    (SIAM J. Sci. Comput. 17(1), 1996), or only until the linearized
-    residual b - A x, measured like r_k, is within _THETA newton_tol: a full
-    step then leaves a residual below newton_tol up to its quadratic term,
-    so it need not be solved further (Kelley, Iterative Methods for Linear
-    and Nonlinear Equations, SIAM 1995, section 6.3, whose safeguard factor
-    is 0.5).  Each step then halves the step from alpha = 1 until r_k drops
-    by the factor 1 - 1e-4 alpha.  Each pass first tests r_k <= newton_tol,
-    the only convergence test; the first pass that meets it returns (state,
-    r_k, passes), the solution being state.u, so the passes are the steps
-    taken plus one.  Where spec.max_newton_iters steps do not meet it,
-    raises NoConvergence(max_newton_iters, r_k); a failed line search
-    raises NoConvergence(pass, r_k) and names that step's MINRES istop.
-    Both are named by eq.what.
+    eq.linearize(st, V) its Jacobian and preconditioner, V being
+    eq.potential(st).  With r_k = eq.scale times the L2 norm of the
+    residual, each step runs preconditioned MINRES to the forcing tolerance
+    min(1e-4 r_k, 1e-4) of Eisenstat & Walker (SIAM J. Sci. Comput. 17(1),
+    1996), or only until the linearized residual b - A x, measured like
+    r_k, is within _THETA newton_tol: a full step then leaves a residual
+    below newton_tol up to its quadratic term, so it need not be solved
+    further (Kelley, Iterative Methods for Linear and Nonlinear Equations,
+    SIAM 1995, section 6.3, whose safeguard factor is 0.5).  Each step then
+    halves the step from alpha = 1 until r_k drops by the factor
+    1 - 1e-4 alpha.  Each pass first tests r_k <= newton_tol, the only
+    convergence test; the first pass that meets it returns (state, r_k,
+    passes), the solution being state.u, so the passes are the steps taken
+    plus one.  Where spec.max_newton_iters steps do not meet it, raises
+    NoConvergence(max_newton_iters, r_k); a failed line search raises
+    NoConvergence(pass, r_k) and names that step's MINRES istop.  Both are
+    named by eq.what.
+
+    uh, given only with the coupled equation, is the half spectrum of a
+    start prolonged from the half grid (_prolonged_spectrum), exactly zero
+    on the band |k| >= k_c that grid cannot represent.  The first state
+    keeps it, so its Laplacians are not re-derived from u by a forward
+    transform, whose roundoff, amplified by |k|^4 / q, sets the float64
+    floor of r_k on fine grids.  The first pass then reads
+    rho = eq.contraction(st, V), a bound on what one preconditioned step
+    u - P^-1 r (P^-1 being eq.preconditioner) leaves of the residual on
+    that band.  Where rho r_0 <= newton_tol, it tries that smoothing step,
+    with half spectrum uh - P^-1 r^, before it linearizes, and keeps it
+    where it passes the line search's test at alpha = 1; the step is then
+    the pass's step, counted like a Newton step, for 2 transforms and no
+    MINRES.  Else, and where the trial is rejected, the pass takes its
+    Newton step from the start.
 
     Every N x N array goes after its last read: a state and its residual
     live until the state is linearized or its trial rejected, and then only
     u is kept; MINRES gets -r in r's buffer, and the Jacobian and
-    preconditioner go before the line search.  u itself is never written,
-    so it may be a read-only start.
+    preconditioner go before the line search.  The start's state goes
+    before the smoothing step's trial state is built, and only u and uh are
+    kept to rebuild it where that trial is rejected.  u itself is never
+    written, so it may be a read-only start.
     """
     grid, what, scale = spec.grid, eq.what, eq.scale
-    st = _pointwise_state(eq.model, eq.bg, u)
+    st = _pointwise_state(eq.model, eq.bg, u, uh)
     if st is None:
         raise NoConvergence(0, np.inf, what=what)
     r = eq.residual(st)
@@ -945,8 +1022,31 @@ def _newton_krylov(
             return st, r_norm, iters
         if iters > spec.max_newton_iters:
             break
-        H, M = eq.linearize(st)
-        u, st = st.u, None  # of a linearized state only u is read again
+        V = None
+        if uh is not None:  # the first pass of a prolonged start
+            V = eq.potential(st)
+            if eq.contraction(st, V) * r_norm <= spec.newton_tol:
+                # the smoothing step, in the buffers of P^-1 r and its spectrum
+                M, st, V = eq.preconditioner(st, _half_spectrum(grid)), None, None
+                step = M(r)
+                r = None
+                st = _pointwise_state(
+                    eq.model, eq.bg, np.subtract(u, step, out=step),
+                    np.subtract(uh, M.spectrum, out=M.spectrum),
+                )
+                M = step = None
+                if st is not None:
+                    r = eq.residual(st)
+                    norm_trial = scale * _l2(grid, r)
+                    if norm_trial <= (1.0 - 1e-4) * r_norm:
+                        r_norm, uh = norm_trial, None
+                        continue
+                st = r = None  # rejected: the start's state again
+                st = _pointwise_state(eq.model, eq.bg, u, uh)
+                r = eq.residual(st)
+            uh = None
+        H, M = eq.linearize(st, V)
+        u, st, V = st.u, None, None  # of a linearized state only u is read again
         rtol = min(1e-4 * r_norm, 1e-4)
         # -r, in r's own buffer: MINRES's right side, which it overwrites
         delta, istop, _ = _minres(H, M, np.negative(r, out=r), rtol, 400, target)
@@ -1018,7 +1118,12 @@ def solve_coupled(spec: ProblemSpec, init: ScalarField | None = None) -> Solutio
     the start, so they stop at _PREDICTOR_SLACK newton_tol.  Where the
     ladder has a widened rung under its floor (_Ladder), u_inf and u1 are
     solved there alone, and their prediction, prolonged, starts the floor.
-    newton_iters counts the passes on spec.grid only.
+    A start prolonged from N/2 comes with its half spectrum, and where the
+    driver's estimate allows, its first pass is the smoothing step
+    u - P^-1 r (P the preconditioner's symbol) in place of a Newton step
+    with MINRES (_newton_krylov); at N = 256 this meets newton_tol = 1e-6
+    below the float64 floor of a Newton step.  newton_iters counts the
+    passes on spec.grid only, a smoothing step as one.
 
     Raises a SolveFailure: QTooSmall if q <= sup|c| at some iterate,
     NoConvergence if the iteration or its line search stalls, and
@@ -1029,7 +1134,7 @@ def solve_coupled(spec: ProblemSpec, init: ScalarField | None = None) -> Solutio
     if init is None:
         ladder = _Ladder(spec, predictor_only=True)
         return ladder.result(ladder.coupled((spec.q,), lambda q, outcome: outcome)[0])
-    return _rung(spec, _problem_background(spec, init), [init].pop)
+    return _rung(spec, _problem_background(spec, init), [init.values])
 
 
 def solve_limit(spec: ProblemSpec) -> LimitSolution:

@@ -265,10 +265,10 @@ class TestConvergenceMetrics:
                 evaluated.append(t.copy())
             return eval_arrays(model, t)
 
-        def driver(eq, u, sub):
+        def driver(eq, u, sub, uh=None):
             inside[0] = True
             try:
-                return newton_krylov(eq, u, sub)
+                return newton_krylov(eq, u, sub, uh)
             finally:
                 inside[0] = False
 

@@ -14,6 +14,7 @@ from mcsvortex import (
     ProblemSpec,
     QTooSmall,
     VortexConfig,
+    all_reports,
     coefficient_fields,
     compute_u0,
     cp1_model,
@@ -362,9 +363,9 @@ class TestSolveCoupled:
             calls["evals"] += 1
             return eval_arrays(model, t)
 
-        def counted_state(model, bg, u):
+        def counted_state(model, bg, u, uh=None):
             calls["states"] += 1
-            return state(model, bg, u)
+            return state(model, bg, u, uh)
 
         monkeypatch.setattr(NonlinearityModel, "_eval_arrays", counted_eval)
         monkeypatch.setattr(solver, "_pointwise_state", counted_state)
@@ -600,11 +601,11 @@ def _record_levels(monkeypatch, fail_on=None):
     levels, steps = [], []
     real = solver._newton_krylov
 
-    def recorded(eq, u, spec):
+    def recorded(eq, u, spec, uh=None):
         levels.append((spec.grid.N, eq.what))
         if spec.grid.N == fail_on:
             raise NoConvergence(0, np.inf, what=eq.what)
-        result = real(eq, u, spec)
+        result = real(eq, u, spec, uh)
         steps.append(result[-1])
         return result
 
@@ -619,11 +620,11 @@ def _record_krylov(monkeypatch):
     rungs, current = [], []
     real_newton, real_minres = solver._newton_krylov, solver._minres
 
-    def newton(eq, u, spec):
+    def newton(eq, u, spec, uh=None):
         rungs.append((spec.grid.N, eq.what, 0))
         current.append(len(rungs) - 1)
         try:
-            return real_newton(eq, u, spec)
+            return real_newton(eq, u, spec, uh)
         finally:
             current.pop()
 
@@ -748,10 +749,10 @@ class TestGridSequencing:
             built.append(grid.N)
             return real_u0(vortices, grid)
 
-        def newton(eq, u, sub):
+        def newton(eq, u, sub, uh=None):
             if (sub.grid.N, eq.what) == (64, "Newton"):
                 raise NoConvergence(0, np.inf, what=eq.what)
-            return real_newton(eq, u, sub)
+            return real_newton(eq, u, sub, uh)
 
         monkeypatch.setattr(solver, "compute_u0", counted)
         if case == "fallback":
@@ -826,10 +827,10 @@ class TestGridSequencing:
         real_newton, real_predict = solver._newton_krylov, solver._predict
         predicted = []
 
-        def newton(eq, u, sub):
+        def newton(eq, u, sub, uh=None):
             if (sub.grid.N, sub.q, eq.what) == (32, 40.0, "Newton"):
                 raise NoConvergence(0, np.inf, what=eq.what)
-            return real_newton(eq, u, sub)
+            return real_newton(eq, u, sub, uh)
 
         def predict(limit, q, last=None):
             predicted.append((limit.grid.N, q, None if last is None else last[0]))
@@ -850,7 +851,7 @@ class TestGridSequencing:
         bg = compute_u0(spec.vortices, spec.grid)
         starts = []
 
-        def failing(eq, u, sub):
+        def failing(eq, u, sub, uh=None):
             starts.append((sub.grid.N, u.copy()))
             raise NoConvergence(sub.grid.N, np.inf, what=eq.what)
 
@@ -877,12 +878,12 @@ class TestPredictorOnlyRungs:
         calls, starts = [], []
         real = solver._newton_krylov
 
-        def recorded(eq, u, spec):
+        def recorded(eq, u, spec, uh=None):
             calls.append((spec.grid.N, eq.what, spec.newton_tol, spec.vortices.sigma))
             starts.append(u.copy())
             if fail is not None and fail(eq.what, spec):
                 raise NoConvergence(0, np.inf, what=eq.what)
-            return real(eq, u, spec)
+            return real(eq, u, spec, uh)
 
         monkeypatch.setattr(solver, "_newton_krylov", recorded)
         return calls, starts
@@ -988,9 +989,9 @@ class TestPredictorOnlyRungs:
         real_newton, real_predict = solver._newton_krylov, solver._predict
         levels, predicted = [], []
 
-        def newton(eq, u, sub):
+        def newton(eq, u, sub, uh=None):
             levels.append((sub.grid.N, eq.what))
-            st, r_norm, iters = real_newton(eq, u, sub)
+            st, r_norm, iters = real_newton(eq, u, sub, uh)
             if (sub.grid.N, eq.what) == (32, "Newton"):
                 st = copy.copy(st)
                 if failure is QTooSmall:
@@ -1025,10 +1026,10 @@ class TestForcingTerm:
         calls, rung = [], {}
         real_newton, real_minres = solver._newton_krylov, solver._minres
 
-        def newton(eq, u, spec):
+        def newton(eq, u, spec, uh=None):
             rung.update(scale=eq.scale, grid=spec.grid, tol=spec.newton_tol)
             try:
-                return real_newton(eq, u, spec)
+                return real_newton(eq, u, spec, uh)
             finally:
                 rung.clear()
 
@@ -1284,14 +1285,17 @@ class TestNewtonPasses:
         # every rung, u1, the bounds checks and, for the sweep, its table's
         # rows.  Each background took two before compute_u0 took the
         # source's spectrum from its bumps' 1-D transforms; the sweep's
-        # count rose with its Krylov iterations (test_krylov_iterations)
+        # count rose with its Krylov iterations (test_krylov_iterations).
+        # A coupled start prolonged from N = 32 brings its half spectrum,
+        # which spares the forward transform of its first state: the cold
+        # solve took 225 and the sweep 926 before
         counts, totals = count_transforms(monkeypatch), []
         for run in (self._cold_solve, lambda: solve_limit(make_spec(N=64)), self._sweep):
             counts.clear()
             run()
             totals.append(counts["transforms"])
             assert counts["transforms"] == counts["transforms", 32] + counts["transforms", 64]
-        assert totals == [225, 116, 926]
+        assert totals == [224, 116, 922]
 
     @pytest.mark.parametrize("failure", ["iteration limit", "not finite"])
     def test_failed_corrector_keeps_the_old_starts(self, monkeypatch, failure):
@@ -1320,6 +1324,100 @@ class TestNewtonPasses:
             (64, "Newton", 2), (64, "Newton", 2), (64, "Newton", 2), (64, "Newton", 2),
         ]
         assert results and all(u1 is None for u1 in results)
+
+
+def _own_laplacian(values: np.ndarray) -> np.ndarray:
+    """Spectral Laplacian on the unit torus from numpy's 2-D transforms,
+    apart from GridSpec, as bench/checks.py computes it."""
+    k = np.fft.fftfreq(values.shape[0], d=1.0 / values.shape[0])
+    k2 = TWO_PI**2 * (k[:, None] ** 2 + k[None, :] ** 2)
+    return np.real(np.fft.ifft2(-k2 * np.fft.fft2(values)))
+
+
+class TestSmoothingStep:
+    """A coupled start prolonged from the half grid comes with its half
+    spectrum, and where eq.contraction(st, V) r_0 <= newton_tol the first
+    pass tries u - P^-1 r before any MINRES solve.  One vortex, s = 9,
+    q = 40, N = 256: the benchmark's solve_large, whose N = 256 rung took
+    one Newton step of 2 Krylov iterations from r_0 = 1.38e-4, where the
+    estimate reads 5.5e-7."""
+
+    def test_top_rung_runs_no_minres(self, monkeypatch):
+        grids, real = [], solver._minres
+
+        def minres(A, M, b, *args, **kwargs):
+            grids.append(b.shape[0])
+            return real(A, M, b, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "_minres", minres)
+        bundle = solve_coupled(make_spec(N=256, q=40.0, newton_tol=8e-6))
+        assert 128 in grids and 256 not in grids
+        # the smoothing step is the rung's one step: 2 passes, as before
+        assert bundle.newton_iters == 2
+        assert all(report.passed for report in all_reports(bundle))
+
+    def test_converges_at_the_default_tolerance(self):
+        # the step's trial state reads its Laplacians from the exact half
+        # spectrum uh - P^-1 r^, not from a forward transform of u, whose
+        # float64 floor held the second equation at 2.1e-6 .. 2.5e-6 here
+        spec = make_spec(N=256, q=40.0)
+        bundle = solve_coupled(spec)
+        u_star, v = bundle.u_star.values, bundle.v.values
+        t = np.exp(u_star)  # f(t) = t and c = f'(t) t = t for the linear model
+        s, q = spec.model.s, spec.q
+        source = bundle.background.source.values
+        res_a = -_own_laplacian(u_star) - q * (v - t) + FOUR_PI * source
+        res_b = -_own_laplacian(v) - q * (t * (s - v) - q * (v - t))
+        for res in (res_a, res_b):
+            assert np.sqrt(np.mean(res * res)) <= 1e-6
+
+    @pytest.mark.parametrize("trial", ["kept", "outside the domain"])
+    def test_forced_step(self, monkeypatch, trial):
+        # on a cold N = 64 solve the estimate rejects the step; forced, a
+        # kept step that misses newton_tol is one pass, and Newton goes on
+        # from it, while a rejected trial sends the pass back to the start,
+        # rebuilt from u and its spectrum: the unforced solve's fields
+        spec = make_spec(N=64, q=40.0)
+        plain = solve_coupled(spec)
+        monkeypatch.setattr(solver._Coupled, "contraction", lambda self, st, V: 0.0)
+        if trial == "outside the domain":
+            real, handed = solver._pointwise_state, []
+
+            def state(model, bg, u, uh=None):
+                if uh is not None:
+                    handed.append(uh)
+                    if uh is not handed[0]:  # the step's trial
+                        return None
+                return real(model, bg, u, uh)
+
+            monkeypatch.setattr(solver, "_pointwise_state", state)
+        bundle = solve_coupled(spec)
+        if trial == "kept":
+            assert (plain.newton_iters, bundle.newton_iters) == (2, 3)
+            assert bundle.residual_norms["genmcsb"] <= spec.newton_tol
+        else:
+            assert len(handed) == 3  # the start, the trial, the start again
+            assert bundle.newton_iters == plain.newton_iters
+            assert np.array_equal(bundle.u.values, plain.u.values)
+
+    def test_limit_start_is_not_smoothed(self, monkeypatch):
+        # only coupled starts get their spectrum: a smoothing step on the
+        # limit equation's prolonged start cost the N = 64 limit rung a pass
+        # (and raised the benchmark sweep's N = 128 limit residual from
+        # 1.7e-6 to 7.3e-6, that residual being the coarse stop's)
+        calls, real = [], solver._newton_krylov
+
+        def recorded(eq, u, spec, *spectrum):
+            result = real(eq, u, spec, *spectrum)
+            handed = bool(spectrum) and spectrum[0] is not None
+            calls.append((spec.grid.N, eq.what, handed, result[-1]))
+            return result
+
+        monkeypatch.setattr(solver, "_newton_krylov", recorded)
+        table = q_sweep(three_vortex_spec(), [20.0, 40.0, 80.0, 160.0])
+        assert all(row.status == "converged" for row in table.rows)
+        assert calls[:2] == [(32, "limit equation", False, 6), (64, "limit equation", False, 2)]
+        assert calls[-4:] == [(64, "Newton", True, 2)] * 4
 
 
 class TestNewtonStops:
@@ -1551,10 +1649,10 @@ class TestQSweep:
                 coarse.append(weakref.ref(bundle))
             return bundle
 
-        def newton(eq, u, rung_spec):
+        def newton(eq, u, rung_spec, uh=None):
             if rung_spec.grid.N == spec.grid.N and eq.what == "Newton" and not alive:
                 alive.append([ref() is not None for ref in coarse])
-            return real_newton(eq, u, rung_spec)
+            return real_newton(eq, u, rung_spec, uh)
 
         monkeypatch.setattr(solver, "_rung", rung)
         monkeypatch.setattr(solver, "_newton_krylov", newton)

@@ -39,9 +39,9 @@ def _capture_driver(monkeypatch, solve, spec, **kwargs):
     captured = {}
     real = solver._newton_krylov
 
-    def capture(eq, u, sub):
+    def capture(eq, u, sub, uh=None):
         if sub.grid != spec.grid:
-            return real(eq, u, sub)
+            return real(eq, u, sub, uh)
         captured.update(eq=eq, u=u)
         raise _Captured
 

@@ -12,8 +12,9 @@ one thread, as in bench/run.py, so the digests do not depend on the thread
 count.  One line per output, "<name> <sha256>":
 
 - solve_large: u, v and w of the cold N = 256 solve and its residual norms,
-  and the outcome of the same solve at the default newton_tol, whose
-  message follows its digest;
+  the outcome of the same solve at the default newton_tol, "converged" or
+  its failure message, which follows its digest, and, where it converged,
+  its u, v and w;
 - sweep_multi: the sweep table as q_sweep writes it;
 - cli_roundtrip: solution.json and the four .fld files that `mcsvortex
   solve` writes, and what `mcsvortex verify` prints, with its exit code.
@@ -54,11 +55,14 @@ def solve_large(mv, workloads, seed: int, workdir: Path):
         yield name, digest(getattr(bundle, name).values)
     yield "residual_norms", digest(json.dumps(bundle.residual_norms))
     try:
-        mv.solve_coupled(inputs["default_tol"])
+        bundle = mv.solve_coupled(inputs["default_tol"])
         message = "converged"
     except SolveFailure as exc:
-        message = f"{type(exc).__name__}: {exc}"
+        bundle, message = None, f"{type(exc).__name__}: {exc}"
     yield "default_tol", f"{digest(message)} {message}"
+    if bundle is not None:
+        for name in ("u", "v", "w"):
+            yield f"default_tol.{name}", digest(getattr(bundle, name).values)
 
 
 def sweep_multi(mv, workloads, seed: int, workdir: Path):
