@@ -236,11 +236,22 @@ def _print_reports(reports) -> None:
         print(line)
 
 
+def _output_dir(args, cfg: RunConfig) -> Path:
+    """The run's output directory, --out or [output] dir, made before any
+    solve; ConfigError where it cannot be (a file, or a path under one)."""
+    out_dir = Path(args.out or cfg.out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output dir {out_dir}: {exc}") from exc
+    return out_dir
+
+
 def cmd_solve(args) -> int:
     cfg = parse_config(args.config)
     if cfg.q is None:
         raise ConfigError("[solver] solve needs a single q")
-    out_dir = Path(args.out or cfg.out_dir)
+    out_dir = _output_dir(args, cfg)
     try:
         bundle = solve_coupled(cfg.spec)
     except SolveFailure as exc:
@@ -262,9 +273,8 @@ def _write_failure(
 ) -> int:
     """Record a failed solve in failure.json, in place of the files a
     successful run writes (replaces: _SOLVE_OUTPUTS or sweep.tsv) that an
-    earlier run may have left; name it on stderr and return its exit code."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    earlier run may have left, in out_dir, which exists; name it on stderr
+    and return its exit code."""
     for name in replaces:
         (out_dir / name).unlink(missing_ok=True)
     record = {
@@ -285,8 +295,7 @@ def cmd_sweep(args) -> int:
     cfg = parse_config(args.config)
     if cfg.q_list is None or len(cfg.q_list) < 2:
         raise ConfigError("[solver] sweep needs q_list with >= 2 ascending entries")
-    out_dir = Path(args.out or cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(args, cfg)
     spec = replace(cfg.spec, q=cfg.q_list[0])
     try:
         table = q_sweep(spec, cfg.q_list)

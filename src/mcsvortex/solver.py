@@ -166,7 +166,14 @@ class SolutionBundle:
         and "genmcsb", and of the fourth-order one, "fourth_order", whose
         Laplacian(u) gives genmcsa.  Each norm is taken as soon as its
         residual is formed, so no two residual arrays live at once.
-        ValueError where e^{u0+u} overflows."""
+        ValueError where e^{u0+u} overflows.
+
+        The state derives u's spectrum by a forward transform, so
+        fourth_order reads the float64 floor the driver's smoothing step
+        avoids: at N = 256 (one vortex, s = 9, q = 40, default newton_tol)
+        q fourth_order reads 2.6e-6 and 2.7e-6 where genmcsb reads 1.2e-7
+        and 9.9e-8.  It cannot read the driver's spectrum instead: a stored
+        record (mcsvortex verify) has only the fields to rebuild it from."""
         st = self._state("residuals")
         grid, q, n, s = self.grid, self.q, self.background.n, self.model.s
         fourth = _l2(grid, self._equation.residual(st))
@@ -224,7 +231,8 @@ class LimitSolution:
         to u_inf."""
         grid, st = self.grid, self._pointwise
         rhs = grid.apply(-grid.k2, st.f) + st.c**2 * (st.f - self.model.s)
-        H, M = _Limit(self.model, self.background).linearize(st)
+        eq = _Limit(self.model, self.background)
+        H, M = eq.linearize(st, eq.potential(st))
         u1, istop, _ = _minres(H, M, rhs, _U1_RTOL, maxiter=400)
         if istop == 6 or not np.all(np.isfinite(u1)):
             return None
@@ -384,11 +392,9 @@ class _Coupled:
         v_dev = max(float(V.max()) - lam, lam - float(V.min()))
         return (2.0 * c_inf * kc2 / q + v_dev) / (kc2 * kc2 / q**2 + kc2 + lam)
 
-    def linearize(
-        self, st: _State, V: np.ndarray | None = None
-    ) -> tuple[Operator, _SpectralInverse]:
+    def linearize(self, st: _State, V: np.ndarray) -> tuple[Operator, _SpectralInverse]:
         """Frechet derivative of the residual at the frozen state st, with
-        potential V (potential(st) unless given), and its preconditioner
+        potential V = potential(st), and its preconditioner
         (preconditioner).  The two share one scratch half spectrum, and the
         derivative's products go into buffers of the linearization.  Its
         optional second argument, the half spectrum of phi, saves the
@@ -396,10 +402,7 @@ class _Coupled:
         of c phi.  Raises QTooSmall where q <= sup|c|."""
         q, grid, principal, k2_q = self.q, self.grid, self.principal, self.k2_q
         _require_coupling(q, st)
-        c = st.c
-        if V is None:
-            V = self.potential(st)
-        k2 = grid.k2
+        c, k2 = st.c, grid.k2
         spec = _half_spectrum(grid)
         prod = np.empty_like(c)
 
@@ -488,16 +491,11 @@ class _Limit:
         cp = st.dc_dt * st.t
         return -cp * (self.model.s - st.f) + st.c * st.fp * st.t
 
-    def linearize(
-        self, st: _State, V: np.ndarray | None = None
-    ) -> tuple[Operator, _SpectralInverse]:
+    def linearize(self, st: _State, V: np.ndarray) -> tuple[Operator, _SpectralInverse]:
         """Frechet derivative -Lap + V of the residual at the state st, with
-        V = potential(st) unless given, and its preconditioner, the spectral
-        inverse of -Lap + max(1, inf V), which share one scratch half
-        spectrum."""
+        V = potential(st), and its preconditioner, the spectral inverse of
+        -Lap + max(1, inf V), which share one scratch half spectrum."""
         grid = self.bg.grid
-        if V is None:
-            V = self.potential(st)
         spec = _half_spectrum(grid)
         hessian = _multiplier_plus_potential(grid, grid.k2, V, spec)
         return hessian, _SpectralInverse(grid, grid.k2 + max(1.0, float(V.min())), spec)
@@ -967,84 +965,90 @@ def _newton_krylov(
 ) -> tuple[_State, float, int]:
     """Damped Newton-Krylov solve of the equation eq from u.
 
-    The state of an iterate is _pointwise_state(eq.model, eq.bg, u), None
-    where u leaves the domain.  eq.residual(st) is the residual there, and
-    eq.linearize(st, V) its Jacobian and preconditioner, V being
-    eq.potential(st).  With r_k = eq.scale times the L2 norm of the
-    residual, each step runs preconditioned MINRES to the forcing tolerance
-    min(1e-4 r_k, 1e-4) of Eisenstat & Walker (SIAM J. Sci. Comput. 17(1),
-    1996), or only until the linearized residual b - A x, measured like
-    r_k, is within _THETA newton_tol: a full step then leaves a residual
-    below newton_tol up to its quadratic term, so it need not be solved
-    further (Kelley, Iterative Methods for Linear and Nonlinear Equations,
-    SIAM 1995, section 6.3, whose safeguard factor is 0.5).  Each step then
-    halves the step from alpha = 1 until r_k drops by the factor
-    1 - 1e-4 alpha.  Each pass first tests r_k <= newton_tol, the only
-    convergence test; the first pass that meets it returns (state, r_k,
-    passes), the solution being state.u, so the passes are the steps taken
-    plus one.  Where spec.max_newton_iters steps do not meet it, raises
-    NoConvergence(max_newton_iters, r_k); a failed line search raises
-    NoConvergence(pass, r_k) and names that step's MINRES istop.  Both are
-    named by eq.what.
+    Every iterate is a trial: its state _pointwise_state(eq.model, eq.bg,
+    u), its residual eq.residual(state) and r_k, eq.scale times the L2 norm
+    of that residual, or (None, None, inf) where e^{u0+u} overflows.  Each
+    pass first tests r_k <= newton_tol, the only convergence test; the first
+    pass that meets it returns (state, r_k, passes), the solution being
+    state.u, so the passes are the steps taken plus one.  Else it computes
+    V = eq.potential(state) once, and a step alpha d is kept where its trial
+    passes the one sufficient-decrease test r_trial <= (1 - 1e-4 alpha) r_k
+    (Kelley, Iterative Methods for Linear and Nonlinear Equations, SIAM
+    1995, ch. 8).
+
+    The Newton step d solves eq.linearize(state, V) d = -r by preconditioned
+    MINRES, to the forcing tolerance min(1e-4 r_k, 1e-4) of Eisenstat &
+    Walker (SIAM J. Sci. Comput. 17(1), 1996), or only until b - A x,
+    measured like r_k, is within _THETA newton_tol, below which a full step
+    leaves r_k under newton_tol up to its quadratic term (Kelley, section
+    6.3); the line search halves alpha from 1.  Raises NoConvergence,
+    named by eq.what, with (max_newton_iters, r_k) where that many steps do
+    not converge, and with (pass, r_k) and the step's MINRES istop where
+    alpha falls below 1e-12.
 
     uh, given only with the coupled equation, is the half spectrum of a
-    start prolonged from the half grid (_prolonged_spectrum), exactly zero
-    on the band |k| >= k_c that grid cannot represent.  The first state
-    keeps it, so its Laplacians are not re-derived from u by a forward
-    transform, whose roundoff, amplified by |k|^4 / q, sets the float64
-    floor of r_k on fine grids.  The first pass then reads
-    rho = eq.contraction(st, V), a bound on what one preconditioned step
-    u - P^-1 r (P^-1 being eq.preconditioner) leaves of the residual on
-    that band.  Where rho r_0 <= newton_tol, it tries that smoothing step,
-    with half spectrum uh - P^-1 r^, before it linearizes, and keeps it
-    where it passes the line search's test at alpha = 1; the step is then
-    the pass's step, counted like a Newton step, for 2 transforms and no
-    MINRES.  Else, and where the trial is rejected, the pass takes its
-    Newton step from the start.
+    start prolonged from the half grid (_prolonged_spectrum), zero on the
+    band |k| >= k_c that grid cannot represent.  The start's state keeps it,
+    sparing the forward transform of u whose roundoff, amplified by
+    |k|^4 / q, sets the float64 floor of r_k on fine grids.  Where
+    eq.contraction(state, V) r_0 <= newton_tol, a bound on what the step
+    leaves on that band, the first pass tries the smoothing step
+    d = -P^-1 r (P^-1 = eq.preconditioner), with spectrum uh - P^-1 r^, at
+    alpha = 1 only: kept, it is the pass's step, for 2 transforms and no
+    MINRES; rejected, the pass takes its Newton step from the start's state,
+    rebuilt from u and uh.
 
-    Every N x N array goes after its last read: a state and its residual
-    live until the state is linearized or its trial rejected, and then only
-    u is kept; MINRES gets -r in r's buffer, and the Jacobian and
-    preconditioner go before the line search.  The start's state goes
-    before the smoothing step's trial state is built, and only u and uh are
-    kept to rebuild it where that trial is rejected.  u itself is never
-    written, so it may be a read-only start.
+    Every N x N array goes after its last read: a trial's state and
+    residual before the next trial, of a linearized state all but u, the
+    Jacobian and preconditioner before the line search.  MINRES gets -r in
+    r's buffer.  The smoothing trial is made in the buffers of P^-1 r and its
+    spectrum, and P^-1 goes once that trial's state is built.  u itself is
+    never written, so it may be a read-only start.
     """
     grid, what, scale = spec.grid, eq.what, eq.scale
-    st = _pointwise_state(eq.model, eq.bg, u, uh)
+    smoother = None  # P^-1 of the smoothing step
+
+    def trial(u, uh=None):
+        nonlocal smoother
+        st = _pointwise_state(eq.model, eq.bg, u, uh)
+        # the smoother goes once its trial state is built, before the
+        # residual: dropped before the state, its inverse symbol and scratch
+        # raised solve_large's peak RSS by 0.4 MB (heap layout)
+        smoother = None
+        if st is None:
+            return None, None, np.inf
+        r = eq.residual(st)
+        return st, r, scale * _l2(grid, r)
+
+    def decreases(r_trial, alpha):
+        return r_trial <= (1.0 - 1e-4 * alpha) * r_norm
+
+    st, r, r_norm = trial(u, uh)
     if st is None:
         raise NoConvergence(0, np.inf, what=what)
-    r = eq.residual(st)
-    r_norm = scale * _l2(grid, r)
     target = _THETA * spec.newton_tol / (scale * grid.h)  # on ||b - A x||_2
     for iters in range(1, spec.max_newton_iters + 2):
         if r_norm <= spec.newton_tol:
             return st, r_norm, iters
         if iters > spec.max_newton_iters:
             break
-        V = None
-        if uh is not None:  # the first pass of a prolonged start
+        V = eq.potential(st)
+        if uh is not None and eq.contraction(st, V) * r_norm <= spec.newton_tol:
+            # the smoothing step, in the buffers of P^-1 r and its spectrum
+            smoother, st, V = eq.preconditioner(st, _half_spectrum(grid)), None, None
+            step, step_h = smoother(r), smoother.spectrum
+            r = None
+            st, r, r_trial = trial(
+                np.subtract(u, step, out=step), np.subtract(uh, step_h, out=step_h)
+            )
+            step = step_h = None
+            if decreases(r_trial, 1.0):
+                r_norm, uh = r_trial, None
+                continue
+            st = r = None  # rejected: the start's state again
+            st, r, r_norm = trial(u, uh)
             V = eq.potential(st)
-            if eq.contraction(st, V) * r_norm <= spec.newton_tol:
-                # the smoothing step, in the buffers of P^-1 r and its spectrum
-                M, st, V = eq.preconditioner(st, _half_spectrum(grid)), None, None
-                step = M(r)
-                r = None
-                st = _pointwise_state(
-                    eq.model, eq.bg, np.subtract(u, step, out=step),
-                    np.subtract(uh, M.spectrum, out=M.spectrum),
-                )
-                M = step = None
-                if st is not None:
-                    r = eq.residual(st)
-                    norm_trial = scale * _l2(grid, r)
-                    if norm_trial <= (1.0 - 1e-4) * r_norm:
-                        r_norm, uh = norm_trial, None
-                        continue
-                st = r = None  # rejected: the start's state again
-                st = _pointwise_state(eq.model, eq.bg, u, uh)
-                r = eq.residual(st)
-            uh = None
+        uh = None
         H, M = eq.linearize(st, V)
         u, st, V = st.u, None, None  # of a linearized state only u is read again
         rtol = min(1e-4 * r_norm, 1e-4)
@@ -1053,18 +1057,15 @@ def _newton_krylov(
         r = H = M = None
         alpha = 1.0
         while True:
-            st = _pointwise_state(eq.model, eq.bg, u + alpha * delta)
-            if st is not None:
-                r = eq.residual(st)
-                norm_trial = scale * _l2(grid, r)
-                if norm_trial <= (1.0 - 1e-4 * alpha) * r_norm:
-                    break
+            st, r, r_trial = trial(u + alpha * delta)
+            if decreases(r_trial, alpha):
+                break
             st = r = None  # a rejected trial is dropped before the next
             alpha *= 0.5
             if alpha < 1e-12:
                 what = f"{what} line search (MINRES exit status {istop})"
                 raise NoConvergence(iters, r_norm, what=what)
-        r_norm = norm_trial
+        r_norm = r_trial
     raise NoConvergence(spec.max_newton_iters, r_norm, what=what)
 
 

@@ -265,6 +265,14 @@ q = 10.0
             pass
 
 
+def unusable_out(tmp_path, where):
+    """An --out that cannot be a directory: an existing file, or a path
+    under one."""
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n")
+    return blocker if where == "a file" else blocker / "out"
+
+
 class TestSolveCommand:
     def test_flat_run_exit_zero(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -324,6 +332,17 @@ class TestSolveCommand:
     def test_config_error_exit_one(self, tmp_path):
         cfg = write_config(tmp_path / "run.cfg", "[model]\nname = bogus\n")
         assert main(["solve", "--config", cfg]) == 1
+
+    @pytest.mark.parametrize("where", ["a file", "under a file"])
+    def test_unusable_out_exit_one_before_the_solve(
+        self, tmp_path, capsys, monkeypatch, where
+    ):
+        monkeypatch.setattr(cli, "solve_coupled", lambda spec: pytest.fail("solved"))
+        cfg = write_config(tmp_path / "run.cfg", VORTEX_CONFIG.format(out=tmp_path / "cfg"))
+        out = unusable_out(tmp_path, where)
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: output dir {out}: ")
+        assert not (tmp_path / "cfg").exists()
 
     def test_custom_model_round_trip(self, tmp_path):
         ts = np.linspace(0, 3, 24)
@@ -446,6 +465,16 @@ class TestSweepCommand:
         cfg = write_config(tmp_path / "run.cfg", body)
         assert main(["sweep", "--config", cfg]) == 1
         assert "ascending" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["a file", "under a file"])
+    def test_unusable_out_exit_one_before_the_sweep(
+        self, tmp_path, capsys, monkeypatch, where
+    ):
+        monkeypatch.setattr(cli, "q_sweep", lambda spec, q_list: pytest.fail("swept"))
+        out = unusable_out(tmp_path, where)
+        body = VORTEX_CONFIG.format(out=out).replace("q = 40.0", "q_list = 20 40")
+        assert main(["sweep", "--config", write_config(tmp_path / "run.cfg", body)]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: output dir {out}: ")
 
     def test_single_entry_rejected(self, tmp_path, capsys):
         body = VORTEX_CONFIG.format(out=tmp_path / "out").replace(

@@ -1142,7 +1142,8 @@ class TestWorkingSet:
         else:
             eq = solver._Limit(spec.model, bg)
         u = solver.initial_guess(bg, spec.model).values
-        H, M = eq.linearize(solver._pointwise_state(spec.model, bg, u))
+        st = solver._pointwise_state(spec.model, bg, u)
+        H, M = eq.linearize(st, eq.potential(st))
         return spec.grid, H, M
 
     @pytest.mark.parametrize("equation,fields", [("coupled", 2), ("limit", 1)])
@@ -1452,6 +1453,45 @@ class TestNewtonStops:
         with pytest.raises(NoConvergence, match="after 0 iterations") as exc:
             solve_coupled(spec, init=spec.grid.constant(800.0))
         assert exc.value.iterations == 0 and exc.value.residual == np.inf
+
+
+class TestLineSearch:
+    """A Newton step that the line search shortens and keeps, on one vortex
+    at N = 64 and q = 40, whose N = 64 rung takes one step from its
+    prolonged start."""
+
+    def test_backtracked_step_converges(self, monkeypatch):
+        # the rung's MINRES step, tripled: the alpha = 1 trial lands three
+        # steps out, at about twice r_k, and is rejected; alpha = 1/2 lands
+        # 1.5 steps out, at about half r_k, and is kept.  Newton goes on
+        # from there and converges one pass later than without the fault
+        spec = make_spec(N=64, q=40.0)
+        plain = solve_coupled(spec)
+        real_minres, real_state = solver._minres, solver._pointwise_state
+        steps, trials = [], []
+
+        def minres(A, M, b, *args, **kwargs):
+            x, istop, itn = real_minres(A, M, b, *args, **kwargs)
+            if b.shape[0] == 64:
+                if not steps:
+                    x *= 3.0
+                steps.append(x.copy())
+            return x, istop, itn
+
+        def state(model, bg, u, uh=None):
+            if len(steps) == 1:  # the trials of the tripled step
+                trials.append(u.copy())
+            return real_state(model, bg, u, uh)
+
+        monkeypatch.setattr(solver, "_minres", minres)
+        monkeypatch.setattr(solver, "_pointwise_state", state)
+        bundle = solve_coupled(spec)
+        assert len(steps) == 2 and len(trials) == 2
+        assert np.allclose(trials[0] - trials[1], 0.5 * steps[0], rtol=0.0, atol=1e-14)
+        assert (plain.newton_iters, bundle.newton_iters) == (2, 3)
+        assert np.abs(bundle.u.values - plain.u.values).max() <= 1e-9
+        assert bundle.residual_norms["genmcsb"] <= spec.newton_tol
+        assert all(report.passed for report in all_reports(bundle))
 
 
 class TestFirstOrderCorrector:

@@ -78,7 +78,7 @@ def _applications(driver):
     eq, u = driver["eq"], driver["u"]
     st_u, _ = _state(driver)
     phi = np.cos(TWO_PI * np.arange(u.size) / 7.0).reshape(u.shape)
-    H, M = eq.linearize(st_u)
+    H, M = eq.linearize(st_u, eq.potential(st_u))
     ph = np.fft.rfft2(phi)
     return {
         # on a new state, which has derived nothing yet
@@ -145,7 +145,8 @@ def test_compute_u0_costs_one_transform(monkeypatch):
 
 def _newton_system(driver):
     st_u, r = _state(driver)
-    H, M = driver["eq"].linearize(st_u)
+    eq = driver["eq"]
+    H, M = eq.linearize(st_u, eq.potential(st_u))
     return H, M, -r
 
 
@@ -209,8 +210,9 @@ def test_spectrum_hand_off_agrees_to_roundoff(drivers, equation):
 def test_linearize_after_residual_costs_no_transform(drivers, monkeypatch, equation):
     driver = drivers[equation]
     st_u, _ = _state(driver)  # the driver's order: residual, then linearize
+    eq = driver["eq"]
     counts = count_transforms(monkeypatch)
-    driver["eq"].linearize(st_u)
+    eq.linearize(st_u, eq.potential(st_u))
     assert counts["transforms"] == 0
 
 
@@ -221,8 +223,9 @@ def test_linearize_before_residual_gives_the_same_floats(drivers, equation):
     eq, u = drivers[equation]["eq"], drivers[equation]["u"]
     phi = smooth_field(eq.bg.grid, np.random.default_rng(5), kmax=5).values
     first = solver._pointwise_state(eq.model, eq.bg, u)
-    before = eq.linearize(first)[0](phi)
-    after = eq.linearize(_state(drivers[equation])[0])[0](phi)
+    before = eq.linearize(first, eq.potential(first))[0](phi)
+    second = _state(drivers[equation])[0]
+    after = eq.linearize(second, eq.potential(second))[0](phi)
     assert np.array_equal(before, after)
     assert np.array_equal(eq.residual(first), _state(drivers[equation])[1])
 
@@ -253,7 +256,8 @@ def test_linearization_is_the_derivative_of_the_residual(drivers, equation):
     driver, h = drivers[equation], 1e-4
     eq, u = driver["eq"], driver["u"]
     phi = smooth_field(eq.bg.grid, np.random.default_rng(7), kmax=5).values
-    H, _ = eq.linearize(_state(driver)[0])
+    st_u = _state(driver)[0]
+    H, _ = eq.linearize(st_u, eq.potential(st_u))
     hphi = H(phi)
     ahead, behind = (_state(driver, u + sign * h * phi)[1] for sign in (1.0, -1.0))
     difference = (ahead - behind) / (2.0 * h)
@@ -264,7 +268,8 @@ def test_linearization_is_the_derivative_of_the_residual(drivers, equation):
 def test_linearization_and_preconditioner_are_symmetric(drivers, equation):
     # MINRES needs both symmetric in the Euclidean inner product
     driver = drivers[equation]
-    H, M = driver["eq"].linearize(_state(driver)[0])
+    eq, st_u = driver["eq"], _state(driver)[0]
+    H, M = eq.linearize(st_u, eq.potential(st_u))
     grid, rng = driver["eq"].bg.grid, np.random.default_rng(11)
     phi, psi = (smooth_field(grid, rng, kmax=12).values for _ in range(2))
     for A in (H, M):

@@ -10,8 +10,10 @@ ROOT = Path(__file__).resolve().parents[1]
 
 OUTPUTS = [
     "solve_large.u", "solve_large.v", "solve_large.w", "solve_large.residual_norms",
-    "solve_large.default_tol", "solve_large.default_tol.u", "solve_large.default_tol.v",
-    "solve_large.default_tol.w", "sweep_multi.tsv", "cli_roundtrip.solution.json",
+    "solve_large.newton_iters", "solve_large.default_tol", "solve_large.default_tol.u",
+    "solve_large.default_tol.v", "solve_large.default_tol.w",
+    "solve_large.default_tol.residual_norms", "solve_large.default_tol.newton_iters",
+    "sweep_multi.tsv", "cli_roundtrip.solution.json",
     "cli_roundtrip.u.fld", "cli_roundtrip.v.fld", "cli_roundtrip.w.fld",
     "cli_roundtrip.u0.fld", "cli_roundtrip.verify",
 ]

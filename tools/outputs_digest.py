@@ -11,10 +11,11 @@ bench/run.py builds them for the given seed.  The BLAS pools are capped at
 one thread, as in bench/run.py, so the digests do not depend on the thread
 count.  One line per output, "<name> <sha256>":
 
-- solve_large: u, v and w of the cold N = 256 solve and its residual norms,
-  the outcome of the same solve at the default newton_tol, "converged" or
-  its failure message, which follows its digest, and, where it converged,
-  its u, v and w;
+- solve_large: u, v, w, the residual norms and the Newton passes of the
+  cold N = 256 solve; the outcome of the same solve at the default
+  newton_tol, "converged" or its failure message; and, where it converged,
+  the same five lines for it.  A pass count or an outcome follows its
+  digest;
 - sweep_multi: the sweep table as q_sweep writes it;
 - cli_roundtrip: solution.json and the four .fld files that `mcsvortex
   solve` writes, and what `mcsvortex verify` prints, with its exit code.
@@ -46,23 +47,34 @@ def digest(data) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def with_digest(text: str) -> str:
+    """A short text after its digest, for a line that shows what it holds."""
+    return f"{digest(text)} {text}"
+
+
 def solve_large(mv, workloads, seed: int, workdir: Path):
     from mcsvortex.errors import SolveFailure
 
     inputs = workloads.WORKLOADS["solve_large"].build(seed, False, workdir)
-    bundle = mv.solve_coupled(inputs["spec"])
-    for name in ("u", "v", "w"):
-        yield name, digest(getattr(bundle, name).values)
-    yield "residual_norms", digest(json.dumps(bundle.residual_norms))
+    yield from solved(mv.solve_coupled(inputs["spec"]))
     try:
         bundle = mv.solve_coupled(inputs["default_tol"])
         message = "converged"
     except SolveFailure as exc:
         bundle, message = None, f"{type(exc).__name__}: {exc}"
-    yield "default_tol", f"{digest(message)} {message}"
+    yield "default_tol", with_digest(message)
     if bundle is not None:
-        for name in ("u", "v", "w"):
-            yield f"default_tol.{name}", digest(getattr(bundle, name).values)
+        for name, line in solved(bundle):
+            yield f"default_tol.{name}", line
+
+
+def solved(bundle):
+    """Lines of a converged bundle: u, v, w, its residual norms and its
+    Newton passes."""
+    for name in ("u", "v", "w"):
+        yield name, digest(getattr(bundle, name).values)
+    yield "residual_norms", digest(json.dumps(bundle.residual_norms))
+    yield "newton_iters", with_digest(str(bundle.newton_iters))
 
 
 def sweep_multi(mv, workloads, seed: int, workdir: Path):
