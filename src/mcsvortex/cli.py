@@ -13,6 +13,7 @@ import argparse
 import configparser
 import json
 import sys
+import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -74,7 +75,7 @@ def _problem_spec(model, vortices, q, grid: GridSpec, tolerances) -> ProblemSpec
     model is {name, s, table}, s and table optional; vortices is {points,
     multiplicities, sigma}, sigma in torus units; tolerances holds the ones
     given, the absent ones take ProblemSpec's defaults; any other entry,
-    such as the bound_tol that records still carry, is ignored.  The
+    such as the bound_tol or krylov_tol of earlier records, is ignored.  The
     library checks every value: ValueError for invalid data, KeyError,
     TypeError, ... for data of the wrong shape."""
     return ProblemSpec(
@@ -94,13 +95,19 @@ def _problem_spec(model, vortices, q, grid: GridSpec, tolerances) -> ProblemSpec
 
 
 def _load_table(path: Path) -> tuple:
+    """The (t, f) columns of a table file, one row a line; how many rows
+    it needs is tabulated_model's rule."""
     try:
-        data = np.loadtxt(path, comments="#")
+        with warnings.catch_warnings():  # numpy warns of a file without data
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(path, comments="#", ndmin=2)
     except OSError as exc:
         raise ConfigError(f"[model] table: cannot read {path}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"[model] table: malformed numeric data: {exc}") from exc
-    if data.ndim != 2 or data.shape[1] != 2:
+    if data.size == 0:
+        raise ConfigError(f"[model] table: {path} holds no data")
+    if data.shape[1] != 2:
         raise ConfigError("[model] table: need two columns (t, f)")
     return data[:, 0], data[:, 1]
 
@@ -261,8 +268,6 @@ def cmd_solve(args) -> int:
     (out_dir / FAILURE_RECORD).unlink(missing_ok=True)
     print(f"converged in {bundle.newton_iters} Newton passes")
     print(f"energy = {bundle.energy_value:.17e}")
-    for name, value in bundle.residual_norms.items():
-        print(f"residual {name} = {value:.17e}")
     _print_reports(reports)
     print(f"artifacts written to {out_dir}")
     return EXIT_OK if all(not r.failed for r in reports) else EXIT_CHECK_FAILED
@@ -319,8 +324,8 @@ def cmd_sweep(args) -> int:
 
 def bundle_from_snapshot(path) -> tuple[SolutionBundle, dict]:
     """Rebuild a SolutionBundle from stored fields and metadata.  The
-    record's residual norms and energy are not read back: the bundle
-    derives its own from the fields.
+    record's energy, and the residual norms of earlier records, are not
+    read back: the bundle derives its own from the fields.
 
     Raises SnapshotError, naming the file, for a record whose problem data
     is missing, mistyped or out of range."""

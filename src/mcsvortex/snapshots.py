@@ -9,8 +9,9 @@ Snapshot layout (all little-endian):
 
 A solve directory holds one snapshot per field (u.fld, v.fld, w.fld,
 u0.fld) next to a self-describing solution.json carrying the problem data,
-residuals, and every invariant report, so stored results can be re-verified
-without the original config file.
+the energy and every invariant report, the two equations' residuals among
+them, so stored results can be re-verified without the original config
+file.
 """
 
 from __future__ import annotations
@@ -95,13 +96,8 @@ def write_solution(out_dir, bundle, reports) -> Path:
     path.unlink(missing_ok=True)
     spec = bundle.spec
     cfg = spec.vortices
-    fields = {
-        "u": bundle.u,
-        "v": bundle.v,
-        "w": bundle.w,
-        "u0": bundle.background.u0,
-    }
-    for name, field in fields.items():
+    fields = (bundle.u, bundle.v, bundle.w, bundle.background.u0)
+    for name, field in zip(FIELD_FILES, fields):
         write_field(out_dir / f"{name}.fld", field)
     meta = {
         "format": "mcsvortex-solution",
@@ -117,13 +113,10 @@ def write_solution(out_dir, bundle, reports) -> Path:
         "tolerances": {
             "newton_tol": spec.newton_tol,
             "max_newton_iters": spec.max_newton_iters,
-            "bound_tol": spec.bound_tol,  # for older readers; not read back
         },
-        "residual_norms": bundle.residual_norms,
         "newton_iters": bundle.newton_iters,
         "energy": bundle.energy_value,
         "reports": [r.to_dict() for r in reports],
-        "fields": {name: f"{name}.fld" for name in fields},
     }
     if spec.model.table is not None:
         meta["model"]["table"] = [list(column) for column in spec.model.table]
@@ -146,7 +139,7 @@ def read_solution(path) -> tuple[dict, dict]:
     """Load (metadata, fields) from a solve directory or solution.json path.
 
     The fields are the snapshots FIELD_FILES names, read from beside
-    solution.json; the record's "fields" map is not consulted.
+    solution.json.
     SnapshotError where the record's "version" is missing or not VERSION."""
     json_path = locate_solution(path)
     try:

@@ -104,7 +104,7 @@ class SolutionBundle:
     """Converged (u, v, w) triple with its background and newton_iters, the
     Newton passes on spec.grid (_newton_krylov: the steps taken plus one).
     The residual norms and the energy are functions of the fields, derived
-    on first read from _pointwise, _vh and _equation, as the checks are.
+    on first read from _pointwise and _vh, as the checks are.
     GridMismatch unless the background and the fields live on spec.grid and
     the background is built for spec.vortices."""
 
@@ -157,26 +157,13 @@ class SolutionBundle:
         return self.grid.forward(self.v.values)
 
     @cached_property
-    def _equation(self) -> _Coupled:
-        return _Coupled(self.spec, self.background)
-
-    @cached_property
     def residual_norms(self) -> dict:
         """L2 residuals at (u, v) of the two coupled equations, "genmcsa"
-        and "genmcsb", and of the fourth-order one, "fourth_order", whose
-        Laplacian(u) gives genmcsa.  Each norm is taken as soon as its
-        residual is formed, so no two residual arrays live at once.
-        ValueError where e^{u0+u} overflows.
-
-        The state derives u's spectrum by a forward transform, so
-        fourth_order reads the float64 floor the driver's smoothing step
-        avoids: at N = 256 (one vortex, s = 9, q = 40, default newton_tol)
-        q fourth_order reads 2.6e-6 and 2.7e-6 where genmcsb reads 1.2e-7
-        and 9.9e-8.  It cannot read the driver's spectrum instead: a stored
-        record (mcsvortex verify) has only the fields to rebuild it from."""
+        and "genmcsb".  Each norm is taken as soon as its residual is
+        formed, so no two residual arrays live at once.  ValueError where
+        e^{u0+u} overflows."""
         st = self._state("residuals")
         grid, q, n, s = self.grid, self.q, self.background.n, self.model.s
-        fourth = _l2(grid, self._equation.residual(st))
         v = self.v.values
         res_a = _l2(grid, -st.lap - q * (v - st.f) + FOUR_PI * n)
         lap_v = grid.k2 * self._vh
@@ -184,12 +171,12 @@ class SolutionBundle:
             grid,
             grid.inverse(lap_v, scratch=lap_v) - q * (st.c * (s - v) - q * (v - st.f)),
         )
-        return {"genmcsa": res_a, "genmcsb": res_b, "fourth_order": fourth}
+        return {"genmcsa": res_a, "genmcsb": res_b}
 
     @cached_property
     def energy_value(self) -> float:
         """The energy functional at u (energy); inf where e^{u0+u} overflows."""
-        return self._equation.energy(self._pointwise)
+        return _Coupled(self.spec, self.background).energy(self._pointwise)
 
 
 @dataclass(frozen=True)

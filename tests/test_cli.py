@@ -227,6 +227,40 @@ q = 10.0
         cfg = parse_config(write_config(tmp_path / "run.cfg", body))
         assert cfg.spec.model.name == "custom"
 
+    @pytest.mark.filterwarnings("error")  # numpy warned of an empty table file
+    @pytest.mark.parametrize(
+        "table,mangle,message",
+        [
+            ("0 0\n", None, r"^need matching 1-d \(t, f\) tables with >= 4 rows$"),
+            ("", None, r"^\[model\] table: \S+f\.dat holds no data$"),
+            ("# t f\n", None, r"^\[model\] table: \S+f\.dat holds no data$"),
+            (
+                "0 0\n1 one\n2 2\n3 3\n", None,
+                r"^\[model\] table: malformed numeric data: could not convert string 'one'",
+            ),
+            ("0 0 0\n1 1 1\n2 2 2\n3 3 3\n", None, r"^\[model\] table: need two columns"),
+            (
+                None, ("points = 0.5 0.5 1", "points = 0.5 y 1"),
+                r"^\[vortices\] points line 1: could not convert string to float: 'y'$",
+            ),
+        ],
+        ids=["one-row", "empty", "comments-only", "malformed", "three-columns", "points"],
+    )
+    def test_rejected_input_names_its_cause(self, tmp_path, capsys, table, mangle, message):
+        # a one-row table was "need two columns" and an empty one printed
+        # numpy's warning before the error
+        body = VORTEX_CONFIG.format(out=tmp_path / "out")
+        if table is not None:
+            (tmp_path / "f.dat").write_text(table)
+            mangle = ("name = u1", "name = custom\ntable = f.dat")
+        cfg = write_config(tmp_path / "run.cfg", body.replace(*mangle))
+        with pytest.raises(ConfigError, match=message):
+            parse_config(cfg)
+        assert main(["solve", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_mistyped_key_rejected(self, tmp_path, capsys):
         out = tmp_path / "out"
         body = VORTEX_CONFIG.format(out=out).replace(
@@ -681,6 +715,29 @@ class TestVerifyCommand:
     def test_unreadable_snapshot_exit_one(self, tmp_path):
         assert main(["verify", str(tmp_path / "missing")]) == 1
 
+    def test_unparsable_record_exit_one(self, solved_dir, capsys):
+        (solved_dir / "solution.json").write_text('{"format": ')
+        with pytest.raises(SnapshotError, match=r"^cannot parse \S+solution\.json: Expecting"):
+            read_solution(solved_dir)
+        assert main(["verify", str(solved_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("snapshot error: cannot parse ") and err.count("\n") == 1
+
+    def test_snapshot_path_finds_its_record(self, solved_dir, tmp_path, capsys):
+        # a .fld names the solve directory it lies in
+        assert main(["verify", str(solved_dir)]) == 0
+        printed = capsys.readouterr().out.splitlines()[1:]
+        assert main(["verify", str(solved_dir / "u.fld")]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == printed
+        alone = tmp_path / "alone" / "u.fld"
+        alone.parent.mkdir()
+        alone.write_bytes((solved_dir / "u.fld").read_bytes())
+        with pytest.raises(SnapshotError, match=r"^no solution\.json found at or beside "):
+            read_solution(alone)
+        assert main(["verify", str(alone)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("snapshot error: no solution.json") and err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "tamper,named",
         [
@@ -700,16 +757,21 @@ class TestVerifyCommand:
 
     def test_stored_residuals_and_energy_are_not_read_back(self, solved_dir):
         # the bundle derives both from the stored fields, bit for bit the
-        # values the solve wrote, whatever the record now says
+        # values the solve wrote, whatever the record now says; records of
+        # earlier releases also carried the residual norms
         path = solved_dir / "solution.json"
         meta = json.loads(path.read_text())
-        solved = {key: meta[key] for key in ("energy", "residual_norms")}
+        energy = meta["energy"]
+        lhs = {report["name"]: report["lhs"] for report in meta["reports"]}
         meta["energy"] = -1.0
         meta["residual_norms"] = {"genmcsa": 1e3, "genmcsb": 1e3, "fourth_order": 1e3}
         path.write_text(json.dumps(meta))
         bundle, _ = bundle_from_snapshot(solved_dir)
-        assert bundle.energy_value == solved["energy"]
-        assert bundle.residual_norms == solved["residual_norms"]
+        assert bundle.energy_value == energy
+        assert bundle.residual_norms == {
+            "genmcsa": lhs["residual_first_equation"],
+            "genmcsb": lhs["residual_second_equation"],
+        }
         assert main(["verify", str(solved_dir)]) == 0
 
     @pytest.mark.parametrize(
@@ -836,7 +898,8 @@ class TestVerifyCommand:
         assert err.count(str(solved_dir)) == 1  # the file, named once
 
     def test_stored_bound_tol_is_ignored(self, solved_dir):
-        # the slack is fixed: the reports are recomputed with 1e-6 + 10*sigma^2
+        # the slack is fixed: the reports are recomputed with 1e-6 + 10*sigma^2,
+        # whatever bound_tol a record of an earlier release carries
         path = solved_dir / "solution.json"
         meta = json.loads(path.read_text())
         meta["tolerances"]["bound_tol"] = -1.0
@@ -850,8 +913,10 @@ class TestVerifyCommand:
             body = VORTEX_CONFIG.format(out=dirs[name]).replace("q = 40.0", f"q = {q}")
             cfg = write_config(tmp_path / f"{name}.cfg", body)
             assert main(["solve", "--config", cfg]) == 0
+        # records of earlier releases named the snapshot files in "fields"
         path = dirs["A"] / "solution.json"
         meta = json.loads(path.read_text())
+        meta["fields"] = {name: f"{name}.fld" for name in FIELD_FILES}
         meta["fields"]["u"] = str((dirs["B"] / "u.fld").resolve())
         path.write_text(json.dumps(meta))
         # verify reads A/u.fld, not the q = 80 solution the record names

@@ -446,6 +446,12 @@ class TestHelmholtz:
             # below the float64 floor: the iteration runs out of its 10 N steps
             helmholtz_solve(c, rhs, 3.0, tol=1e-30)
 
+    @pytest.mark.parametrize("fn", [helmholtz_apply, helmholtz_solve])
+    def test_fields_on_different_grids_rejected(self, fn):
+        c, u = GridSpec(16).constant(0.5), GridSpec(8).constant(1.0)
+        with pytest.raises(GridMismatch, match=r"^fields do not share a grid$"):
+            fn(c, u, 3.0)
+
     @pytest.mark.parametrize("q", [np.nan, np.inf, -np.inf, "3", True])
     def test_non_finite_coupling_is_a_value_error(self, q):
         # as ProblemSpec's q: a NaN passes no comparison with sup|c|, an

@@ -342,3 +342,20 @@ def test_numbers_are_checked_before_conversion(build, message):
     # NaN passed the monotonicity test, and u1 ignored a table
     with pytest.raises(ValueError, match=message):
         build()
+
+
+SHORT_TABLE = r"^need matching 1-d \(t, f\) tables with >= 4 rows$"
+
+
+@pytest.mark.parametrize(
+    "ts,fs,message",
+    [
+        (TS[:3], TABLE[1][:3], SHORT_TABLE),
+        (TS, TABLE[1][:-1], SHORT_TABLE),
+        (TS + 0.5, TABLE[1], r"^table must start at t = 0$"),
+    ],
+    ids=["short", "mismatched", "not-from-zero"],
+)
+def test_table_shape_is_checked(ts, fs, message):
+    with pytest.raises(ValueError, match=message):
+        tabulated_model(ts, fs, s=1.0)

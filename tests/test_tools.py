@@ -8,12 +8,15 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
+SOLVED = ["u", "v", "w", "residual_norms.genmcsa", "residual_norms.genmcsb", "newton_iters"]
+RECORD = [
+    "format", "version", "model", "vortices", "grid", "q", "tolerances", "newton_iters",
+    "energy", "reports",
+]
 OUTPUTS = [
-    "solve_large.u", "solve_large.v", "solve_large.w", "solve_large.residual_norms",
-    "solve_large.newton_iters", "solve_large.default_tol", "solve_large.default_tol.u",
-    "solve_large.default_tol.v", "solve_large.default_tol.w",
-    "solve_large.default_tol.residual_norms", "solve_large.default_tol.newton_iters",
-    "sweep_multi.tsv", "cli_roundtrip.solution.json",
+    *(f"solve_large.{name}" for name in SOLVED), "solve_large.default_tol",
+    *(f"solve_large.default_tol.{name}" for name in SOLVED), "sweep_multi.tsv",
+    *(f"cli_roundtrip.solution.json.{key}" for key in RECORD),
     "cli_roundtrip.u.fld", "cli_roundtrip.v.fld", "cli_roundtrip.w.fld",
     "cli_roundtrip.u0.fld", "cli_roundtrip.verify",
 ]

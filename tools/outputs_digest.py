@@ -11,14 +11,16 @@ bench/run.py builds them for the given seed.  The BLAS pools are capped at
 one thread, as in bench/run.py, so the digests do not depend on the thread
 count.  One line per output, "<name> <sha256>":
 
-- solve_large: u, v, w, the residual norms and the Newton passes of the
+- solve_large: u, v, w, each residual norm and the Newton passes of the
   cold N = 256 solve; the outcome of the same solve at the default
   newton_tol, "converged" or its failure message; and, where it converged,
-  the same five lines for it.  A pass count or an outcome follows its
-  digest;
+  the same lines for it.  A pass count or an outcome follows its digest;
 - sweep_multi: the sweep table as q_sweep writes it;
-- cli_roundtrip: solution.json and the four .fld files that `mcsvortex
-  solve` writes, and what `mcsvortex verify` prints, with its exit code.
+- cli_roundtrip: each top-level entry of the solution.json and the four
+  .fld files that `mcsvortex solve` writes, and what `mcsvortex verify`
+  prints, with its exit code.
+
+So a diff names each residual norm and record entry that differs.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ import os
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
              "BLIS_NUM_THREADS", "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
     os.environ[_var] = "1"
-os.environ.pop("MCSVORTEX_THREADS", None)
 
 import argparse  # noqa: E402
 import hashlib  # noqa: E402
@@ -69,11 +70,12 @@ def solve_large(mv, workloads, seed: int, workdir: Path):
 
 
 def solved(bundle):
-    """Lines of a converged bundle: u, v, w, its residual norms and its
+    """Lines of a converged bundle: u, v, w, each residual norm and its
     Newton passes."""
     for name in ("u", "v", "w"):
         yield name, digest(getattr(bundle, name).values)
-    yield "residual_norms", digest(json.dumps(bundle.residual_norms))
+    for name, value in bundle.residual_norms.items():
+        yield f"residual_norms.{name}", digest(json.dumps(value))
     yield "newton_iters", with_digest(str(bundle.newton_iters))
 
 
@@ -92,7 +94,10 @@ def cli_roundtrip(mv, workloads, seed: int, workdir: Path):
         code = cli.main(["solve", "--config", str(config), "--out", str(out)])
     if code != 0:
         raise SystemExit(f"mcsvortex solve exited {code}")
-    for name in ("solution.json", "u.fld", "v.fld", "w.fld", "u0.fld"):
+    record = json.loads((out / "solution.json").read_text())
+    for key, value in record.items():
+        yield f"solution.json.{key}", digest(json.dumps(value))
+    for name in ("u.fld", "v.fld", "w.fld", "u0.fld"):
         yield name, digest((out / name).read_bytes())
     with workloads.captured_stdout(workdir) as log:
         code = cli.main(["verify", str(out)])
